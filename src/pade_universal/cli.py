@@ -71,6 +71,10 @@ EXIT_FIT = 4
 EXIT_INDEX = 5
 EXIT_PERTURBATION = 6
 
+#: Largest deviation of a re-measured sup from the stored one that
+#: ``verify`` accepts as a match.
+VERIFY_TOLERANCE = 1e-12
+
 
 class _UsageError(Exception):
     pass
@@ -229,14 +233,14 @@ def _cmd_verify(args) -> int:
         fit_degree=stored.fit_degree,
         tol=tol,
     )
-    deviations = [
-        abs(cert.achieved[key] - stored.achieved[key])
+    deviations = {
+        key: abs(cert.achieved[key] - stored.achieved[key])
         for key in stored.achieved
         if key in cert.achieved
-    ]
+    }
     missing = [key for key in stored.achieved if key not in cert.achieved]
-    max_dev = max(deviations) if deviations else 0.0
-    match = not missing and max_dev <= 1e-12
+    max_dev = max(deviations.values()) if deviations else 0.0
+    match = not missing and max_dev <= VERIFY_TOLERANCE
     print(json.dumps({
         "match": match,
         "max_deviation": max_dev,
@@ -244,7 +248,17 @@ def _cmd_verify(args) -> int:
         "certificate": cert.to_json(),
     }, sort_keys=True, indent=2))
     if not match:
-        _diag({"error": "verification-mismatch", "max_deviation": max_dev, "missing": missing})
+        deviating = {
+            key: {"stored": stored.achieved[key], "remeasured": cert.achieved[key]}
+            for key, dev in deviations.items()
+            if dev > VERIFY_TOLERANCE
+        }
+        _diag({
+            "error": "verification-mismatch",
+            "max_deviation": max_dev,
+            "missing": missing,
+            "deviating": deviating,
+        })
         return EXIT_NUMERIC
     return EXIT_OK if cert.passed else EXIT_PERTURBATION
 

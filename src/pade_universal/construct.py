@@ -10,6 +10,12 @@ approximant exists at every center and reproduces ``u`` identically, which
 is what makes one polynomial satisfy all the sup bounds simultaneously.
 Nothing is assumed: every claimed bound is measured on grids and recorded
 in a :class:`Certificate`.
+
+The measurement is the sup over the product grid L x (K u J) at every
+derivative level.  ``_measure_conclusions`` takes the centers of L in
+blocks and measures each block with the array kernels of :mod:`.pade`
+(stacked recentering, Hankel test, denominator solve and Horner
+evaluation) instead of one scalar approximant per center.
 """
 
 from __future__ import annotations
@@ -31,7 +37,18 @@ from .errors import (
     PoleProximityError,
     ScheduleStepError,
 )
-from .pade import hankel_determinant, pade_approximant, rational_derivative
+from .pade import (
+    HankelReport,
+    derivative_numerators,
+    differentiate,
+    hankel_determinant,
+    hankel_test,
+    horner,
+    pade_approximant,
+    pade_denominators,
+    poly_mul,
+    recentered_coefficients,
+)
 from .series import (
     DEFAULT_TOL,
     Polynomial,
@@ -39,7 +56,6 @@ from .series import (
     complex_to_pair,
     disagreement_metric,
     pair_to_complex,
-    taylor_partial_sum,
 )
 
 #: Hard cap of the least-squares degree ramp.
@@ -50,6 +66,11 @@ INDEX_RETRY_LIMIT = 8
 
 #: Evaluation budget of the perturbation-magnitude search.
 PERTURBATION_ATTEMPTS = 60
+
+#: (center, point) pairs the verifier evaluates per block of centers: large
+#: enough that array passes amortize their overhead, small enough that the
+#: stacked evaluations stay a few hundred KiB.
+_BLOCK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -168,16 +189,17 @@ class TargetFunction:
         if self.kind == "poly":
             return TargetFunction(kind="poly", numer=self.numer.derivative(order))
         if self.kind == "rational":
-            num, den = self.numer, self.denom
-            b_prime = den.derivative(1)
-            for j in range(order):
-                num = _poly_product(num.derivative(1), den).plus(
-                    _poly_product(num, b_prime).scaled(-(j + 1))
-                )
+            den = np.array(self.denom.coeffs)
+            num = derivative_numerators(np.array(self.numer.coeffs), den, order)[-1]
             den_power = den
             for _ in range(order):
-                den_power = _poly_product(den_power, den)
-            return TargetFunction(kind="rational", numer=num, denom=den_power)
+                den_power = poly_mul(den_power, den)
+            center = self.numer.center
+            return TargetFunction(
+                kind="rational",
+                numer=Polynomial(list(num), center),
+                denom=Polynomial(list(den_power), center),
+            )
         return None
 
     def to_json(self) -> dict:
@@ -218,11 +240,6 @@ class TargetFunction:
                 [pair_to_complex(v) for v in obj["values"]],
             )
         raise ValueError(f"unknown target kind {kind!r}")
-
-
-def _poly_product(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = np.convolve(np.array(a.coeffs, dtype=complex), np.array(b.coeffs, dtype=complex))
-    return Polynomial(list(out), a.center)
 
 
 @dataclass(frozen=True)
@@ -449,98 +466,103 @@ def _measure_conclusions(
     with the callers.  With ``strict`` a vanishing Hankel determinant at any
     center raises; otherwise it is reported so a perturbation search can
     react.
+
+    The centers of L are measured in blocks of ``_BLOCK_PAIRS // |K u J|``,
+    each block in array passes: one stacked Horner shift recenters ``u``,
+    one stacked determinant tests the Hankel windows, one stacked solve
+    builds the denominators, and one Horner per derivative level evaluates
+    the Taylor partial sums and the approximants on ``K u J``.  Running
+    maxima carry the sups across blocks.  Errors are those of the
+    center-by-center order: the first failing center in grid order, and
+    at it the first point of K, then of J.
     """
     zk = grid_k.as_array()
     zj = grid_j.as_array()
     zkj = np.concatenate([zk, zj])
-    hk = np.asarray(target_k.evaluate(zk, tol))
-    fj = np.asarray(target_j.evaluate(zj, tol))
+    nk = len(zk)
+    # per level: the values of u^(l) on K u J, and the target derivatives on
+    # K and on J (None where a target has no derivative)
+    u_vals_kj = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
+    targets = [(target_k, zk), (target_j, zj)]
+    target_vals = [[np.asarray(t.evaluate(z, tol)) for t, z in targets]]
+    for l in range(1, levels + 1):
+        derived = [(t.derivative(l), z) for t, z in targets]
+        target_vals.append(
+            [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
+        )
 
-    u_levels = [u.derivative(l) for l in range(levels + 1)]
-    u_vals_kj = [ul.eval(zkj) for ul in u_levels]
-
-    hankel_min = math.inf
-    hankel_tau_max = 0.0
-    hankel_ok = True
-    sup = {"2": 0.0, "3": 0.0, "4": 0.0, "5": 0.0}
-    ident = {f"id_taylor_l{l}": 0.0 for l in range(levels + 1)}
-    ident.update({f"id_pade_l{l}": 0.0 for l in range(levels + 1)})
+    sups = {"2": 0.0, "3": 0.0, "4": 0.0, "5": 0.0}
+    sups.update({f"id_taylor_l{l}": 0.0 for l in range(levels + 1)})
+    sups.update({f"id_pade_l{l}": 0.0 for l in range(levels + 1)})
     diag_targets: dict[str, float] = {}
 
-    target_k_levels = [target_k.derivative(l) for l in range(1, levels + 1)]
-    target_j_levels = [target_j.derivative(l) for l in range(1, levels + 1)]
-    hk_levels = [
-        np.asarray(t.evaluate(zk, tol)) if t is not None else None
-        for t in target_k_levels
-    ]
-    fj_levels = [
-        np.asarray(t.evaluate(zj, tol)) if t is not None else None
-        for t in target_j_levels
-    ]
+    def bump(table: dict, key: str, deviation: np.ndarray) -> None:
+        table[key] = max(table.get(key, 0.0), float(np.max(np.abs(deviation))))
 
+    def record(kind: str, level: int, values: np.ndarray) -> None:
+        bump(sups, f"id_{kind}_l{level}", values - u_vals_kj[level])
+        on_k, on_j = target_vals[level]
+        if level == 0:
+            k_key, j_key = ("2", "4") if kind == "taylor" else ("3", "5")
+            bump(sups, k_key, values[:, :nk] - on_k)
+            bump(sups, j_key, values[:, nk:] - on_j)
+            return
+        if on_k is not None:
+            bump(diag_targets, f"K_{kind}_d{level}", values[:, :nk] - on_k)
+        if on_j is not None:
+            bump(diag_targets, f"J_{kind}_d{level}", values[:, nk:] - on_j)
+
+    coeffs = np.array(u.coeffs, dtype=complex)
+    if len(coeffs) > p + q + 1:
+        raise ValueError("length must not truncate stored coefficients")
+    centers = np.array(grid_l.points, dtype=complex)
+    block = max(1, _BLOCK_PAIRS // len(zkj))
+    hankel_min = math.inf
+    hankel_tau_max = 0.0
     pade_everywhere = True
-    for zeta in grid_l.points:
-        recentered = u.recenter(zeta)
-        series = recentered.to_series(p + q + 1)
-        report = hankel_determinant(series, p, q, tol)
-        hankel_min = min(hankel_min, abs(report.value))
-        hankel_tau_max = max(hankel_tau_max, report.threshold)
-        if not report.nonvanishing:
-            if strict:
-                raise PadeNotExistError(report)
-            hankel_ok = False
+    for start in range(0, len(centers), block):
+        zeta = centers[start : start + block]
+        series = np.zeros((len(zeta), p + q + 1), dtype=complex)
+        series[:, : len(coeffs)] = recentered_coefficients(coeffs, u.center, zeta)
+        values, scales, thresholds, exists = hankel_test(series, p, q, tol)
+        hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
+        hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
+        w = zkj - zeta[:, None]
 
-        partial = taylor_partial_sum(series, p)
-        s_vals_k = partial.eval(zk)
-        s_vals_j = partial.eval(zj)
-        sup["2"] = max(sup["2"], float(np.max(np.abs(s_vals_k - hk))))
-        sup["4"] = max(sup["4"], float(np.max(np.abs(s_vals_j - fj))))
-
+        partial = series[:, : p + 1]
         for l in range(levels + 1):
-            s_dl = partial.derivative(l).eval(zkj)
-            ident[f"id_taylor_l{l}"] = max(
-                ident[f"id_taylor_l{l}"], float(np.max(np.abs(s_dl - u_vals_kj[l])))
-            )
-            if l >= 1:
-                if hk_levels[l - 1] is not None:
-                    key = f"K_taylor_d{l}"
-                    dev = float(np.max(np.abs(s_dl[: len(zk)] - hk_levels[l - 1])))
-                    diag_targets[key] = max(diag_targets.get(key, 0.0), dev)
-                if fj_levels[l - 1] is not None:
-                    key = f"J_taylor_d{l}"
-                    dev = float(np.max(np.abs(s_dl[len(zk):] - fj_levels[l - 1])))
-                    diag_targets[key] = max(diag_targets.get(key, 0.0), dev)
+            record("taylor", l, horner(partial, w))
+            partial = differentiate(partial)
 
-        if not report.nonvanishing:
-            pade_everywhere = False
-            continue
-        approximant = pade_approximant(series, p, q, tol)
-        r_vals_k = approximant.eval(zk, tol)
-        r_vals_j = approximant.eval(zj, tol)
-        sup["3"] = max(sup["3"], float(np.max(np.abs(r_vals_k - hk))))
-        sup["5"] = max(sup["5"], float(np.max(np.abs(r_vals_j - fj))))
-        for l in range(levels + 1):
-            r_dl = rational_derivative(approximant, l, tol)(zkj)
-            ident[f"id_pade_l{l}"] = max(
-                ident[f"id_pade_l{l}"], float(np.max(np.abs(r_dl - u_vals_kj[l])))
+        failed = np.flatnonzero(~exists)
+        pade_everywhere = pade_everywhere and not len(failed)
+        rows = np.flatnonzero(exists)
+        if strict and len(failed):
+            rows = rows[rows < failed[0]]  # only these can raise before it
+        if len(rows):
+            sub, w_rows = series[rows], w[rows]
+            denom = pade_denominators(sub, p, q)
+            bz = horner(denom, w_rows)
+            poles = np.abs(bz) <= tol.tau_zero
+            hit = np.flatnonzero(poles.any(axis=1))
+            if len(hit):
+                col = int(np.argmax(poles[hit[0]]))
+                raise PoleProximityError(zkj[col], float(np.abs(bz[hit[0], col])))
+            numer = poly_mul(sub[:, : p + 1], denom)[:, : p + 1]
+            for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
+                record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
+        if strict and len(failed):
+            i = failed[0]
+            report = HankelReport(
+                complex(values[i]), p, q, complex(zeta[i]), False,
+                float(thresholds[i]), float(scales[i]),
             )
-            if l >= 1:
-                if hk_levels[l - 1] is not None:
-                    key = f"K_pade_d{l}"
-                    dev = float(np.max(np.abs(r_dl[: len(zk)] - hk_levels[l - 1])))
-                    diag_targets[key] = max(diag_targets.get(key, 0.0), dev)
-                if fj_levels[l - 1] is not None:
-                    key = f"J_pade_d{l}"
-                    dev = float(np.max(np.abs(r_dl[len(zk):] - fj_levels[l - 1])))
-                    diag_targets[key] = max(diag_targets.get(key, 0.0), dev)
+            raise PadeNotExistError(report)
 
-    achieved = dict(sup)
+    achieved = dict(sups)
     if not pade_everywhere:
-        achieved.pop("3", None)
-        achieved.pop("5", None)
-        for l in range(levels + 1):
-            ident.pop(f"id_pade_l{l}", None)
-    achieved.update(ident)
+        for key in ["3", "5"] + [f"id_pade_l{l}" for l in range(levels + 1)]:
+            achieved.pop(key)
 
     diagnostics = dict(diag_targets)
     diagnostics["hankel_tau_max"] = hankel_tau_max
@@ -550,7 +572,7 @@ def _measure_conclusions(
     return {
         "achieved": achieved,
         "hankel_min": 0.0 if math.isinf(hankel_min) else float(hankel_min),
-        "hankel_ok": hankel_ok and pade_everywhere,
+        "hankel_ok": pade_everywhere,
         "diagnostics": diagnostics,
     }
 
@@ -617,16 +639,18 @@ def _ramp_degrees(cap: int = RAMP_CAP):
 def _search_perturbation(measure, d0: float, requested: float):
     """Find ``|d|`` whose certificate passes, moving geometrically.
 
-    A sup-bound violation sends the search down, a Hankel violation sends it
-    up; once both walls are known it bisects in log scale.  Returns the
-    passing certificate or raises with the established window.
+    ``measure(d)`` returns the certificate for ``d`` and whether the Hankel
+    test held.  A sup-bound violation sends the search down, a Hankel
+    violation sends it up; once both walls are known it bisects in log
+    scale.  Returns the passing certificate or raises with the established
+    window.
     """
     lo = 0.0  # largest magnitude known to fail the Hankel floor
     hi = math.inf  # smallest magnitude known to break a sup bound
     d = d0
     last = None
     for attempt in range(1, PERTURBATION_ATTEMPTS + 1):
-        cert = measure(d)
+        cert, hankel_ok = measure(d)
         last = cert
         if cert.passed:
             cert.diagnostics["d_window_lo"] = lo
@@ -634,7 +658,6 @@ def _search_perturbation(measure, d0: float, requested: float):
             cert.diagnostics["d_attempts"] = attempt
             return cert
         gated_ok = all(v < requested for v in cert.achieved.values())
-        hankel_ok = cert.diagnostics.get("_hankel_ok", False)
         if not hankel_ok and gated_ok:
             lo = max(lo, d)
             d = math.sqrt(lo * hi) if math.isfinite(hi) else d * 2.0
@@ -702,30 +725,27 @@ def build_universal_polynomial(
             continue
         fit_reached = True
 
-        def measure(d: complex, p: int, q: int) -> Certificate:
+        def measure(d: complex, p: int, q: int) -> tuple[Certificate, bool]:
             u = fit.plus_monomial(d, p)
             m = _measure_conclusions(
                 u, p, q, grid_l, grid_k, grid_j,
                 req.target_on_K, f_on_L, req.derivative_levels, tol, strict=False,
             )
             cert = _assemble_certificate(m, (p, q), d, degree, requested)
-            cert.diagnostics["_hankel_ok"] = m["hankel_ok"]
             cert.diagnostics["fit_residual"] = residual
-            return cert
+            return cert, m["hankel_ok"]
 
         candidates = candidate_indices(f_seq, fit.array_degree(), limit=INDEX_RETRY_LIMIT)
         for p, q in candidates:
             d0 = 1.0 / (2.0 * req.s * sup_k_abs**p)
             if d_override is not None:
-                cert = measure(d_override, p, q)
-                cert.diagnostics.pop("_hankel_ok", None)
+                cert, _ = measure(d_override, p, q)
                 return fit.plus_monomial(d_override, p), cert
             try:
                 cert = _search_perturbation(lambda d: measure(d, p, q), d0, requested)
             except PerturbationFailedError as exc:
                 last_perturbation_error = exc
                 continue
-            cert.diagnostics.pop("_hankel_ok", None)
             return fit.plus_monomial(cert.perturbation, p), cert
 
     if not fit_reached:
@@ -835,7 +855,7 @@ def extend_prefix(
         coeffs[p_k] += d
         return coeffs
 
-    def measure(d: complex, p_k: int, q_k: int) -> Certificate:
+    def measure(d: complex, p_k: int, q_k: int) -> tuple[Certificate, bool]:
         coeffs = extension_coeffs(p_k, d)
         h_poly = Polynomial(coeffs, 0.0)
         series = h_poly.to_series(p_k + q_k + 1)
@@ -866,28 +886,25 @@ def extend_prefix(
             hankel_min=abs(report.value),
             passed=passed,
             diagnostics={
-                "_hankel_ok": report.nonvanishing,
                 "prefix_metric": prefix_metric,
                 "prefix_length": float(len(prefix)),
                 "hankel_tau_max": report.threshold,
                 "fit_residual": best,
             },
         )
-        return cert
+        return cert, report.nonvanishing
 
     last_error: PerturbationFailedError | None = None
     for p_k, q_k in candidate_indices(f_seq, min_degree, limit=INDEX_RETRY_LIMIT):
         d0 = 1.0 / (2.0 * s * sup_abs**p_k)
         if d_override is not None:
-            cert = measure(d_override, p_k, q_k)
-            cert.diagnostics.pop("_hankel_ok", None)
+            cert, _ = measure(d_override, p_k, q_k)
             return tuple(extension_coeffs(p_k, d_override)), cert
         try:
             cert = _search_perturbation(lambda d: measure(d, p_k, q_k), d0, requested)
         except PerturbationFailedError as exc:
             last_error = exc
             continue
-        cert.diagnostics.pop("_hankel_ok", None)
         return tuple(extension_coeffs(p_k, cert.perturbation)), cert
     assert last_error is not None
     raise last_error

@@ -7,6 +7,12 @@ the classical Jacobi determinant formulas for small ``q`` and through the
 equivalent Toeplitz linear system for larger ``q``; both deliver the unique
 normalized pair ``A/B`` with ``B(center) = 1`` whose Taylor expansion matches
 the input through order ``p + q``.
+
+The array kernels (``recentered_coefficients``, ``hankel_test``,
+``pade_denominators``, ``poly_mul``, ``differentiate``,
+``derivative_numerators``, ``horner``)
+work on coefficient arrays with one series per row, so a verifier can treat
+many centers in one pass; the scalar entry points are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -156,6 +162,42 @@ def _require_truncation(f: FormalPowerSeries, p: int, q: int) -> None:
         raise TruncationExceededError(needed - 1, len(f))
 
 
+def _hankel_windows(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Stacked ``q x q`` windows: entry ``(i, j)`` (0-based) is ``a_{p-q+1+i+j}``.
+
+    ``coeffs`` holds one series per row (last axis); negative indices read
+    as zero.  Reversing the columns gives the Toeplitz denominator system.
+    """
+    idx = (p + 1) + np.arange(q)[:, None] + np.arange(q)[None, :]
+    zeros = np.zeros(coeffs.shape[:-1] + (q,), dtype=complex)
+    return np.concatenate([zeros, coeffs], axis=-1)[..., idx]
+
+
+def hankel_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig = DEFAULT_TOL):
+    """Row-wise Hankel existence test of stacked series.
+
+    Returns ``(values, scales, thresholds, nonvanishing)`` arrays with one
+    entry per row, each as :func:`hankel_determinant` reports it.  The
+    threshold power and the magnitude use the libm routines of Python's
+    scalar arithmetic (numpy's vectorized ones round differently), so a row
+    matches the scalar test bit for bit.
+    """
+    rows = coeffs.shape[:-1]
+    if q == 0:
+        return (
+            np.ones(rows, dtype=complex),
+            np.ones(rows),
+            np.full(rows, tol.tau_det),
+            np.ones(rows, dtype=bool),
+        )
+    windows = _hankel_windows(coeffs, p, q)
+    scales = np.max(np.abs(windows), axis=(-2, -1))
+    values = np.linalg.det(windows)
+    thresholds = np.array([tol.tau_det * s**q for s in scales.ravel().tolist()]).reshape(rows)
+    nonvanishing = np.hypot(values.real, values.imag) > thresholds
+    return values, scales, thresholds, nonvanishing
+
+
 def hankel_determinant(
     f: FormalPowerSeries, p: int, q: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> HankelReport:
@@ -171,16 +213,11 @@ def hankel_determinant(
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     _require_truncation(f, p, q)
-    if q == 0:
-        return HankelReport(1.0 + 0j, p, q, f.center, True, tol.tau_det, 1.0)
-    matrix = np.array(
-        [[_coeff_or_zero(f, p - q + i + j + 1) for j in range(q)] for i in range(q)],
-        dtype=complex,
+    values, scales, thresholds, nonvanishing = hankel_test(np.array([f.coeffs]), p, q, tol)
+    return HankelReport(
+        complex(values[0]), p, q, f.center, bool(nonvanishing[0]),
+        float(thresholds[0]), float(scales[0]),
     )
-    scale = float(np.max(np.abs(matrix)))
-    value = complex(np.linalg.det(matrix))
-    threshold = tol.tau_det * scale**q
-    return HankelReport(value, p, q, f.center, abs(value) > threshold, threshold, scale)
 
 
 def _partial_sum_array(f: FormalPowerSeries, k: int) -> list[complex]:
@@ -219,33 +256,38 @@ def _jacobi_pair(f: FormalPowerSeries, p: int, q: int) -> tuple[list[complex], l
     return a, b
 
 
-def _toeplitz_pair(f: FormalPowerSeries, p: int, q: int) -> tuple[list[complex], list[complex]]:
-    """(A, B) from the linear system for the denominator coefficients.
+def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Row-wise normalized ``(p, q)`` denominators ``b_0 = 1, b_1 .. b_q``.
 
-    Solves ``sum_{i=0..q} b_i a_{p+k-i} = 0`` for ``k = 1..q`` with
-    ``b_0 = 1``, then convolves for the numerator.  The system matrix is the
-    Hankel window up to a column flip, so nonvanishing of the determinant
-    guarantees a unique solution.
+    Solves ``sum_{i=0..q} b_i a_{p+k-i} = 0`` for ``k = 1..q``, one stacked
+    solve for all rows.  The system matrix is the Hankel window up to a
+    column flip, so nonvanishing of the determinant guarantees a unique
+    solution; a singular system raises :class:`DegenerateDenominatorError`.
     """
-    t = np.array(
-        [[_coeff_or_zero(f, p + k - i) for i in range(1, q + 1)] for k in range(1, q + 1)],
-        dtype=complex,
-    )
-    rhs = np.array([-_coeff_or_zero(f, p + k) for k in range(1, q + 1)], dtype=complex)
+    ones = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
+    if q == 0:
+        return ones
+    system = _hankel_windows(coeffs, p, q)[..., ::-1]
+    rhs = -coeffs[..., p + 1 : p + q + 1, None]
     try:
-        tail = np.linalg.solve(t, rhs)
+        tail = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateDenominatorError(
             f"denominator system singular at (p, q) = ({p}, {q})"
         ) from exc
-    b = [1.0 + 0j] + [complex(x) for x in tail]
-    a = []
-    for k in range(p + 1):
-        acc = 0j
-        for i in range(0, min(k, q) + 1):
-            acc += b[i] * _coeff_or_zero(f, k - i)
-        a.append(acc)
-    return a, b
+    return np.concatenate([ones, tail], axis=-1)
+
+
+def _toeplitz_pair(f: FormalPowerSeries, p: int, q: int) -> tuple[list[complex], list[complex]]:
+    """(A, B) from the linear system for the denominator coefficients.
+
+    The numerator is the product ``B * S_p`` truncated at degree ``p``.
+    """
+    _require_truncation(f, p, q)
+    coeffs = np.array([f.coeffs[: p + q + 1]])
+    b = pade_denominators(coeffs, p, q)
+    a = poly_mul(coeffs[..., : p + 1], b)[..., : p + 1]
+    return [complex(c) for c in a[0]], [complex(c) for c in b[0]]
 
 
 def pade_approximant(
@@ -332,22 +374,99 @@ def order_condition_decidability(
     amp = max(abs(x) for x in inv)
     b_norm = sum(abs(x) for x in denom)
     if q:
-        t = np.array(
-            [[_coeff_or_zero(f, p + k - i) for i in range(1, q + 1)] for k in range(1, q + 1)],
-            dtype=complex,
-        )
-        cond = float(np.linalg.cond(t))
+        _require_truncation(f, p, q)
+        cond = float(np.linalg.cond(_hankel_windows(np.array(f.coeffs), p, q)[:, ::-1]))
     else:
         cond = 1.0
     scale = max(abs(x) for x in f.coeffs)
     return float(np.finfo(float).eps) * cond * b_norm * amp / scale
 
 
+def recentered_coefficients(
+    coeffs: np.ndarray, center: complex, centers: np.ndarray
+) -> np.ndarray:
+    """Row ``r``: the coefficients of ``Polynomial(coeffs, center)`` about ``centers[r]``.
+
+    The Horner shift of :meth:`Polynomial.recenter` runs in explicit float64
+    real and imaginary parts, which round as Python's complex arithmetic
+    does (numpy's complex multiply does not), so every row equals the scalar
+    shift bit for bit.  Each step of the shift updates one anti-diagonal of
+    its ``(j, i)`` schedule, so ``len(coeffs) - 1`` array steps suffice.
+    """
+    center = complex(center)
+    d_re = centers.real - center.real
+    d_im = centers.imag - center.imag
+    re = np.repeat(coeffs.real[:, None], len(centers), axis=1)
+    im = np.repeat(coeffs.imag[:, None], len(centers), axis=1)
+    for s in range(len(coeffs) - 2, -1, -1):
+        b_re, b_im = re[s + 1 :], im[s + 1 :]
+        new_re = re[s:-1] + (d_re * b_re - d_im * b_im)
+        new_im = im[s:-1] + (d_re * b_im + d_im * b_re)
+        re[s:-1] = new_re
+        im[s:-1] = new_im
+    out = np.empty((len(centers), len(coeffs)), dtype=complex)
+    out.real = re.T
+    out.imag = im.T
+    return out
+
+
+def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``coeffs`` evaluated at row ``r`` of the offsets ``w``.
+
+    The same operations as :meth:`Polynomial.eval`, so each row matches it
+    bit for bit.
+    """
+    acc = np.zeros_like(w, dtype=complex)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc *= w
+        acc += coeffs[..., k, None]
+    return acc
+
+
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of ``a * b`` along the last axis, stacked over the rest."""
+    m, n = a.shape[-1], b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,)
+    out = np.zeros(shape, dtype=complex)
+    for i in range(n):
+        out[..., i : i + m] += a * b[..., i : i + 1]
+    return out
+
+
+def differentiate(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative along the last axis, as
+    :meth:`Polynomial.derivative` forms them (a constant gives ``[0]``)."""
+    if c.shape[-1] == 1:
+        return np.zeros_like(c)
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
+def _pad(c: np.ndarray, length: int) -> np.ndarray:
+    widths = [(0, 0)] * (c.ndim - 1) + [(0, length - c.shape[-1])]
+    return np.pad(c, widths)
+
+
+def derivative_numerators(numer: np.ndarray, denom: np.ndarray, order: int) -> list[np.ndarray]:
+    """Numerators ``P_0 .. P_order`` with ``(A/B)^(l) = P_l / B^(l+1)``.
+
+    Uses ``P_{l+1} = P_l' B - (l+1) P_l B'``, stacked over the leading axes
+    of the coefficient arrays.
+    """
+    b_prime = differentiate(denom)
+    out = [numer]
+    for l in range(order):
+        first = poly_mul(differentiate(out[-1]), denom)
+        second = poly_mul(out[-1], b_prime)
+        n = max(first.shape[-1], second.shape[-1])
+        out.append(_pad(first, n) - (l + 1) * _pad(second, n))
+    return out
+
+
 class RationalDerivativeEvaluator:
     """Callable for the ``l``-th derivative of a rational function.
 
-    Maintains the pair ``(P_l, B)`` with ``(A/B)^(l) = P_l / B^(l+1)`` via
-    ``P_{j+1} = P_j' B - (j+1) P_j B'``.
+    Holds the pair ``(P_l, B)`` with ``(A/B)^(l) = P_l / B^(l+1)`` from
+    :func:`derivative_numerators`.
     """
 
     def __init__(self, r: RationalFunction, order: int, tol: ToleranceConfig = DEFAULT_TOL):
@@ -358,13 +477,10 @@ class RationalDerivativeEvaluator:
         self.order = order
         self.tol = tol
         self.denom = r.denom
-        p_l = r.numer
-        b_prime = r.denom.derivative(1)
-        for j in range(order):
-            p_l = _poly_mul(p_l.derivative(1), self.denom).plus(
-                _poly_mul(p_l, b_prime).scaled(-(j + 1))
-            )
-        self.numerator = p_l
+        numer = derivative_numerators(
+            np.array(r.numer.coeffs), np.array(r.denom.coeffs), order
+        )[-1]
+        self.numerator = Polynomial(list(numer), r.center)
 
     def __call__(self, z):
         bz = self.denom.eval(z)
@@ -379,13 +495,6 @@ class RationalDerivativeEvaluator:
                 np.asarray(z).ravel()[idx], float(np.abs(bz).ravel()[idx])
             )
         return self.numerator.eval(z) / bz ** (self.order + 1)
-
-
-def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.center != b.center:
-        raise ValueError("polynomial product requires a common center")
-    out = np.convolve(np.array(a.coeffs, dtype=complex), np.array(b.coeffs, dtype=complex))
-    return Polynomial(list(out), a.center)
 
 
 def rational_derivative(

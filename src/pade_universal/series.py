@@ -215,20 +215,6 @@ class Polynomial:
             c.extend([0j] * (length - len(c)))
         return FormalPowerSeries(c, self.center)
 
-    def scaled(self, factor: complex) -> "Polynomial":
-        return Polynomial([factor * c for c in self.coeffs], self.center)
-
-    def plus(self, other: "Polynomial") -> "Polynomial":
-        if other.center != self.center:
-            raise ValueError("polynomial addition requires a common center")
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0j] * n
-        for k, c in enumerate(self.coeffs):
-            out[k] += c
-        for k, c in enumerate(other.coeffs):
-            out[k] += c
-        return Polynomial(out, self.center)
-
     def plus_monomial(self, coefficient: complex, power: int) -> "Polynomial":
         """Return ``self + coefficient * (z - center)^power``."""
         if power < 0:

@@ -110,6 +110,27 @@ class TestBuildCommand:
         assert payload["match"] is True
         assert payload["max_deviation"] <= 1e-12
 
+    def test_verify_names_the_deviating_conclusion(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        achieved = record["certificates"][0]["achieved"]
+        measured = achieved["5"]
+        achieved["5"] = measured + 1e-6
+        out.write_text(json.dumps(record))
+
+        code, _, err = run(capsys, "verify", "--run", str(out))
+        assert code == 3
+        diag = json.loads(err)
+        assert diag["error"] == "verification-mismatch"
+        assert diag["missing"] == []
+        assert abs(diag["max_deviation"] - 1e-6) <= 1e-12
+        assert diag["deviating"] == {
+            "5": {"stored": measured + 1e-6, "remeasured": measured}
+        }
+
     def test_short_index_sequence_exits_five(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario(f_max=2)))
