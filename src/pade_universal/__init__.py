@@ -11,9 +11,6 @@ from .series import (  # noqa: F401
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
-    poly_derivative,
-    poly_eval,
-    recenter_polynomial,
     taylor_partial_sum,
 )
 from .pade import (  # noqa: F401

@@ -279,7 +279,6 @@ def _cmd_family(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pade-universal", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--seed", type=int, default=0, help="seed for any diagnostic sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pade = sub.add_parser("pade", help="compute one Pade approximant")

@@ -671,6 +671,28 @@ def _search_perturbation(measure, d0: float, requested: float):
     raise PerturbationFailedError(lo, hi if math.isfinite(hi) else 0.0, attempt)
 
 
+def _certify(candidates, measure, s: int, sup_abs: float, d_override) -> Certificate:
+    """First passing certificate over the index pairs ``candidates``.
+
+    ``measure(d, p, q)`` returns the certificate for ``d`` at ``(p, q)`` and
+    whether the Hankel test held.  Each pair's search starts from
+    ``d0 = 1 / (2 s sup_abs^p)``.  With ``d_override`` the first pair is
+    measured at that value, passing or not.  Re-raises the last
+    :class:`PerturbationFailedError` when no pair passes.
+    """
+    last_error: PerturbationFailedError | None = None
+    for p, q in candidates:
+        if d_override is not None:
+            return measure(d_override, p, q)[0]
+        d0 = 1.0 / (2.0 * s * sup_abs**p)
+        try:
+            return _search_perturbation(lambda d: measure(d, p, q), d0, 1.0 / s)
+        except PerturbationFailedError as exc:
+            last_error = exc
+    assert last_error is not None
+    raise last_error
+
+
 def build_universal_polynomial(
     req: RequirementSpec,
     f_on_L: TargetFunction,
@@ -736,17 +758,12 @@ def build_universal_polynomial(
             return cert, m["hankel_ok"]
 
         candidates = candidate_indices(f_seq, fit.array_degree(), limit=INDEX_RETRY_LIMIT)
-        for p, q in candidates:
-            d0 = 1.0 / (2.0 * req.s * sup_k_abs**p)
-            if d_override is not None:
-                cert, _ = measure(d_override, p, q)
-                return fit.plus_monomial(d_override, p), cert
-            try:
-                cert = _search_perturbation(lambda d: measure(d, p, q), d0, requested)
-            except PerturbationFailedError as exc:
-                last_perturbation_error = exc
-                continue
-            return fit.plus_monomial(cert.perturbation, p), cert
+        try:
+            cert = _certify(candidates, measure, req.s, sup_k_abs, d_override)
+        except PerturbationFailedError as exc:
+            last_perturbation_error = exc
+            continue
+        return fit.plus_monomial(cert.perturbation, cert.selected[0]), cert
 
     if not fit_reached:
         raise FitFailedError(fit_target, best_residual, RAMP_CAP)
@@ -894,20 +911,9 @@ def extend_prefix(
         )
         return cert, report.nonvanishing
 
-    last_error: PerturbationFailedError | None = None
-    for p_k, q_k in candidate_indices(f_seq, min_degree, limit=INDEX_RETRY_LIMIT):
-        d0 = 1.0 / (2.0 * s * sup_abs**p_k)
-        if d_override is not None:
-            cert, _ = measure(d_override, p_k, q_k)
-            return tuple(extension_coeffs(p_k, d_override)), cert
-        try:
-            cert = _search_perturbation(lambda d: measure(d, p_k, q_k), d0, requested)
-        except PerturbationFailedError as exc:
-            last_error = exc
-            continue
-        return tuple(extension_coeffs(p_k, cert.perturbation)), cert
-    assert last_error is not None
-    raise last_error
+    candidates = candidate_indices(f_seq, min_degree, limit=INDEX_RETRY_LIMIT)
+    cert = _certify(candidates, measure, s, sup_abs, d_override)
+    return tuple(extension_coeffs(cert.selected[0], cert.perturbation)), cert
 
 
 def run_extension_schedule(

@@ -2,11 +2,11 @@
 
 Existence of the ``(p, q)`` approximant of a series at its center is decided
 by a ``q x q`` Hankel determinant of Taylor coefficients with entries
-``a_{p-q+i+j-1}`` (negative indices read as zero).  Construction goes through
-the classical Jacobi determinant formulas for small ``q`` and through the
-equivalent Toeplitz linear system for larger ``q``; both deliver the unique
-normalized pair ``A/B`` with ``B(center) = 1`` whose Taylor expansion matches
-the input through order ``p + q``.
+``a_{p-q+i+j-1}`` (negative indices read as zero).  Construction solves the
+Toeplitz linear system for the denominator and multiplies it into the
+partial sum ``S_p``, for every ``q``; this delivers the unique normalized pair
+``A/B`` with ``B(center) = 1`` whose Taylor expansion matches the input
+through order ``p + q``.
 
 The array kernels (``recentered_coefficients``, ``hankel_test``,
 ``pade_denominators``, ``poly_mul``, ``differentiate``,
@@ -35,12 +35,7 @@ from .series import (
     ToleranceConfig,
     complex_to_pair,
     pair_to_complex,
-    taylor_partial_sum,
 )
-
-# Above this denominator degree the determinant expansion is replaced by the
-# Toeplitz linear solve; both routes agree on the overlap (tested).
-JACOBI_MAX_Q = 6
 
 
 @dataclass(frozen=True)
@@ -149,13 +144,6 @@ class RationalFunction:
         )
 
 
-def _coeff_or_zero(f: FormalPowerSeries, k: int) -> complex:
-    """Hankel convention: ``a_k = 0`` for ``k < 0``; beyond truncation raises."""
-    if k < 0:
-        return 0j
-    return f.coefficient(k)
-
-
 def _require_truncation(f: FormalPowerSeries, p: int, q: int) -> None:
     needed = p + q + 1
     if len(f) < needed:
@@ -220,42 +208,6 @@ def hankel_determinant(
     )
 
 
-def _partial_sum_array(f: FormalPowerSeries, k: int) -> list[complex]:
-    """Coefficients of ``S_k``; the empty (zero) polynomial for ``k < 0``."""
-    if k < 0:
-        return [0j]
-    return list(f.coeffs[: k + 1])
-
-
-def _jacobi_pair(f: FormalPowerSeries, p: int, q: int) -> tuple[list[complex], list[complex]]:
-    """Unnormalized (A, B) coefficient arrays from the Jacobi determinants.
-
-    Both determinants are expanded along their first row; the shared lower
-    block has rows ``a_{p-q+1+r} .. a_{p+1+r}`` for ``r = 0 .. q-1``.
-    """
-    block = np.array(
-        [
-            [_coeff_or_zero(f, p - q + 1 + r + c) for c in range(q + 1)]
-            for r in range(q)
-        ],
-        dtype=complex,
-    )
-    minors = [
-        complex(np.linalg.det(np.delete(block, j, axis=1))) for j in range(q + 1)
-    ]
-    b = [0j] * (q + 1)
-    a = [0j] * (p + 1)
-    for j in range(q + 1):
-        sign = -1.0 if j % 2 else 1.0
-        weight = sign * minors[j]
-        shift = q - j
-        b[shift] += weight
-        for k, c in enumerate(_partial_sum_array(f, p - q + j)):
-            if weight != 0 and c != 0:
-                a[k + shift] += weight * c
-    return a, b
-
-
 def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
     """Row-wise normalized ``(p, q)`` denominators ``b_0 = 1, b_1 .. b_q``.
 
@@ -278,49 +230,27 @@ def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.concatenate([ones, tail], axis=-1)
 
 
-def _toeplitz_pair(f: FormalPowerSeries, p: int, q: int) -> tuple[list[complex], list[complex]]:
-    """(A, B) from the linear system for the denominator coefficients.
-
-    The numerator is the product ``B * S_p`` truncated at degree ``p``.
-    """
-    _require_truncation(f, p, q)
-    coeffs = np.array([f.coeffs[: p + q + 1]])
-    b = pade_denominators(coeffs, p, q)
-    a = poly_mul(coeffs[..., : p + 1], b)[..., : p + 1]
-    return [complex(c) for c in a[0]], [complex(c) for c in b[0]]
-
-
 def pade_approximant(
     f: FormalPowerSeries, p: int, q: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RationalFunction:
     """Construct the unique normalized ``(p, q)`` approximant of ``f``.
 
     Requires the Hankel test to pass; raises :class:`PadeNotExistError`
-    otherwise.  ``q = 0`` returns the partial sum over the constant
-    denominator.  Common roots of the returned pair are asserted against,
-    not cancelled, so a construction bug cannot hide behind a GCD step.
+    otherwise, and :class:`DegenerateDenominatorError` when the denominator
+    system is singular.  The denominator comes from :func:`pade_denominators`
+    and the numerator is ``B * S_p`` truncated at degree ``p``, so ``q = 0``
+    gives the partial sum over the constant denominator.  Common roots of
+    the returned pair are asserted against, not cancelled, so a construction
+    bug cannot hide behind a GCD step.
     """
     report = hankel_determinant(f, p, q, tol)
     if not report.nonvanishing:
         raise PadeNotExistError(report)
-    if q == 0:
-        return RationalFunction(
-            taylor_partial_sum(f, p), Polynomial.one(f.center), p, 0
-        )
-    if q <= JACOBI_MAX_Q:
-        a, b = _jacobi_pair(f, p, q)
-    else:
-        a, b = _toeplitz_pair(f, p, q)
-    b0 = b[0]
-    b_scale = max(abs(c) for c in b)
-    if abs(b0) <= tol.tau_zero * b_scale or b0 == 0:
-        raise DegenerateDenominatorError(
-            f"denominator vanishes at the center: B(center) = {b0}"
-        )
-    a = [c / b0 for c in a]
-    b = [c / b0 for c in b]
+    coeffs = np.array([f.coeffs[: p + q + 1]])
+    b = pade_denominators(coeffs, p, q)
+    a = poly_mul(coeffs[..., : p + 1], b)[..., : p + 1]
     return RationalFunction(
-        Polynomial(a, f.center), Polynomial(b, f.center), p, q
+        Polynomial(a[0].tolist(), f.center), Polynomial(b[0].tolist(), f.center), p, q
     )
 
 

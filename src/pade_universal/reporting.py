@@ -66,7 +66,6 @@ def environment_stamp(tol: ToleranceConfig = DEFAULT_TOL) -> dict:
         "tolerances": {
             "tau_zero": tol.tau_zero,
             "tau_det": tol.tau_det,
-            "tau_residual": tol.tau_residual,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

@@ -76,17 +76,13 @@ class ToleranceConfig:
         Base of the Hankel nonvanishing threshold; the applied threshold is
         ``tau_det * scale**q`` where ``scale`` is the largest entry magnitude
         of the Hankel window.  User-overridable.
-    tau_residual
-        Acceptance threshold for the order-condition residual, relative to
-        the largest input coefficient.
     """
 
     tau_zero: float = 1e-12
     tau_det: float = 1e-10
-    tau_residual: float = 1e-8
 
     def __post_init__(self):
-        if not (self.tau_zero > 0 and self.tau_det > 0 and self.tau_residual > 0):
+        if not (self.tau_zero > 0 and self.tau_det > 0):
             raise ValueError("all tolerances must be strictly positive")
         if self.tau_zero > self.tau_det:
             raise ValueError("tau_zero must not exceed tau_det")
@@ -236,10 +232,6 @@ class Polynomial:
             pair_to_complex(obj["center"]),
         )
 
-    @classmethod
-    def one(cls, center: complex = 0.0) -> "Polynomial":
-        return cls([1.0 + 0j], center)
-
 
 def taylor_partial_sum(f: FormalPowerSeries, n: int) -> Polynomial:
     """Degree-``n`` partial sum ``sum_{k<=n} a_k (z - center)^k``.
@@ -252,21 +244,6 @@ def taylor_partial_sum(f: FormalPowerSeries, n: int) -> Polynomial:
     if n >= len(f.coeffs):
         raise TruncationExceededError(n, len(f.coeffs))
     return Polynomial(f.coeffs[: n + 1], f.center)
-
-
-def recenter_polynomial(p: Polynomial, new_center: complex) -> Polynomial:
-    """Functional alias for :meth:`Polynomial.recenter`."""
-    return p.recenter(new_center)
-
-
-def poly_eval(p: Polynomial, z):
-    """Functional alias for :meth:`Polynomial.eval`."""
-    return p.eval(z)
-
-
-def poly_derivative(p: Polynomial, order: int) -> Polynomial:
-    """Functional alias for :meth:`Polynomial.derivative`."""
-    return p.derivative(order)
 
 
 def _check_same_length(a: Sequence[complex], b: Sequence[complex]) -> None:

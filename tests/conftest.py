@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pade_universal.exact import QComplex, exact_rational_taylor
+from pade_universal.exact import QComplex, exact_poly_eval, exact_rational_taylor
 
 COEFF_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 4)]
 CENTER_POOL = [
@@ -67,13 +67,6 @@ def _rand_qc(rng: random.Random, nonzero: bool = False) -> QComplex:
             return c
 
 
-def _eval_exact(coeffs: list[QComplex], z: QComplex) -> QComplex:
-    acc = QComplex.zero()
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def make_exact_rational(rng: random.Random, p0: int, q0: int):
     """Coprime exact-degree rational plus an expansion point.
 
@@ -90,7 +83,7 @@ def make_exact_rational(rng: random.Random, p0: int, q0: int):
         if exact_gcd_degree(numer, denom) != 0:
             continue
         zeta = rng.choice(CENTER_POOL)
-        if _eval_exact(denom, zeta).is_zero():
+        if exact_poly_eval(denom, zeta).is_zero():
             continue
         taylor = exact_rational_taylor(numer, denom, zeta, p0 + q0 + 5)
         if q0 > 0:

@@ -131,6 +131,21 @@ class TestBuildCommand:
             "5": {"stored": measured + 1e-6, "remeasured": measured}
         }
 
+    def test_verify_accepts_record_with_retired_tolerance(self, capsys, tmp_path):
+        # records written while ToleranceConfig still had tau_residual keep verifying
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        assert "tau_residual" not in record["environment"]["tolerances"]
+        record["environment"]["tolerances"]["tau_residual"] = 1e-8
+        out.write_text(json.dumps(record))
+
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        assert code == 0
+        assert json.loads(verify_out)["match"] is True
+
     def test_short_index_sequence_exits_five(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario(f_max=2)))

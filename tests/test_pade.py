@@ -13,14 +13,12 @@ from pade_universal.errors import (
 )
 from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.pade import (
-    JACOBI_MAX_Q,
     RationalFunction,
-    _jacobi_pair,
-    _toeplitz_pair,
     hankel_determinant,
     order_condition_decidability,
     order_condition_residual,
     pade_approximant,
+    pade_denominators,
     rational_derivative,
     rational_table_membership,
 )
@@ -35,6 +33,32 @@ def exp_series(n=16):
 
 def geometric_series(n=16):
     return FormalPowerSeries([1.0] * n)
+
+
+def jacobi_pair(f, p, q):
+    """Normalized (A, B) coefficients from the Jacobi determinant formulas.
+
+    A second oracle next to ``exact.py``, independent of the linear solve
+    behind :func:`pade_approximant`.  Both determinants are expanded along
+    their first row; the shared lower block has rows
+    ``a_{p-q+1+r} .. a_{p+1+r}`` for ``r = 0 .. q-1`` (negative indices read
+    as zero), and column ``j`` pairs with ``z^(q-j) S_{p-q+j}``.
+    """
+    block = np.array(
+        [
+            [f.coeffs[k] if k >= 0 else 0j for k in range(p - q + 1 + r, p + 2 + r)]
+            for r in range(q)
+        ],
+        dtype=complex,
+    )
+    a = np.zeros(p + 1, dtype=complex)
+    b = np.zeros(q + 1, dtype=complex)
+    for j in range(q + 1):
+        weight = (-1) ** j * np.linalg.det(np.delete(block, j, axis=1))
+        b[q - j] += weight
+        partial = np.array(f.coeffs[: max(p - q + j + 1, 0)], dtype=complex)
+        a[q - j : q - j + len(partial)] += weight * partial
+    return a / b[0], b / b[0]
 
 
 class TestHankel:
@@ -113,15 +137,14 @@ class TestConstruction:
             assert r.common_zero() is None
 
     def test_routes_agree_on_overlap(self, rng):
-        for q in range(1, JACOBI_MAX_Q + 1):
+        for q in range(1, 7):
             f = FormalPowerSeries(random_coefficients(rng, 2 * q + 4))
             p = q + 1
             if not hankel_determinant(f, p, q).nonvanishing:
                 continue
-            a1, b1 = _jacobi_pair(f, p, q)
-            a2, b2 = _toeplitz_pair(f, p, q)
-            a1 = np.array(a1) / b1[0]
-            b1 = np.array(b1) / b1[0]
+            a1, b1 = jacobi_pair(f, p, q)
+            r = pade_approximant(f, p, q)
+            a2, b2 = r.numer.coeffs, r.denom.coeffs
             scale = max(1.0, float(np.max(np.abs(a2))), float(np.max(np.abs(b2))))
             assert np.max(np.abs(a1 - np.array(a2))) <= 1e-8 * scale
             assert np.max(np.abs(b1 - np.array(b2))) <= 1e-8 * scale
@@ -135,7 +158,7 @@ class TestConstruction:
 
     def test_toeplitz_singular_raises_degenerate(self):
         with pytest.raises(DegenerateDenominatorError):
-            _toeplitz_pair(geometric_series(), 1, 2)
+            pade_denominators(np.array([geometric_series().coeffs]), 1, 2)
 
 
 class TestOrderCondition:
@@ -158,6 +181,8 @@ class TestOrderCondition:
     def test_partial_sum_residual_exactly_zero(self, rng):
         f = FormalPowerSeries(random_coefficients(rng, 9))
         r = pade_approximant(f, 4, 0)
+        assert r.numer.coeffs == taylor_partial_sum(f, 4).coeffs
+        assert r.denom.coeffs == (1,)
         assert order_condition_residual(f, r) == 0.0
 
     def test_decidability_gauge_small_for_exponential(self):

@@ -11,9 +11,6 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
-    poly_derivative,
-    poly_eval,
-    recenter_polynomial,
     taylor_partial_sum,
 )
 
@@ -52,7 +49,7 @@ class TestPartialSums:
 class TestRecenter:
     def test_binomial_shift(self):
         p = Polynomial([0.0, 0.0, 1.0])  # z^2 about 0
-        q = recenter_polynomial(p, 1.0)
+        q = p.recenter(1.0)
         assert np.allclose(q.coeffs, [1.0, 2.0, 1.0])
         assert q.center == 1.0
 
@@ -83,11 +80,11 @@ class TestRecenter:
 class TestEvalAndDerivative:
     def test_horner_example(self):
         p = Polynomial([1.0, 1.0, 1.0])
-        assert poly_eval(p, 1.0) == 3.0
+        assert p.eval(1.0) == 3.0
 
     def test_cubic_second_derivative(self):
         p = Polynomial([0.0, 0.0, 0.0, 1.0])  # z^3
-        d = poly_derivative(p, 2)
+        d = p.derivative(2)
         assert np.allclose(d.coeffs, [0.0, 6.0])
 
     def test_derivative_matches_finite_differences(self, rng):
