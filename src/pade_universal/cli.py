@@ -60,6 +60,7 @@ from .series import (
     FormalPowerSeries,
     Polynomial,
     ToleranceConfig,
+    coeffs_from_json,
     pair_to_complex,
 )
 
@@ -99,7 +100,7 @@ def _load_series(args) -> FormalPowerSeries:
         with open(args.series, "r", encoding="utf-8") as handle:
             return FormalPowerSeries.from_json(json.load(handle))
     if args.coeffs:
-        coeffs = [pair_to_complex(c) for c in json.loads(args.coeffs)]
+        coeffs = coeffs_from_json(json.loads(args.coeffs))
         center = pair_to_complex(json.loads(args.center)) if args.center else 0.0
         return FormalPowerSeries(coeffs, center)
     raise _UsageError("one of --series or --coeffs is required")
@@ -124,7 +125,7 @@ def _cmd_pade(args) -> int:
     f = _load_series(args)
     tol = _tolerances(args)
     r = pade_approximant(f, args.p, args.q, tol)
-    residual = order_condition_residual(f, r, tol)
+    residual = order_condition_residual(f, r)
     print(json.dumps({
         "rational": r.to_json(),
         "order_condition_residual": residual,
@@ -181,7 +182,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_seleznev(args) -> int:
     scenario = _read_json(args.scenario)
-    prefix = [pair_to_complex(c) for c in scenario["prefix"]]
+    prefix = coeffs_from_json(scenario["prefix"])
     k_compact = CompactSpec.from_json(scenario["K"])
     psi = TargetFunction.from_json(scenario["psi"])
     f_seq = IndexSequence.from_json(scenario["F"])
@@ -199,7 +200,7 @@ def _cmd_seleznev(args) -> int:
 
 def _cmd_greedy(args) -> int:
     scenario = _read_json(args.scenario)
-    prefix = [pair_to_complex(c) for c in scenario.get("prefix", [[0.0, 0.0]])]
+    prefix = coeffs_from_json(scenario.get("prefix", [[0.0, 0.0]]))
     schedule = [ExtensionRequirement.from_json(step) for step in scenario["schedule"]]
     f_seq = IndexSequence.from_json(scenario["F"])
     tol = _tolerances(args)

@@ -13,9 +13,9 @@ in a :class:`Certificate`.
 
 The measurement is the sup over the product grid L x (K u J) at every
 derivative level.  ``_measure_conclusions`` takes the centers of L in
-blocks and measures each block with the array kernels of :mod:`.pade`
-(stacked recentering, Hankel test, denominator solve and Horner
-evaluation) instead of one scalar approximant per center.
+blocks and measures each block with the array kernels of :mod:`.series`
+and :mod:`.pade` (stacked recentering, Hankel test, denominator solve and
+Horner evaluation) instead of one scalar approximant per center.
 """
 
 from __future__ import annotations
@@ -40,22 +40,24 @@ from .errors import (
 from .pade import (
     HankelReport,
     derivative_numerators,
-    differentiate,
     hankel_determinant,
     hankel_test,
-    horner,
     pade_approximant,
     pade_denominators,
-    poly_mul,
-    recentered_coefficients,
 )
 from .series import (
     DEFAULT_TOL,
     Polynomial,
     ToleranceConfig,
+    coeffs_from_json,
+    coeffs_to_json,
     complex_to_pair,
+    differentiate,
     disagreement_metric,
+    horner,
     pair_to_complex,
+    poly_mul,
+    recentered_coefficients,
 )
 
 #: Hard cap of the least-squares degree ramp.
@@ -160,7 +162,7 @@ class TargetFunction:
             return self.numer.eval(z)
         if self.kind == "rational":
             bz = np.asarray(self.denom.eval(z))
-            scale = max(abs(c) for c in self.denom.coeffs)
+            scale = float(np.max(np.abs(self.denom.coeffs)))
             bad = np.abs(bz) <= tol.tau_zero * scale
             if np.any(bad):
                 zz = np.atleast_1d(np.asarray(z))
@@ -189,16 +191,16 @@ class TargetFunction:
         if self.kind == "poly":
             return TargetFunction(kind="poly", numer=self.numer.derivative(order))
         if self.kind == "rational":
-            den = np.array(self.denom.coeffs)
-            num = derivative_numerators(np.array(self.numer.coeffs), den, order)[-1]
+            den = self.denom.coeffs
+            num = derivative_numerators(self.numer.coeffs, den, order)[-1]
             den_power = den
             for _ in range(order):
                 den_power = poly_mul(den_power, den)
             center = self.numer.center
             return TargetFunction(
                 kind="rational",
-                numer=Polynomial(list(num), center),
-                denom=Polynomial(list(den_power), center),
+                numer=Polynomial(num, center),
+                denom=Polynomial(den_power, center),
             )
         return None
 
@@ -206,14 +208,14 @@ class TargetFunction:
         if self.kind == "poly":
             return {
                 "kind": "poly",
-                "coeffs": [complex_to_pair(c) for c in self.numer.coeffs],
+                "coeffs": coeffs_to_json(self.numer.coeffs),
                 "center": complex_to_pair(self.numer.center),
             }
         if self.kind == "rational":
             return {
                 "kind": "rational",
-                "numer": [complex_to_pair(c) for c in self.numer.coeffs],
-                "denom": [complex_to_pair(c) for c in self.denom.coeffs],
+                "numer": coeffs_to_json(self.numer.coeffs),
+                "denom": coeffs_to_json(self.denom.coeffs),
                 "center": complex_to_pair(self.numer.center),
             }
         return {
@@ -227,12 +229,10 @@ class TargetFunction:
         kind = obj["kind"]
         center = pair_to_complex(obj.get("center", [0.0, 0.0]))
         if kind == "poly":
-            return cls.poly([pair_to_complex(c) for c in obj["coeffs"]], center)
+            return cls.poly(coeffs_from_json(obj["coeffs"]), center)
         if kind == "rational":
             return cls.rational(
-                [pair_to_complex(c) for c in obj["numer"]],
-                [pair_to_complex(c) for c in obj["denom"]],
-                center,
+                coeffs_from_json(obj["numer"]), coeffs_from_json(obj["denom"]), center
             )
         if kind == "table":
             return cls.table(
@@ -319,7 +319,7 @@ def _fit_on_points(
     coeffs = np.zeros(degree + 1, dtype=complex)
     for k, w in enumerate(solution):
         coeffs[: len(coeff_cols[k])] += w * coeff_cols[k]
-    return Polynomial(list(coeffs), 0.0)
+    return Polynomial(coeffs, 0.0)
 
 
 def poly_fit(
@@ -512,7 +512,7 @@ def _measure_conclusions(
         if on_j is not None:
             bump(diag_targets, f"J_{kind}_d{level}", values[:, nk:] - on_j)
 
-    coeffs = np.array(u.coeffs, dtype=complex)
+    coeffs = u.coeffs
     if len(coeffs) > p + q + 1:
         raise ValueError("length must not truncate stored coefficients")
     centers = np.array(grid_l.points, dtype=complex)
@@ -625,7 +625,7 @@ def verify_construction(
     grid_k = discretize(req.K)
     grid_j = discretize(j_compact if j_compact is not None else req.inner_compact())
     if perturbation is None:
-        perturbation = u.coeffs[p] if len(u.coeffs) > p else 0j
+        perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
     measurement = _measure_conclusions(
         u, p, q, grid_l, grid_k, grid_j, req.target_on_K, f_on_L, levels, tol, strict=True
     )
@@ -866,7 +866,7 @@ def extend_prefix(
 
     def extension_coeffs(p_k: int, d: complex) -> list[complex]:
         coeffs = list(prefix) + [0j] * (p_k + 1 - len(prefix))
-        for i, c in enumerate(correction.coeffs):
+        for i, c in enumerate(correction.coeffs.tolist()):
             if c != 0:
                 coeffs[n0 + 1 + i] += c
         coeffs[p_k] += d

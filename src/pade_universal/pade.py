@@ -8,11 +8,11 @@ partial sum ``S_p``, for every ``q``; this delivers the unique normalized pair
 ``A/B`` with ``B(center) = 1`` whose Taylor expansion matches the input
 through order ``p + q``.
 
-The array kernels (``recentered_coefficients``, ``hankel_test``,
-``pade_denominators``, ``poly_mul``, ``differentiate``,
-``derivative_numerators``, ``horner``)
-work on coefficient arrays with one series per row, so a verifier can treat
-many centers in one pass; the scalar entry points are one-row calls of them.
+The array kernels here (``hankel_test``, ``pade_denominators``,
+``derivative_numerators``), like the polynomial kernels of :mod:`.series`
+they build on, work on coefficient arrays with one series per row, so a
+verifier can treat many centers in one pass; the scalar entry points are
+one-row calls of them.
 """
 
 from __future__ import annotations
@@ -33,8 +33,12 @@ from .series import (
     FormalPowerSeries,
     Polynomial,
     ToleranceConfig,
+    coeffs_from_json,
+    coeffs_to_json,
     complex_to_pair,
+    differentiate,
     pair_to_complex,
+    poly_mul,
 )
 
 
@@ -60,6 +64,20 @@ class HankelReport:
             "threshold": self.threshold,
             "scale": self.scale,
         }
+
+
+def _off_poles(denom: Polynomial, z, tau_zero: float):
+    """``denom(z)``; raises :class:`PoleProximityError` where ``|denom(z)| <= tau_zero``."""
+    bz = denom.eval(z)
+    if np.ndim(z) == 0:
+        if abs(bz) <= tau_zero:
+            raise PoleProximityError(z, abs(bz))
+        return bz
+    bad = np.abs(bz) <= tau_zero
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise PoleProximityError(np.asarray(z).ravel()[idx], float(np.abs(bz).ravel()[idx]))
+    return bz
 
 
 @dataclass(frozen=True)
@@ -92,16 +110,7 @@ class RationalFunction:
 
     def eval(self, z, tol: ToleranceConfig = DEFAULT_TOL):
         """Evaluate ``A(z)/B(z)``; raises near the poles."""
-        bz = self.denom.eval(z)
-        if np.ndim(z) == 0:
-            if abs(bz) <= tol.tau_zero:
-                raise PoleProximityError(z, abs(bz))
-            return self.numer.eval(z) / bz
-        bad = np.abs(bz) <= tol.tau_zero
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise PoleProximityError(np.asarray(z).ravel()[idx], float(np.abs(bz).ravel()[idx]))
-        return self.numer.eval(z) / bz
+        return self.numer.eval(z) / _off_poles(self.denom, z, tol.tau_zero)
 
     def __call__(self, z, tol: ToleranceConfig = DEFAULT_TOL):
         return self.eval(z, tol)
@@ -116,9 +125,8 @@ class RationalFunction:
         deg = self.denom.degree(tol.tau_zero)
         if deg in (0, float("-inf")):
             return None
-        monic = np.array(self.denom.coeffs[: int(deg) + 1], dtype=complex)
-        roots = np.roots(monic[::-1]) + self.center
-        a_scale = max(abs(c) for c in self.numer.coeffs)
+        roots = np.roots(self.denom.coeffs[deg::-1]) + self.center
+        a_scale = float(np.max(np.abs(self.numer.coeffs)))
         for r in roots:
             if abs(self.numer.eval(r)) <= tol.tau_zero * (1.0 + a_scale):
                 return complex(r)
@@ -129,16 +137,16 @@ class RationalFunction:
             "p": self.p,
             "q": self.q,
             "center": complex_to_pair(self.center),
-            "A": [complex_to_pair(c) for c in self.numer.coeffs],
-            "B": [complex_to_pair(c) for c in self.denom.coeffs],
+            "A": coeffs_to_json(self.numer.coeffs),
+            "B": coeffs_to_json(self.denom.coeffs),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalFunction":
         center = pair_to_complex(obj["center"])
         return cls(
-            Polynomial([pair_to_complex(c) for c in obj["A"]], center),
-            Polynomial([pair_to_complex(c) for c in obj["B"]], center),
+            Polynomial(coeffs_from_json(obj["A"]), center),
+            Polynomial(coeffs_from_json(obj["B"]), center),
             int(obj["p"]),
             int(obj["q"]),
         )
@@ -201,7 +209,7 @@ def hankel_determinant(
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
     _require_truncation(f, p, q)
-    values, scales, thresholds, nonvanishing = hankel_test(np.array([f.coeffs]), p, q, tol)
+    values, scales, thresholds, nonvanishing = hankel_test(f.coeffs[None], p, q, tol)
     return HankelReport(
         complex(values[0]), p, q, f.center, bool(nonvanishing[0]),
         float(thresholds[0]), float(scales[0]),
@@ -246,17 +254,13 @@ def pade_approximant(
     report = hankel_determinant(f, p, q, tol)
     if not report.nonvanishing:
         raise PadeNotExistError(report)
-    coeffs = np.array([f.coeffs[: p + q + 1]])
+    coeffs = f.coeffs[: p + q + 1]
     b = pade_denominators(coeffs, p, q)
-    a = poly_mul(coeffs[..., : p + 1], b)[..., : p + 1]
-    return RationalFunction(
-        Polynomial(a[0].tolist(), f.center), Polynomial(b[0].tolist(), f.center), p, q
-    )
+    a = poly_mul(coeffs[: p + 1], b)[: p + 1]
+    return RationalFunction(Polynomial(a, f.center), Polynomial(b, f.center), p, q)
 
 
-def order_condition_residual(
-    f: FormalPowerSeries, r: RationalFunction, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float:
     """Largest deviation of ``A/B``'s Taylor prefix from ``f``'s.
 
     The expansion coefficients of the rational function at its center come
@@ -266,18 +270,15 @@ def order_condition_residual(
     """
     p, q = r.p, r.q
     _require_truncation(f, p, q)
-    b0 = r.denom.coeffs[0]
-    if abs(b0) <= tol.tau_zero:
-        raise DegenerateDenominatorError("denominator vanishes at the center")
-    numer = list(r.numer.coeffs) + [0j] * (p + q + 1 - len(r.numer.coeffs))
-    denom = list(r.denom.coeffs)
+    numer = r.numer.coeffs.tolist() + [0j] * (p + q + 1 - len(r.numer.coeffs))
+    denom = r.denom.coeffs.tolist()
     taylor: list[complex] = []
     for k in range(p + q + 1):
         acc = numer[k]
         for i in range(1, min(k, len(denom) - 1) + 1):
             acc -= denom[i] * taylor[k - i]
-        taylor.append(acc / b0)
-    return max(abs(f.coefficient(k) - taylor[k]) for k in range(p + q + 1))
+        taylor.append(acc / denom[0])
+    return max(abs(a - b) for a, b in zip(f.coeffs[: p + q + 1].tolist(), taylor))
 
 
 def order_condition_decidability(
@@ -294,7 +295,7 @@ def order_condition_decidability(
     how the approximant was computed.
     """
     p, q = r.p, r.q
-    denom = list(r.denom.coeffs)
+    denom = r.denom.coeffs.tolist()
     inv = [1.0 + 0j]
     for k in range(1, p + q + 1):
         acc = 0j
@@ -305,70 +306,11 @@ def order_condition_decidability(
     b_norm = sum(abs(x) for x in denom)
     if q:
         _require_truncation(f, p, q)
-        cond = float(np.linalg.cond(_hankel_windows(np.array(f.coeffs), p, q)[:, ::-1]))
+        cond = float(np.linalg.cond(_hankel_windows(f.coeffs, p, q)[:, ::-1]))
     else:
         cond = 1.0
-    scale = max(abs(x) for x in f.coeffs)
+    scale = float(np.max(np.abs(f.coeffs)))
     return float(np.finfo(float).eps) * cond * b_norm * amp / scale
-
-
-def recentered_coefficients(
-    coeffs: np.ndarray, center: complex, centers: np.ndarray
-) -> np.ndarray:
-    """Row ``r``: the coefficients of ``Polynomial(coeffs, center)`` about ``centers[r]``.
-
-    The Horner shift of :meth:`Polynomial.recenter` runs in explicit float64
-    real and imaginary parts, which round as Python's complex arithmetic
-    does (numpy's complex multiply does not), so every row equals the scalar
-    shift bit for bit.  Each step of the shift updates one anti-diagonal of
-    its ``(j, i)`` schedule, so ``len(coeffs) - 1`` array steps suffice.
-    """
-    center = complex(center)
-    d_re = centers.real - center.real
-    d_im = centers.imag - center.imag
-    re = np.repeat(coeffs.real[:, None], len(centers), axis=1)
-    im = np.repeat(coeffs.imag[:, None], len(centers), axis=1)
-    for s in range(len(coeffs) - 2, -1, -1):
-        b_re, b_im = re[s + 1 :], im[s + 1 :]
-        new_re = re[s:-1] + (d_re * b_re - d_im * b_im)
-        new_im = im[s:-1] + (d_re * b_im + d_im * b_re)
-        re[s:-1] = new_re
-        im[s:-1] = new_im
-    out = np.empty((len(centers), len(coeffs)), dtype=complex)
-    out.real = re.T
-    out.imag = im.T
-    return out
-
-
-def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row ``r`` of ``coeffs`` evaluated at row ``r`` of the offsets ``w``.
-
-    The same operations as :meth:`Polynomial.eval`, so each row matches it
-    bit for bit.
-    """
-    acc = np.zeros_like(w, dtype=complex)
-    for k in range(coeffs.shape[-1] - 1, -1, -1):
-        acc *= w
-        acc += coeffs[..., k, None]
-    return acc
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of ``a * b`` along the last axis, stacked over the rest."""
-    m, n = a.shape[-1], b.shape[-1]
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,)
-    out = np.zeros(shape, dtype=complex)
-    for i in range(n):
-        out[..., i : i + m] += a * b[..., i : i + 1]
-    return out
-
-
-def differentiate(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative along the last axis, as
-    :meth:`Polynomial.derivative` forms them (a constant gives ``[0]``)."""
-    if c.shape[-1] == 1:
-        return np.zeros_like(c)
-    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 def _pad(c: np.ndarray, length: int) -> np.ndarray:
@@ -407,23 +349,11 @@ class RationalDerivativeEvaluator:
         self.order = order
         self.tol = tol
         self.denom = r.denom
-        numer = derivative_numerators(
-            np.array(r.numer.coeffs), np.array(r.denom.coeffs), order
-        )[-1]
-        self.numerator = Polynomial(list(numer), r.center)
+        numer = derivative_numerators(r.numer.coeffs, r.denom.coeffs, order)[-1]
+        self.numerator = Polynomial(numer, r.center)
 
     def __call__(self, z):
-        bz = self.denom.eval(z)
-        if np.ndim(z) == 0:
-            if abs(bz) <= self.tol.tau_zero:
-                raise PoleProximityError(z, abs(bz))
-            return self.numerator.eval(z) / bz ** (self.order + 1)
-        bad = np.abs(bz) <= self.tol.tau_zero
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise PoleProximityError(
-                np.asarray(z).ravel()[idx], float(np.abs(bz).ravel()[idx])
-            )
+        bz = _off_poles(self.denom, z, self.tol.tau_zero)
         return self.numerator.eval(z) / bz ** (self.order + 1)
 
 

@@ -8,6 +8,11 @@ invented zeros.  A :class:`Polynomial` uses the same monomial basis
 ``(z - center)^k`` but *is* its coefficient list, so zero-extension is exact
 and permitted (see :meth:`Polynomial.to_series`).
 
+Both store their coefficients as one read-only 1-D complex128 array, checked
+on construction.  The array kernels (``horner``, ``differentiate``,
+``poly_mul``, ``recentered_coefficients``) work on one coefficient row or a
+stack of them; the :class:`Polynomial` methods are one-row calls of them.
+
 The module also provides the two metrics on coefficient sequences used by
 the constructive machinery: a weighted summable metric and an ultrametric
 driven by the first index of disagreement.
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +41,14 @@ def _require_finite(value, name: str) -> complex:
     return z
 
 
-def _finite_coeffs(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    out = tuple(_require_finite(c, "coefficient") for c in coeffs)
-    if not out:
-        raise ValueError("coefficient list must be non-empty")
+def _coeff_array(coeffs) -> np.ndarray:
+    """A read-only complex128 copy of a non-empty, finite 1-D coefficient list."""
+    out = np.array(coeffs, dtype=complex)
+    if out.ndim != 1 or not len(out):
+        raise ValueError("coefficients must be a non-empty 1-D sequence")
+    if not np.isfinite(out).all():
+        raise ValueError("coefficients must be finite")
+    out.flags.writeable = False
     return out
 
 
@@ -47,6 +56,16 @@ def complex_to_pair(z: complex) -> list[float]:
     """Serialize one complex number as ``[re, im]``."""
     z = complex(z)
     return [z.real, z.imag]
+
+
+def coeffs_to_json(coeffs) -> list[list[float]]:
+    """Serialize a coefficient array as ``[[re, im], ...]``."""
+    return np.stack([coeffs.real, coeffs.imag], axis=-1).tolist()
+
+
+def coeffs_from_json(pairs) -> list[complex]:
+    """Parse a list of ``[re, im]`` pairs (see :func:`pair_to_complex`)."""
+    return [pair_to_complex(c) for c in pairs]
 
 
 def pair_to_complex(pair) -> complex:
@@ -91,16 +110,32 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-@dataclass(frozen=True)
-class FormalPowerSeries:
+class _CoefficientRow:
+    """Value equality and the JSON form, shared by the two coefficient containers."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.center == other.center and np.array_equal(self.coeffs, other.coeffs)
+
+    def to_json(self) -> dict:
+        return {"center": complex_to_pair(self.center), "coeffs": coeffs_to_json(self.coeffs)}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(coeffs_from_json(obj["coeffs"]), pair_to_complex(obj["center"]))
+
+
+@dataclass(frozen=True, eq=False)
+class FormalPowerSeries(_CoefficientRow):
     """Finite prefix of a complex power series with an explicit center."""
 
     center: complex
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
-    def __init__(self, coeffs: Iterable[complex], center: complex = 0.0):
+    def __init__(self, coeffs, center: complex = 0.0):
         object.__setattr__(self, "center", _require_finite(center, "center"))
-        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs))
+        object.__setattr__(self, "coeffs", _coeff_array(coeffs))
 
     @property
     def truncation(self) -> int:
@@ -118,68 +153,44 @@ class FormalPowerSeries:
             raise TruncationExceededError(k, len(self.coeffs))
         return self.coeffs[k]
 
-    def to_json(self) -> dict:
-        return {
-            "center": complex_to_pair(self.center),
-            "coeffs": [complex_to_pair(c) for c in self.coeffs],
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FormalPowerSeries":
-        return cls(
-            [pair_to_complex(c) for c in obj["coeffs"]],
-            pair_to_complex(obj["center"]),
-        )
-
-
-@dataclass(frozen=True)
-class Polynomial:
+@dataclass(frozen=True, eq=False)
+class Polynomial(_CoefficientRow):
     """Dense complex polynomial in the basis ``(z - center)^k``."""
 
     center: complex
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
-    def __init__(self, coeffs: Iterable[complex], center: complex = 0.0):
+    def __init__(self, coeffs, center: complex = 0.0):
         object.__setattr__(self, "center", _require_finite(center, "center"))
-        object.__setattr__(self, "coeffs", _finite_coeffs(coeffs))
+        object.__setattr__(self, "coeffs", _coeff_array(coeffs))
 
     def degree(self, tau_zero: float = DEFAULT_TOL.tau_zero):
         """Highest index with ``|c_k| > tau_zero``; ``NEG_INF`` if none."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if abs(self.coeffs[k]) > tau_zero:
-                return k
-        return NEG_INF
+        hits = np.flatnonzero(np.abs(self.coeffs) > tau_zero)
+        return int(hits[-1]) if len(hits) else NEG_INF
 
     def array_degree(self):
         """Highest index with an exactly nonzero stored coefficient."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return NEG_INF
+        return self.degree(0.0)
 
     def __call__(self, z):
         return self.eval(z)
 
     def eval(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        w = np.asarray(z) - self.center
-        acc = np.zeros_like(w, dtype=complex)
-        for c in reversed(self.coeffs):
-            acc = acc * w + c
+        values = horner(self.coeffs, np.atleast_1d(np.asarray(z) - self.center))
         if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+            return complex(values[0])
+        return values
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative of the given order."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        c = list(self.coeffs)
+        c = self.coeffs
         for _ in range(order):
-            if len(c) == 1:
-                c = [0j]
-            else:
-                c = [(k + 1) * c[k + 1] for k in range(len(c) - 1)]
+            c = differentiate(c)
         return Polynomial(c, self.center)
 
     def recenter(self, new_center: complex) -> "Polynomial":
@@ -188,15 +199,8 @@ class Polynomial:
         Pointwise values are preserved exactly up to rounding.
         """
         new_center = _require_finite(new_center, "center")
-        delta = new_center - self.center
-        if delta == 0:
-            return Polynomial(self.coeffs, new_center)
-        a = list(self.coeffs)
-        n = len(a)
-        for j in range(n - 1):
-            for i in range(n - 2, j - 1, -1):
-                a[i] = a[i] + delta * a[i + 1]
-        return Polynomial(a, new_center)
+        shifted = recentered_coefficients(self.coeffs, self.center, np.array([new_center]))
+        return Polynomial(shifted[0], new_center)
 
     def to_series(self, length: int | None = None) -> FormalPowerSeries:
         """View the polynomial as a series prefix.
@@ -204,33 +208,21 @@ class Polynomial:
         A polynomial genuinely has zero coefficients above its degree, so
         extending to a larger ``length`` appends exact zeros.
         """
-        c = list(self.coeffs)
+        c = self.coeffs
         if length is not None:
             if length < len(c):
                 raise ValueError("length must not truncate stored coefficients")
-            c.extend([0j] * (length - len(c)))
+            c = np.concatenate([c, np.zeros(length - len(c), dtype=complex)])
         return FormalPowerSeries(c, self.center)
 
     def plus_monomial(self, coefficient: complex, power: int) -> "Polynomial":
         """Return ``self + coefficient * (z - center)^power``."""
         if power < 0:
             raise ValueError("power must be nonnegative")
-        out = list(self.coeffs) + [0j] * max(0, power + 1 - len(self.coeffs))
+        out = np.zeros(max(len(self.coeffs), power + 1), dtype=complex)
+        out[: len(self.coeffs)] = self.coeffs
         out[power] += coefficient
         return Polynomial(out, self.center)
-
-    def to_json(self) -> dict:
-        return {
-            "center": complex_to_pair(self.center),
-            "coeffs": [complex_to_pair(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polynomial":
-        return cls(
-            [pair_to_complex(c) for c in obj["coeffs"]],
-            pair_to_complex(obj["center"]),
-        )
 
 
 def taylor_partial_sum(f: FormalPowerSeries, n: int) -> Polynomial:
@@ -244,6 +236,60 @@ def taylor_partial_sum(f: FormalPowerSeries, n: int) -> Polynomial:
     if n >= len(f.coeffs):
         raise TruncationExceededError(n, len(f.coeffs))
     return Polynomial(f.coeffs[: n + 1], f.center)
+
+
+def recentered_coefficients(
+    coeffs: np.ndarray, center: complex, centers: np.ndarray
+) -> np.ndarray:
+    """Row ``r``: the coefficients of ``Polynomial(coeffs, center)`` about ``centers[r]``.
+
+    The Horner shift runs in explicit float64 real and imaginary parts,
+    which round as Python's complex arithmetic does (numpy's complex
+    multiply does not), so a row does not depend on how many centers are
+    shifted with it.  Each step of the shift updates one anti-diagonal of
+    its ``(j, i)`` schedule, so ``len(coeffs) - 1`` array steps suffice.
+    """
+    center = complex(center)
+    d_re = centers.real - center.real
+    d_im = centers.imag - center.imag
+    re = np.repeat(coeffs.real[:, None], len(centers), axis=1)
+    im = np.repeat(coeffs.imag[:, None], len(centers), axis=1)
+    for s in range(len(coeffs) - 2, -1, -1):
+        b_re, b_im = re[s + 1 :], im[s + 1 :]
+        new_re = re[s:-1] + (d_re * b_re - d_im * b_im)
+        new_im = im[s:-1] + (d_re * b_im + d_im * b_re)
+        re[s:-1] = new_re
+        im[s:-1] = new_im
+    out = np.empty((len(centers), len(coeffs)), dtype=complex)
+    out.real = re.T
+    out.imag = im.T
+    return out
+
+
+def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row ``r`` of ``coeffs`` evaluated at row ``r`` of the offsets ``w``."""
+    acc = np.zeros_like(w, dtype=complex)
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc *= w
+        acc += coeffs[..., k, None]
+    return acc
+
+
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of ``a * b`` along the last axis, stacked over the rest."""
+    m, n = a.shape[-1], b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,)
+    out = np.zeros(shape, dtype=complex)
+    for i in range(n):
+        out[..., i : i + m] += a * b[..., i : i + 1]
+    return out
+
+
+def differentiate(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative along the last axis (a constant gives ``[0]``)."""
+    if c.shape[-1] == 1:
+        return np.zeros_like(c)
+    return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
 def _check_same_length(a: Sequence[complex], b: Sequence[complex]) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,13 +22,13 @@ class TestPartialSums:
     def test_geometric_prefix(self):
         f = FormalPowerSeries([1.0] * 6)
         s = taylor_partial_sum(f, 2)
-        assert s.coeffs == (1.0, 1.0, 1.0)
+        assert tuple(s.coeffs) == (1.0, 1.0, 1.0)
         assert s.center == 0.0
 
     def test_exponential_prefix(self):
         f = FormalPowerSeries([1 / math.factorial(k) for k in range(6)])
         s = taylor_partial_sum(f, 3)
-        assert s.coeffs == (1.0, 1.0, 0.5, 1 / 6)
+        assert tuple(s.coeffs) == (1.0, 1.0, 0.5, 1 / 6)
 
     def test_truncation_is_not_zero_fill(self):
         f = FormalPowerSeries([1.0, 2.0])
@@ -43,7 +44,7 @@ class TestPartialSums:
             n = int(rng.integers(0, 9))
             s = taylor_partial_sum(f, n)
             assert len(s.coeffs) == n + 1
-            assert s.coeffs == tuple(coeffs[: n + 1])
+            assert tuple(s.coeffs) == tuple(coeffs[: n + 1])
 
 
 class TestRecenter:
@@ -55,7 +56,7 @@ class TestRecenter:
 
     def test_identity_center(self):
         p = Polynomial([3.0, 2.0, 1j])
-        assert p.recenter(0.0).coeffs == p.coeffs
+        assert tuple(p.recenter(0.0).coeffs) == tuple(p.coeffs)
 
     def test_values_preserved_random_degree_6(self, rng):
         coeffs = random_coefficients(rng, 7)
@@ -166,9 +167,44 @@ class TestValidation:
         g = FormalPowerSeries.from_json(f.to_json())
         assert g == f
 
+    def test_coeffs_are_read_only(self):
+        for obj in (FormalPowerSeries([1.0, 2.0]), Polynomial([1.0, 2.0])):
+            assert obj.coeffs.dtype == complex and obj.coeffs.ndim == 1
+            with pytest.raises(ValueError):
+                obj.coeffs[0] = 5.0
+
+    def test_constructor_copies_its_input(self):
+        source = np.array([1.0, 2.0, 3.0], dtype=complex)
+        p = Polynomial(source)
+        source[0] = 9.0
+        assert tuple(p.coeffs) == (1.0, 2.0, 3.0)
+        assert Polynomial(p.coeffs).coeffs is not p.coeffs
+
+    def test_non_finite_array_and_2d_rejected(self):
+        for bad in (np.array([1.0, np.nan]), np.array([1.0, 1j * np.inf]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                Polynomial(bad)
+            with pytest.raises(ValueError):
+                FormalPowerSeries(bad)
+
+    def test_polynomial_equality_and_json_round_trip(self):
+        p = Polynomial([1.0, -0.5 + 2j, 0.0], 0.25 - 1j)
+        assert p == Polynomial([1.0, -0.5 + 2j, 0.0], 0.25 - 1j)
+        assert p != Polynomial([1.0, -0.5 + 2j], 0.25 - 1j)
+        assert p != Polynomial([1.0, -0.5 + 2j, 0.0], 0.0)
+        assert p != FormalPowerSeries([1.0, -0.5 + 2j, 0.0], 0.25 - 1j)
+        assert Polynomial.from_json(p.to_json()) == p
+
+    def test_json_is_the_per_pair_form(self):
+        coeffs = [complex(-0.0, 1.5), complex(2.0, -0.0), 0j, complex(-1e-300, 3e10)]
+        pairs = [[c.real, c.imag] for c in coeffs]
+        for cls in (FormalPowerSeries, Polynomial):
+            obj = cls(coeffs, 0.5j).to_json()
+            assert json.dumps(obj) == json.dumps({"center": [0.0, 0.5], "coeffs": pairs})
+
     def test_polynomial_zero_extension(self):
         p = Polynomial([1.0, 2.0])
         s = p.to_series(5)
-        assert s.coeffs == (1.0, 2.0, 0.0, 0.0, 0.0)
+        assert tuple(s.coeffs) == (1.0, 2.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             p.to_series(1)

@@ -41,18 +41,18 @@ from pade_universal.pade import (
     HankelReport,
     hankel_determinant,
     hankel_test,
-    horner,
     pade_approximant,
     pade_denominators,
-    poly_mul,
     rational_derivative,
-    recentered_coefficients,
 )
 from pade_universal.series import (
     DEFAULT_TOL,
     FormalPowerSeries,
     Polynomial,
     ToleranceConfig,
+    horner,
+    poly_mul,
+    recentered_coefficients,
     taylor_partial_sum,
 )
 
@@ -202,9 +202,8 @@ def assert_parity(u, pq, req, f_on_l, strict=True):
 
     if approximants:
         centers = np.array([zeta for zeta, _ in approximants], dtype=complex)
-        coeffs = np.array(u.coeffs, dtype=complex)
         series = np.zeros((len(centers), p + q + 1), dtype=complex)
-        series[:, : len(coeffs)] = recentered_coefficients(coeffs, u.center, centers)
+        series[:, : len(u.coeffs)] = recentered_coefficients(u.coeffs, u.center, centers)
         denom = pade_denominators(series, p, q)
         numer = poly_mul(series[:, : p + 1], denom)[:, : p + 1]
         for row, (_, r) in enumerate(approximants):
@@ -239,15 +238,35 @@ def wide_requirement(centers: int) -> tuple[RequirementSpec, TargetFunction]:
     return req, TargetFunction.rational([1.0], [a, -1.0])
 
 
+def scalar_recenter(coeffs: list[complex], delta: complex) -> list[complex]:
+    """Horner shift by ``delta`` in Python complex arithmetic, one coefficient at a time."""
+    a = list(coeffs)
+    n = len(a)
+    for j in range(n - 1):
+        for i in range(n - 2, j - 1, -1):
+            a[i] = a[i] + delta * a[i + 1]
+    return a
+
+
+def scalar_horner(coeffs: list[complex], w: np.ndarray) -> np.ndarray:
+    """Horner evaluation at the offsets ``w``, one coefficient at a time."""
+    acc = np.zeros_like(w, dtype=complex)
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
+
+
 class TestKernels:
-    """Each array kernel against the scalar call it stands for."""
+    """Each array kernel against a scalar loop of the same arithmetic."""
 
     def test_recentering_is_bitwise(self, rng):
         u = Polynomial(random_coefficients(rng, 25), 0.1 - 0.2j)
         centers = np.array(random_coefficients(rng, 40, bound=0.5) + [u.center])
-        rows = recentered_coefficients(np.array(u.coeffs), u.center, centers)
+        rows = recentered_coefficients(u.coeffs, u.center, centers)
         for zeta, row in zip(centers, rows):
-            assert tuple(complex(c) for c in row) == u.recenter(zeta).coeffs
+            want = scalar_recenter(u.coeffs.tolist(), complex(zeta) - u.center)
+            assert row.tolist() == want
+            assert np.array_equal(u.recenter(zeta).coeffs, row)
 
     def test_horner_is_bitwise(self, rng):
         coeffs = np.array([random_coefficients(rng, 24) for _ in range(7)])
@@ -255,7 +274,8 @@ class TestKernels:
         z = np.array(random_coefficients(rng, 131, bound=3.0))
         values = horner(coeffs, z - centers[:, None])
         for row, zeta, got in zip(coeffs, centers, values):
-            assert np.array_equal(Polynomial(list(row), zeta).eval(z), got)
+            assert np.array_equal(scalar_horner(row.tolist(), z - zeta), got)
+            assert np.array_equal(Polynomial(row, zeta).eval(z), got)
 
     def test_hankel_rows_are_bitwise(self, rng):
         # oracle: the scalar test in Python arithmetic, one window at a time
