@@ -43,10 +43,8 @@ from .construct import (  # noqa: F401
     IndexSequence,
     RequirementSpec,
     TargetFunction,
-    TargetPair,
     build_universal_polynomial,
     extend_prefix,
-    poly_fit,
     run_extension_schedule,
     select_index,
     verify_construction,

@@ -11,6 +11,11 @@ is what makes one polynomial satisfy all the sup bounds simultaneously.
 Nothing is assumed: every claimed bound is measured on grids and recorded
 in a :class:`Certificate`.
 
+Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
+points, grown by the columns each new degree needs, and one least-squares
+solve per degree; each builder chooses its degrees and weight and keeps
+its own residual and stop rule.
+
 The measurement is the sup over the product grid L x (K u J) at every
 derivative level.  ``_measure_conclusions`` takes the centers of L in
 blocks and measures each block with the array kernels of :mod:`.series`
@@ -39,6 +44,7 @@ from .errors import (
 )
 from .pade import (
     HankelReport,
+    _off_poles,
     derivative_numerators,
     hankel_determinant,
     hankel_test,
@@ -161,15 +167,10 @@ class TargetFunction:
         if self.kind == "poly":
             return self.numer.eval(z)
         if self.kind == "rational":
-            bz = np.asarray(self.denom.eval(z))
+            # scaled threshold: unlike a Pade denominator (b_0 = 1), a
+            # target's denominator carries no normalization
             scale = float(np.max(np.abs(self.denom.coeffs)))
-            bad = np.abs(bz) <= tol.tau_zero * scale
-            if np.any(bad):
-                zz = np.atleast_1d(np.asarray(z))
-                idx = int(np.argmax(np.atleast_1d(bad)))
-                raise PoleProximityError(complex(zz.ravel()[idx]), float(np.atleast_1d(np.abs(bz)).ravel()[idx]))
-            out = np.asarray(self.numer.eval(z)) / bz
-            return complex(out) if np.ndim(z) == 0 else out
+            return self.numer.eval(z) / _off_poles(self.denom, z, tol.tau_zero * scale)
         if self.kind == "table":
             zz = np.atleast_1d(np.asarray(z, dtype=complex))
             pts = np.array(self.points, dtype=complex)
@@ -242,107 +243,100 @@ class TargetFunction:
         raise ValueError(f"unknown target kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class TargetPair:
-    """A grid together with the values a fit must attain on it."""
-
-    grid: Grid
-    values: tuple[complex, ...]
-
-    def __init__(self, grid: Grid, values: Sequence[complex]):
-        vals = tuple(complex(v) for v in values)
-        if len(vals) != len(grid.points):
-            raise ValueError("grid and value list lengths differ")
-        for v in vals:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError("target values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-
-
-def _arnoldi_basis(z: np.ndarray, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Orthonormal polynomial ladder on the points, with monomial images.
+class _ArnoldiLadder:
+    """Orthonormal polynomial ladder on fixed points, with monomial images.
 
     Gram-Schmidt on ``1, z*q_0, z*q_1, ...`` with a reorthogonalization
     pass; every subtraction applied to the sampled vectors is mirrored on
-    the monomial coefficient columns, so ``Q[:, k] == poly(C[k]) (z)`` up
-    to rounding.
+    the monomial coefficient columns, so ``q[:, k] == poly(coeffs[k])(z)``
+    up to rounding.  Column ``k + 1`` depends only on ``z`` and columns
+    ``0..k``, so a fit ramp grows one ladder instead of rebuilding it at
+    every degree.  The columns are strided views of one ``(points,
+    columns)`` array, reallocated as the ramp reaches a new degree:
+    ``np.vdot`` rounds a contiguous vector differently, and this layout
+    keeps every column bitwise equal to that of a build from scratch.
     """
-    m = len(z)
-    q_mat = np.empty((m, degree + 1), dtype=complex)
-    q_mat[:, 0] = 1.0
-    coeff_cols: list[np.ndarray] = [np.array([1.0 + 0j])]
-    z_scale = max(1.0, float(np.max(np.abs(z))))
-    for k in range(degree):
-        v = z * q_mat[:, k]
-        c_new = np.concatenate([[0j], coeff_cols[k]])
-        for _ in range(2):
-            for j in range(k + 1):
-                h = complex(np.vdot(q_mat[:, j], v) / m)
-                v = v - h * q_mat[:, j]
-                c_new[: len(coeff_cols[j])] -= h * coeff_cols[j]
-        h_next = float(np.linalg.norm(v) / math.sqrt(m))
-        if h_next <= 1e-13 * z_scale:
-            raise IllConditionedError(
-                f"orthogonal basis collapsed at degree {k + 1}; the grid "
-                f"cannot support this fit degree"
-            )
-        q_mat[:, k + 1] = v / h_next
-        coeff_cols.append(c_new / h_next)
-    return q_mat, coeff_cols
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.q = np.ones((len(z), 1), dtype=complex)
+        self.coeffs: list[np.ndarray] = [np.array([1.0 + 0j])]
+        self.z_scale = max(1.0, float(np.max(np.abs(z))))
+
+    def basis(self, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Columns ``0..degree`` and their monomial images, grown as needed."""
+        m = len(self.z)
+        if degree >= self.q.shape[1]:
+            grown = np.empty((m, degree + 1), dtype=complex)
+            grown[:, : self.q.shape[1]] = self.q
+            self.q = grown
+        q_mat, coeff_cols = self.q, self.coeffs
+        for k in range(len(coeff_cols) - 1, degree):
+            v = self.z * q_mat[:, k]
+            c_new = np.concatenate([[0j], coeff_cols[k]])
+            for _ in range(2):
+                for j in range(k + 1):
+                    h = complex(np.vdot(q_mat[:, j], v) / m)
+                    v = v - h * q_mat[:, j]
+                    c_new[: len(coeff_cols[j])] -= h * coeff_cols[j]
+            h_next = float(np.linalg.norm(v) / math.sqrt(m))
+            if h_next <= 1e-13 * self.z_scale:
+                raise IllConditionedError(
+                    f"orthogonal basis collapsed at degree {k + 1}; the grid "
+                    f"cannot support this fit degree"
+                )
+            q_mat[:, k + 1] = v / h_next
+            coeff_cols.append(c_new / h_next)
+        return q_mat[:, : degree + 1], coeff_cols[: degree + 1]
 
 
 def _fit_on_points(
-    z: np.ndarray,
+    ladder: _ArnoldiLadder,
     values: np.ndarray,
     degree: int,
     weight: np.ndarray | None = None,
-    cond_limit: float = 1e12,
 ) -> Polynomial:
-    """Monomial-coefficient LS fit; optionally weighted per point."""
+    """Monomial-coefficient LS fit on the ladder's points; optionally weighted per point."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    m = len(z)
+    m = len(ladder.z)
     if m < degree + 1:
         raise ValueError(f"{m} sample points cannot determine degree {degree}")
-    q_mat, coeff_cols = _arnoldi_basis(z, degree)
+    q_mat, coeff_cols = ladder.basis(degree)
     if weight is not None:
         system = q_mat * weight[:, None]
         rhs = values * weight
     else:
         system = q_mat
         rhs = values
-    singular = np.linalg.svd(system, compute_uv=False)
-    if singular[-1] == 0 or singular[0] / singular[-1] > cond_limit:
+    # the singular values lstsq computes anyway are the condition estimate
+    solution, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
+    if singular[-1] == 0 or singular[0] / singular[-1] > 1e12:
         raise IllConditionedError("orthogonalized system condition estimate exceeds limit")
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     coeffs = np.zeros(degree + 1, dtype=complex)
     for k, w in enumerate(solution):
         coeffs[: len(coeff_cols[k])] += w * coeff_cols[k]
     return Polynomial(coeffs, 0.0)
 
 
-def poly_fit(
-    targets: Sequence[TargetPair],
-    degree: int,
-    cond_limit: float = 1e12,
-) -> tuple[Polynomial, list[float]]:
-    """Least-squares polynomial fit over the union of the target grids.
+def _fit_ramp(z: np.ndarray, values: np.ndarray, degrees, weight: np.ndarray | None = None):
+    """Yield ``(degree, fit)`` for each of ``degrees`` from one ladder on ``z``.
 
-    Orthogonalizes the monomial ladder on the combined grid (Arnoldi-style
-    Gram-Schmidt on ``1, z*q_0, z*q_1, ...``) so the normal equations stay
-    well conditioned, then converts the fitted combination back to monomial
-    coefficients about 0.  Returns the polynomial and the honest per-target
-    sup residual measured from the returned coefficients.
+    Stops before a degree the points cannot determine and at the first
+    degree the ladder or the system cannot support; the callers measure
+    each fit and decide when to stop.
     """
-    z = np.concatenate([t.grid.as_array() for t in targets])
-    f = np.concatenate([np.array(t.values, dtype=complex) for t in targets])
-    fit = _fit_on_points(z, f, degree, cond_limit=cond_limit)
-    residuals = [
-        float(np.max(np.abs(fit.eval(t.grid.as_array()) - np.array(t.values, dtype=complex))))
-        for t in targets
-    ]
-    return fit, residuals
+    if not np.isfinite(values).all():
+        raise ValueError("target values must be finite")
+    ladder = _ArnoldiLadder(z)
+    for degree in degrees:
+        if degree + 1 > len(z):
+            return
+        try:
+            fit = _fit_on_points(ladder, values, degree, weight)
+        except IllConditionedError:
+            return
+        yield degree, fit
 
 
 @dataclass(frozen=True)
@@ -632,10 +626,6 @@ def verify_construction(
     return _assemble_certificate(measurement, (p, q), perturbation, fit_degree, req.requested)
 
 
-def _ramp_degrees(cap: int = RAMP_CAP):
-    return range(2, cap + 1, 2)
-
-
 def _search_perturbation(measure, d0: float, requested: float):
     """Find ``|d|`` whose certificate passes, moving geometrically.
 
@@ -654,7 +644,7 @@ def _search_perturbation(measure, d0: float, requested: float):
         last = cert
         if cert.passed:
             cert.diagnostics["d_window_lo"] = lo
-            cert.diagnostics["d_window_hi"] = hi if math.isfinite(hi) else 0.0
+            cert.diagnostics["d_window_hi"] = hi if math.isfinite(hi) else None
             cert.diagnostics["d_attempts"] = attempt
             return cert
         gated_ok = all(v < requested for v in cert.achieved.values())
@@ -668,7 +658,7 @@ def _search_perturbation(measure, d0: float, requested: float):
             break
         if math.isfinite(hi) and lo > 0.0 and hi / lo < 1.0 + 1e-9:
             break
-    raise PerturbationFailedError(lo, hi if math.isfinite(hi) else 0.0, attempt)
+    raise PerturbationFailedError(lo, hi, attempt)
 
 
 def _certify(candidates, measure, s: int, sup_abs: float, d_override) -> Certificate:
@@ -721,11 +711,12 @@ def build_universal_polynomial(
                 f"K and {name} overlap; the gluing step needs disjoint compacts"
             )
 
-    targets = [
-        TargetPair(grid_k, np.asarray(req.target_on_K.evaluate(grid_k.as_array(), tol))),
-        TargetPair(grid_l, np.asarray(f_on_L.evaluate(grid_l.as_array(), tol))),
-        TargetPair(grid_j, np.asarray(f_on_L.evaluate(grid_j.as_array(), tol))),
+    pieces = [
+        (grid.as_array(), np.asarray(target.evaluate(grid.as_array(), tol)))
+        for grid, target in ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
     ]
+    z = np.concatenate([points for points, _ in pieces])
+    values = np.concatenate([vals for _, vals in pieces])
     requested = req.requested
     fit_target = requested / 2.0
     sup_k_abs = float(np.max(np.abs(grid_k.as_array())))
@@ -734,14 +725,8 @@ def build_universal_polynomial(
     fit_reached = False
     last_perturbation_error: PerturbationFailedError | None = None
 
-    for degree in _ramp_degrees():
-        if degree + 1 > len(grid_k) + len(grid_l) + len(grid_j):
-            break
-        try:
-            fit, residuals = poly_fit(targets, degree)
-        except IllConditionedError:
-            break
-        residual = max(residuals)
+    for degree, fit in _fit_ramp(z, values, range(2, RAMP_CAP + 1, 2)):
+        residual = max(float(np.max(np.abs(fit.eval(points) - vals))) for points, vals in pieces)
         best_residual = min(best_residual, residual)
         if residual >= fit_target:
             continue
@@ -841,15 +826,9 @@ def extend_prefix(
     best = math.inf
     correction = None
     fit_degree = -1
-    for degree in range(0, RAMP_CAP + 1):
-        if degree + 1 > len(z):
-            break
-        try:
-            # weight by z^(n0+1): the quantity that must shrink is the
-            # composite |psi - prefix - t z^(n0+1)|, not the divided residual
-            t_poly = _fit_on_points(z, divided, degree, weight=shifted)
-        except IllConditionedError:
-            break
+    # weight by z^(n0+1): the quantity that must shrink is the composite
+    # |psi - prefix - t z^(n0+1)|, not the divided residual
+    for degree, t_poly in _fit_ramp(z, divided, range(RAMP_CAP + 1), weight=shifted):
         composite = float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted)))
         best = min(best, composite)
         if composite < fit_target:

@@ -127,10 +127,8 @@ class RationalFunction:
             return None
         roots = np.roots(self.denom.coeffs[deg::-1]) + self.center
         a_scale = float(np.max(np.abs(self.numer.coeffs)))
-        for r in roots:
-            if abs(self.numer.eval(r)) <= tol.tau_zero * (1.0 + a_scale):
-                return complex(r)
-        return None
+        shared = np.flatnonzero(np.abs(self.numer.eval(roots)) <= tol.tau_zero * (1.0 + a_scale))
+        return complex(roots[shared[0]]) if len(shared) else None
 
     def to_json(self) -> dict:
         return {

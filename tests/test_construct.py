@@ -12,16 +12,19 @@ from pade_universal.compacts import (
     Segment,
     discretize,
 )
+from pade_universal import construct
 from pade_universal.construct import (
     Certificate,
     ExtensionRequirement,
     IndexSequence,
     RequirementSpec,
     TargetFunction,
-    TargetPair,
+    _ArnoldiLadder,
+    _fit_on_points,
+    _fit_ramp,
+    _search_perturbation,
     build_universal_polynomial,
     extend_prefix,
-    poly_fit,
     run_extension_schedule,
     select_index,
     verify_construction,
@@ -30,9 +33,11 @@ from pade_universal.errors import (
     IllConditionedError,
     IndexExhaustedError,
     OriginInKError,
+    PerturbationFailedError,
     PoleProximityError,
     ScheduleStepError,
 )
+from pade_universal.reporting import RunRecord, load_run, save_run
 from pade_universal.series import Polynomial, disagreement_metric
 
 from conftest import random_coefficients
@@ -99,22 +104,58 @@ class TestTargets:
         with pytest.raises(PoleProximityError):
             F_ON_L.evaluate(2.0)
 
+    def test_rational_pole_guard_scales_with_denominator(self):
+        scaled = TargetFunction.rational([1e3], [2e3, -1e3])
+        points = [2.0 - delta for delta in (0.0, 1e-13, 1e-12, 1.5e-12, 3e-12, 1e-11, 1e-3)]
+
+        def raises(target, z):
+            try:
+                target.evaluate(z)
+            except PoleProximityError:
+                return True
+            return False
+
+        near = [raises(F_ON_L, z) for z in points]
+        assert near == [True, True, True, True, False, False, False]
+        assert [raises(scaled, z) for z in points] == near
+
+    def test_rational_pole_guard_names_the_same_point(self):
+        with pytest.raises(PoleProximityError) as scalar:
+            F_ON_L.evaluate(2.0)
+        with pytest.raises(PoleProximityError) as array:
+            F_ON_L.evaluate(np.array([1.0, 2.0, 3.0]))
+        assert scalar.value.point == array.value.point == 2.0
+        assert scalar.value.magnitude == array.value.magnitude
+
     def test_rational_derivative_descriptor(self):
         d1 = F_ON_L.derivative(1)  # derivative of 1/(2-z) is 1/(2-z)^2
         for z in (0.0, 0.5, 0.3j):
             assert abs(d1.evaluate(z) - 1.0 / (2.0 - z) ** 2) <= 1e-12
 
 
+def ladder_fit(pieces, degree):
+    """One fit of ``degree`` on the joint grid of ``(grid, values)`` pieces,
+    with the sup residual on each piece."""
+    z = np.concatenate([grid.as_array() for grid, _ in pieces])
+    values = np.concatenate([np.asarray(v, dtype=complex) for _, v in pieces])
+    fit = _fit_on_points(_ArnoldiLadder(z), values, degree)
+    residuals = [
+        float(np.max(np.abs(fit.eval(grid.as_array()) - np.asarray(v, dtype=complex))))
+        for grid, v in pieces
+    ]
+    return fit, residuals
+
+
 class TestPolyFit:
     def test_recovers_exact_polynomial(self, rng):
         poly = Polynomial(random_coefficients(rng, 6, bound=1.0))
         grid = discretize(CompactSpec([Segment(-1.0, 1.0)], 64))
-        fit, residuals = poly_fit([TargetPair(grid, poly.eval(grid.as_array()))], 5)
+        fit, residuals = ladder_fit([(grid, poly.eval(grid.as_array()))], 5)
         assert residuals[0] <= 1e-10
 
     def test_degree_zero_is_best_constant(self):
         grid = discretize(CompactSpec([Segment(2.0, 3.0)], 65))
-        fit, residuals = poly_fit([TargetPair(grid, grid.as_array())], 0)
+        fit, residuals = ladder_fit([(grid, grid.as_array())], 0)
         # best L2 constant on the symmetric grid is the midpoint
         assert abs(fit.coeffs[0] - 2.5) <= 1e-9
         assert abs(residuals[0] - 0.5) <= 1e-9
@@ -123,21 +164,130 @@ class TestPolyFit:
         k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 64))
         l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 64))
         targets = [
-            TargetPair(k_grid, k_grid.as_array() ** 2),
-            TargetPair(l_grid, 1.0 / (2.0 - l_grid.as_array())),
+            (k_grid, k_grid.as_array() ** 2),
+            (l_grid, 1.0 / (2.0 - l_grid.as_array())),
         ]
-        fit, residuals = poly_fit(targets, 24)
+        fit, residuals = ladder_fit(targets, 24)
         assert max(residuals) <= 1e-3
 
     def test_insufficient_points(self):
         grid = discretize(CompactSpec([PointSet([1.0, 2.0, 3.0])], 8))
         with pytest.raises(ValueError):
-            poly_fit([TargetPair(grid, [1.0, 2.0, 3.0])], 5)
+            ladder_fit([(grid, [1.0, 2.0, 3.0])], 5)
 
     def test_degenerate_grid_collapses(self):
         grid = discretize(CompactSpec([PointSet([1.0, 2.0, 3.0] * 4)], 8))
         with pytest.raises(IllConditionedError):
-            poly_fit([TargetPair(grid, [1.0, 2.0, 3.0] * 4)], 6)
+            ladder_fit([(grid, [1.0, 2.0, 3.0] * 4)], 6)
+
+
+def rebuilt_fit(z, values, degree, weight=None):
+    """The fit with its Arnoldi basis rebuilt from degree 0, as one call.
+
+    The oracle of the ramp: Gram-Schmidt with reorthogonalization on
+    ``1, z*q_0, z*q_1, ...`` in a fresh ``(points, degree + 1)`` array, an
+    SVD condition estimate, then the least-squares solve.
+    """
+    m = len(z)
+    q_mat = np.empty((m, degree + 1), dtype=complex)
+    q_mat[:, 0] = 1.0
+    coeff_cols = [np.array([1.0 + 0j])]
+    z_scale = max(1.0, float(np.max(np.abs(z))))
+    for k in range(degree):
+        v = z * q_mat[:, k]
+        c_new = np.concatenate([[0j], coeff_cols[k]])
+        for _ in range(2):
+            for j in range(k + 1):
+                h = complex(np.vdot(q_mat[:, j], v) / m)
+                v = v - h * q_mat[:, j]
+                c_new[: len(coeff_cols[j])] -= h * coeff_cols[j]
+        h_next = float(np.linalg.norm(v) / math.sqrt(m))
+        if h_next <= 1e-13 * z_scale:
+            raise IllConditionedError("collapsed")
+        q_mat[:, k + 1] = v / h_next
+        coeff_cols.append(c_new / h_next)
+    system, rhs = q_mat, values
+    if weight is not None:
+        system, rhs = q_mat * weight[:, None], values * weight
+    singular = np.linalg.svd(system, compute_uv=False)
+    if singular[-1] == 0 or singular[0] / singular[-1] > 1e12:
+        raise IllConditionedError("condition")
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    coeffs = np.zeros(degree + 1, dtype=complex)
+    for k, w in enumerate(solution):
+        coeffs[: len(coeff_cols[k])] += w * coeff_cols[k]
+    return coeffs
+
+
+class TestFitRamp:
+    def wide_points(self):
+        """The glued grid and target of a 1024-center build."""
+        k = discretize(SEGMENT_K).as_array()
+        lj = np.concatenate(
+            [
+                discretize(CompactSpec([FilledDisk(0.0, 0.4)], 1024)).as_array(),
+                discretize(DISK_J).as_array(),
+            ]
+        )
+        values = np.concatenate([0.5 - 0.25j * k + (0.3 + 0.1j) * k**2, 1.0 / (2.2j - lj)])
+        return np.concatenate([k, lj]), values
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_ramp_fits_are_bitwise_the_rebuilt_fits(self, weighted):
+        z, values = self.wide_points()
+        weight = z**3 if weighted else None
+        ramp = list(_fit_ramp(z, values, range(25), weight=weight))
+        assert [degree for degree, _ in ramp] == list(range(25))
+        for degree, fit in ramp:
+            assert np.array_equal(fit.coeffs, rebuilt_fit(z, values, degree, weight))
+
+    def test_ramp_stops_where_the_rebuilt_basis_collapses(self):
+        z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
+        ramp = list(_fit_ramp(z, z * z, range(10)))
+        assert [degree for degree, _ in ramp] == [0, 1, 2]
+        with pytest.raises(IllConditionedError):
+            rebuilt_fit(z, z * z, 3)
+
+    def test_non_finite_values_rejected(self):
+        z = discretize(SEGMENT_K).as_array()
+        values = np.ones(len(z), dtype=complex)
+        values[5] = complex("nan")
+        with pytest.raises(ValueError, match="finite"):
+            list(_fit_ramp(z, values, range(3)))
+
+    def count_fits(self, monkeypatch):
+        """Count ``_fit_on_points`` calls and ``np.vdot`` calls."""
+        counts = {"fits": 0, "vdots": 0}
+        fit, vdot = construct._fit_on_points, np.vdot
+
+        def counted_fit(*args, **kwargs):
+            counts["fits"] += 1
+            return fit(*args, **kwargs)
+
+        def counted_vdot(*args):
+            counts["vdots"] += 1
+            return vdot(*args)
+
+        monkeypatch.setattr(construct, "_fit_on_points", counted_fit)
+        monkeypatch.setattr(np, "vdot", counted_vdot)
+        return counts
+
+    def test_build_builds_each_column_once(self, monkeypatch):
+        counts = self.count_fits(monkeypatch)
+        _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
+        degree = cert.fit_degree
+        assert degree >= 4
+        # degrees 2, 4, ..., degree; column k + 1 takes 2 (k + 1) projections
+        assert counts["fits"] == degree // 2
+        assert counts["vdots"] == degree * (degree + 1)
+
+    def test_extend_builds_each_column_once(self, monkeypatch):
+        counts = self.count_fits(monkeypatch)
+        _, cert = extend_prefix([1.0, 0.5], CIRCLE_K, RECIPROCAL, 100, F_DEFAULT)
+        degree = cert.fit_degree
+        assert degree >= 2
+        assert counts["fits"] == degree + 1
+        assert counts["vdots"] == degree * (degree + 1)
 
 
 class TestBuilder:
@@ -250,6 +400,24 @@ class TestVerify:
         )
         for key in ("2", "3", "4", "5"):
             assert abs(plain.achieved[key] - cert.achieved[key]) <= 1e-12
+
+    def test_first_try_certificate_records_unknown_ceiling(self, tmp_path):
+        _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
+        assert cert.diagnostics["d_attempts"] == 1
+        assert cert.diagnostics["d_window_hi"] is None
+        path = tmp_path / "run.json"
+        save_run(RunRecord(scenario={}, certificates=[cert], environment={}), path)
+        assert '"d_window_hi": null' in path.read_text()
+        assert load_run(path).certificates[0].diagnostics["d_window_hi"] is None
+
+    def test_failed_search_reports_unknown_ceiling(self):
+        # every magnitude fails the Hankel test with the sups in bounds, so no
+        # sup ceiling is ever met
+        cert = Certificate((3, 0), 1.0, 2, {}, 1.0, 0.0, False)
+        with pytest.raises(PerturbationFailedError) as info:
+            _search_perturbation(lambda d: (cert, False), 1.0, 1.0)
+        assert info.value.hi == math.inf
+        assert "sup ceiling ~inf" in str(info.value)
 
     def test_certificate_json_round_trip(self):
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)

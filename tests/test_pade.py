@@ -136,6 +136,11 @@ class TestConstruction:
             assert abs(r.denom.eval(r.center) - 1.0) <= 1e-12
             assert r.common_zero() is None
 
+    def test_common_zero_found(self):
+        # A = (z - 0.5)(z + 1) and B = 1 - 2z share the zero 0.5
+        r = RationalFunction(Polynomial([-0.5, 0.5, 1.0]), Polynomial([1.0, -2.0]), 2, 1)
+        assert abs(r.common_zero() - 0.5) <= 1e-12
+
     def test_routes_agree_on_overlap(self, rng):
         for q in range(1, 7):
             f = FormalPowerSeries(random_coefficients(rng, 2 * q + 4))
