@@ -14,6 +14,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,11 +218,11 @@ def _cmd_greedy(args) -> int:
 
 def _cmd_verify(args) -> int:
     record = load_run(args.run)
+    if "universal_poly" not in record.artifacts or not record.certificates:
+        raise SchemaError("record carries no built polynomial to verify")
     scenario = record.scenario
     req = RequirementSpec.from_json(scenario["requirement"])
     f_on_l = TargetFunction.from_json(scenario["f_on_L"])
-    if "universal_poly" not in record.artifacts or not record.certificates:
-        raise SchemaError("record carries no built polynomial to verify")
     u = Polynomial.from_json(record.artifacts["universal_poly"])
     stored = record.certificates[0]
     tol = _tolerances(args)
@@ -277,7 +278,10 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first :func:`main` call of a process
+    and reused by every later one (``parse_args`` leaves it unchanged)."""
     parser = _Parser(prog="pade-universal", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

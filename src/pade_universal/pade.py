@@ -12,7 +12,8 @@ The array kernels here (``hankel_test``, ``pade_denominators``,
 ``derivative_numerators``), like the polynomial kernels of :mod:`.series`
 they build on, work on coefficient arrays with one series per row, so a
 verifier can treat many centers in one pass; the scalar entry points are
-one-row calls of them.
+one-row calls of them.  ``hankel_test`` also takes a range of ``p`` for one
+``q``, so a membership table tests a whole q-column of one series at once.
 """
 
 from __future__ import annotations
@@ -156,27 +157,49 @@ def _require_truncation(f: FormalPowerSeries, p: int, q: int) -> None:
         raise TruncationExceededError(needed - 1, len(f))
 
 
-def _hankel_windows(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
+def _hankel_windows(coeffs: np.ndarray, p, q: int) -> np.ndarray:
     """Stacked ``q x q`` windows: entry ``(i, j)`` (0-based) is ``a_{p-q+1+i+j}``.
 
     ``coeffs`` holds one series per row (last axis); negative indices read
-    as zero.  Reversing the columns gives the Toeplitz denominator system.
+    as zero.  ``p`` is an int, or a 1-D array of evenly spaced increasing
+    ``p`` that puts a leading p-axis in front of the rows.  The windows are
+    a read-only strided view of the zero-padded rows, not a copy.
+    Reversing the columns gives the Toeplitz denominator system.
     """
-    idx = (p + 1) + np.arange(q)[:, None] + np.arange(q)[None, :]
-    zeros = np.zeros(coeffs.shape[:-1] + (q,), dtype=complex)
-    return np.concatenate([zeros, coeffs], axis=-1)[..., idx]
+    ranged = np.ndim(p) != 0
+    if ranged:
+        ps = np.asarray(p)
+        steps = np.diff(ps)
+        step = int(steps[0]) if len(steps) else 1
+        if not len(ps) or step < 1 or np.any(steps != step):
+            raise ValueError("a range of p must be non-empty, evenly spaced and increasing")
+        first, last = int(ps[0]), int(ps[-1])
+    else:
+        first = last = int(p)
+    if first < 0 or last + q > coeffs.shape[-1]:
+        raise IndexError(f"(p, q) = ({last}, {q}) windows need {last + q} coefficients")
+    pad = np.concatenate([np.zeros(coeffs.shape[:-1] + (q,), dtype=complex), coeffs], axis=-1)
+    *row_strides, s = pad.strides
+    shape, strides = coeffs.shape[:-1] + (q, q), (*row_strides, s, s)
+    if ranged:
+        shape, strides = (len(ps),) + shape, (step * s,) + strides
+    windows = np.ndarray(shape, complex, pad, (first + 1) * s, strides)
+    windows.flags.writeable = False
+    return windows
 
 
-def hankel_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig = DEFAULT_TOL):
+def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TOL):
     """Row-wise Hankel existence test of stacked series.
 
     Returns ``(values, scales, thresholds, nonvanishing)`` arrays with one
-    entry per row, each as :func:`hankel_determinant` reports it.  The
-    threshold power and the magnitude use the libm routines of Python's
-    scalar arithmetic (numpy's vectorized ones round differently), so a row
-    matches the scalar test bit for bit.
+    entry per row, each as :func:`hankel_determinant` reports it.  ``p`` may
+    be a range as in :func:`_hankel_windows`, which adds a leading p-axis to
+    every output; each window's determinant is the one a single-``p`` call
+    gives.  The threshold power and the magnitude use the libm routines of
+    Python's scalar arithmetic (numpy's vectorized ones round differently),
+    so a row matches the scalar test bit for bit.
     """
-    rows = coeffs.shape[:-1]
+    rows = np.shape(p) + coeffs.shape[:-1]
     if q == 0:
         return (
             np.ones(rows, dtype=complex),

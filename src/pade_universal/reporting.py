@@ -13,19 +13,17 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .construct import Certificate
-from .errors import SchemaError
-from .pade import hankel_determinant
+from .errors import SchemaError, TruncationExceededError
+from .pade import hankel_test
 from .series import DEFAULT_TOL, FormalPowerSeries, ToleranceConfig
 
 SCHEMA = "pade-universal/1"
 
 _KNOWN_FIELDS = {"schema", "scenario", "certificates", "environment", "tables", "artifacts"}
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def emit_pade_table(
@@ -36,27 +34,29 @@ def emit_pade_table(
 ) -> str:
     """CSV membership table ``(p, q) -> (|D_{p,q}|, exists)``.
 
-    One row per cell, comma separated, LF terminated.  The ``q = 0`` column
-    always exists (empty determinant).
+    One row per cell, p-major, comma separated, LF terminated.  The
+    ``q = 0`` column always exists (empty determinant).  Each q-column is
+    one stacked :func:`hankel_test` over every ``p``, whose cells are
+    bitwise those of :func:`hankel_determinant`.  A table that outruns the
+    series raises before anything is emitted, with the error of its first
+    such cell in p-major order, which lies on ``p + q = len(f)``.
     """
     out = io.StringIO()
     out.write("p,q,det_re,det_im,abs_det,exists\n")
+    if p_max < 0 or q_max < 0:
+        return out.getvalue()
+    if p_max + q_max >= len(f):
+        raise TruncationExceededError(len(f), len(f))
+    ps = np.arange(p_max + 1)
+    columns = []
+    for q in range(q_max + 1):
+        values, _, _, nonvanishing = hankel_test(f.coeffs, ps, q, tol)
+        columns.append((values.tolist(), nonvanishing.tolist()))
     for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            report = hankel_determinant(f, p, q, tol)
-            out.write(
-                ",".join(
-                    [
-                        str(p),
-                        str(q),
-                        _format_float(report.value.real),
-                        _format_float(report.value.imag),
-                        _format_float(abs(report.value)),
-                        "true" if report.nonvanishing else "false",
-                    ]
-                )
-                + "\n"
-            )
+        for q, (values, nonvanishing) in enumerate(columns):
+            value = values[p]
+            exists = "true" if nonvanishing[p] else "false"
+            out.write(f"{p},{q},{value.real:.17g},{value.imag:.17g},{abs(value):.17g},{exists}\n")
     return out.getvalue()
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from pade_universal import cli
 from pade_universal.reporting import load_run
 
@@ -36,6 +38,15 @@ def extension_scenario():
         "s": 100,
         "F": [[k, k % 3] for k in range(61)],
         "seed": 0,
+    }
+
+
+def greedy_scenario():
+    step = {"K": extension_scenario()["K"], "psi": extension_scenario()["psi"]}
+    return {
+        "prefix": [[0, 0]],
+        "schedule": [{**step, "s": 10}, {**step, "s": 50}],
+        "F": [[k, k % 3] for k in range(61)],
     }
 
 
@@ -194,22 +205,51 @@ class TestExtensionCommands:
         assert record.artifacts["coefficients"][0] == [0.0, 0.0]
 
     def test_greedy_two_steps(self, capsys, tmp_path):
-        data = {
-            "prefix": [[0, 0]],
-            "schedule": [
-                {"K": extension_scenario()["K"], "psi": extension_scenario()["psi"], "s": 10},
-                {"K": extension_scenario()["K"], "psi": extension_scenario()["psi"], "s": 50},
-            ],
-            "F": [[k, k % 3] for k in range(61)],
-        }
         scenario = tmp_path / "greedy.json"
-        scenario.write_text(json.dumps(data))
+        scenario.write_text(json.dumps(greedy_scenario()))
         out = tmp_path / "run.json"
         code, _, _ = run(capsys, "greedy", "--scenario", str(scenario), "--out", str(out))
         assert code == 0
         record = load_run(out)
         assert len(record.certificates) == 2
         assert all(c.passed for c in record.certificates)
+
+
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [("seleznev", extension_scenario()), ("greedy", greedy_scenario())],
+    )
+    def test_verify_refuses_extension_record(self, capsys, tmp_path, command, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "run.json"
+        assert run(capsys, command, "--scenario", str(path), "--out", str(out))[0] == 0
+
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert code == 1
+        assert verify_out == ""
+        assert json.loads(err) == {
+            "error": "schema",
+            "message": "record carries no built polynomial to verify",
+        }
+
+
+class TestParserCache:
+    def test_successive_calls_match_fresh_parsers(self, capsys):
+        calls = [
+            ("pade", "--p", "1", "--q", "1"),
+            ("table", "--coeffs", json.dumps(GEOM_COEFFS), "--p-max", "2", "--q-max", "2"),
+            ("pade", "--coeffs", json.dumps(EXP_COEFFS), "--p", "1", "--q", "1"),
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [1, 0, 0]
+        assert reused == fresh
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestFamilyCommand:

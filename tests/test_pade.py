@@ -14,6 +14,7 @@ from pade_universal.errors import (
 from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.pade import (
     RationalFunction,
+    _hankel_windows,
     hankel_determinant,
     order_condition_decidability,
     order_condition_residual,
@@ -92,6 +93,49 @@ class TestHankel:
             for q in range(5):
                 expected = q <= 1 or p == 0
                 assert hankel_determinant(f, p, q).nonvanishing == expected, (p, q)
+
+
+def fancy_index_windows(coeffs, p, q):
+    """Oracle: the windows gathered through an explicit (q, q) index array."""
+    idx = (p + 1) + np.arange(q)[:, None] + np.arange(q)[None, :]
+    zeros = np.zeros(coeffs.shape[:-1] + (q,), dtype=complex)
+    return np.concatenate([zeros, coeffs], axis=-1)[..., idx]
+
+
+class TestHankelWindows:
+    # q > p + 1 puts negative coefficient indices, read as zero, in the window
+    CELLS = [(0, 1), (3, 1), (5, 4), (1, 5), (0, 7), (2, 9), (9, 3)]
+
+    def test_one_p_matches_fancy_index(self, rng):
+        for p, q in self.CELLS:
+            row = np.array(random_coefficients(rng, p + q + 1))
+            rows = np.array([random_coefficients(rng, p + q + 1) for _ in range(5)])
+            for coeffs in (row, rows):
+                windows = _hankel_windows(coeffs, p, q)
+                assert windows.shape == coeffs.shape[:-1] + (q, q)
+                assert np.array_equal(windows, fancy_index_windows(coeffs, p, q))
+                assert not windows.flags.writeable
+
+    def test_p_range_matches_fancy_index(self, rng):
+        for ps in (np.arange(12), np.arange(2, 11, 3), np.array([4])):
+            for q in (1, 3, 6, 11):
+                row = np.array(random_coefficients(rng, int(ps[-1]) + q + 1))
+                rows = np.array([random_coefficients(rng, int(ps[-1]) + q) for _ in range(4)])
+                for coeffs in (row, rows):
+                    windows = _hankel_windows(coeffs, ps, q)
+                    assert windows.shape == (len(ps),) + coeffs.shape[:-1] + (q, q)
+                    for k, p in enumerate(ps):
+                        assert np.array_equal(windows[k], fancy_index_windows(coeffs, p, q))
+
+    def test_bad_p_ranges_raise(self):
+        coeffs = np.ones(10, dtype=complex)
+        for ps in (np.array([0, 2, 3]), np.array([3, 2]), np.array([], dtype=int)):
+            with pytest.raises(ValueError):
+                _hankel_windows(coeffs, ps, 2)
+        with pytest.raises(IndexError):
+            _hankel_windows(coeffs, np.arange(10), 2)
+        with pytest.raises(IndexError):
+            _hankel_windows(coeffs, 6, 5)
 
 
 class TestConstruction:

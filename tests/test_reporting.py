@@ -1,6 +1,9 @@
+import cmath
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 from pade_universal.construct import Certificate
@@ -14,9 +17,11 @@ from pade_universal.reporting import (
     load_run,
     save_run,
 )
-from pade_universal.series import FormalPowerSeries
+from pade_universal.exact import exact_rational_taylor
+from pade_universal.pade import hankel_determinant
+from pade_universal.series import DEFAULT_TOL, FormalPowerSeries, ToleranceConfig
 
-from conftest import random_coefficients
+from conftest import make_exact_rational, random_coefficients
 
 
 def parse_table(csv: str):
@@ -69,6 +74,83 @@ class TestPadeTable:
         csv = emit_pade_table(f, 1, 1)
         assert "\r" not in csv
         assert csv.endswith("\n")
+
+
+def per_cell_table(f, p_max, q_max, tol=DEFAULT_TOL):
+    """Oracle: the table as one ``hankel_determinant`` call per cell, p-major."""
+    lines = ["p,q,det_re,det_im,abs_det,exists"]
+    for p in range(p_max + 1):
+        for q in range(q_max + 1):
+            report = hankel_determinant(f, p, q, tol)
+            value = report.value
+            exists = "true" if report.nonvanishing else "false"
+            lines.append(f"{p},{q},{value.real:.17g},{value.imag:.17g},{abs(value):.17g},{exists}")
+    return "\n".join(lines) + "\n"
+
+
+def table_families():
+    rng = np.random.default_rng(7)
+    numer, denom, zeta, _ = make_exact_rational(random.Random(7), 3, 2)
+    rational = [c.to_complex() for c in exact_rational_taylor(numer, denom, zeta, 64)]
+    ratio = 0.8 * cmath.exp(2.0j)
+    return {
+        "exp": FormalPowerSeries([1.5**k / math.factorial(k) for k in range(64)]),
+        "log": FormalPowerSeries([1 / (k + 1) for k in range(64)]),
+        "geometric": FormalPowerSeries([ratio**k for k in range(64)]),
+        "random": FormalPowerSeries(random_coefficients(rng, 64)),
+        "rational": FormalPowerSeries(rational),
+    }
+
+
+class TestStackedTableParity:
+    @pytest.mark.parametrize("family", sorted(table_families()))
+    def test_full_table_matches_per_cell(self, family):
+        f = table_families()[family]
+        assert emit_pade_table(f, 30, 30) == per_cell_table(f, 30, 30)
+
+    def test_geometric_has_zero_and_signed_zero_cells(self):
+        rows = emit_pade_table(table_families()["geometric"], 30, 30).splitlines()[1:]
+        parts = [row.split(",")[2:4] for row in rows]
+        assert any(part == ["0", "0"] for part in parts)
+        assert any("-0" in part for part in parts)
+
+    @pytest.mark.parametrize("p_max, q_max", [(25, 6), (4, 30), (0, 12), (12, 0), (-1, 3), (3, -1)])
+    def test_rectangular_tables(self, p_max, q_max):
+        for f in table_families().values():
+            assert emit_pade_table(f, p_max, q_max) == per_cell_table(f, p_max, q_max)
+
+    def test_custom_tau_det(self):
+        tol = ToleranceConfig(tau_det=1e-3)
+        moved = 0
+        for f in table_families().values():
+            table = emit_pade_table(f, 20, 20, tol)
+            assert table == per_cell_table(f, 20, 20, tol)
+            moved += table != emit_pade_table(f, 20, 20)
+        assert moved  # the threshold changes some verdicts
+
+    @pytest.mark.parametrize("p_max, q_max", [(3, 7), (7, 3), (0, 10), (10, 0), (12, 2), (2, 12), (20, 20)])
+    def test_truncation_error_matches_first_failing_cell(self, p_max, q_max):
+        f = FormalPowerSeries(random_coefficients(np.random.default_rng(3), 10))
+        with pytest.raises(TruncationExceededError) as expected:
+            per_cell_table(f, p_max, q_max)
+        with pytest.raises(TruncationExceededError) as got:
+            emit_pade_table(f, p_max, q_max)
+        assert str(got.value) == str(expected.value)
+        assert (got.value.index, got.value.available) == (expected.value.index, expected.value.available)
+
+    def test_one_determinant_call_per_q_column(self, monkeypatch):
+        f = table_families()["random"]
+        calls = []
+        det = np.linalg.det
+
+        def counting_det(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting_det)
+        emit_pade_table(f, 30, 30)
+        assert len(calls) <= 30
+        assert all(shape[0] == 31 for shape in calls)
 
 
 def random_certificate(rng):
