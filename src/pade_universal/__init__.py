@@ -32,10 +32,8 @@ from .compacts import (  # noqa: F401
     PointSet,
     Segment,
     discretize,
-    double_sup,
     exhausting_family,
     outer_family,
-    sup_norm,
 )
 from .construct import (  # noqa: F401
     Certificate,

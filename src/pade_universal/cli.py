@@ -62,6 +62,7 @@ from .series import (
     Polynomial,
     ToleranceConfig,
     coeffs_from_json,
+    complex_to_pair,
     pair_to_complex,
 )
 
@@ -226,14 +227,9 @@ def _cmd_verify(args) -> int:
     u = Polynomial.from_json(record.artifacts["universal_poly"])
     stored = record.certificates[0]
     tol = _tolerances(args)
+    # the perturbation is re-read from the polynomial, not copied from the record
     cert = verify_construction(
-        u,
-        req,
-        stored.selected,
-        f_on_l,
-        perturbation=stored.perturbation,
-        fit_degree=stored.fit_degree,
-        tol=tol,
+        u, req, stored.selected, f_on_l, fit_degree=stored.fit_degree, tol=tol
     )
     deviations = {
         key: abs(cert.achieved[key] - stored.achieved[key])
@@ -242,7 +238,8 @@ def _cmd_verify(args) -> int:
     }
     missing = [key for key in stored.achieved if key not in cert.achieved]
     max_dev = max(deviations.values()) if deviations else 0.0
-    match = not missing and max_dev <= VERIFY_TOLERANCE
+    same_d = cert.perturbation == stored.perturbation
+    match = not missing and max_dev <= VERIFY_TOLERANCE and same_d
     print(json.dumps({
         "match": match,
         "max_deviation": max_dev,
@@ -255,6 +252,11 @@ def _cmd_verify(args) -> int:
             for key, dev in deviations.items()
             if dev > VERIFY_TOLERANCE
         }
+        if not same_d:
+            deviating["perturbation"] = {
+                "stored": complex_to_pair(stored.perturbation),
+                "remeasured": complex_to_pair(cert.perturbation),
+            }
         _diag({
             "error": "verification-mismatch",
             "max_deviation": max_dev,

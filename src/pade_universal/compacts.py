@@ -1,18 +1,19 @@
-"""Declarative compact sets, deterministic grids and sup-norm evaluation.
+"""Declarative compact sets, deterministic grids and compact families.
 
 Compact sets are described by a small catalog of primitives (filled disks,
 circles, segments, annulus sectors, explicit point sets) and realized as
 finite grids by a deterministic sampler.  Sups over compacts are taken as
-maxima over the grids; tolerance budgets elsewhere include a refinement
-margin for this discretization.  Connected complements are guaranteed by
-the curated catalog, not verified topologically.
+maxima over the grids, by the verifier of :mod:`.construct`; tolerance
+budgets elsewhere include a refinement margin for this discretization.
+Connected complements are guaranteed by the curated catalog, not verified
+topologically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,31 +245,6 @@ def discretize(spec: CompactSpec) -> Grid:
         else:
             raise TypeError(f"unknown primitive {p!r}")
     return Grid(tuple(pts), spec)
-
-
-def sup_norm(g: Callable, grid: Grid) -> float:
-    """``max |g(z)|`` over the grid; evaluator errors propagate."""
-    z = grid.as_array()
-    values = g(z)
-    return float(np.max(np.abs(np.asarray(values))))
-
-
-def double_sup(h: Callable, outer: Grid, inner: Grid):
-    """``max |h(zeta, z)|`` over the product grid, with the argmax pair.
-
-    ``h(zeta, z_array)`` must accept one outer point and the whole inner
-    array, returning an array of values.
-    """
-    best = -1.0
-    best_pair = (outer.points[0], inner.points[0])
-    z = inner.as_array()
-    for zeta in outer.points:
-        values = np.abs(np.asarray(h(zeta, z)))
-        idx = int(np.argmax(values))
-        if values[idx] > best:
-            best = float(values[idx])
-            best_pair = (zeta, complex(z[idx]))
-    return best, best_pair
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,15 @@ points, grown by the columns each new degree needs, and one least-squares
 solve per degree; each builder chooses its degrees and weight and keeps
 its own residual and stop rule.
 
-The measurement is the sup over the product grid L x (K u J) at every
-derivative level.  ``_measure_conclusions`` takes the centers of L in
-blocks and measures each block with the array kernels of :mod:`.series`
-and :mod:`.pade` (stacked recentering, Hankel test, denominator solve and
-Horner evaluation) instead of one scalar approximant per center.
+One measurement path certifies everything: a :class:`_Measurement`, the
+sup over the product grid L x (K u J) at every derivative level, prepared
+once per requirement (its targets evaluated once) and called for each
+polynomial a search tries.  It takes the centers of L in blocks and
+measures each block with the array kernels of :mod:`.series` and
+:mod:`.pade` (stacked recentering, Hankel test, denominator solve and
+Horner evaluation) instead of one scalar approximant per center.  Builds
+and ``verify_construction`` measure K and J on the grid of L; a prefix
+extension is its one-center case, L = {0} and K alone at level 0.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ from .pade import (
     HankelReport,
     _off_poles,
     derivative_numerators,
-    hankel_determinant,
     hankel_test,
-    pade_approximant,
     pade_denominators,
 )
 from .series import (
@@ -441,134 +443,148 @@ class Certificate:
         )
 
 
-def _measure_conclusions(
-    u: Polynomial,
-    p: int,
-    q: int,
-    grid_l: Grid,
-    grid_k: Grid,
-    grid_j: Grid,
-    target_k: TargetFunction,
-    target_j: TargetFunction,
-    levels: int,
-    tol: ToleranceConfig,
-    strict: bool,
-) -> dict:
-    """Measure every certified quantity on the grids.
+class _Measurement:
+    """Every certified sup of one requirement, prepared once per requirement.
 
-    Returns raw measurements; certificate assembly and pass/fail logic live
-    with the callers.  With ``strict`` a vanishing Hankel determinant at any
-    center raises; otherwise it is reported so a perturbation search can
-    react.
+    ``compacts`` is an ordered list of ``(points, target, taylor_label,
+    pade_label, name)``: on ``points`` the sup of the Taylor sums against
+    ``target`` is reported as ``achieved[taylor_label]``, that of the
+    approximants as ``achieved[pade_label]``, and at derivative levels
+    ``l >= 1`` as the diagnostics ``{name}_taylor_d{l}`` and
+    ``{name}_pade_d{l}`` (where the target has that derivative).  Each target
+    and its derivatives are evaluated here, once; a call measures one
+    polynomial.
 
-    The centers of L are measured in blocks of ``_BLOCK_PAIRS // |K u J|``,
-    each block in array passes: one stacked Horner shift recenters ``u``,
-    one stacked determinant tests the Hankel windows, one stacked solve
-    builds the denominators, and one Horner per derivative level evaluates
-    the Taylor partial sums and the approximants on ``K u J``.  Running
-    maxima carry the sups across blocks.  Errors are those of the
-    center-by-center order: the first failing center in grid order, and
-    at it the first point of K, then of J.
+    A call returns raw measurements; certificate assembly and pass/fail
+    logic live with the callers.  With ``strict`` a vanishing Hankel
+    determinant at any center raises; otherwise it is reported so a
+    perturbation search can react.
+
+    The centers are measured in blocks of ``_BLOCK_PAIRS // points``, each
+    block in array passes: one stacked Horner shift recenters ``u``, one
+    stacked determinant tests the Hankel windows, one stacked solve builds
+    the denominators, and one Horner per derivative level evaluates the
+    Taylor partial sums and the approximants on the points of every compact.
+    Running maxima carry the sups across blocks.  Errors are those of the
+    center-by-center order: the first failing center, and at it the first
+    point in compact order.
     """
-    zk = grid_k.as_array()
-    zj = grid_j.as_array()
-    zkj = np.concatenate([zk, zj])
-    nk = len(zk)
-    # per level: the values of u^(l) on K u J, and the target derivatives on
-    # K and on J (None where a target has no derivative)
-    u_vals_kj = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
-    targets = [(target_k, zk), (target_j, zj)]
-    target_vals = [[np.asarray(t.evaluate(z, tol)) for t, z in targets]]
-    for l in range(1, levels + 1):
-        derived = [(t.derivative(l), z) for t, z in targets]
-        target_vals.append(
-            [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
-        )
 
-    sups = {"2": 0.0, "3": 0.0, "4": 0.0, "5": 0.0}
-    sups.update({f"id_taylor_l{l}": 0.0 for l in range(levels + 1)})
-    sups.update({f"id_pade_l{l}": 0.0 for l in range(levels + 1)})
-    diag_targets: dict[str, float] = {}
-
-    def bump(table: dict, key: str, deviation: np.ndarray) -> None:
-        table[key] = max(table.get(key, 0.0), float(np.max(np.abs(deviation))))
-
-    def record(kind: str, level: int, values: np.ndarray) -> None:
-        bump(sups, f"id_{kind}_l{level}", values - u_vals_kj[level])
-        on_k, on_j = target_vals[level]
-        if level == 0:
-            k_key, j_key = ("2", "4") if kind == "taylor" else ("3", "5")
-            bump(sups, k_key, values[:, :nk] - on_k)
-            bump(sups, j_key, values[:, nk:] - on_j)
-            return
-        if on_k is not None:
-            bump(diag_targets, f"K_{kind}_d{level}", values[:, :nk] - on_k)
-        if on_j is not None:
-            bump(diag_targets, f"J_{kind}_d{level}", values[:, nk:] - on_j)
-
-    coeffs = u.coeffs
-    if len(coeffs) > p + q + 1:
-        raise ValueError("length must not truncate stored coefficients")
-    centers = np.array(grid_l.points, dtype=complex)
-    block = max(1, _BLOCK_PAIRS // len(zkj))
-    hankel_min = math.inf
-    hankel_tau_max = 0.0
-    pade_everywhere = True
-    for start in range(0, len(centers), block):
-        zeta = centers[start : start + block]
-        series = np.zeros((len(zeta), p + q + 1), dtype=complex)
-        series[:, : len(coeffs)] = recentered_coefficients(coeffs, u.center, zeta)
-        values, scales, thresholds, exists = hankel_test(series, p, q, tol)
-        hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
-        hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
-        w = zkj - zeta[:, None]
-
-        partial = series[:, : p + 1]
+    def __init__(self, centers: np.ndarray, compacts, levels: int, tol: ToleranceConfig):
+        self.centers = centers
+        self.levels = levels
+        self.tol = tol
+        self.points = np.concatenate([points for points, *_ in compacts])
+        self.parts = []  # (columns of the compact in points, taylor label, pade label, name)
+        start = 0
+        for points, _, *labels in compacts:
+            self.parts.append((slice(start, start + len(points)), *labels))
+            start += len(points)
+        # per level: the target derivative on each compact (None where it has none)
+        self.target_vals = []
         for l in range(levels + 1):
-            record("taylor", l, horner(partial, w))
-            partial = differentiate(partial)
-
-        failed = np.flatnonzero(~exists)
-        pade_everywhere = pade_everywhere and not len(failed)
-        rows = np.flatnonzero(exists)
-        if strict and len(failed):
-            rows = rows[rows < failed[0]]  # only these can raise before it
-        if len(rows):
-            sub, w_rows = series[rows], w[rows]
-            denom = pade_denominators(sub, p, q)
-            bz = horner(denom, w_rows)
-            poles = np.abs(bz) <= tol.tau_zero
-            hit = np.flatnonzero(poles.any(axis=1))
-            if len(hit):
-                col = int(np.argmax(poles[hit[0]]))
-                raise PoleProximityError(zkj[col], float(np.abs(bz[hit[0], col])))
-            numer = poly_mul(sub[:, : p + 1], denom)[:, : p + 1]
-            for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
-                record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
-        if strict and len(failed):
-            i = failed[0]
-            report = HankelReport(
-                complex(values[i]), p, q, complex(zeta[i]), False,
-                float(thresholds[i]), float(scales[i]),
+            derived = [(target.derivative(l), points) for points, target, *_ in compacts]
+            self.target_vals.append(
+                [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
             )
-            raise PadeNotExistError(report)
 
-    achieved = dict(sups)
-    if not pade_everywhere:
-        for key in ["3", "5"] + [f"id_pade_l{l}" for l in range(levels + 1)]:
-            achieved.pop(key)
+    def __call__(self, u: Polynomial, p: int, q: int, strict: bool) -> dict:
+        zkj, levels, tol = self.points, self.levels, self.tol
+        u_vals = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
+        sups: dict[str, float] = {}
+        for _, taylor, pade, _ in self.parts:
+            sups.update({taylor: 0.0, pade: 0.0})
+        sups.update({f"id_taylor_l{l}": 0.0 for l in range(levels + 1)})
+        sups.update({f"id_pade_l{l}": 0.0 for l in range(levels + 1)})
+        diag_targets: dict[str, float] = {}
 
-    diagnostics = dict(diag_targets)
-    diagnostics["hankel_tau_max"] = hankel_tau_max
-    for l in range(levels + 1):
-        diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals_kj[l])))
+        def bump(table: dict, key: str, deviation: np.ndarray) -> None:
+            table[key] = max(table.get(key, 0.0), float(np.max(np.abs(deviation))))
 
-    return {
-        "achieved": achieved,
-        "hankel_min": 0.0 if math.isinf(hankel_min) else float(hankel_min),
-        "hankel_ok": pade_everywhere,
-        "diagnostics": diagnostics,
-    }
+        def record(kind: str, level: int, values: np.ndarray) -> None:
+            bump(sups, f"id_{kind}_l{level}", values - u_vals[level])
+            for (cols, taylor, pade, name), target in zip(self.parts, self.target_vals[level]):
+                if level == 0:
+                    bump(sups, taylor if kind == "taylor" else pade, values[:, cols] - target)
+                elif target is not None:
+                    bump(diag_targets, f"{name}_{kind}_d{level}", values[:, cols] - target)
+
+        coeffs = u.coeffs
+        if len(coeffs) > p + q + 1:
+            raise ValueError("length must not truncate stored coefficients")
+        block = max(1, _BLOCK_PAIRS // len(zkj))
+        hankel_min = math.inf
+        hankel_tau_max = 0.0
+        pade_everywhere = True
+        for start in range(0, len(self.centers), block):
+            zeta = self.centers[start : start + block]
+            series = np.zeros((len(zeta), p + q + 1), dtype=complex)
+            series[:, : len(coeffs)] = recentered_coefficients(coeffs, u.center, zeta)
+            values, scales, thresholds, exists = hankel_test(series, p, q, tol)
+            hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
+            hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
+            w = zkj - zeta[:, None]
+
+            partial = series[:, : p + 1]
+            for l in range(levels + 1):
+                record("taylor", l, horner(partial, w))
+                partial = differentiate(partial)
+
+            failed = np.flatnonzero(~exists)
+            pade_everywhere = pade_everywhere and not len(failed)
+            rows = np.flatnonzero(exists)
+            if strict and len(failed):
+                rows = rows[rows < failed[0]]  # only these can raise before it
+            if len(rows):
+                sub, w_rows = series[rows], w[rows]
+                denom = pade_denominators(sub, p, q)
+                bz = horner(denom, w_rows)
+                poles = np.abs(bz) <= tol.tau_zero
+                hit = np.flatnonzero(poles.any(axis=1))
+                if len(hit):
+                    col = int(np.argmax(poles[hit[0]]))
+                    raise PoleProximityError(zkj[col], float(np.abs(bz[hit[0], col])))
+                numer = poly_mul(sub[:, : p + 1], denom)[:, : p + 1]
+                for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
+                    record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
+            if strict and len(failed):
+                i = failed[0]
+                report = HankelReport(
+                    complex(values[i]), p, q, complex(zeta[i]), False,
+                    float(thresholds[i]), float(scales[i]),
+                )
+                raise PadeNotExistError(report)
+
+        achieved = dict(sups)
+        if not pade_everywhere:
+            for _, _, pade, _ in self.parts:
+                achieved.pop(pade)
+            for l in range(levels + 1):
+                achieved.pop(f"id_pade_l{l}")
+
+        diagnostics = dict(diag_targets)
+        diagnostics["hankel_tau_max"] = hankel_tau_max
+        for l in range(levels + 1):
+            diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
+
+        return {
+            "achieved": achieved,
+            "hankel_min": 0.0 if math.isinf(hankel_min) else float(hankel_min),
+            "hankel_ok": pade_everywhere,
+            "diagnostics": diagnostics,
+        }
+
+
+def _requirement_measurement(
+    req: RequirementSpec, f_on_L: TargetFunction, grid_l: Grid, grid_k: Grid, grid_j: Grid,
+    tol: ToleranceConfig,
+) -> _Measurement:
+    """The measurement of a build: K against its target, J against ``f_on_L``."""
+    compacts = [
+        (grid_k.as_array(), req.target_on_K, "2", "3", "K"),
+        (grid_j.as_array(), f_on_L, "4", "5", "J"),
+    ]
+    return _Measurement(np.array(grid_l.points, dtype=complex), compacts, req.derivative_levels, tol)
 
 
 def _assemble_certificate(
@@ -581,8 +597,7 @@ def _assemble_certificate(
     achieved = measurement["achieved"]
     hankel_ok = measurement["hankel_ok"]
     sup_ok = all(v < requested for v in achieved.values())
-    complete = "3" in achieved and "5" in achieved
-    passed = bool(sup_ok and complete and hankel_ok and perturbation != 0)
+    passed = bool(sup_ok and hankel_ok and perturbation != 0)
     return Certificate(
         selected=selected,
         perturbation=perturbation,
@@ -600,8 +615,6 @@ def verify_construction(
     req: RequirementSpec,
     pq: tuple[int, int],
     f_on_L: TargetFunction,
-    j_compact: CompactSpec | None = None,
-    derivative_levels: int | None = None,
     perturbation: complex | None = None,
     fit_degree: int = -1,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -614,15 +627,10 @@ def verify_construction(
     selected degree, which is the perturbation the builders install there.
     """
     p, q = pq
-    levels = req.derivative_levels if derivative_levels is None else derivative_levels
-    grid_l = discretize(req.L)
-    grid_k = discretize(req.K)
-    grid_j = discretize(j_compact if j_compact is not None else req.inner_compact())
+    grids = discretize(req.L), discretize(req.K), discretize(req.inner_compact())
     if perturbation is None:
         perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
-    measurement = _measure_conclusions(
-        u, p, q, grid_l, grid_k, grid_j, req.target_on_K, f_on_L, levels, tol, strict=True
-    )
+    measurement = _requirement_measurement(req, f_on_L, *grids, tol)(u, p, q, strict=True)
     return _assemble_certificate(measurement, (p, q), perturbation, fit_degree, req.requested)
 
 
@@ -661,7 +669,7 @@ def _search_perturbation(measure, d0: float, requested: float):
     raise PerturbationFailedError(lo, hi, attempt)
 
 
-def _certify(candidates, measure, s: int, sup_abs: float, d_override) -> Certificate:
+def _certify(candidates, measure, s: int, sup_abs: float, d_override=None) -> Certificate:
     """First passing certificate over the index pairs ``candidates``.
 
     ``measure(d, p, q)`` returns the certificate for ``d`` at ``(p, q)`` and
@@ -722,7 +730,7 @@ def build_universal_polynomial(
     sup_k_abs = float(np.max(np.abs(grid_k.as_array())))
 
     best_residual = math.inf
-    fit_reached = False
+    measurement = None  # prepared at the first fit that clears the target
     last_perturbation_error: PerturbationFailedError | None = None
 
     for degree, fit in _fit_ramp(z, values, range(2, RAMP_CAP + 1, 2)):
@@ -730,14 +738,11 @@ def build_universal_polynomial(
         best_residual = min(best_residual, residual)
         if residual >= fit_target:
             continue
-        fit_reached = True
+        if measurement is None:
+            measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
 
         def measure(d: complex, p: int, q: int) -> tuple[Certificate, bool]:
-            u = fit.plus_monomial(d, p)
-            m = _measure_conclusions(
-                u, p, q, grid_l, grid_k, grid_j,
-                req.target_on_K, f_on_L, req.derivative_levels, tol, strict=False,
-            )
+            m = measurement(fit.plus_monomial(d, p), p, q, strict=False)
             cert = _assemble_certificate(m, (p, q), d, degree, requested)
             cert.diagnostics["fit_residual"] = residual
             return cert, m["hankel_ok"]
@@ -750,7 +755,7 @@ def build_universal_polynomial(
             continue
         return fit.plus_monomial(cert.perturbation, cert.selected[0]), cert
 
-    if not fit_reached:
+    if measurement is None:
         raise FitFailedError(fit_target, best_residual, RAMP_CAP)
     assert last_perturbation_error is not None
     raise last_perturbation_error
@@ -787,7 +792,6 @@ def extend_prefix(
     s: int,
     f_seq: IndexSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
-    d_override: complex | None = None,
 ) -> tuple[tuple[complex, ...], Certificate]:
     """Extend a coefficient prefix so the extension approximates ``psi``.
 
@@ -814,9 +818,12 @@ def extend_prefix(
             f"division by z^(n0+1) is impossible there"
         )
 
+    # the one-center case of a build: L = {0}, K only, no derivative levels,
+    # and the labels reversed ("3" is the Taylor sup, "2" the Pade sup)
+    measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, tol)
+    (psi_vals,) = measurement.target_vals[0]
     n0 = len(prefix) - 1
     base = Polynomial(prefix, 0.0)
-    psi_vals = np.asarray(psi.evaluate(z, tol))
     base_vals = base.eval(z)
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
@@ -853,45 +860,19 @@ def extend_prefix(
 
     def measure(d: complex, p_k: int, q_k: int) -> tuple[Certificate, bool]:
         coeffs = extension_coeffs(p_k, d)
-        h_poly = Polynomial(coeffs, 0.0)
-        series = h_poly.to_series(p_k + q_k + 1)
-        report = hankel_determinant(series, p_k, q_k, tol)
-        h_vals = h_poly.eval(z)
-        sup_taylor = float(np.max(np.abs(h_vals - psi_vals)))
-        achieved = {"3": sup_taylor}
-        if report.nonvanishing:
-            approximant = pade_approximant(series, p_k, q_k, tol)
-            achieved["2"] = float(np.max(np.abs(approximant.eval(z, tol) - psi_vals)))
+        m = measurement(Polynomial(coeffs, 0.0), p_k, q_k, strict=False)
+        cert = _assemble_certificate(m, (p_k, q_k), d, fit_degree, requested)
         prefix_metric = disagreement_metric(
             list(prefix) + [0j] * (len(coeffs) - len(prefix)), coeffs
         )
-        sup_ok = all(v < requested for v in achieved.values())
-        passed = bool(
-            sup_ok
-            and "2" in achieved
-            and report.nonvanishing
-            and d != 0
-            and prefix_metric < 0.5**n0
+        cert.passed = cert.passed and prefix_metric < 0.5**n0
+        cert.diagnostics.update(
+            prefix_metric=prefix_metric, prefix_length=float(len(prefix)), fit_residual=best
         )
-        cert = Certificate(
-            selected=(p_k, q_k),
-            perturbation=d,
-            fit_degree=fit_degree,
-            achieved=achieved,
-            requested=requested,
-            hankel_min=abs(report.value),
-            passed=passed,
-            diagnostics={
-                "prefix_metric": prefix_metric,
-                "prefix_length": float(len(prefix)),
-                "hankel_tau_max": report.threshold,
-                "fit_residual": best,
-            },
-        )
-        return cert, report.nonvanishing
+        return cert, m["hankel_ok"]
 
     candidates = candidate_indices(f_seq, min_degree, limit=INDEX_RETRY_LIMIT)
-    cert = _certify(candidates, measure, s, sup_abs, d_override)
+    cert = _certify(candidates, measure, s, sup_abs)
     return tuple(extension_coeffs(cert.selected[0], cert.perturbation)), cert
 
 

@@ -248,10 +248,14 @@ def recentered_coefficients(
     multiply does not), so a row does not depend on how many centers are
     shifted with it.  Each step of the shift updates one anti-diagonal of
     its ``(j, i)`` schedule, so ``len(coeffs) - 1`` array steps suffice.
+    When every shift is exactly zero the rows are ``coeffs`` unchanged: such
+    a shift could only turn a ``-0.0`` into ``+0.0``.
     """
     center = complex(center)
     d_re = centers.real - center.real
     d_im = centers.imag - center.imag
+    if not (d_re.any() or d_im.any()):
+        return np.repeat(coeffs[None], len(centers), axis=0)
     re = np.repeat(coeffs.real[:, None], len(centers), axis=1)
     im = np.repeat(coeffs.imag[:, None], len(centers), axis=1)
     for s in range(len(coeffs) - 2, -1, -1):
@@ -313,17 +317,14 @@ def coefficient_metric(a: Sequence[complex], b: Sequence[complex]) -> float:
     return total
 
 
-def disagreement_metric(
-    a: Sequence[complex], b: Sequence[complex], tol: float = 0.0
-) -> float:
+def disagreement_metric(a: Sequence[complex], b: Sequence[complex]) -> float:
     """Ultrametric ``2^-n0`` where ``n0`` is the first disagreeing index.
 
-    Returns 0.0 when the prefixes agree everywhere.  ``tol`` widens the
-    notion of agreement to ``|a_n - b_n| <= tol``; the default compares
-    exactly, which is what the ultrametric axioms require.
+    Returns 0.0 when the prefixes agree everywhere.  Agreement is exact
+    equality, which is what the ultrametric axioms require.
     """
     _check_same_length(a, b)
     for n, (x, y) in enumerate(zip(a, b)):
-        if abs(complex(x) - complex(y)) > tol:
+        if abs(complex(x) - complex(y)) > 0:
             return 0.5**n
     return 0.0

@@ -142,6 +142,32 @@ class TestBuildCommand:
             "5": {"stored": measured + 1e-6, "remeasured": measured}
         }
 
+    def test_verify_checks_the_perturbation(self, capsys, tmp_path):
+        # the stored perturbation is compared with the coefficient of u at p,
+        # not copied into the re-measured certificate
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        cert = record["certificates"][0]
+        p = cert["selected"][0]
+        installed = record["artifacts"]["universal_poly"]["coeffs"][p]
+        assert cert["perturbation"] == installed
+        cert["perturbation"] = [123.0, 0.0]
+        out.write_text(json.dumps(record))
+
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert code == 3
+        payload = json.loads(verify_out)
+        assert payload["match"] is False
+        assert payload["certificate"]["perturbation"] == installed
+        diag = json.loads(err)
+        assert diag["error"] == "verification-mismatch"
+        assert diag["deviating"] == {
+            "perturbation": {"stored": [123.0, 0.0], "remeasured": installed}
+        }
+
     def test_verify_accepts_record_with_retired_tolerance(self, capsys, tmp_path):
         # records written while ToleranceConfig still had tau_residual keep verifying
         scenario = tmp_path / "scenario.json"

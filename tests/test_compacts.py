@@ -12,13 +12,11 @@ from pade_universal.compacts import (
     PointSet,
     Segment,
     discretize,
-    double_sup,
     exhausting_family,
     grid_domain_distance,
     grids_min_distance,
     outer_family,
     spec_region_contains,
-    sup_norm,
 )
 from pade_universal.errors import EmptyResultError, EmptySpecError
 from pade_universal.series import Polynomial
@@ -73,6 +71,11 @@ class TestDiscretize:
             FilledDisk(0.0, -1.0)
 
 
+def sup_norm(g, grid) -> float:
+    """``max |g(z)|`` over the grid points."""
+    return float(np.max(np.abs(g(grid.as_array()))))
+
+
 class TestSupNorms:
     def test_constant_zero(self):
         grid = discretize(CompactSpec([Segment(2.0, 3.0)], 16))
@@ -110,30 +113,17 @@ class TestSupNorms:
 
 
 class TestDoubleSup:
-    def test_zero_function(self):
-        l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 16))
-        k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 16))
-        value, pair = double_sup(lambda zeta, z: np.zeros_like(z), l_grid, k_grid)
-        assert value == 0.0
-        assert pair == (l_grid.points[0], k_grid.points[0])
-
-    def test_monotone_product(self):
-        l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 64))
-        k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 64))
-        value, (zeta, z) = double_sup(lambda zeta, zz: abs(zeta) * np.abs(zz), l_grid, k_grid)
-        assert abs(value - 1.2) <= 1e-12
-        assert abs(abs(zeta) - 0.4) <= 1e-12
-        assert z == 3.0
+    """The sup over a product grid L x K, taken center by center."""
 
     def test_recentering_invariance(self, rng):
         poly = Polynomial(random_coefficients(rng, 9, bound=1.0))
         l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 16))
         k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 32))
-
-        def diff(zeta, z):
-            return poly.recenter(zeta).eval(z) - poly.eval(z)
-
-        value, _ = double_sup(diff, l_grid, k_grid)
+        z = k_grid.as_array()
+        value = max(
+            float(np.max(np.abs(poly.recenter(zeta).eval(z) - poly.eval(z))))
+            for zeta in l_grid.points
+        )
         assert value <= 1e-10
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -395,7 +396,7 @@ class TestVerify:
         req = desk_requirement(levels=2)
         u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)
         plain = verify_construction(
-            u, req, cert.selected, F_ON_L, derivative_levels=0,
+            u, dataclasses.replace(req, derivative_levels=0), cert.selected, F_ON_L,
             perturbation=cert.perturbation, fit_degree=cert.fit_degree,
         )
         for key in ("2", "3", "4", "5"):

@@ -1,0 +1,259 @@
+"""Parity of prefix extensions with the scalar closure that measured them.
+
+Extensions are the one-center case of the blocked verifier: L = {0}, K
+alone, derivative level 0, with the labels "3" (Taylor) and "2" (Pade).
+``oracle_extension_measure`` is the closure they used before, built from the
+public scalar API only (``hankel_determinant``, ``pade_approximant``,
+``disagreement_metric``).  Every quantity it reports must come out bit for
+bit the same through the shared path, with the same decisions and the same
+errors at the same point; the shared path adds only ``id_taylor_l0``,
+``id_pade_l0`` (both exactly 0.0) and ``sup_u_d0``.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+import pytest
+
+from pade_universal import construct
+from pade_universal.compacts import Circle, CompactSpec, FilledDisk, Segment, discretize
+from pade_universal.construct import (
+    Certificate,
+    ExtensionRequirement,
+    IndexSequence,
+    RequirementSpec,
+    TargetFunction,
+    _Measurement,
+    build_universal_polynomial,
+    extend_prefix,
+    run_extension_schedule,
+)
+from pade_universal.errors import PerturbationFailedError, PoleProximityError
+from pade_universal.pade import hankel_determinant, pade_approximant
+from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
+
+CIRCLE_K = CompactSpec([Circle(2.0, 0.5)], 64)
+GREEDY_F = IndexSequence([(k, k % 3) for k in range(61)])
+#: Added by the perturbation search to the certificate it returns.
+SEARCH_KEYS = {"d_window_lo", "d_window_hi", "d_attempts"}
+
+
+def oracle_extension_measure(prefix, coeffs, d, pq, z, psi_vals, fit_degree, fit_residual,
+                             requested, tol=DEFAULT_TOL):
+    """The scalar extension closure: one Hankel test and one approximant at 0."""
+    p_k, q_k = pq
+    n0 = len(prefix) - 1
+    h_poly = Polynomial(coeffs, 0.0)
+    series = h_poly.to_series(p_k + q_k + 1)
+    report = hankel_determinant(series, p_k, q_k, tol)
+    h_vals = h_poly.eval(z)
+    achieved = {"3": float(np.max(np.abs(h_vals - psi_vals)))}
+    if report.nonvanishing:
+        approximant = pade_approximant(series, p_k, q_k, tol)
+        achieved["2"] = float(np.max(np.abs(approximant.eval(z, tol) - psi_vals)))
+    prefix_metric = disagreement_metric(
+        list(prefix) + [0j] * (len(coeffs) - len(prefix)), coeffs
+    )
+    passed = bool(
+        all(v < requested for v in achieved.values())
+        and "2" in achieved
+        and report.nonvanishing
+        and d != 0
+        and prefix_metric < 0.5**n0
+    )
+    cert = Certificate(
+        selected=(p_k, q_k),
+        perturbation=d,
+        fit_degree=fit_degree,
+        achieved=achieved,
+        requested=requested,
+        hankel_min=abs(report.value),
+        passed=passed,
+        diagnostics={
+            "prefix_metric": prefix_metric,
+            "prefix_length": float(len(prefix)),
+            "hankel_tau_max": report.threshold,
+            "fit_residual": fit_residual,
+        },
+    )
+    return cert, report.nonvanishing
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class Spy:
+    """Records every extension measurement: ``steps`` holds one list per
+    ``_certify`` call, each entry ``(d, pq, cert, hankel_ok, coeffs)`` with
+    ``coeffs`` the polynomial the shared measurement was handed."""
+
+    def __init__(self, monkeypatch):
+        self.steps: list[list] = []
+        self.measures: list = []
+        self._coeffs: list = []
+        call, certify = construct._Measurement.__call__, construct._certify
+
+        def spied_call(measurement, u, p, q, strict):
+            self._coeffs.append(u.coeffs.tolist())
+            return call(measurement, u, p, q, strict)
+
+        def spied_certify(candidates, measure, *args, **kwargs):
+            calls = []
+            self.steps.append(calls)
+
+            def recorded(d, p, q):
+                cert, ok = measure(d, p, q)
+                calls.append((d, (p, q), cert, ok, self._coeffs[-1]))
+                return cert, ok
+
+            self.measures.append(recorded)
+            return certify(candidates, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(construct._Measurement, "__call__", spied_call)
+        monkeypatch.setattr(construct, "_certify", spied_certify)
+
+
+def assert_matches_oracle(calls, prefix, k_compact, psi, s):
+    """Each recorded extension certificate against the closure's."""
+    z = discretize(k_compact).as_array()
+    psi_vals = np.asarray(psi.evaluate(z))
+    for d, pq, cert, ok, coeffs in calls:
+        old, old_ok = oracle_extension_measure(
+            prefix, coeffs, d, pq, z, psi_vals,
+            cert.fit_degree, cert.diagnostics["fit_residual"], 1.0 / s,
+        )
+        assert ok == old_ok
+        assert (cert.selected, cert.perturbation, cert.passed) == (
+            old.selected, old.perturbation, old.passed
+        )
+        assert same_bits(cert.hankel_min, old.hankel_min)
+        assert cert.requested == old.requested and cert.fit_degree == old.fit_degree
+        for key, value in old.achieved.items():
+            assert same_bits(cert.achieved[key], value), key
+        for key, value in old.diagnostics.items():
+            assert same_bits(cert.diagnostics[key], value), key
+        added = set(cert.achieved) - set(old.achieved)
+        assert added == ({"id_taylor_l0", "id_pade_l0"} if "2" in old.achieved
+                         else {"id_taylor_l0"})
+        assert all(cert.achieved[key] == 0.0 for key in added)
+        assert set(cert.diagnostics) - set(old.diagnostics) - SEARCH_KEYS == {"sup_u_d0"}
+
+
+@pytest.mark.parametrize("w", [0.5, 0.8, 1.0, 1.2])
+def test_desk_greedy_steps(w, monkeypatch):
+    """The benchmark's three-step greedy schedule, and extra measurements of
+    each step at a q = 0 pair, at a tiny and a huge ``d``."""
+    reciprocal = TargetFunction.rational([w], [0.0, 1.0])
+    quadratic = TargetFunction.poly([w, 0.0, 0.5 * w])
+    schedule = [
+        ExtensionRequirement(CIRCLE_K, reciprocal, 10),
+        ExtensionRequirement(CIRCLE_K, quadratic, 50),
+        ExtensionRequirement(CIRCLE_K, reciprocal, 100),
+    ]
+    spy = Spy(monkeypatch)
+    coeffs, certs = run_extension_schedule([0.0], schedule, GREEDY_F)
+    assert all(cert.passed for cert in certs)
+    prefix_length = 1
+    for step, cert, measure, calls in zip(schedule, certs, spy.measures, spy.steps):
+        p, q = cert.selected
+        d = cert.perturbation
+        for extra in ((d, p + 3 - p % 3, 0), (1e-30 * d, p, q), (1e6 * d, p, q),
+                      (1e-30 * d, p, 2)):
+            measure(*extra)
+        assert_matches_oracle(calls, coeffs[:prefix_length], step.K, step.psi, step.s)
+        prefix_length = p + 1
+    measured = [call for calls in spy.steps for call in calls]
+    assert any(pq[1] == 0 and cert.passed for _, pq, cert, _, _ in measured)
+    assert any(not cert.passed and ok for _, _, cert, ok, _ in measured)
+
+
+def test_hankel_failure_drops_the_pade_sup(monkeypatch):
+    """q = 2: a ``d`` small against the coefficient below it fails the Hankel
+    test, so "2" is absent and the search moves ``d`` up."""
+    spy = Spy(monkeypatch)
+    psi = TargetFunction.rational([1.5], [0.0, 1.0])
+    f_seq = IndexSequence([(k, 2) for k in range(61)])
+    _, cert = extend_prefix([0.0], CIRCLE_K, psi, 1000, f_seq)
+    assert cert.passed and cert.diagnostics["d_attempts"] > 1
+    (calls,) = spy.steps
+    failed = [c for c in calls if not c[3]]
+    assert failed and all("2" not in c[2].achieved and not c[2].passed for c in failed)
+    assert_matches_oracle(calls, [0.0], CIRCLE_K, psi, 1000)
+
+
+def test_prefix_metric_failure(monkeypatch):
+    """A prefix of 1100 coefficients: ``2^-n0`` underflows to 0.0, so the
+    prefix gate fails although every sup and the Hankel test pass."""
+    spy = Spy(monkeypatch)
+    k_compact = CompactSpec([Circle(0.0, 1.0)], 64)
+    psi = TargetFunction.poly([0.0])
+    prefix = [0.0] * 1100
+    with pytest.raises(PerturbationFailedError):
+        extend_prefix(prefix, k_compact, psi, 10, IndexSequence([(1100, 1), (1101, 0)]))
+    (calls,) = spy.steps
+    assert len(calls) == 2
+    for _, _, cert, ok, _ in calls:
+        assert ok and not cert.passed
+        assert all(v < cert.requested for v in cert.achieved.values())
+    assert_matches_oracle(calls, prefix, k_compact, psi, 10)
+
+
+def test_pole_next_to_k_raises_at_the_same_point():
+    """A (3, 1) approximant at 0 with its pole on the 5th point of K."""
+    z = discretize(CIRCLE_K).as_array()
+    psi = TargetFunction.rational([1.0], [0.0, 1.0])
+    coeffs = [0j, 0j, 0j, complex(z[5]), 1.0 + 0j]
+    measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
+                               DEFAULT_TOL)
+    with pytest.raises(PoleProximityError) as old:
+        oracle_extension_measure([0j], coeffs, 1.0, (3, 1), z, psi.evaluate(z), 0, 0.0, 0.1)
+    with pytest.raises(PoleProximityError) as new:
+        measurement(Polynomial(coeffs), 3, 1, strict=False)
+    assert complex(new.value.point) == complex(old.value.point) == z[5]
+    assert new.value.args == old.value.args
+
+
+class TestTargetEvaluations:
+    """Targets are evaluated once per requirement, not once per ``d`` tried."""
+
+    @staticmethod
+    def count(monkeypatch) -> list:
+        seen = []
+        evaluate = TargetFunction.evaluate
+
+        def counted(self, *args, **kwargs):
+            seen.append(self)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(TargetFunction, "evaluate", counted)
+        return seen
+
+    def test_build(self, monkeypatch):
+        outer = TargetFunction.poly([0.5, -0.2 + 1j, -0.3 - 0.6j])
+        inner = TargetFunction.rational([1.0], [-1.0 + 1.73j, -1.0])
+        req = RequirementSpec(
+            K=CompactSpec([Segment(2.0, 3.0)], 64), target_on_K=outer,
+            L=CompactSpec([FilledDisk(0.0, 0.4)], 16), s=50, derivative_levels=1,
+            J=CompactSpec([FilledDisk(0.0, 0.6)], 64),
+        )
+        seen = self.count(monkeypatch)
+        _, cert = build_universal_polynomial(
+            req, inner, IndexSequence([(k, 1 + k % 2) for k in range(61)])
+        )
+        assert cert.passed and cert.diagnostics["d_attempts"] > 1
+        # the fit: K, L and J; the measurement: K and J, and their derivatives
+        assert sum(t is outer for t in seen) == 2
+        assert sum(t is inner for t in seen) == 3
+        assert len(seen) == 7
+
+    def test_extension(self, monkeypatch):
+        psi = TargetFunction.rational([1.5], [0.0, 1.0])
+        seen = self.count(monkeypatch)
+        f_seq = IndexSequence([(k, 2) for k in range(61)])
+        _, cert = extend_prefix([0.0], CIRCLE_K, psi, 1000, f_seq)
+        assert cert.passed and cert.diagnostics["d_attempts"] > 1
+        # once, for the fit and the measurement
+        assert len(seen) == 1 and seen[0] is psi

@@ -31,8 +31,8 @@ from pade_universal.construct import (
     IndexSequence,
     RequirementSpec,
     TargetFunction,
+    _Measurement,
     _assemble_certificate,
-    _measure_conclusions,
     build_universal_polynomial,
     verify_construction,
 )
@@ -150,6 +150,16 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     return measurement, approximants
 
 
+def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict):
+    """The blocked verifier, prepared for a build's K and J and called once."""
+    compacts = [
+        (grid_k.as_array(), target_k, "2", "3", "K"),
+        (grid_j.as_array(), target_j, "4", "5", "J"),
+    ]
+    measurement = _Measurement(np.array(grid_l.points, dtype=complex), compacts, levels, tol)
+    return measurement(u, p, q, strict=strict)
+
+
 def horner_bounds(approximants, zkj, levels):
     """Per level ``l``: the Horner rounding bound of ``P_l / B^(l+1)``."""
     bounds = [0.0] * (levels + 1)
@@ -181,7 +191,7 @@ def assert_parity(u, pq, req, f_on_l, strict=True):
     grid_l, grid_k, grid_j = grids(req)
     args = (u, p, q, grid_l, grid_k, grid_j, req.target_on_K, f_on_l, levels, DEFAULT_TOL)
     old, approximants = oracle_measure(*args, strict)
-    new = _measure_conclusions(*args, strict=strict)
+    new = blocked_measure(*args, strict=strict)
 
     assert new["hankel_ok"] == old["hankel_ok"]
     assert list(new["achieved"]) == list(old["achieved"])
@@ -267,6 +277,19 @@ class TestKernels:
             want = scalar_recenter(u.coeffs.tolist(), complex(zeta) - u.center)
             assert row.tolist() == want
             assert np.array_equal(u.recenter(zeta).coeffs, row)
+
+    def test_zero_shift_keeps_the_coefficients(self, rng):
+        # every center at the polynomial's own center: the rows are the
+        # coefficients, equal to the scalar shift by 0 (which may only turn
+        # a -0.0 into +0.0, and == does not tell those apart)
+        coeffs = random_coefficients(rng, 25) + [complex(-0.0, 1.0), complex(2.0, -0.0)]
+        u = Polynomial(coeffs, 0.1 - 0.2j)
+        rows = recentered_coefficients(u.coeffs, u.center, np.full(3, u.center))
+        want = scalar_recenter(u.coeffs.tolist(), 0j)
+        assert rows.shape == (3, 27)
+        for row in rows:
+            assert row.tolist() == want
+            assert np.array_equal(row, u.coeffs)
 
     def test_horner_is_bitwise(self, rng):
         coeffs = np.array([random_coefficients(rng, 24) for _ in range(7)])
@@ -362,7 +385,7 @@ class TestErrorsAndMasking:
         with pytest.raises(PadeNotExistError) as old:
             oracle_measure(*args, True)
         with pytest.raises(PadeNotExistError) as new:
-            _measure_conclusions(*args, strict=True)
+            blocked_measure(*args, strict=True)
         assert new.value.report == old.value.report
         assert new.value.report.center == discretize(req.L).points[7]
 
@@ -377,7 +400,7 @@ class TestErrorsAndMasking:
         with pytest.raises(PoleProximityError) as old:
             oracle_measure(*args, False)
         with pytest.raises(PoleProximityError) as new:
-            _measure_conclusions(*args, strict=True)
+            blocked_measure(*args, strict=True)
         assert complex(new.value.point) == complex(old.value.point) == pole
 
 
@@ -393,7 +416,7 @@ class TestErrorsAndMasking:
             args = (u, 3, 1, *grids(req), req.target_on_K, F_ON_L, 2, tol)
             outcomes = []
             for measure in (lambda: oracle_measure(*args, strict),
-                            lambda: _measure_conclusions(*args, strict=strict)):
+                            lambda: blocked_measure(*args, strict=strict)):
                 try:
                     measure()
                     outcomes.append(None)
