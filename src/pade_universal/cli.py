@@ -14,6 +14,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 import functools
 import json
 import sys
@@ -62,6 +63,7 @@ from .series import (
     Polynomial,
     ToleranceConfig,
     coeffs_from_json,
+    coeffs_to_json,
     complex_to_pair,
     pair_to_complex,
 )
@@ -109,9 +111,7 @@ def _load_series(args) -> FormalPowerSeries:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    if getattr(args, "tau_det", None) is not None:
-        return ToleranceConfig(tau_det=args.tau_det)
-    return DEFAULT_TOL
+    return DEFAULT_TOL if args.tau_det is None else ToleranceConfig(tau_det=args.tau_det)
 
 
 def _add_series_arguments(parser) -> None:
@@ -159,6 +159,18 @@ def _write_record(record: RunRecord, path: str | None) -> None:
         sys.stdout.write(dumps_canonical(record.to_json()))
 
 
+def _write_extension(scenario, coeffs, certificates, tol, path) -> int:
+    """Write the record of a prefix extension run; the exit code of its certificates."""
+    record = RunRecord(
+        scenario=scenario,
+        certificates=certificates,
+        environment=environment_stamp(tol),
+        artifacts={"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))},
+    )
+    _write_record(record, path)
+    return EXIT_OK if all(c.passed for c in certificates) else EXIT_PERTURBATION
+
+
 def _cmd_build(args) -> int:
     scenario = _read_json(args.scenario)
     req = RequirementSpec.from_json(scenario["requirement"])
@@ -190,14 +202,7 @@ def _cmd_seleznev(args) -> int:
     f_seq = IndexSequence.from_json(scenario["F"])
     tol = _tolerances(args)
     coeffs, cert = extend_prefix(prefix, k_compact, psi, int(scenario["s"]), f_seq, tol)
-    record = RunRecord(
-        scenario=scenario,
-        certificates=[cert],
-        environment=environment_stamp(tol),
-        artifacts={"coefficients": [[c.real, c.imag] for c in coeffs]},
-    )
-    _write_record(record, args.out)
-    return EXIT_OK if cert.passed else EXIT_PERTURBATION
+    return _write_extension(scenario, coeffs, [cert], tol, args.out)
 
 
 def _cmd_greedy(args) -> int:
@@ -207,14 +212,7 @@ def _cmd_greedy(args) -> int:
     f_seq = IndexSequence.from_json(scenario["F"])
     tol = _tolerances(args)
     coeffs, certs = run_extension_schedule(prefix, schedule, f_seq, tol)
-    record = RunRecord(
-        scenario=scenario,
-        certificates=certs,
-        environment=environment_stamp(tol),
-        artifacts={"coefficients": [[c.real, c.imag] for c in coeffs]},
-    )
-    _write_record(record, args.out)
-    return EXIT_OK if all(c.passed for c in certs) else EXIT_PERTURBATION
+    return _write_extension(scenario, coeffs, certs, tol, args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -226,7 +224,13 @@ def _cmd_verify(args) -> int:
     f_on_l = TargetFunction.from_json(scenario["f_on_L"])
     u = Polynomial.from_json(record.artifacts["universal_poly"])
     stored = record.certificates[0]
-    tol = _tolerances(args)
+    # re-measured under the tolerances the record was built with; retired ones are ignored
+    known = {f.name for f in fields(ToleranceConfig)}
+    try:
+        stamped = record.environment.get("tolerances", {})
+        tol = ToleranceConfig(**{k: v for k, v in stamped.items() if k in known})
+    except (AttributeError, TypeError) as exc:
+        raise SchemaError(f"malformed tolerances: {exc}") from exc
     # the perturbation is re-read from the polynomial, not copied from the record
     cert = verify_construction(
         u, req, stored.selected, f_on_l, fit_degree=stored.fit_degree, tol=tol
@@ -301,27 +305,21 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--out")
     p_table.set_defaults(func=_cmd_table)
 
-    p_build = sub.add_parser("build", help="build a certified universal polynomial")
-    p_build.add_argument("--scenario", required=True)
-    p_build.add_argument("--out")
-    p_build.add_argument("--tau-det", type=float, dest="tau_det")
-    p_build.set_defaults(func=_cmd_build)
+    for name, func, help_text in (
+        ("build", _cmd_build, "build a certified universal polynomial"),
+        ("seleznev", _cmd_seleznev, "extend a coefficient prefix against a compact target"),
+        ("greedy", _cmd_greedy, "run a schedule of prefix extensions"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--scenario", required=True)
+        p_run.add_argument("--out")
+        p_run.add_argument("--tau-det", type=float, dest="tau_det")
+        p_run.set_defaults(func=func)
 
-    p_sel = sub.add_parser("seleznev", help="extend a coefficient prefix against a compact target")
-    p_sel.add_argument("--scenario", required=True)
-    p_sel.add_argument("--out")
-    p_sel.add_argument("--tau-det", type=float, dest="tau_det")
-    p_sel.set_defaults(func=_cmd_seleznev)
-
-    p_greedy = sub.add_parser("greedy", help="run a schedule of prefix extensions")
-    p_greedy.add_argument("--scenario", required=True)
-    p_greedy.add_argument("--out")
-    p_greedy.add_argument("--tau-det", type=float, dest="tau_det")
-    p_greedy.set_defaults(func=_cmd_greedy)
-
-    p_verify = sub.add_parser("verify", help="re-measure a saved build record")
+    p_verify = sub.add_parser(
+        "verify", help="re-measure a saved build record under its recorded tolerances"
+    )
     p_verify.add_argument("--run", required=True)
-    p_verify.add_argument("--tau-det", type=float, dest="tau_det")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_family = sub.add_parser("family", help="generate compact families for a domain")

@@ -16,10 +16,13 @@ points, grown by the columns each new degree needs, and one least-squares
 solve per degree; each builder chooses its degrees and weight and keeps
 its own residual and stop rule.
 
-One measurement path certifies everything: a :class:`_Measurement`, the
-sup over the product grid L x (K u J) at every derivative level, prepared
-once per requirement (its targets evaluated once) and called for each
-polynomial a search tries.  It takes the centers of L in blocks and
+One certificate path follows the fit: each builder hands its fitted
+polynomial to ``_certify``, the only code that builds a trial
+``u = fit + d z^p`` and judges it.  The judge is a :class:`_Measurement`,
+the sup over the product grid L x (K u J) at every derivative level,
+prepared once per requirement (its targets evaluated once) and called for
+each polynomial a search tries; it returns the :class:`Certificate`, so
+the pass rule lives in one place.  It takes the centers of L in blocks and
 measures each block with the array kernels of :mod:`.series` and
 :mod:`.pade` (stacked recentering, Hankel test, denominator solve and
 Horner evaluation) instead of one scalar approximant per center.  Builds
@@ -43,7 +46,6 @@ from .errors import (
     OriginInKError,
     PadeNotExistError,
     PerturbationFailedError,
-    PoleProximityError,
     ScheduleStepError,
 )
 from .pade import (
@@ -172,7 +174,7 @@ class TargetFunction:
             # scaled threshold: unlike a Pade denominator (b_0 = 1), a
             # target's denominator carries no normalization
             scale = float(np.max(np.abs(self.denom.coeffs)))
-            return self.numer.eval(z) / _off_poles(self.denom, z, tol.tau_zero * scale)
+            return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, tol.tau_zero * scale)
         if self.kind == "table":
             zz = np.atleast_1d(np.asarray(z, dtype=complex))
             pts = np.array(self.points, dtype=complex)
@@ -417,6 +419,17 @@ class Certificate:
     passed: bool
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def sup_ok(self) -> bool:
+        """Every achieved sup lies below ``requested``."""
+        return all(v < self.requested for v in self.achieved.values())
+
+    @property
+    def hankel_ok(self) -> bool:
+        """The Hankel test held at every center: the Pade-side sups are
+        recorded exactly then."""
+        return "id_pade_l0" in self.achieved
+
     def to_json(self) -> dict:
         return {
             "selected": [self.selected[0], self.selected[1]],
@@ -455,9 +468,11 @@ class _Measurement:
     and its derivatives are evaluated here, once; a call measures one
     polynomial.
 
-    A call returns raw measurements; certificate assembly and pass/fail
-    logic live with the callers.  With ``strict`` a vanishing Hankel
-    determinant at any center raises; otherwise it is reported so a
+    A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
+    ``requested``: it passes when :attr:`Certificate.sup_ok` and
+    :attr:`Certificate.hankel_ok` hold and the perturbation is nonzero.
+    With ``strict`` a vanishing Hankel determinant at any center raises;
+    otherwise the Pade-side sups are left out of ``achieved`` so a
     perturbation search can react.
 
     The centers are measured in blocks of ``_BLOCK_PAIRS // points``, each
@@ -470,10 +485,13 @@ class _Measurement:
     point in compact order.
     """
 
-    def __init__(self, centers: np.ndarray, compacts, levels: int, tol: ToleranceConfig):
+    def __init__(
+        self, centers: np.ndarray, compacts, levels: int, tol: ToleranceConfig, requested: float
+    ):
         self.centers = centers
         self.levels = levels
         self.tol = tol
+        self.requested = requested
         self.points = np.concatenate([points for points, *_ in compacts])
         self.parts = []  # (columns of the compact in points, taylor label, pade label, name)
         start = 0
@@ -488,7 +506,9 @@ class _Measurement:
                 [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
             )
 
-    def __call__(self, u: Polynomial, p: int, q: int, strict: bool) -> dict:
+    def __call__(
+        self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int, strict: bool
+    ) -> Certificate:
         zkj, levels, tol = self.points, self.levels, self.tol
         u_vals = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
         sups: dict[str, float] = {}
@@ -538,12 +558,7 @@ class _Measurement:
             if len(rows):
                 sub, w_rows = series[rows], w[rows]
                 denom = pade_denominators(sub, p, q)
-                bz = horner(denom, w_rows)
-                poles = np.abs(bz) <= tol.tau_zero
-                hit = np.flatnonzero(poles.any(axis=1))
-                if len(hit):
-                    col = int(np.argmax(poles[hit[0]]))
-                    raise PoleProximityError(zkj[col], float(np.abs(bz[hit[0], col])))
+                bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
                 numer = poly_mul(sub[:, : p + 1], denom)[:, : p + 1]
                 for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
                     record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
@@ -567,12 +582,13 @@ class _Measurement:
         for l in range(levels + 1):
             diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
 
-        return {
-            "achieved": achieved,
-            "hankel_min": 0.0 if math.isinf(hankel_min) else float(hankel_min),
-            "hankel_ok": pade_everywhere,
-            "diagnostics": diagnostics,
-        }
+        hankel_min = 0.0 if math.isinf(hankel_min) else float(hankel_min)
+        cert = Certificate(
+            (p, q), perturbation, fit_degree, achieved, self.requested, hankel_min, False,
+            diagnostics,
+        )
+        cert.passed = bool(cert.sup_ok and cert.hankel_ok and perturbation != 0)
+        return cert
 
 
 def _requirement_measurement(
@@ -584,30 +600,8 @@ def _requirement_measurement(
         (grid_k.as_array(), req.target_on_K, "2", "3", "K"),
         (grid_j.as_array(), f_on_L, "4", "5", "J"),
     ]
-    return _Measurement(np.array(grid_l.points, dtype=complex), compacts, req.derivative_levels, tol)
-
-
-def _assemble_certificate(
-    measurement: dict,
-    selected: tuple[int, int],
-    perturbation: complex,
-    fit_degree: int,
-    requested: float,
-) -> Certificate:
-    achieved = measurement["achieved"]
-    hankel_ok = measurement["hankel_ok"]
-    sup_ok = all(v < requested for v in achieved.values())
-    passed = bool(sup_ok and hankel_ok and perturbation != 0)
-    return Certificate(
-        selected=selected,
-        perturbation=perturbation,
-        fit_degree=fit_degree,
-        achieved=achieved,
-        requested=requested,
-        hankel_min=measurement["hankel_min"],
-        passed=passed,
-        diagnostics=measurement["diagnostics"],
-    )
+    centers = np.array(grid_l.points, dtype=complex)
+    return _Measurement(centers, compacts, req.derivative_levels, tol, req.requested)
 
 
 def verify_construction(
@@ -630,36 +624,33 @@ def verify_construction(
     grids = discretize(req.L), discretize(req.K), discretize(req.inner_compact())
     if perturbation is None:
         perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
-    measurement = _requirement_measurement(req, f_on_L, *grids, tol)(u, p, q, strict=True)
-    return _assemble_certificate(measurement, (p, q), perturbation, fit_degree, req.requested)
+    measurement = _requirement_measurement(req, f_on_L, *grids, tol)
+    return measurement(u, p, q, perturbation, fit_degree, strict=True)
 
 
-def _search_perturbation(measure, d0: float, requested: float):
+def _search_perturbation(measure, d0: float):
     """Find ``|d|`` whose certificate passes, moving geometrically.
 
-    ``measure(d)`` returns the certificate for ``d`` and whether the Hankel
-    test held.  A sup-bound violation sends the search down, a Hankel
-    violation sends it up; once both walls are known it bisects in log
-    scale.  Returns the passing certificate or raises with the established
-    window.
+    ``measure(d)`` returns the certificate for ``d``; its
+    :attr:`~Certificate.sup_ok` and :attr:`~Certificate.hankel_ok` steer the
+    search.  A sup-bound violation sends it down, a Hankel violation sends
+    it up; once both walls are known it bisects in log scale.  Returns the
+    passing certificate or raises with the established window.
     """
     lo = 0.0  # largest magnitude known to fail the Hankel floor
     hi = math.inf  # smallest magnitude known to break a sup bound
     d = d0
-    last = None
     for attempt in range(1, PERTURBATION_ATTEMPTS + 1):
-        cert, hankel_ok = measure(d)
-        last = cert
+        cert = measure(d)
         if cert.passed:
             cert.diagnostics["d_window_lo"] = lo
             cert.diagnostics["d_window_hi"] = hi if math.isfinite(hi) else None
             cert.diagnostics["d_attempts"] = attempt
             return cert
-        gated_ok = all(v < requested for v in cert.achieved.values())
-        if not hankel_ok and gated_ok:
+        if not cert.hankel_ok and cert.sup_ok:
             lo = max(lo, d)
             d = math.sqrt(lo * hi) if math.isfinite(hi) else d * 2.0
-        elif hankel_ok and not gated_ok:
+        elif cert.hankel_ok and not cert.sup_ok:
             hi = min(hi, d)
             d = math.sqrt(lo * hi) if lo > 0.0 else d / 2.0
         else:
@@ -669,24 +660,40 @@ def _search_perturbation(measure, d0: float, requested: float):
     raise PerturbationFailedError(lo, hi, attempt)
 
 
-def _certify(candidates, measure, s: int, sup_abs: float, d_override=None) -> Certificate:
-    """First passing certificate over the index pairs ``candidates``.
+def _certify(
+    fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement, s: int,
+    sup_abs: float, fit_degree: int, diagnostics: dict, d_override=None,
+) -> tuple[Polynomial, Certificate]:
+    """``u = fit + d z^p`` and its passing certificate, for the first index
+    pair ``(p, q)`` with ``p > min_degree`` whose search succeeds.
 
-    ``measure(d, p, q)`` returns the certificate for ``d`` at ``(p, q)`` and
-    whether the Hankel test held.  Each pair's search starts from
+    The one place a trial is built and judged: every ``d`` tried is measured
+    as ``measurement(fit.plus_monomial(d, p), ...)``, with ``diagnostics``
+    (the builder's fit residual) added to its certificate.  At most
+    ``INDEX_RETRY_LIMIT`` pairs are tried, each search starting from
     ``d0 = 1 / (2 s sup_abs^p)``.  With ``d_override`` the first pair is
     measured at that value, passing or not.  Re-raises the last
     :class:`PerturbationFailedError` when no pair passes.
     """
+
+    def measure(d: complex, p: int, q: int) -> Certificate:
+        cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree, strict=False)
+        cert.diagnostics.update(diagnostics)
+        return cert
+
     last_error: PerturbationFailedError | None = None
-    for p, q in candidates:
+    for p, q in candidate_indices(f_seq, min_degree, INDEX_RETRY_LIMIT):
         if d_override is not None:
-            return measure(d_override, p, q)[0]
-        d0 = 1.0 / (2.0 * s * sup_abs**p)
-        try:
-            return _search_perturbation(lambda d: measure(d, p, q), d0, 1.0 / s)
-        except PerturbationFailedError as exc:
-            last_error = exc
+            cert = measure(d_override, p, q)
+        else:
+            try:
+                cert = _search_perturbation(
+                    lambda d: measure(d, p, q), 1.0 / (2.0 * s * sup_abs**p)
+                )
+            except PerturbationFailedError as exc:
+                last_error = exc
+                continue
+        return fit.plus_monomial(cert.perturbation, p), cert
     assert last_error is not None
     raise last_error
 
@@ -725,8 +732,7 @@ def build_universal_polynomial(
     ]
     z = np.concatenate([points for points, _ in pieces])
     values = np.concatenate([vals for _, vals in pieces])
-    requested = req.requested
-    fit_target = requested / 2.0
+    fit_target = req.requested / 2.0
     sup_k_abs = float(np.max(np.abs(grid_k.as_array())))
 
     best_residual = math.inf
@@ -740,20 +746,13 @@ def build_universal_polynomial(
             continue
         if measurement is None:
             measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
-
-        def measure(d: complex, p: int, q: int) -> tuple[Certificate, bool]:
-            m = measurement(fit.plus_monomial(d, p), p, q, strict=False)
-            cert = _assemble_certificate(m, (p, q), d, degree, requested)
-            cert.diagnostics["fit_residual"] = residual
-            return cert, m["hankel_ok"]
-
-        candidates = candidate_indices(f_seq, fit.array_degree(), limit=INDEX_RETRY_LIMIT)
         try:
-            cert = _certify(candidates, measure, req.s, sup_k_abs, d_override)
+            return _certify(
+                fit, fit.array_degree(), f_seq, measurement, req.s, sup_k_abs, degree,
+                {"fit_residual": residual}, d_override,
+            )
         except PerturbationFailedError as exc:
             last_perturbation_error = exc
-            continue
-        return fit.plus_monomial(cert.perturbation, cert.selected[0]), cert
 
     if measurement is None:
         raise FitFailedError(fit_target, best_residual, RAMP_CAP)
@@ -801,8 +800,11 @@ def extend_prefix(
     ``0`` off K), the pair ``(p_k, q_k)`` comes from the index sequence with
     ``p_k`` above every occupied degree, and ``d != 0`` is shrunk until both
     the sup bound ``1/s`` on K and Hankel nonvanishing at 0 hold.  The
-    prefix survives verbatim, so the extension stays within ``2^-n0`` of the
-    input in the disagreement metric.
+    fitted ``prefix_poly + t(z) z^(n0+1)`` goes through the same
+    ``_certify`` as a build's fit.  Every term after the prefix sits above
+    ``n0``, so the prefix survives verbatim and the extension stays within
+    ``2^-n0`` of the input in the disagreement metric; this is checked once,
+    on the returned extension.
     """
     if s < 1:
         raise ValueError("precision parameter s must be >= 1")
@@ -820,7 +822,10 @@ def extend_prefix(
 
     # the one-center case of a build: L = {0}, K only, no derivative levels,
     # and the labels reversed ("3" is the Taylor sup, "2" the Pade sup)
-    measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, tol)
+    requested = 1.0 / s
+    measurement = _Measurement(
+        np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, tol, requested
+    )
     (psi_vals,) = measurement.target_vals[0]
     n0 = len(prefix) - 1
     base = Polynomial(prefix, 0.0)
@@ -828,7 +833,6 @@ def extend_prefix(
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
 
-    requested = 1.0 / s
     fit_target = requested / 2.0
     best = math.inf
     correction = None
@@ -845,35 +849,23 @@ def extend_prefix(
     if correction is None:
         raise FitFailedError(fit_target, best, RAMP_CAP)
 
-    t_degree = correction.array_degree()
-    occupied = t_degree + n0 + 1 if t_degree != float("-inf") else float("-inf")
-    min_degree = max(occupied, n0)
+    # the correction up to its last nonzero term; "+ 0.0" writes its exact
+    # zeros as +0.0, so no -0.0 reaches the records
+    tail = np.trim_zeros(correction.coeffs, "b") + 0.0
+    fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
     sup_abs = float(np.max(np.abs(z)))
-
-    def extension_coeffs(p_k: int, d: complex) -> list[complex]:
-        coeffs = list(prefix) + [0j] * (p_k + 1 - len(prefix))
-        for i, c in enumerate(correction.coeffs.tolist()):
-            if c != 0:
-                coeffs[n0 + 1 + i] += c
-        coeffs[p_k] += d
-        return coeffs
-
-    def measure(d: complex, p_k: int, q_k: int) -> tuple[Certificate, bool]:
-        coeffs = extension_coeffs(p_k, d)
-        m = measurement(Polynomial(coeffs, 0.0), p_k, q_k, strict=False)
-        cert = _assemble_certificate(m, (p_k, q_k), d, fit_degree, requested)
-        prefix_metric = disagreement_metric(
-            list(prefix) + [0j] * (len(coeffs) - len(prefix)), coeffs
-        )
-        cert.passed = cert.passed and prefix_metric < 0.5**n0
-        cert.diagnostics.update(
-            prefix_metric=prefix_metric, prefix_length=float(len(prefix)), fit_residual=best
-        )
-        return cert, m["hankel_ok"]
-
-    candidates = candidate_indices(f_seq, min_degree, limit=INDEX_RETRY_LIMIT)
-    cert = _certify(candidates, measure, s, sup_abs)
-    return tuple(extension_coeffs(cert.selected[0], cert.perturbation)), cert
+    u, cert = _certify(
+        fitted, len(fitted.coeffs) - 1, f_seq, measurement, s, sup_abs, fit_degree,
+        {"fit_residual": best},
+    )
+    # every term the search adds sits above n0: the prefix is checked once, on u
+    padded = np.zeros_like(u.coeffs)
+    padded[: n0 + 1] = base.coeffs
+    cert.passed = cert.passed and np.array_equal(u.coeffs[: n0 + 1], base.coeffs)
+    cert.diagnostics.update(
+        prefix_metric=disagreement_metric(padded, u.coeffs), prefix_length=float(n0 + 1)
+    )
+    return tuple(u.coeffs.tolist()), cert
 
 
 def run_extension_schedule(

@@ -67,17 +67,14 @@ class HankelReport:
         }
 
 
-def _off_poles(denom: Polynomial, z, tau_zero: float):
-    """``denom(z)``; raises :class:`PoleProximityError` where ``|denom(z)| <= tau_zero``."""
-    bz = denom.eval(z)
-    if np.ndim(z) == 0:
-        if abs(bz) <= tau_zero:
-            raise PoleProximityError(z, abs(bz))
-        return bz
+def _off_poles(bz, z, tau_zero: float):
+    """Denominator values ``bz`` at ``z`` (broadcast against them), checked: raises
+    :class:`PoleProximityError` at the first entry in row-major order with ``|bz| <= tau_zero``."""
     bad = np.abs(bz) <= tau_zero
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise PoleProximityError(np.asarray(z).ravel()[idx], float(np.abs(bz).ravel()[idx]))
+        point = np.broadcast_to(z, np.shape(bz)).ravel()[idx]
+        raise PoleProximityError(point, float(np.abs(bz).ravel()[idx]))
     return bz
 
 
@@ -111,7 +108,7 @@ class RationalFunction:
 
     def eval(self, z, tol: ToleranceConfig = DEFAULT_TOL):
         """Evaluate ``A(z)/B(z)``; raises near the poles."""
-        return self.numer.eval(z) / _off_poles(self.denom, z, tol.tau_zero)
+        return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, tol.tau_zero)
 
     def __call__(self, z, tol: ToleranceConfig = DEFAULT_TOL):
         return self.eval(z, tol)
@@ -374,7 +371,7 @@ class RationalDerivativeEvaluator:
         self.numerator = Polynomial(numer, r.center)
 
     def __call__(self, z):
-        bz = _off_poles(self.denom, z, self.tol.tau_zero)
+        bz = _off_poles(self.denom.eval(z), z, self.tol.tau_zero)
         return self.numerator.eval(z) / bz ** (self.order + 1)
 
 

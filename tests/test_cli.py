@@ -183,6 +183,44 @@ class TestBuildCommand:
         assert code == 0
         assert json.loads(verify_out)["match"] is True
 
+    def test_verify_remeasures_under_the_recorded_tolerances(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        argv = ("build", "--scenario", str(scenario), "--out", str(out), "--tau-det", "1e-3")
+        assert run(capsys, *argv)[0] == 0
+        record = json.loads(out.read_text())
+        assert record["environment"]["tolerances"]["tau_det"] == 1e-3
+        stored = record["certificates"][0]["diagnostics"]["hankel_tau_max"]
+
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        assert code == 0
+        payload = json.loads(verify_out)
+        assert payload["match"] is True
+        assert payload["certificate"]["diagnostics"]["hankel_tau_max"] == stored
+
+    def test_verify_refuses_malformed_tolerances(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        record["environment"]["tolerances"]["tau_det"] = "1e-3"
+        out.write_text(json.dumps(record))
+
+        code, _, err = run(capsys, "verify", "--run", str(out))
+        assert code == 1
+        assert json.loads(err)["error"] == "schema"
+
+    def test_verify_takes_no_tolerance_option(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        code, _, err = run(capsys, "verify", "--run", str(out), "--tau-det", "1e-3")
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+
     def test_short_index_sequence_exits_five(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario(f_max=2)))

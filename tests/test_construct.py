@@ -416,7 +416,7 @@ class TestVerify:
         # sup ceiling is ever met
         cert = Certificate((3, 0), 1.0, 2, {}, 1.0, 0.0, False)
         with pytest.raises(PerturbationFailedError) as info:
-            _search_perturbation(lambda d: (cert, False), 1.0, 1.0)
+            _search_perturbation(lambda d: cert, 1.0)
         assert info.value.hi == math.inf
         assert "sup ceiling ~inf" in str(info.value)
 

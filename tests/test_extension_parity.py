@@ -7,7 +7,11 @@ public scalar API only (``hankel_determinant``, ``pade_approximant``,
 ``disagreement_metric``).  Every quantity it reports must come out bit for
 bit the same through the shared path, with the same decisions and the same
 errors at the same point; the shared path adds only ``id_taylor_l0``,
-``id_pade_l0`` (both exactly 0.0) and ``sup_u_d0``.
+``id_pade_l0`` (both exactly 0.0) and ``sup_u_d0``.  The prefix
+diagnostics are measured once, on the returned extension, and compared
+there.  The closure's prefix gate ``prefix_metric < 0.5**n0`` underflowed
+for prefixes of 1076 or more coefficients; the shared path checks the
+prefix by index instead (``test_long_prefix_is_kept_verbatim``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pade_universal.construct import (
     extend_prefix,
     run_extension_schedule,
 )
-from pade_universal.errors import PerturbationFailedError, PoleProximityError
+from pade_universal.errors import PoleProximityError
 from pade_universal.pade import hankel_determinant, pade_approximant
 from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
 
@@ -38,6 +42,8 @@ CIRCLE_K = CompactSpec([Circle(2.0, 0.5)], 64)
 GREEDY_F = IndexSequence([(k, k % 3) for k in range(61)])
 #: Added by the perturbation search to the certificate it returns.
 SEARCH_KEYS = {"d_window_lo", "d_window_hi", "d_attempts"}
+#: Added by ``extend_prefix`` to the certificate it returns.
+PREFIX_KEYS = {"prefix_metric", "prefix_length"}
 
 
 def oracle_extension_measure(prefix, coeffs, d, pq, z, psi_vals, fit_degree, fit_residual,
@@ -87,45 +93,54 @@ def same_bits(a: float, b: float) -> bool:
 
 class Spy:
     """Records every extension measurement: ``steps`` holds one list per
-    ``_certify`` call, each entry ``(d, pq, cert, hankel_ok, coeffs)`` with
-    ``coeffs`` the polynomial the shared measurement was handed."""
+    ``_certify`` call, each entry ``(cert, coeffs)`` with ``coeffs`` the
+    polynomial the shared measurement was handed.  ``measures`` holds per
+    step a ``measure(d, p, q)`` that measures one more trial the way that
+    step's ``_certify`` does, rebuilt from the ``(fit, measurement,
+    fit_degree, diagnostics)`` it received, and records it with the step."""
 
     def __init__(self, monkeypatch):
         self.steps: list[list] = []
         self.measures: list = []
-        self._coeffs: list = []
+        self._active: list = []
         call, certify = construct._Measurement.__call__, construct._certify
 
-        def spied_call(measurement, u, p, q, strict):
-            self._coeffs.append(u.coeffs.tolist())
-            return call(measurement, u, p, q, strict)
+        def spied_call(measurement, u, p, q, perturbation, fit_degree, strict):
+            cert = call(measurement, u, p, q, perturbation, fit_degree, strict)
+            self._active.append((cert, u.coeffs.tolist()))
+            return cert
 
-        def spied_certify(candidates, measure, *args, **kwargs):
+        def spied_certify(fit, min_degree, f_seq, measurement, s, sup_abs, fit_degree,
+                          diagnostics, *args):
             calls = []
             self.steps.append(calls)
 
-            def recorded(d, p, q):
-                cert, ok = measure(d, p, q)
-                calls.append((d, (p, q), cert, ok, self._coeffs[-1]))
-                return cert, ok
+            def measure(d, p, q):
+                self._active = calls
+                cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree, strict=False)
+                cert.diagnostics.update(diagnostics)
+                return cert
 
-            self.measures.append(recorded)
-            return certify(candidates, recorded, *args, **kwargs)
+            self.measures.append(measure)
+            self._active = calls
+            return certify(fit, min_degree, f_seq, measurement, s, sup_abs, fit_degree,
+                           diagnostics, *args)
 
         monkeypatch.setattr(construct._Measurement, "__call__", spied_call)
         monkeypatch.setattr(construct, "_certify", spied_certify)
 
 
 def assert_matches_oracle(calls, prefix, k_compact, psi, s):
-    """Each recorded extension certificate against the closure's."""
+    """Each recorded extension certificate against the closure's; the
+    prefix diagnostics only where a certificate carries them."""
     z = discretize(k_compact).as_array()
     psi_vals = np.asarray(psi.evaluate(z))
-    for d, pq, cert, ok, coeffs in calls:
+    for cert, coeffs in calls:
         old, old_ok = oracle_extension_measure(
-            prefix, coeffs, d, pq, z, psi_vals,
+            prefix, coeffs, cert.perturbation, cert.selected, z, psi_vals,
             cert.fit_degree, cert.diagnostics["fit_residual"], 1.0 / s,
         )
-        assert ok == old_ok
+        assert cert.hankel_ok == old_ok
         assert (cert.selected, cert.perturbation, cert.passed) == (
             old.selected, old.perturbation, old.passed
         )
@@ -134,12 +149,14 @@ def assert_matches_oracle(calls, prefix, k_compact, psi, s):
         for key, value in old.achieved.items():
             assert same_bits(cert.achieved[key], value), key
         for key, value in old.diagnostics.items():
-            assert same_bits(cert.diagnostics[key], value), key
+            if key in cert.diagnostics or key not in PREFIX_KEYS:
+                assert same_bits(cert.diagnostics[key], value), key
         added = set(cert.achieved) - set(old.achieved)
         assert added == ({"id_taylor_l0", "id_pade_l0"} if "2" in old.achieved
                          else {"id_taylor_l0"})
         assert all(cert.achieved[key] == 0.0 for key in added)
-        assert set(cert.diagnostics) - set(old.diagnostics) - SEARCH_KEYS == {"sup_u_d0"}
+        extra = set(cert.diagnostics) - set(old.diagnostics) - SEARCH_KEYS
+        assert extra == {"sup_u_d0"}
 
 
 @pytest.mark.parametrize("w", [0.5, 0.8, 1.0, 1.2])
@@ -160,14 +177,16 @@ def test_desk_greedy_steps(w, monkeypatch):
     for step, cert, measure, calls in zip(schedule, certs, spy.measures, spy.steps):
         p, q = cert.selected
         d = cert.perturbation
+        assert PREFIX_KEYS <= set(cert.diagnostics)
+        assert any(trial is cert for trial, _ in calls)
         for extra in ((d, p + 3 - p % 3, 0), (1e-30 * d, p, q), (1e6 * d, p, q),
                       (1e-30 * d, p, 2)):
             measure(*extra)
         assert_matches_oracle(calls, coeffs[:prefix_length], step.K, step.psi, step.s)
         prefix_length = p + 1
-    measured = [call for calls in spy.steps for call in calls]
-    assert any(pq[1] == 0 and cert.passed for _, pq, cert, _, _ in measured)
-    assert any(not cert.passed and ok for _, _, cert, ok, _ in measured)
+    measured = [trial for calls in spy.steps for trial, _ in calls]
+    assert any(cert.selected[1] == 0 and cert.passed for cert in measured)
+    assert any(not cert.passed and cert.hankel_ok for cert in measured)
 
 
 def test_hankel_failure_drops_the_pade_sup(monkeypatch):
@@ -179,26 +198,29 @@ def test_hankel_failure_drops_the_pade_sup(monkeypatch):
     _, cert = extend_prefix([0.0], CIRCLE_K, psi, 1000, f_seq)
     assert cert.passed and cert.diagnostics["d_attempts"] > 1
     (calls,) = spy.steps
-    failed = [c for c in calls if not c[3]]
-    assert failed and all("2" not in c[2].achieved and not c[2].passed for c in failed)
+    failed = [trial for trial, _ in calls if not trial.hankel_ok]
+    assert failed and all("2" not in c.achieved and not c.passed for c in failed)
     assert_matches_oracle(calls, [0.0], CIRCLE_K, psi, 1000)
 
 
-def test_prefix_metric_failure(monkeypatch):
-    """A prefix of 1100 coefficients: ``2^-n0`` underflows to 0.0, so the
-    prefix gate fails although every sup and the Hankel test pass."""
+def test_long_prefix_is_kept_verbatim(monkeypatch):
+    """A prefix of 1100 coefficients, where ``2^-n0`` underflows to 0.0 (the
+    closure's prefix gate failed here): the extension certifies at the first
+    pair and first ``d``, and keeps the prefix bit for bit."""
     spy = Spy(monkeypatch)
     k_compact = CompactSpec([Circle(0.0, 1.0)], 64)
     psi = TargetFunction.poly([0.0])
     prefix = [0.0] * 1100
-    with pytest.raises(PerturbationFailedError):
-        extend_prefix(prefix, k_compact, psi, 10, IndexSequence([(1100, 1), (1101, 0)]))
-    (calls,) = spy.steps
-    assert len(calls) == 2
-    for _, _, cert, ok, _ in calls:
-        assert ok and not cert.passed
-        assert all(v < cert.requested for v in cert.achieved.values())
-    assert_matches_oracle(calls, prefix, k_compact, psi, 10)
+    coeffs, cert = extend_prefix(prefix, k_compact, psi, 10, IndexSequence([(1100, 1), (1101, 0)]))
+    assert cert.passed and cert.selected == (1100, 1)
+    assert cert.diagnostics["d_attempts"] == 1
+    assert len(coeffs) == 1101 and coeffs[1100] == cert.perturbation != 0
+    kept = np.array(coeffs[:1100]).view(np.uint64)
+    assert np.array_equal(kept, np.array(prefix, dtype=complex).view(np.uint64))
+    assert cert.diagnostics["prefix_length"] == 1100.0
+    assert cert.diagnostics["prefix_metric"] == 0.5**1100 == 0.0
+    ((trial, _),) = spy.steps[0]
+    assert trial is cert and trial.hankel_ok and trial.sup_ok
 
 
 def test_pole_next_to_k_raises_at_the_same_point():
@@ -207,11 +229,11 @@ def test_pole_next_to_k_raises_at_the_same_point():
     psi = TargetFunction.rational([1.0], [0.0, 1.0])
     coeffs = [0j, 0j, 0j, complex(z[5]), 1.0 + 0j]
     measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
-                               DEFAULT_TOL)
+                               DEFAULT_TOL, 0.1)
     with pytest.raises(PoleProximityError) as old:
         oracle_extension_measure([0j], coeffs, 1.0, (3, 1), z, psi.evaluate(z), 0, 0.0, 0.1)
     with pytest.raises(PoleProximityError) as new:
-        measurement(Polynomial(coeffs), 3, 1, strict=False)
+        measurement(Polynomial(coeffs), 3, 1, 1.0, 0, strict=False)
     assert complex(new.value.point) == complex(old.value.point) == z[5]
     assert new.value.args == old.value.args
 

@@ -32,7 +32,6 @@ from pade_universal.construct import (
     RequirementSpec,
     TargetFunction,
     _Measurement,
-    _assemble_certificate,
     build_universal_polynomial,
     verify_construction,
 )
@@ -150,14 +149,25 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     return measurement, approximants
 
 
-def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict):
-    """The blocked verifier, prepared for a build's K and J and called once."""
+def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict,
+                    requested=1.0):
+    """The blocked verifier, prepared for a build's K and J against
+    ``requested`` and called once at perturbation 1.0; returns the fields of
+    its certificate."""
     compacts = [
         (grid_k.as_array(), target_k, "2", "3", "K"),
         (grid_j.as_array(), target_j, "4", "5", "J"),
     ]
-    measurement = _Measurement(np.array(grid_l.points, dtype=complex), compacts, levels, tol)
-    return measurement(u, p, q, strict=strict)
+    centers = np.array(grid_l.points, dtype=complex)
+    measurement = _Measurement(centers, compacts, levels, tol, requested)
+    cert = measurement(u, p, q, 1.0, 0, strict=strict)
+    return {
+        "achieved": cert.achieved,
+        "hankel_min": cert.hankel_min,
+        "hankel_ok": cert.hankel_ok,
+        "diagnostics": cert.diagnostics,
+        "passed": cert.passed,
+    }
 
 
 def horner_bounds(approximants, zkj, levels):
@@ -191,14 +201,15 @@ def assert_parity(u, pq, req, f_on_l, strict=True):
     grid_l, grid_k, grid_j = grids(req)
     args = (u, p, q, grid_l, grid_k, grid_j, req.target_on_K, f_on_l, levels, DEFAULT_TOL)
     old, approximants = oracle_measure(*args, strict)
-    new = blocked_measure(*args, strict=strict)
+    new = blocked_measure(*args, strict=strict, requested=req.requested)
 
     assert new["hankel_ok"] == old["hankel_ok"]
     assert list(new["achieved"]) == list(old["achieved"])
     assert list(new["diagnostics"]) == list(old["diagnostics"])
     assert new["hankel_min"] == old["hankel_min"]
-    decisions = [_assemble_certificate(m, pq, 1.0, 0, req.requested).passed for m in (old, new)]
-    assert decisions[0] == decisions[1]
+    # the pass rule at a nonzero perturbation: every sup in bounds, Hankel everywhere
+    sup_ok = all(v < req.requested for v in old["achieved"].values())
+    assert new["passed"] == (sup_ok and old["hankel_ok"])
 
     zkj = np.concatenate([grid_k.as_array(), grid_j.as_array()])
     bounds = horner_bounds(approximants, zkj, levels)

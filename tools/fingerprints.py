@@ -3,19 +3,25 @@
 Usage, from the root of a checkout:
 
     python3 tools/fingerprints.py --workload wide|desk|table --seeds 101-105
+    python3 tools/fingerprints.py --workload demos
 
 Runs every cycle of one pass of the workload for each seed, with the
 workloads of this checkout's ``perfbench/workloads.py`` and the program of
-its ``src/``, and prints ``<seed> <cycle> <sha256>`` per cycle.  Running it
-in two checkouts and diffing the outputs checks that a change keeps every
-output bit-identical.  BLAS runs on one thread, as in the benchmark.
+its ``src/``, and prints ``<seed> <cycle> <sha256>`` per cycle.  The
+``demos`` workload runs each ``demos/*.py`` with this checkout's ``src/``
+first on ``PYTHONPATH`` and prints ``<demo> <sha256 of its stdout>``; it
+takes no seeds and fails when a demo does.  Running it in two checkouts
+and diffing the outputs checks that a change keeps every output
+bit-identical.  BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -31,11 +37,31 @@ def _seeds(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
+def _demos() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    for demo in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        done = subprocess.run(
+            [sys.executable, demo], cwd=ROOT, env=env, capture_output=True, timeout=600
+        )
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr.decode(errors="replace"))
+            return 1
+        print(os.path.basename(demo), hashlib.sha256(done.stdout).hexdigest(), flush=True)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=["wide", "desk", "table"])
-    parser.add_argument("--seeds", required=True, type=_seeds, help="one seed N or a range A-B")
+    parser.add_argument("--workload", required=True, choices=["wide", "desk", "table", "demos"])
+    parser.add_argument("--seeds", type=_seeds, help="one seed N or a range A-B")
     args = parser.parse_args(argv)
+    if args.workload == "demos":
+        return _demos()
+    if args.seeds is None:
+        parser.error(f"--seeds is required for the {args.workload} workload")
 
     import workloads
 
