@@ -2,11 +2,15 @@
 
 Compact sets are described by a small catalog of primitives (filled disks,
 circles, segments, annulus sectors, explicit point sets) and realized as
-finite grids by a deterministic sampler.  Sups over compacts are taken as
-maxima over the grids, by the verifier of :mod:`.construct`; tolerance
-budgets elsewhere include a refinement margin for this discretization.
-Connected complements are guaranteed by the curated catalog, not verified
-topologically.
+finite grids by a deterministic sampler.  There is one point-set
+representation: a :class:`Grid` holds its points as one read-only
+complex128 array, sampled per primitive in array form (equal angles, equal
+spacing, rings and polar meshes), and the membership and distance tests
+take arrays of points and answer in one array pass.  Sups over compacts
+are taken as maxima over the grids, by the verifier of :mod:`.construct`;
+tolerance budgets elsewhere include a refinement margin for this
+discretization.  Connected complements are guaranteed by the curated
+catalog, not verified topologically.
 """
 
 from __future__ import annotations
@@ -115,18 +119,15 @@ class CompactSpec:
         return cls([_primitive_from_json(obj)], samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Finite sample of a compact set."""
+    """Finite sample of a compact set: ``points`` is a read-only 1-D
+    complex128 array."""
 
-    points: tuple[complex, ...]
-    source: CompactSpec
+    points: np.ndarray
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=complex)
 
 
 def _primitive_to_json(p: Primitive) -> dict:
@@ -171,53 +172,54 @@ def _primitive_from_json(obj: dict) -> Primitive:
     raise ValueError(f"unknown primitive kind {kind!r}")
 
 
-def _sample_circle(c: Circle, n: int) -> list[complex]:
-    return [c.center + c.radius * np.exp(2j * math.pi * k / n) for k in range(n)]
+def _spaced(a, b, n: int) -> np.ndarray:
+    """``n`` equally spaced values from ``a`` to ``b``, both ends included."""
+    return a + (b - a) * (np.arange(n) / (n - 1))
 
 
-def _sample_segment(s: Segment, n: int) -> list[complex]:
-    if n == 1:
-        return [s.a]
-    return [s.a + (s.b - s.a) * (k / (n - 1)) for k in range(n)]
+def _ring(center: complex, radius, angles: np.ndarray) -> np.ndarray:
+    """Points at ``angles`` on the circle (or, for an array of radii, on the
+    concentric circles) about ``center``."""
+    return center + radius * np.exp(1j * angles)
 
 
-def _sample_filled_disk(d: FilledDisk, n: int) -> list[complex]:
-    """Center plus concentric rings; the boundary ring is always included.
-
-    Ring ``j`` of ``m`` sits at radius ``r j/m`` and receives a share of the
-    budget proportional to ``j``, so the boundary carries the most points.
-    """
-    if d.radius == 0:
-        return [d.center]
-    m = max(2, int(round(math.sqrt(n / 2.0))))
-    weights = m * (m + 1) // 2
-    budget = n - 1
-    counts = [max(1, (budget * j) // weights) for j in range(1, m + 1)]
-    # hand any remainder to the boundary ring
-    counts[-1] += budget - sum(counts)
-    pts = [d.center]
-    for j, cnt in enumerate(counts, start=1):
-        radius = d.radius * j / m
-        pts.extend(d.center + radius * np.exp(2j * math.pi * k / cnt) for k in range(cnt))
-    return pts
+def _equal_angles(n: int, start: float = 0.0) -> np.ndarray:
+    return start + TWO_PI * np.arange(n) / n
 
 
-def _sample_annulus_sector(a: AnnulusSector, n: int) -> list[complex]:
-    full_circle = (a.theta_b - a.theta_a) >= TWO_PI - 1e-12
-    m_r = max(2, int(round(math.sqrt(n / 4.0))) + 1)
-    per_ring = max(4, n // m_r)
-    pts: list[complex] = []
-    for i in range(m_r):
-        radius = a.r_in + (a.r_out - a.r_in) * (i / (m_r - 1))
-        if full_circle:
-            angles = [a.theta_a + TWO_PI * k / per_ring for k in range(per_ring)]
+def _sample(p: Primitive, n: int) -> np.ndarray:
+    """The grid of one primitive at ``n`` samples, as an array."""
+    if isinstance(p, Circle):
+        return _ring(p.center, p.radius, _equal_angles(n))
+    if isinstance(p, Segment):
+        return _spaced(p.a, p.b, n)
+    if isinstance(p, FilledDisk):
+        # center plus ring j of m at radius r j/m, with a share of the budget
+        # proportional to j, so the boundary ring carries the most points
+        if p.radius == 0:
+            return np.array([p.center], dtype=complex)
+        m = max(2, int(round(math.sqrt(n / 2.0))))
+        weights = m * (m + 1) // 2
+        budget = n - 1
+        counts = [max(1, (budget * j) // weights) for j in range(1, m + 1)]
+        # hand any remainder to the boundary ring
+        counts[-1] += budget - sum(counts)
+        rings = [
+            _ring(p.center, p.radius * j / m, _equal_angles(cnt))
+            for j, cnt in enumerate(counts, start=1)
+        ]
+        return np.concatenate([[p.center], *rings])
+    if isinstance(p, AnnulusSector):
+        m_r = max(2, int(round(math.sqrt(n / 4.0))) + 1)
+        per_ring = max(4, n // m_r)
+        if (p.theta_b - p.theta_a) >= TWO_PI - 1e-12:
+            angles = _equal_angles(per_ring, p.theta_a)
         else:
-            angles = [
-                a.theta_a + (a.theta_b - a.theta_a) * (k / (per_ring - 1))
-                for k in range(per_ring)
-            ]
-        pts.extend(a.center + radius * np.exp(1j * t) for t in angles)
-    return pts
+            angles = _spaced(p.theta_a, p.theta_b, per_ring)
+        return _ring(p.center, _spaced(p.r_in, p.r_out, m_r)[:, None], angles).ravel()
+    if isinstance(p, PointSet):
+        return np.array(p.points, dtype=complex)
+    raise TypeError(f"unknown primitive {p!r}")
 
 
 def discretize(spec: CompactSpec) -> Grid:
@@ -230,21 +232,9 @@ def discretize(spec: CompactSpec) -> Grid:
     if not spec.primitives:
         raise EmptySpecError("compact spec has no primitives")
     n = spec.samples_per_primitive
-    pts: list[complex] = []
-    for p in spec.primitives:
-        if isinstance(p, Circle):
-            pts.extend(_sample_circle(p, n))
-        elif isinstance(p, Segment):
-            pts.extend(_sample_segment(p, n))
-        elif isinstance(p, FilledDisk):
-            pts.extend(_sample_filled_disk(p, n))
-        elif isinstance(p, AnnulusSector):
-            pts.extend(_sample_annulus_sector(p, n))
-        elif isinstance(p, PointSet):
-            pts.extend(p.points)
-        else:
-            raise TypeError(f"unknown primitive {p!r}")
-    return Grid(tuple(pts), spec)
+    points = np.concatenate([_sample(p, n) for p in spec.primitives], dtype=complex)
+    points.flags.writeable = False
+    return Grid(points)
 
 
 @dataclass(frozen=True)
@@ -277,26 +267,17 @@ class DomainSpec:
     def unit_normal(self) -> complex:
         return self.normal / abs(self.normal)
 
-    def distance_from(self, z: complex) -> float:
-        """Distance from ``z`` to the closure of the domain (0 inside)."""
+    def distance_from(self, z) -> np.ndarray:
+        """Distance from each point of ``z`` to the closure of the domain
+        (0 inside)."""
+        z = np.asarray(z, dtype=complex)
         if self.kind == "disk":
-            return max(0.0, abs(z - self.center) - self.radius)
+            return np.maximum(0.0, _abs(z - self.center) - self.radius)
         if self.kind == "half_plane":
-            u = self.unit_normal()
-            return max(0.0, (np.conj(u) * z).real - self.offset)
+            return np.maximum(0.0, (np.conj(self.unit_normal()) * z).real - self.offset)
         if self.kind == "disk_complement":
-            return max(0.0, self.radius - abs(z - self.center))
-        return min(max(0.0, abs(z - c) - r) for c, r in self.disks)
-
-    def contains(self, z: complex) -> bool:
-        if self.kind == "disk":
-            return abs(z - self.center) < self.radius
-        if self.kind == "half_plane":
-            u = self.unit_normal()
-            return (np.conj(u) * z).real < self.offset
-        if self.kind == "disk_complement":
-            return abs(z - self.center) > self.radius
-        return any(abs(z - c) < r for c, r in self.disks)
+            return np.maximum(0.0, self.radius - _abs(z - self.center))
+        return np.min([np.maximum(0.0, _abs(z - c) - r) for c, r in self.disks], axis=0)
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -438,50 +419,50 @@ def outer_family(
 
 def grid_domain_distance(grid: Grid, domain: DomainSpec) -> float:
     """Smallest distance from a grid point to the closure of the domain."""
-    return min(domain.distance_from(z) for z in grid.points)
+    return float(np.min(domain.distance_from(grid.points)))
 
 
 def grids_min_distance(a: Grid, b: Grid) -> float:
     """Smallest pairwise distance between two grids."""
-    za = a.as_array()[:, None]
-    zb = b.as_array()[None, :]
-    return float(np.min(np.abs(za - zb)))
+    return float(np.min(np.abs(a.points[:, None] - b.points[None, :])))
 
 
-def spec_region_contains(spec: CompactSpec, z: complex, pad: float = 1e-9) -> bool:
-    """Whether ``z`` lies in the pointwise region described by ``spec``.
+def _abs(z: np.ndarray) -> np.ndarray:
+    """``|z|`` rounded as Python's ``abs`` of a complex rounds it (numpy's
+    complex ``abs`` can differ in the last place)."""
+    return np.hypot(z.real, z.imag)
 
-    Membership is primitive-wise with a ``pad`` slack; used by monotonicity
-    checks, not by numerical kernels.
+
+def spec_region_contains(spec: CompactSpec, z, pad: float = 1e-9) -> np.ndarray:
+    """Whether each point of ``z`` lies in the region described by ``spec``.
+
+    Membership is primitive-wise with a ``pad`` slack; used by overlap and
+    monotonicity checks, not by numerical kernels.  Angles of partial
+    annulus sectors come from ``np.arctan2``, which may differ from
+    ``math.atan2`` in the last place: only a point within an ulp of
+    ``theta +- pad`` can tell.
     """
+    z = np.asarray(z, dtype=complex)
+    inside = np.zeros(z.shape, dtype=bool)
     for p in spec.primitives:
         if isinstance(p, FilledDisk):
-            if abs(z - p.center) <= p.radius + pad:
-                return True
+            inside |= _abs(z - p.center) <= p.radius + pad
         elif isinstance(p, Circle):
-            if abs(abs(z - p.center) - p.radius) <= pad:
-                return True
+            inside |= np.abs(_abs(z - p.center) - p.radius) <= pad
         elif isinstance(p, Segment):
             d = p.b - p.a
-            if abs(d) == 0:
-                if abs(z - p.a) <= pad:
-                    return True
-                continue
-            t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2
-            t = min(1.0, max(0.0, t))
-            if abs(z - (p.a + t * d)) <= pad:
-                return True
+            t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2 if abs(d) else 0.0
+            inside |= _abs(z - (p.a + np.clip(t, 0.0, 1.0) * d)) <= pad
         elif isinstance(p, AnnulusSector):
             w = z - p.center
-            r = abs(w)
-            if p.r_in - pad <= r <= p.r_out + pad:
-                if (p.theta_b - p.theta_a) >= TWO_PI - 1e-12:
-                    return True
-                ang = math.atan2(w.imag, w.real)
-                for shift in (-TWO_PI, 0.0, TWO_PI):
-                    if p.theta_a - pad <= ang + shift <= p.theta_b + pad:
-                        return True
+            r = _abs(w)
+            ring = (p.r_in - pad <= r) & (r <= p.r_out + pad)
+            if (p.theta_b - p.theta_a) < TWO_PI - 1e-12:
+                ang = np.arctan2(w.imag, w.real)
+                ang = np.stack([ang - TWO_PI, ang, ang + TWO_PI])
+                ring &= ((p.theta_a - pad <= ang) & (ang <= p.theta_b + pad)).any(axis=0)
+            inside |= ring
         elif isinstance(p, PointSet):
-            if any(abs(z - w) <= pad for w in p.points):
-                return True
-    return False
+            for w in p.points:
+                inside |= _abs(z - w) <= pad
+    return inside

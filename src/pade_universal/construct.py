@@ -127,9 +127,7 @@ def candidate_indices(f_seq: IndexSequence, min_degree, limit: int | None = None
 
 def select_index(f_seq: IndexSequence, min_degree) -> tuple[int, int]:
     """First pair (in sequence order) with ``p`` strictly above ``min_degree``."""
-    for pair in candidate_indices(f_seq, min_degree, limit=1):
-        return pair
-    raise IndexExhaustedError(min_degree, f_seq.max_p)  # pragma: no cover
+    return next(candidate_indices(f_seq, min_degree, limit=1))
 
 
 @dataclass(frozen=True)
@@ -597,11 +595,10 @@ def _requirement_measurement(
 ) -> _Measurement:
     """The measurement of a build: K against its target, J against ``f_on_L``."""
     compacts = [
-        (grid_k.as_array(), req.target_on_K, "2", "3", "K"),
-        (grid_j.as_array(), f_on_L, "4", "5", "J"),
+        (grid_k.points, req.target_on_K, "2", "3", "K"),
+        (grid_j.points, f_on_L, "4", "5", "J"),
     ]
-    centers = np.array(grid_l.points, dtype=complex)
-    return _Measurement(centers, compacts, req.derivative_levels, tol, req.requested)
+    return _Measurement(grid_l.points, compacts, req.derivative_levels, tol, req.requested)
 
 
 def verify_construction(
@@ -645,7 +642,6 @@ def _search_perturbation(measure, d0: float):
         if cert.passed:
             cert.diagnostics["d_window_lo"] = lo
             cert.diagnostics["d_window_hi"] = hi if math.isfinite(hi) else None
-            cert.diagnostics["d_attempts"] = attempt
             return cert
         if not cert.hankel_ok and cert.sup_ok:
             lo = max(lo, d)
@@ -671,12 +667,17 @@ def _certify(
     as ``measurement(fit.plus_monomial(d, p), ...)``, with ``diagnostics``
     (the builder's fit residual) added to its certificate.  At most
     ``INDEX_RETRY_LIMIT`` pairs are tried, each search starting from
-    ``d0 = 1 / (2 s sup_abs^p)``.  With ``d_override`` the first pair is
-    measured at that value, passing or not.  Re-raises the last
-    :class:`PerturbationFailedError` when no pair passes.
+    ``d0 = 1 / (2 s sup_abs^p)``, and a passing search's certificate
+    records as ``d_attempts`` every measurement made here, on every pair
+    tried.  With ``d_override`` the first pair is measured at that value,
+    passing or not.  Re-raises the last :class:`PerturbationFailedError`
+    when no pair passes.
     """
+    attempts = 0
 
     def measure(d: complex, p: int, q: int) -> Certificate:
+        nonlocal attempts
+        attempts += 1
         cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree, strict=False)
         cert.diagnostics.update(diagnostics)
         return cert
@@ -693,6 +694,7 @@ def _certify(
             except PerturbationFailedError as exc:
                 last_error = exc
                 continue
+            cert.diagnostics["d_attempts"] = attempts
         return fit.plus_monomial(cert.perturbation, p), cert
     assert last_error is not None
     raise last_error
@@ -718,29 +720,22 @@ def build_universal_polynomial(
     grid_l = discretize(req.L)
     grid_j = discretize(req.inner_compact())
     for name, spec, grid in (("L", req.L, grid_l), ("J", req.inner_compact(), grid_j)):
-        overlap = any(spec_region_contains(req.K, z) for z in grid.points) or any(
-            spec_region_contains(spec, z) for z in grid_k.points
-        )
-        if overlap:
-            raise ValueError(
-                f"K and {name} overlap; the gluing step needs disjoint compacts"
-            )
+        overlap = spec_region_contains(req.K, grid.points).any()
+        if overlap or spec_region_contains(spec, grid_k.points).any():
+            raise ValueError(f"K and {name} overlap; the gluing step needs disjoint compacts")
 
-    pieces = [
-        (grid.as_array(), np.asarray(target.evaluate(grid.as_array(), tol)))
-        for grid, target in ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
-    ]
-    z = np.concatenate([points for points, _ in pieces])
-    values = np.concatenate([vals for _, vals in pieces])
+    pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
+    z = np.concatenate([grid.points for grid, _ in pieces])
+    values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
     fit_target = req.requested / 2.0
-    sup_k_abs = float(np.max(np.abs(grid_k.as_array())))
+    sup_k_abs = float(np.max(np.abs(grid_k.points)))
 
     best_residual = math.inf
     measurement = None  # prepared at the first fit that clears the target
     last_perturbation_error: PerturbationFailedError | None = None
 
     for degree, fit in _fit_ramp(z, values, range(2, RAMP_CAP + 1, 2)):
-        residual = max(float(np.max(np.abs(fit.eval(points) - vals))) for points, vals in pieces)
+        residual = float(np.max(np.abs(fit.eval(z) - values)))
         best_residual = min(best_residual, residual)
         if residual >= fit_target:
             continue
@@ -811,8 +806,7 @@ def extend_prefix(
     prefix = tuple(complex(c) for c in prefix)
     if not prefix:
         raise ValueError("prefix must be non-empty")
-    grid_k = discretize(k_compact)
-    z = grid_k.as_array()
+    z = discretize(k_compact).points
     min_abs = float(np.min(np.abs(z)))
     if min_abs <= tol.tau_zero:
         raise OriginInKError(

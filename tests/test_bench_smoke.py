@@ -4,7 +4,9 @@
 ``perfbench/`` is written); cycle 0 of ``wide``, ``desk`` and ``table`` at
 seed 101 must pass the workload's own output check.  This catches a change
 to the program's API that would stop the benchmark, such as a renamed
-function or a deleted argument it passes.
+function or a deleted argument it passes.  The Hankel oracle of ``wide``
+and ``desk``, which a traced run reports, iterates the center grid of each
+build, so it runs here too.
 """
 
 from __future__ import annotations
@@ -31,3 +33,10 @@ def test_first_cycle_passes_its_check(name, workloads, tmp_path):
     work = workloads.WORKLOADS[name](101, str(tmp_path))
     _, evidence = work.run_cycle(0)
     assert work.check(0, evidence) == []
+
+
+@pytest.mark.parametrize("name, expected", [("wide", [1024, 1024]), ("desk", [16, 16])])
+def test_first_cycle_oracle_agrees_at_every_center(name, expected, workloads, tmp_path):
+    work = workloads.WORKLOADS[name](101, str(tmp_path))
+    _, evidence = work.run_cycle(0)
+    assert work.oracle({0: evidence}) == {"build": expected}

@@ -49,7 +49,7 @@ class TestDiscretize:
 
     def test_point_set_passthrough(self):
         grid = discretize(CompactSpec([PointSet([1.0, 2.0j])], 8))
-        assert grid.points == (1.0, 2.0j)
+        assert grid.points.tolist() == [1.0, 2.0j]
 
     def test_annulus_sector_bounds(self):
         spec = CompactSpec([AnnulusSector(0.0, 1.0, 2.0, 0.0, math.pi)], 32)
@@ -71,9 +71,140 @@ class TestDiscretize:
             FilledDisk(0.0, -1.0)
 
 
+def scalar_discretize(spec: CompactSpec) -> np.ndarray:
+    """The list-of-scalars samplers the array sampler replaced, point by point."""
+    n = spec.samples_per_primitive
+    pts = []
+    for p in spec.primitives:
+        if isinstance(p, Circle):
+            pts.extend(p.center + p.radius * np.exp(2j * math.pi * k / n) for k in range(n))
+        elif isinstance(p, Segment):
+            pts.extend(p.a + (p.b - p.a) * (k / (n - 1)) for k in range(n))
+        elif isinstance(p, FilledDisk):
+            if p.radius == 0:
+                pts.append(p.center)
+                continue
+            m = max(2, int(round(math.sqrt(n / 2.0))))
+            weights = m * (m + 1) // 2
+            counts = [max(1, ((n - 1) * j) // weights) for j in range(1, m + 1)]
+            counts[-1] += n - 1 - sum(counts)
+            pts.append(p.center)
+            for j, cnt in enumerate(counts, start=1):
+                radius = p.radius * j / m
+                pts.extend(p.center + radius * np.exp(2j * math.pi * k / cnt) for k in range(cnt))
+        elif isinstance(p, AnnulusSector):
+            m_r = max(2, int(round(math.sqrt(n / 4.0))) + 1)
+            per_ring = max(4, n // m_r)
+            for i in range(m_r):
+                radius = p.r_in + (p.r_out - p.r_in) * (i / (m_r - 1))
+                if (p.theta_b - p.theta_a) >= 2.0 * math.pi - 1e-12:
+                    angles = [p.theta_a + 2.0 * math.pi * k / per_ring for k in range(per_ring)]
+                else:
+                    span = p.theta_b - p.theta_a
+                    angles = [p.theta_a + span * (k / (per_ring - 1)) for k in range(per_ring)]
+                pts.extend(p.center + radius * np.exp(1j * t) for t in angles)
+        else:
+            pts.extend(p.points)
+    return np.array(pts, dtype=complex)
+
+
+def scalar_contains(spec: CompactSpec, z: complex, pad: float = 1e-9) -> bool:
+    """The one-point membership test the array test replaced."""
+    for p in spec.primitives:
+        if isinstance(p, FilledDisk):
+            if abs(z - p.center) <= p.radius + pad:
+                return True
+        elif isinstance(p, Circle):
+            if abs(abs(z - p.center) - p.radius) <= pad:
+                return True
+        elif isinstance(p, Segment):
+            d = p.b - p.a
+            if abs(d) == 0:
+                if abs(z - p.a) <= pad:
+                    return True
+                continue
+            t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2
+            t = min(1.0, max(0.0, t))
+            if abs(z - (p.a + t * d)) <= pad:
+                return True
+        elif isinstance(p, AnnulusSector):
+            w = z - p.center
+            r = abs(w)
+            if p.r_in - pad <= r <= p.r_out + pad:
+                if (p.theta_b - p.theta_a) >= 2.0 * math.pi - 1e-12:
+                    return True
+                ang = math.atan2(w.imag, w.real)
+                for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+                    if p.theta_a - pad <= ang + shift <= p.theta_b + pad:
+                        return True
+        elif any(abs(z - w) <= pad for w in p.points):
+            return True
+    return False
+
+
+#: One of every primitive kind: segments with real and complex endpoints
+#: (and a degenerate one), radius 0, full and partial annulus sectors (one
+#: with negative angles), complex centers.
+PRIMITIVES = [
+    Circle(0.0, 1.0),
+    Circle(0.3 - 0.7j, 2.5),
+    Circle(1j, 0.0),
+    Segment(2.0, 3.0),
+    Segment(-1.5, 0.25),
+    Segment(-1.0 - 0.5j, 2.0 + 1.5j),
+    Segment(0.5j, -0.75),
+    Segment(0.0, 0.0),
+    FilledDisk(0.0, 0.4),
+    FilledDisk(-0.25 + 0.1j, 1.3),
+    FilledDisk(2.0 - 1j, 0.0),
+    AnnulusSector(0.0, 0.5, 1.5, 0.0, 2.0 * math.pi),
+    AnnulusSector(1.0 - 1j, 0.0, 2.0, -1.0, 2.0 * math.pi - 1.0),
+    AnnulusSector(0.0, 1.0, 1.0, 0.5 * math.pi, 1.5 * math.pi),
+    AnnulusSector(-0.5j, 0.2, 0.9, -0.75 * math.pi, 0.1),
+    PointSet([1.0, -2.0j, -0.0, 0.5 - 0.25j]),
+]
+
+
+class TestArrayParity:
+    """The array sampler and membership test against their scalar forms."""
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 1024])
+    def test_discretize_is_byte_equal_to_the_scalar_samplers(self, n):
+        for spec in [CompactSpec([p], n) for p in PRIMITIVES] + [CompactSpec(PRIMITIVES, n)]:
+            points = discretize(spec).points
+            expected = scalar_discretize(spec)
+            assert points.dtype == np.complex128 and points.shape == expected.shape
+            assert points.tobytes() == expected.tobytes(), spec
+
+    def test_points_are_read_only(self):
+        points = discretize(CompactSpec(PRIMITIVES, 16)).points
+        assert points.ndim == 1 and not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0] = 0.0
+
+    def test_contains_matches_the_scalar_test_pointwise(self, rng):
+        pad = 1e-9
+        edges = [0.4 + pad, 1.0 + pad, 1.0 - pad, 2.5 + pad, 1.5 + pad, 0.5 - pad, pad]
+        edges = [x for e in edges for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 9.0))]
+        z = np.concatenate([
+            discretize(CompactSpec(PRIMITIVES, 24)).points,
+            (rng.standard_normal(400) + 1j * rng.standard_normal(400)) * 1.5,
+            np.outer([1.0, -1.0, 1j, -1j], edges).ravel(),
+            # off the axes numpy's complex abs rounds differently at some angles
+            np.outer(np.exp(2j * math.pi * np.arange(128) / 128), edges).ravel(),
+        ])
+        for spec in [CompactSpec([p], 8) for p in PRIMITIVES] + [CompactSpec(PRIMITIVES, 8)]:
+            inside = spec_region_contains(spec, z, pad)
+            assert inside.dtype == bool and inside.shape == z.shape
+            assert inside.tolist() == [scalar_contains(spec, complex(w), pad) for w in z], spec
+        # the edges straddle the slack: |z| = 0.4 + pad is in, one ulp out is not
+        disk = CompactSpec([FilledDisk(0.0, 0.4)], 8)
+        assert spec_region_contains(disk, edges[:3]).tolist() == [True, True, False]
+
+
 def sup_norm(g, grid) -> float:
     """``max |g(z)|`` over the grid points."""
-    return float(np.max(np.abs(g(grid.as_array()))))
+    return float(np.max(np.abs(g(grid.points))))
 
 
 class TestSupNorms:
@@ -119,7 +250,7 @@ class TestDoubleSup:
         poly = Polynomial(random_coefficients(rng, 9, bound=1.0))
         l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 16))
         k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 32))
-        z = k_grid.as_array()
+        z = k_grid.points
         value = max(
             float(np.max(np.abs(poly.recenter(zeta).eval(z) - poly.eval(z))))
             for zeta in l_grid.points

@@ -137,11 +137,11 @@ class TestTargets:
 def ladder_fit(pieces, degree):
     """One fit of ``degree`` on the joint grid of ``(grid, values)`` pieces,
     with the sup residual on each piece."""
-    z = np.concatenate([grid.as_array() for grid, _ in pieces])
+    z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(v, dtype=complex) for _, v in pieces])
     fit = _fit_on_points(_ArnoldiLadder(z), values, degree)
     residuals = [
-        float(np.max(np.abs(fit.eval(grid.as_array()) - np.asarray(v, dtype=complex))))
+        float(np.max(np.abs(fit.eval(grid.points) - np.asarray(v, dtype=complex))))
         for grid, v in pieces
     ]
     return fit, residuals
@@ -151,12 +151,12 @@ class TestPolyFit:
     def test_recovers_exact_polynomial(self, rng):
         poly = Polynomial(random_coefficients(rng, 6, bound=1.0))
         grid = discretize(CompactSpec([Segment(-1.0, 1.0)], 64))
-        fit, residuals = ladder_fit([(grid, poly.eval(grid.as_array()))], 5)
+        fit, residuals = ladder_fit([(grid, poly.eval(grid.points))], 5)
         assert residuals[0] <= 1e-10
 
     def test_degree_zero_is_best_constant(self):
         grid = discretize(CompactSpec([Segment(2.0, 3.0)], 65))
-        fit, residuals = ladder_fit([(grid, grid.as_array())], 0)
+        fit, residuals = ladder_fit([(grid, grid.points)], 0)
         # best L2 constant on the symmetric grid is the midpoint
         assert abs(fit.coeffs[0] - 2.5) <= 1e-9
         assert abs(residuals[0] - 0.5) <= 1e-9
@@ -165,8 +165,8 @@ class TestPolyFit:
         k_grid = discretize(CompactSpec([Segment(2.0, 3.0)], 64))
         l_grid = discretize(CompactSpec([FilledDisk(0.0, 0.4)], 64))
         targets = [
-            (k_grid, k_grid.as_array() ** 2),
-            (l_grid, 1.0 / (2.0 - l_grid.as_array())),
+            (k_grid, k_grid.points ** 2),
+            (l_grid, 1.0 / (2.0 - l_grid.points)),
         ]
         fit, residuals = ladder_fit(targets, 24)
         assert max(residuals) <= 1e-3
@@ -223,11 +223,11 @@ def rebuilt_fit(z, values, degree, weight=None):
 class TestFitRamp:
     def wide_points(self):
         """The glued grid and target of a 1024-center build."""
-        k = discretize(SEGMENT_K).as_array()
+        k = discretize(SEGMENT_K).points
         lj = np.concatenate(
             [
-                discretize(CompactSpec([FilledDisk(0.0, 0.4)], 1024)).as_array(),
-                discretize(DISK_J).as_array(),
+                discretize(CompactSpec([FilledDisk(0.0, 0.4)], 1024)).points,
+                discretize(DISK_J).points,
             ]
         )
         values = np.concatenate([0.5 - 0.25j * k + (0.3 + 0.1j) * k**2, 1.0 / (2.2j - lj)])
@@ -250,7 +250,7 @@ class TestFitRamp:
             rebuilt_fit(z, z * z, 3)
 
     def test_non_finite_values_rejected(self):
-        z = discretize(SEGMENT_K).as_array()
+        z = discretize(SEGMENT_K).points
         values = np.ones(len(z), dtype=complex)
         values[5] = complex("nan")
         with pytest.raises(ValueError, match="finite"):
@@ -345,7 +345,7 @@ class TestBuilder:
     def test_self_reproduction_invariant(self):
         u, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
         zkj = np.concatenate(
-            [discretize(SEGMENT_K).as_array(), discretize(DISK_J).as_array()]
+            [discretize(SEGMENT_K).points, discretize(DISK_J).points]
         )
         sup_u = float(np.max(np.abs(u.eval(zkj))))
         assert cert.achieved["id_pade_l0"] <= 1e-9 * (1.0 + sup_u)
@@ -411,6 +411,22 @@ class TestVerify:
         assert '"d_window_hi": null' in path.read_text()
         assert load_run(path).certificates[0].diagnostics["d_window_hi"] is None
 
+    def test_d_attempts_counts_every_measurement(self, monkeypatch):
+        # (13, 2) fails its search after two measurements, (14, 2) passes at
+        # its first: the certificate counts all three
+        pairs = []
+        call = construct._Measurement.__call__
+
+        def counted(measurement, u, p, q, *args, **kwargs):
+            pairs.append((p, q))
+            return call(measurement, u, p, q, *args, **kwargs)
+
+        monkeypatch.setattr(construct._Measurement, "__call__", counted)
+        f_seq = IndexSequence([(k, 2) for k in range(41)])
+        _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, f_seq)
+        assert cert.selected == (14, 2) and sorted(set(pairs)) == [(13, 2), (14, 2)]
+        assert cert.diagnostics["d_attempts"] == len(pairs) == 3
+
     def test_failed_search_reports_unknown_ceiling(self):
         # every magnitude fails the Hankel test with the sups in bounds, so no
         # sup ceiling is ever met
@@ -442,7 +458,7 @@ class TestExtendPrefix:
         assert cert.passed
         assert coeffs[:3] == (1.0, -0.5, 0.25)
         p_k, _ = cert.selected
-        sup_k = float(np.max(np.abs(discretize(CIRCLE_K).as_array()))) ** p_k
+        sup_k = float(np.max(np.abs(discretize(CIRCLE_K).points))) ** p_k
         assert cert.achieved["3"] <= abs(cert.perturbation) * sup_k * (1.0 + 1e-9) + 1e-12
 
     def test_origin_in_k_rejected(self):

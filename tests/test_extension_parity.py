@@ -133,7 +133,7 @@ class Spy:
 def assert_matches_oracle(calls, prefix, k_compact, psi, s):
     """Each recorded extension certificate against the closure's; the
     prefix diagnostics only where a certificate carries them."""
-    z = discretize(k_compact).as_array()
+    z = discretize(k_compact).points
     psi_vals = np.asarray(psi.evaluate(z))
     for cert, coeffs in calls:
         old, old_ok = oracle_extension_measure(
@@ -225,7 +225,7 @@ def test_long_prefix_is_kept_verbatim(monkeypatch):
 
 def test_pole_next_to_k_raises_at_the_same_point():
     """A (3, 1) approximant at 0 with its pole on the 5th point of K."""
-    z = discretize(CIRCLE_K).as_array()
+    z = discretize(CIRCLE_K).points
     psi = TargetFunction.rational([1.0], [0.0, 1.0])
     coeffs = [0j, 0j, 0j, complex(z[5]), 1.0 + 0j]
     measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,

@@ -68,8 +68,8 @@ F_WIDE = IndexSequence([(k, 1 + k % 2) for k in range(61)])
 def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict):
     """The per-center verifier loop; returns the measurement and the
     ``(center, approximant)`` pairs it built."""
-    zk = grid_k.as_array()
-    zj = grid_j.as_array()
+    zk = grid_k.points
+    zj = grid_j.points
     zkj = np.concatenate([zk, zj])
     hk = np.asarray(target_k.evaluate(zk, tol))
     fj = np.asarray(target_j.evaluate(zj, tol))
@@ -155,8 +155,8 @@ def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels,
     ``requested`` and called once at perturbation 1.0; returns the fields of
     its certificate."""
     compacts = [
-        (grid_k.as_array(), target_k, "2", "3", "K"),
-        (grid_j.as_array(), target_j, "4", "5", "J"),
+        (grid_k.points, target_k, "2", "3", "K"),
+        (grid_j.points, target_j, "4", "5", "J"),
     ]
     centers = np.array(grid_l.points, dtype=complex)
     measurement = _Measurement(centers, compacts, levels, tol, requested)
@@ -211,7 +211,7 @@ def assert_parity(u, pq, req, f_on_l, strict=True):
     sup_ok = all(v < req.requested for v in old["achieved"].values())
     assert new["passed"] == (sup_ok and old["hankel_ok"])
 
-    zkj = np.concatenate([grid_k.as_array(), grid_j.as_array()])
+    zkj = np.concatenate([grid_k.points, grid_j.points])
     bounds = horner_bounds(approximants, zkj, levels)
     for table in ("achieved", "diagnostics"):
         for key, value in old[table].items():
