@@ -178,12 +178,15 @@ class TargetFunction:
             pts = np.array(self.points, dtype=complex)
             vals = np.array(self.values, dtype=complex)
             out = np.empty(zz.shape, dtype=complex)
-            for i, point in enumerate(zz):
-                dist = np.abs(pts - point)
-                j = int(np.argmin(dist))
-                if dist[j] > 1e-9:
+            block = max(1, _BLOCK_PAIRS // max(1, len(pts)))
+            for start in range(0, len(zz), block):
+                dist = np.abs(zz[start : start + block, None] - pts)
+                nearest = np.argmin(dist, axis=1)
+                far = dist[np.arange(len(dist)), nearest] > 1e-9
+                if far.any():
+                    point = zz[start + int(np.argmax(far))]
                     raise ValueError(f"table target has no value at z = {point}")
-                out[i] = vals[j]
+                out[start : start + block] = vals[nearest]
             return complex(out[0]) if np.ndim(z) == 0 else out
         raise ValueError(f"unknown target kind {self.kind!r}")
 
@@ -481,6 +484,16 @@ class _Measurement:
     Running maxima carry the sups across blocks.  Errors are those of the
     center-by-center order: the first failing center, and at it the first
     point in compact order.
+
+    Every polynomial a builder measures, ``u = fit + d z^p`` with
+    ``deg fit < p`` and ``d != 0``, skips the Pade half: its recentered rows
+    are zero above ``p``, so the denominator system is triangular with ``d``
+    on its diagonal and a zero right side, ``B = 1`` exactly, and each
+    ``P_l / B^(l+1)`` is the level-``l`` Taylor row up to the signs of zeros.
+    The Taylor values of the Hankel-passing centers are then recorded as the
+    Pade values, bit for bit what the solve gives.  The general path stays
+    for every other ``u``, and where ``tau_zero >= 1`` makes the pole guard
+    reject ``|B| = 1``; the Hankel test runs at every center either way.
     """
 
     def __init__(
@@ -530,6 +543,8 @@ class _Measurement:
         coeffs = u.coeffs
         if len(coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
+        # u of degree exactly p: its approximant is its Taylor sum (B = 1)
+        taylor_is_pade = len(coeffs) == p + 1 and coeffs[p] != 0 and tol.tau_zero < 1
         block = max(1, _BLOCK_PAIRS // len(zkj))
         hankel_min = math.inf
         hankel_tau_max = 0.0
@@ -544,8 +559,10 @@ class _Measurement:
             w = zkj - zeta[:, None]
 
             partial = series[:, : p + 1]
+            taylor_vals = []
             for l in range(levels + 1):
-                record("taylor", l, horner(partial, w))
+                taylor_vals.append(horner(partial, w))
+                record("taylor", l, taylor_vals[-1])
                 partial = differentiate(partial)
 
             failed = np.flatnonzero(~exists)
@@ -553,7 +570,10 @@ class _Measurement:
             rows = np.flatnonzero(exists)
             if strict and len(failed):
                 rows = rows[rows < failed[0]]  # only these can raise before it
-            if len(rows):
+            if len(rows) and taylor_is_pade:
+                for l, level_vals in enumerate(taylor_vals):
+                    record("pade", l, level_vals[rows])
+            elif len(rows):
                 sub, w_rows = series[rows], w[rows]
                 denom = pade_denominators(sub, p, q)
                 bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
@@ -748,6 +768,11 @@ def build_universal_polynomial(
             )
         except PerturbationFailedError as exc:
             last_perturbation_error = exc
+        except IndexExhaustedError:
+            # the higher fit degree leaves no pair above it: report the failed search
+            if last_perturbation_error is None:
+                raise
+            break
 
     if measurement is None:
         raise FitFailedError(fit_target, best_residual, RAMP_CAP)

@@ -231,6 +231,19 @@ class TestBuildCommand:
         # the diagnostic record is still written
         assert load_run(out).certificates == []
 
+    def test_failed_search_exits_six(self, capsys, tmp_path):
+        # (13, 2) fails its perturbation search, and the next fit degree
+        # leaves no pair: the failed search is reported, not the exhaustion
+        scenario_data = build_scenario()
+        scenario_data["F"] = [[13, 2]]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        out = tmp_path / "run.json"
+        code, _, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
+        assert code == 6
+        assert json.loads(err)["error"] == "perturbation-failed"
+        assert load_run(out).certificates == []
+
     def test_overlapping_compacts_exit_one(self, capsys, tmp_path):
         scenario_data = build_scenario()
         scenario_data["requirement"]["K"] = {

@@ -65,6 +65,21 @@ def desk_requirement(s=50, levels=0):
 F_ON_L = TargetFunction.rational([1.0], [2.0, -1.0])
 
 
+def table_loop(points, values, z):
+    """Table lookup one point at a time: the nearest entry within 1e-9."""
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    pts = np.array(points, dtype=complex)
+    vals = np.array(values, dtype=complex)
+    out = np.empty(zz.shape, dtype=complex)
+    for i, point in enumerate(zz):
+        dist = np.abs(pts - point)
+        j = int(np.argmin(dist))
+        if dist[j] > 1e-9:
+            raise ValueError(f"table target has no value at z = {point}")
+        out[i] = vals[j]
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
 class TestSelectIndex:
     def test_first_admissible(self):
         f_seq = IndexSequence([(1, 0), (2, 1), (5, 2)])
@@ -100,6 +115,25 @@ class TestTargets:
         assert t.evaluate(2.0) == 7.0
         with pytest.raises(ValueError):
             t.evaluate(1.5)
+
+    def test_table_lookup_matches_the_point_loop(self, rng, monkeypatch):
+        # blocks of three points against a seven-entry table: the lookup
+        # spans several blocks, and the error names the first point in order
+        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 7)
+        pts = np.array(random_coefficients(rng, 7))
+        vals = np.array(random_coefficients(rng, 7))
+        table = TargetFunction.table(pts, vals)
+        z = pts[rng.integers(0, 7, 20)] + 1e-11
+        assert table.evaluate(z).tobytes() == table_loop(pts, vals, z).tobytes()
+        assert table.evaluate(pts[3]) == table_loop(pts, vals, pts[3]) == vals[3]
+        for bad in (0, 5, 19):
+            off = z.copy()
+            off[bad:] = 10.0 + bad
+            with pytest.raises(ValueError) as want:
+                table_loop(pts, vals, off)
+            with pytest.raises(ValueError) as got:
+                table.evaluate(off)
+            assert str(got.value) == str(want.value)
 
     def test_rational_pole_guard(self):
         with pytest.raises(PoleProximityError):
@@ -426,6 +460,22 @@ class TestVerify:
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, f_seq)
         assert cert.selected == (14, 2) and sorted(set(pairs)) == [(13, 2), (14, 2)]
         assert cert.diagnostics["d_attempts"] == len(pairs) == 3
+
+    def test_failed_search_survives_an_exhausted_ramp(self, monkeypatch):
+        # (13, 2) fails its search; the next fit degree leaves no pair above
+        # it, and the build reports the failed search with its attempts
+        calls = []
+        call = construct._Measurement.__call__
+
+        def counted(measurement, *args, **kwargs):
+            calls.append(args[1:3])
+            return call(measurement, *args, **kwargs)
+
+        monkeypatch.setattr(construct._Measurement, "__call__", counted)
+        with pytest.raises(PerturbationFailedError) as info:
+            build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(13, 2)]))
+        assert calls == [(13, 2), (13, 2)]
+        assert info.value.attempts == 2
 
     def test_failed_search_reports_unknown_ceiling(self):
         # every magnitude fails the Hankel test with the sups in bounds, so no

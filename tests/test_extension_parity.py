@@ -16,6 +16,7 @@ prefix by index instead (``test_long_prefix_is_kept_verbatim``).
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
@@ -201,6 +202,46 @@ def test_hankel_failure_drops_the_pade_sup(monkeypatch):
     failed = [trial for trial, _ in calls if not trial.hankel_ok]
     assert failed and all("2" not in c.achieved and not c.passed for c in failed)
     assert_matches_oracle(calls, [0.0], CIRCLE_K, psi, 1000)
+
+
+@pytest.mark.parametrize("q_only", [None, 2])
+def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
+    """Every q >= 1 trial of the greedy schedule (and of a q = 2 extension,
+    whose small ``d`` fail the Hankel test): its certificate equals, in JSON,
+    that of the trial padded by one zero coefficient, which the measurement
+    takes through the denominator solve."""
+    reciprocal = TargetFunction.rational([1.0], [0.0, 1.0])
+    if q_only is None:
+        f_seq = GREEDY_F
+        quadratic = TargetFunction.poly([1.0, 0.0, 0.5])
+        schedule = [
+            ExtensionRequirement(CIRCLE_K, reciprocal, 10),
+            ExtensionRequirement(CIRCLE_K, quadratic, 50),
+            ExtensionRequirement(CIRCLE_K, reciprocal, 100),
+        ]
+    else:
+        f_seq = IndexSequence([(k, q_only) for k in range(61)])
+        psi = TargetFunction.rational([1.5], [0.0, 1.0])
+        schedule = [ExtensionRequirement(CIRCLE_K, psi, 1000)]
+    spy = Spy(monkeypatch)
+    run_extension_schedule([0.0], schedule, f_seq)
+    steps = [list(calls) for calls in spy.steps]
+    compared = []
+    for step, calls in zip(schedule, steps):
+        z = discretize(step.K).points
+        measurement = _Measurement(np.zeros(1, dtype=complex), [(z, step.psi, "3", "2", "K")], 0,
+                                   DEFAULT_TOL, 1.0 / step.s)
+        for cert, coeffs in calls:
+            p, q = cert.selected
+            if q == 0:
+                continue
+            args = (p, q, cert.perturbation, cert.fit_degree)
+            fast = measurement(Polynomial(coeffs), *args, strict=False)
+            general = measurement(Polynomial(coeffs + [0j]), *args, strict=False)
+            assert json.dumps(fast.to_json()) == json.dumps(general.to_json())
+            assert fast.achieved == cert.achieved
+            compared.append(fast.hankel_ok)
+    assert True in compared and (q_only is None or False in compared)
 
 
 def test_long_prefix_is_kept_verbatim(monkeypatch):

@@ -13,6 +13,7 @@ computed from the oracle's own coefficients.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -32,6 +33,7 @@ from pade_universal.construct import (
     RequirementSpec,
     TargetFunction,
     _Measurement,
+    _requirement_measurement,
     build_universal_polynomial,
     verify_construction,
 )
@@ -245,9 +247,9 @@ def desk_requirement(levels: int) -> RequirementSpec:
     )
 
 
-def wide_requirement(centers: int) -> tuple[RequirementSpec, TargetFunction]:
+def wide_requirement(centers: int, angle: float = 1.0) -> tuple[RequirementSpec, TargetFunction]:
     """The benchmark's wide geometry: 1/(a - z) on L and J, a quadratic on K."""
-    a = 2.5 * complex(math.cos(1.0), math.sin(1.0))
+    a = 2.5 * complex(math.cos(angle), math.sin(angle))
     req = RequirementSpec(
         K=SEGMENT_K,
         target_on_K=TargetFunction.poly([0.3 - 0.2j, -0.4 + 0.1j, 0.25 + 0.5j]),
@@ -438,6 +440,176 @@ class TestErrorsAndMasking:
             assert outcomes[0] == outcomes[1], index
             kinds.add(type(outcomes[0]))
         assert complex in kinds and (not strict or HankelReport in kinds)
+
+
+def padded(u: Polynomial) -> Polynomial:
+    """``u`` with one more coefficient, zero: the same polynomial, which the
+    measurement takes through the denominator solve."""
+    return Polynomial(np.append(u.coeffs, 0j), u.center)
+
+
+def assert_taylor_is_pade(u, pq, req, f_on_l, strict=True, tol=DEFAULT_TOL):
+    """A degree-``p`` ``u`` and ``padded(u)`` give the same certificate,
+    bit for bit in its JSON form; returns it."""
+    p, q = pq
+    assert q >= 1 and len(u.coeffs) == p + 1 and u.coeffs[p] != 0
+    measurement = _requirement_measurement(req, f_on_l, *grids(req), tol)
+    d = complex(u.coeffs[p])
+    fast = measurement(u, p, q, d, 0, strict=strict)
+    general = measurement(padded(u), p, q, d, 0, strict=strict)
+    assert json.dumps(fast.to_json()) == json.dumps(general.to_json())
+    return fast
+
+
+class TestTaylorIsPade:
+    """Builder outputs ``u = fit + d z^p``: the approximants are the Taylor
+    sums, so the measurement reuses them instead of solving for ``B = 1``."""
+
+    @pytest.mark.parametrize("angle", [1.0, 2.0, 3.0])
+    def test_wide_builds(self, angle, monkeypatch):
+        req, inner = wide_requirement(64, angle)
+        u, cert = build_universal_polynomial(req, inner, F_WIDE)
+        assert cert.passed
+        fast = assert_taylor_is_pade(u, cert.selected, req, inner)
+        assert fast.achieved == cert.achieved
+        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 5 * 128)
+        assert_taylor_is_pade(u, cert.selected, req, inner)
+
+    @pytest.mark.parametrize("levels", [0, 2])
+    @pytest.mark.parametrize("pq", [(14, 2), (15, 3)])
+    def test_desk_builds(self, pq, levels):
+        req = desk_requirement(levels)
+        f_seq = IndexSequence([(k, pq[1]) for k in range(41)])
+        u, cert = build_universal_polynomial(req, F_ON_L, f_seq)
+        assert cert.passed and cert.selected == pq
+        assert_taylor_is_pade(u, pq, req, F_ON_L)
+        for d in (1e-6 * cert.perturbation, 1e3 * cert.perturbation):
+            trial = Polynomial(np.append(u.coeffs[:-1], d))
+            assert_taylor_is_pade(trial, pq, req, F_ON_L, strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_hankel_failure_at_some_centers(self, strict, monkeypatch):
+        # q = 2 windows [[a_13, d], [d, 0]] with a_13(zeta) = 14 d (zeta - 0.5):
+        # the test fails where |zeta - 0.5| >= 0.71, first at the sixth center
+        tol = ToleranceConfig(tau_zero=1e-12, tau_det=0.01)
+        p, q, d = 14, 2, 1e-3
+        u = Polynomial([0j] * (p - 1) + [-p * 0.5 * d, d])
+        req = desk_requirement(2)
+        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
+        args = (u, p, q, *grids(req), req.target_on_K, F_ON_L, 2, tol)
+        if not strict:
+            cert = assert_taylor_is_pade(u, (p, q), req, F_ON_L, strict=False, tol=tol)
+            assert not cert.hankel_ok and "K_pade_d2" in cert.diagnostics
+            old, _ = oracle_measure(*args, False)
+            assert cert.achieved == old["achieved"]
+            assert cert.diagnostics == old["diagnostics"]
+            return
+        raised = []
+        for trial in (u, padded(u)):
+            with pytest.raises(PadeNotExistError) as info:
+                verify_construction(trial, req, (p, q), F_ON_L, d, 0, tol)
+            raised.append(info.value.report)
+        with pytest.raises(PadeNotExistError) as old:
+            oracle_measure(*args, True)
+        assert raised[0] == raised[1] == old.value.report
+        assert raised[0].center == discretize(req.L).points[5]
+
+    @pytest.mark.parametrize("levels", [0, 2])
+    def test_q0_builds_against_the_oracle(self, levels):
+        # no zero can be padded at q = 0 (it would exceed p + q + 1): every
+        # sup, Pade side included, equals the per-center loop's exactly
+        req = desk_requirement(levels)
+        u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(13, 0)]))
+        assert cert.passed and cert.selected == (13, 0)
+        args = (u, 13, 0, *grids(req), req.target_on_K, F_ON_L, levels, DEFAULT_TOL)
+        old, _ = oracle_measure(*args, True)
+        new = blocked_measure(*args, strict=True, requested=req.requested)
+        assert new["achieved"] == old["achieved"] == cert.achieved
+        assert new["diagnostics"] == old["diagnostics"]
+        assert list(new["diagnostics"]) == list(old["diagnostics"])
+        assert new["hankel_min"] == old["hankel_min"]
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Calls of ``pade_denominators`` and ``derivative_numerators`` made by
+    measurement calls (a rational target's derivatives are built before)."""
+    calls = {"measure": 0, "pade_denominators": 0, "derivative_numerators": 0}
+    inside = []
+    for name in ("pade_denominators", "derivative_numerators"):
+        def counted(*args, _name=name, _kernel=getattr(construct, name)):
+            calls[_name] += bool(inside)
+            return _kernel(*args)
+
+        monkeypatch.setattr(construct, name, counted)
+    call = _Measurement.__call__
+
+    def measured(self, *args, **kwargs):
+        calls["measure"] += 1
+        inside.append(True)
+        try:
+            return call(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_Measurement, "__call__", measured)
+    return calls
+
+
+class TestSolverCalls:
+    """The denominator solve runs exactly for polynomials that are not of
+    degree ``p`` with ``u_p != 0``."""
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_builds_and_their_verification_solve_nothing(self, q, solver_calls):
+        req = desk_requirement(2)
+        f_seq = IndexSequence([(k, q) for k in range(41)])
+        u, cert = build_universal_polynomial(req, F_ON_L, f_seq)
+        verify_construction(u, req, cert.selected, F_ON_L)
+        wide, inner = wide_requirement(64)
+        w, wide_cert = build_universal_polynomial(wide, inner, F_WIDE)
+        verify_construction(w, wide, wide_cert.selected, inner)
+        assert solver_calls["measure"] >= 4
+        assert solver_calls["pade_denominators"] == solver_calls["derivative_numerators"] == 0
+
+    def test_extension_solves_nothing(self, solver_calls):
+        psi = TargetFunction.rational([1.5], [0.0, 1.0])
+        k_compact = CompactSpec([FilledDisk(2.0, 0.5)], 32)
+        f_seq = IndexSequence([(k, 2) for k in range(61)])
+        construct.extend_prefix([0.0], k_compact, psi, 1000, f_seq)
+        assert solver_calls["measure"] > 1
+        assert solver_calls["pade_denominators"] == solver_calls["derivative_numerators"] == 0
+
+    def test_other_polynomials_solve(self, solver_calls):
+        req = desk_requirement(1)
+        u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(14, 2)]))
+        seen = []
+        for trial, pq in (
+            (padded(u), (14, 2)),  # longer than p + 1
+            (Polynomial(np.append(u.coeffs[:-1], 0j)), (14, 0)),  # u_p = 0
+            (Polynomial(random_coefficients(np.random.default_rng(0), 9, 0.5)), (6, 2)),
+        ):
+            before = dict(solver_calls)
+            verify_construction(trial, req, pq, F_ON_L, 1.0)
+            seen.append(
+                [solver_calls[k] - before[k] for k in ("pade_denominators", "derivative_numerators")]
+            )
+        assert all(calls[0] >= 1 and calls[1] >= 1 for calls in seen)
+
+    def test_pole_guard_at_tau_zero_one_still_raises(self):
+        # q = 0 and B = 1: a pole guard |B| <= 1 rejects the first point of K,
+        # as the per-center loop does; the reuse of the Taylor sums must not skip it
+        tol = ToleranceConfig(tau_zero=1.0, tau_det=1.0)
+        req = desk_requirement(0)
+        u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(13, 0)]))
+        inner = TargetFunction.poly([0.5, 0.25, 0.125])
+        with pytest.raises(PoleProximityError) as new:
+            verify_construction(u, req, (13, 0), inner, tol=tol)
+        args = (u, 13, 0, *grids(req), req.target_on_K, inner, 0, tol)
+        with pytest.raises(PoleProximityError) as old:
+            oracle_measure(*args, True)
+        assert new.value.args == old.value.args
+        assert complex(new.value.point) == discretize(req.K).points[0]
 
 
 def test_verify_op_counts_do_not_grow_with_centers(monkeypatch):

@@ -1,0 +1,142 @@
+"""Run the benchmark in alternating parent/change pairs and write BENCH_<label>.json.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload wide \\
+        --seeds 101-110 --seconds 30 --label NAME
+
+Runs ``perfbench/run.py --workload W --seed S --seconds T`` once in each
+checkout per seed, one pair per seed.  Even pairs run the parent first and
+odd pairs the change first, so a drift of a shared machine falls on both
+sides.  Writes ``BENCH_<label>.json`` at the root of this checkout with
+each side's git sha, every run's end-to-end metrics (the ``end_to_end``
+names of this checkout's ``BENCHMARK.json``) with ``correct`` and
+``failed``, each side's median and quartiles per metric, and per metric the
+pairs each side won: the better value as ``BENCHMARK.json`` says, a tie
+counting for neither.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def _seeds(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def parse_run(stdout: str, exit_code: int, names) -> dict:
+    """The record of one run from its standard output: the last line is the
+    benchmark's JSON result; a run without one is incorrect and has no metrics."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {}
+    metrics = result.get("metrics", {})
+    return {
+        "exit": exit_code,
+        "correct": exit_code == 0 and result.get("correct") is True,
+        "failed": result.get("failed"),
+        "attempted": result.get("attempted"),
+        "metrics": {name: metrics[name]["value"] for name in names if name in metrics},
+    }
+
+
+def quartiles(values) -> dict:
+    """Median, quartiles (inclusive method) and interquartile range."""
+    values = sorted(values)
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(runs, end_to_end) -> dict:
+    """Per metric: each side's quartiles over its runs and the pairs each side won.
+
+    ``runs`` are records of :func:`parse_run` with ``pair`` and ``side``
+    added; ``end_to_end`` the ``BENCHMARK.json`` entries (``name``,
+    ``better``).  A pair counts only where both of its runs report the metric.
+    """
+    summary = {}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        by_pair: dict = {}
+        for run in runs:
+            if name in run["metrics"]:
+                by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"][name]
+        entry = {"better": metric["better"]}
+        for side in SIDES:
+            values = [pair[side] for pair in by_pair.values() if side in pair]
+            entry[side] = quartiles(values) if values else None
+        won = dict.fromkeys(SIDES, 0)
+        complete = [pair for pair in by_pair.values() if len(pair) == 2]
+        for pair in complete:
+            parent, change = pair["parent"], pair["change"]
+            if parent != change:
+                won["change" if (change < parent) == lower else "parent"] += 1
+        entry["pairs"] = len(complete)
+        entry["pairs_won"] = won
+        summary[name] = entry
+    return summary
+
+
+def git_sha(checkout: str) -> str:
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True, choices=["wide", "desk", "table"])
+    parser.add_argument("--seeds", type=_seeds, required=True, help="one seed N or a range A-B")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        end_to_end = json.load(f)["end_to_end"]
+    names = [metric["name"] for metric in end_to_end]
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    runs = []
+    for pair, seed in enumerate(args.seeds):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            argv_run = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                        "--seed", str(seed), "--seconds", str(args.seconds)]
+            done = subprocess.run(argv_run, cwd=checkouts[side], capture_output=True, text=True)
+            run = parse_run(done.stdout, done.returncode, names)
+            runs.append({"pair": pair, "seed": seed, "side": side, **run})
+            print(json.dumps(runs[-1]), flush=True)
+
+    out = {
+        "workload": args.workload,
+        "seconds": args.seconds,
+        "command": "perfbench/run.py --workload W --seed S --seconds T",
+        "sides": {side: {"sha": git_sha(checkouts[side])} for side in SIDES},
+        "runs": runs,
+        "summary": summarize(runs, end_to_end),
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w") as f:
+        json.dump(out, f, indent=1)
+        f.write("\n")
+    print(path)
+    return 0 if all(run["correct"] for run in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
