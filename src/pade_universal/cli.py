@@ -336,56 +336,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Failure -> (exit code, diagnostic label), first matching row wins.  The
+#: order matters: ``np.linalg.LinAlgError`` and ``json.JSONDecodeError`` are
+#: ``ValueError``s, and every package error is a ``PadeUniversalError``.
+_FAILURES = (
+    (_UsageError, EXIT_USAGE, "usage"),
+    (PadeNotExistError, EXIT_NOT_EXIST, "pade-not-exist"),
+    (FitFailedError, EXIT_FIT, "fit-failed"),
+    (IndexExhaustedError, EXIT_INDEX, "index-exhausted"),
+    (PerturbationFailedError, EXIT_PERTURBATION, "perturbation-failed"),
+    ((DegenerateDenominatorError, PoleProximityError, IllConditionedError,
+      TruncationExceededError, OriginInKError, np.linalg.LinAlgError), EXIT_NUMERIC, "numeric"),
+    (SchemaError, EXIT_USAGE, "schema"),
+    ((ValueError, KeyError, OSError, PadeUniversalError), EXIT_USAGE, "validation"),
+)
+
+
+def _failure(exc: BaseException) -> tuple[int, str] | None:
+    """The exit code and label of the first row of ``_FAILURES`` that ``exc`` matches."""
+    return next(((code, label) for cls, code, label in _FAILURES if isinstance(exc, cls)), None)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _diag({"error": "usage", "message": str(exc)})
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        _diag({"error": "usage", "message": str(exc)})
-        return EXIT_USAGE
-    except PadeNotExistError as exc:
-        _diag({"error": "pade-not-exist", "hankel": exc.report.to_json()})
-        return EXIT_NOT_EXIST
-    except FitFailedError as exc:
-        _diag({"error": "fit-failed", "message": str(exc)})
-        return EXIT_FIT
-    except IndexExhaustedError as exc:
-        _diag({"error": "index-exhausted", "message": str(exc)})
-        return EXIT_INDEX
-    except PerturbationFailedError as exc:
-        _diag({"error": "perturbation-failed", "message": str(exc)})
-        return EXIT_PERTURBATION
     except ScheduleStepError as exc:
+        # a failed step exits as its cause would; a cause with no row is numeric
+        code, _ = _failure(exc.cause) or (EXIT_NUMERIC, None)
         _diag({"error": "schedule-step", "step": exc.step, "message": str(exc.cause)})
-        cause = exc.cause
-        if isinstance(cause, FitFailedError):
-            return EXIT_FIT
-        if isinstance(cause, IndexExhaustedError):
-            return EXIT_INDEX
-        if isinstance(cause, PerturbationFailedError):
-            return EXIT_PERTURBATION
-        return EXIT_NUMERIC
-    except (
-        DegenerateDenominatorError,
-        PoleProximityError,
-        IllConditionedError,
-        TruncationExceededError,
-        OriginInKError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        _diag({"error": "numeric", "message": str(exc)})
-        return EXIT_NUMERIC
-    except SchemaError as exc:
-        _diag({"error": "schema", "message": str(exc)})
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, PadeUniversalError) as exc:
-        _diag({"error": "validation", "message": str(exc)})
-        return EXIT_USAGE
+        return code
+    except Exception as exc:
+        failure = _failure(exc)
+        if failure is None:
+            raise
+        code, label = failure
+        if isinstance(exc, PadeNotExistError):
+            _diag({"error": label, "hankel": exc.report.to_json()})
+        else:
+            _diag({"error": label, "message": str(exc)})
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception hierarchy for the pade_universal package.
 
-Every numerical failure mode has its own class so callers (and the CLI
-exit-code table) can react precisely instead of parsing messages.
+Every numerical failure mode has its own class so callers can react
+precisely instead of parsing messages.  The CLI maps these classes to exit
+codes and diagnostic labels through one ordered table, ``_FAILURES`` in
+:mod:`.cli`, where a class takes the first row that lists it or a base.
 """
 
 from __future__ import annotations

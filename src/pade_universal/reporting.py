@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -63,10 +63,7 @@ def emit_pade_table(
 def environment_stamp(tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     return {
         "version": __version__,
-        "tolerances": {
-            "tau_zero": tol.tau_zero,
-            "tau_det": tol.tau_det,
-        },
+        "tolerances": asdict(tol),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 

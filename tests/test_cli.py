@@ -1,10 +1,15 @@
+import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 
-from pade_universal import cli
+from pade_universal import cli, errors
+from pade_universal.errors import ScheduleStepError
+from pade_universal.pade import hankel_determinant
 from pade_universal.reporting import load_run
+from pade_universal.series import FormalPowerSeries
 
 EXP_COEFFS = [[1 / math.factorial(k), 0.0] for k in range(8)]
 GEOM_COEFFS = [[1.0, 0.0]] * 8
@@ -48,6 +53,32 @@ def greedy_scenario():
         "schedule": [{**step, "s": 10}, {**step, "s": 50}],
         "F": [[k, k % 3] for k in range(61)],
     }
+
+
+def desk_schedule_scenario(w=1.0):
+    """The three-step greedy schedule of the ``desk`` benchmark, every target
+    scaled by ``w``."""
+    circle = extension_scenario()["K"]
+    reciprocal = {"kind": "rational", "numer": [[w, 0]], "denom": [[0, 0], [1, 0]]}
+    quadratic = {"kind": "poly", "coeffs": [[w, 0], [0, 0], [0.5 * w, 0]]}
+    return {
+        "prefix": [[0, 0]],
+        "schedule": [
+            {"K": circle, "psi": reciprocal, "s": 10},
+            {"K": circle, "psi": quadratic, "s": 50},
+            {"K": circle, "psi": reciprocal, "s": 100},
+        ],
+        "F": [[k, k % 3] for k in range(61)],
+    }
+
+
+def one_step_scenario(command, K, psi):
+    """A ``seleznev`` scenario, or the ``greedy`` schedule of its one step."""
+    step = {"K": K, "psi": psi, "s": 10}
+    F = [[k, k % 3] for k in range(61)]
+    if command == "seleznev":
+        return {"prefix": [[0, 0]], **step, "F": F}
+    return {"prefix": [[0, 0]], "schedule": [step], "F": F}
 
 
 def run(capsys, *argv):
@@ -244,6 +275,16 @@ class TestBuildCommand:
         assert json.loads(err)["error"] == "perturbation-failed"
         assert load_run(out).certificates == []
 
+    def test_fit_floor_exits_four(self, capsys, tmp_path):
+        # s = 10^4 asks for a residual below the float64 fit floor (5.4e-5)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario(s=10000)))
+        out = tmp_path / "run.json"
+        code, _, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
+        assert code == 4
+        assert json.loads(err)["error"] == "fit-failed"
+        assert load_run(out).certificates == []
+
     def test_overlapping_compacts_exit_one(self, capsys, tmp_path):
         scenario_data = build_scenario()
         scenario_data["requirement"]["K"] = {
@@ -309,6 +350,113 @@ class TestExtensionCommands:
             "error": "schema",
             "message": "record carries no built polynomial to verify",
         }
+
+
+#: Every failure class with the exit code and label the table gives it.
+#: ``ScheduleStepError`` has no row: ``main`` looks up its cause instead.
+FAILURE_ROWS = [
+    (cli._UsageError, 1, "usage"),
+    (errors.PadeUniversalError, 1, "validation"),
+    (errors.TruncationExceededError, 3, "numeric"),
+    (errors.LengthMismatchError, 1, "validation"),
+    (errors.PadeNotExistError, 2, "pade-not-exist"),
+    (errors.DegenerateDenominatorError, 3, "numeric"),
+    (errors.PoleProximityError, 3, "numeric"),
+    (errors.DegreeMismatchError, 1, "validation"),
+    (errors.EmptySpecError, 1, "validation"),
+    (errors.EmptyResultError, 1, "validation"),
+    (errors.UnsupportedDomainError, 1, "validation"),
+    (errors.IndexExhaustedError, 5, "index-exhausted"),
+    (errors.FitFailedError, 4, "fit-failed"),
+    (errors.IllConditionedError, 3, "numeric"),
+    (errors.PerturbationFailedError, 6, "perturbation-failed"),
+    (errors.OriginInKError, 3, "numeric"),
+    (errors.SchemaError, 1, "schema"),
+    (ValueError, 1, "validation"),
+    (KeyError, 1, "validation"),
+    (OSError, 1, "validation"),
+    (json.JSONDecodeError, 1, "validation"),
+    (np.linalg.LinAlgError, 3, "numeric"),
+]
+
+UNVALUED_TABLE = (
+    {"primitives": [{"kind": "circle", "center": [2, 0], "radius": 0.5}],
+     "samples_per_primitive": 16},
+    {"kind": "table", "points": [[0, 0]], "values": [[1, 0]]},
+)
+ORIGIN_IN_K = (
+    {"primitives": [{"kind": "filled_disk", "center": [0, 0], "radius": 0.5}],
+     "samples_per_primitive": 16},
+    extension_scenario()["psi"],
+)
+
+
+class TestFailureTable:
+    @pytest.mark.parametrize("cls, code, label", FAILURE_ROWS)
+    def test_lookup(self, cls, code, label):
+        assert cli._failure(cls.__new__(cls)) == (code, label)
+
+    def test_every_package_error_has_a_pinned_row(self):
+        classes = {
+            cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == errors.__name__
+        }
+        assert classes - {cls for cls, _, _ in FAILURE_ROWS} == {ScheduleStepError}
+
+    def test_pade_not_exist_carries_the_report_only(self, capsys):
+        code, _, err = run(capsys, "pade", "--coeffs", json.dumps(GEOM_COEFFS), "--p", "1", "--q", "2")
+        assert code == 2
+        report = hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2).to_json()
+        assert err == json.dumps({"error": "pade-not-exist", "hankel": report}, sort_keys=True) + "\n"
+
+    def test_failed_step_exits_as_its_cause(self, capsys, tmp_path):
+        # w = 1.3 makes the third step's fit ramp refuse
+        scenario = tmp_path / "greedy.json"
+        scenario.write_text(json.dumps(desk_schedule_scenario(w=1.3)))
+        code, _, err = run(capsys, "greedy", "--scenario", str(scenario))
+        assert code == 4
+        diag = json.loads(err)
+        assert diag["error"] == "schedule-step" and diag["step"] == 2
+        assert diag["message"].startswith("least-squares ramp reached degree")
+
+    @pytest.mark.parametrize("command", ["seleznev", "greedy"])
+    @pytest.mark.parametrize(
+        "case, code, label",
+        [(UNVALUED_TABLE, 1, "validation"), (ORIGIN_IN_K, 3, "numeric")],
+        ids=["unvalued-table", "origin-in-K"],
+    )
+    def test_one_step_commands_agree(self, capsys, tmp_path, command, case, code, label):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(one_step_scenario(command, *case)))
+        got, _, err = run(capsys, command, "--scenario", str(scenario))
+        assert got == code
+        diag = json.loads(err)
+        if command == "seleznev":
+            assert diag["error"] == label
+        else:
+            assert diag["error"] == "schedule-step" and diag["step"] == 0
+
+    def test_step_cause_without_a_row_exits_three(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ScheduleStepError(1, TypeError("no row"))
+
+        monkeypatch.setattr(cli, "run_extension_schedule", fail)
+        scenario = tmp_path / "greedy.json"
+        scenario.write_text(json.dumps(greedy_scenario()))
+        code, _, err = run(capsys, "greedy", "--scenario", str(scenario))
+        assert code == 3
+        assert json.loads(err) == {"error": "schedule-step", "message": "no row", "step": 1}
+
+    def test_direct_failure_without_a_row_propagates(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise TypeError("no row")
+
+        monkeypatch.setattr(cli, "extend_prefix", fail)
+        scenario = tmp_path / "ext.json"
+        scenario.write_text(json.dumps(extension_scenario()))
+        with pytest.raises(TypeError, match="no row"):
+            cli.main(["seleznev", "--scenario", str(scenario)])
+        assert capsys.readouterr().err == ""
 
 
 class TestParserCache:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,10 @@ from pade_universal.series import Polynomial
 from conftest import random_coefficients
 
 UNIT_DISK = DomainSpec(kind="disk", center=0.0, radius=1.0)
+# Im z < 0.5: the normal 2j has unit normal 1j
+HALF_PLANE = DomainSpec(kind="half_plane", normal=2j, offset=0.5)
+EXTERIOR = DomainSpec(kind="disk_complement", center=1.0, radius=2.0)
+UNION = DomainSpec(kind="disk_union", disks=((0.0, 1.0), (1.5, 1.0)))
 
 
 class TestDiscretize:
@@ -69,6 +74,21 @@ class TestDiscretize:
             AnnulusSector(0.0, 2.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             FilledDisk(0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Circle(0.0, -0.5), "radius must be nonnegative"),
+            (lambda: AnnulusSector(0.0, -1.0, 1.0, 0.0, 1.0), "radii must be nonnegative"),
+            (lambda: AnnulusSector(0.0, 1.0, -1.0, 0.0, 1.0), "radii must be nonnegative"),
+            (lambda: AnnulusSector(0.0, 2.0, 1.0, 0.0, 1.0), "r_in must not exceed r_out"),
+            (lambda: AnnulusSector(0.0, 1.0, 2.0, 1.0, 0.5), "theta_b must not precede theta_a"),
+            (lambda: PointSet([]), "point set must be non-empty"),
+        ],
+    )
+    def test_primitive_constructors_reject(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def scalar_discretize(spec: CompactSpec) -> np.ndarray:
@@ -316,12 +336,50 @@ class TestFamilies:
                         assert spec_region_contains(spec, z, pad=1e-9)
                 previous = spec
 
+    @pytest.mark.parametrize(
+        "domain, m, mode, primitive",
+        [
+            (HALF_PLANE, 2, "off-closure", Segment(1j, 3j)),
+            (HALF_PLANE, 2, "off-domain", Segment(0.5j, 2.5j)),
+            (EXTERIOR, 2, "off-closure", FilledDisk(1.0, 1.5)),
+            (EXTERIOR, 2, "off-domain", FilledDisk(1.0, 2.0)),
+            (UNION, 2, "off-closure", Segment(3.0, 5.0)),
+            (UNION, 2, "off-domain", Segment(2.5, 4.5)),
+        ],
+    )
+    def test_outer_presets_of_the_other_kinds(self, domain, m, mode, primitive):
+        spec = outer_family(domain, m, mode, samples=16)
+        assert spec.primitives == (primitive,)
+        gap = 1.0 / m if mode == "off-closure" else 0.0
+        assert grid_domain_distance(discretize(spec), domain) >= gap - 1e-12
+
+    def test_outer_disk_complement_needs_room(self):
+        small = DomainSpec(kind="disk_complement", center=0.0, radius=0.5)
+        for m in (1, 2):
+            with pytest.raises(EmptyResultError):
+                outer_family(small, m, "off-closure")
+        assert outer_family(small, 3, "off-closure").primitives == (FilledDisk(0.0, 0.5 - 1 / 3),)
+
     def test_outer_disjoint_from_exhausting(self):
         for k in range(2, 6):
             inner = discretize(exhausting_family(UNIT_DISK, k, "interior", samples=24))
             for m in range(1, 5):
                 outer = discretize(outer_family(UNIT_DISK, m, "off-closure", samples=24))
                 assert grids_min_distance(inner, outer) > 0.0
+
+
+class TestDomainDistance:
+    @pytest.mark.parametrize(
+        "domain, z, distance",
+        [
+            (HALF_PLANE, [0.0, 5 + 0.2j, 0.5j, 3j, -2 + 1.5j], [0.0, 0.0, 0.0, 2.5, 1.0]),
+            (EXTERIOR, [10.0, 3.0, 1.0, 1.5, 1 + 0.5j], [0.0, 0.0, 2.0, 1.5, 1.5]),
+            (UNION, [0.5, 2.5, 4.0, -3j], [0.0, 0.0, 1.5, 2.0]),
+        ],
+        ids=["half_plane", "disk_complement", "disk_union"],
+    )
+    def test_distance_from(self, domain, z, distance):
+        assert domain.distance_from(z).tolist() == distance
 
 
 class TestJson:
@@ -331,6 +389,20 @@ class TestJson:
         )
         again = CompactSpec.from_json(spec.to_json())
         assert again == spec
+
+    def test_annulus_sector_and_point_set_round_trip(self):
+        spec = CompactSpec(
+            [AnnulusSector(1 + 1j, 0.5, 2.0, 0.1, 1.2), PointSet([1.0, 2j, -1 - 1j])], 16
+        )
+        payload = spec.to_json()
+        assert payload["primitives"] == [
+            {"kind": "annulus_sector", "center": [1.0, 1.0], "r_in": 0.5, "r_out": 2.0,
+             "theta_a": 0.1, "theta_b": 1.2},
+            {"kind": "point_set", "points": [[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]]},
+        ]
+        again = CompactSpec.from_json(json.loads(json.dumps(payload)))
+        assert again == spec
+        assert discretize(again).points.tobytes() == discretize(spec).points.tobytes()
 
     def test_single_primitive_shorthand(self):
         spec = CompactSpec.from_json({"kind": "segment", "a": [2, 0], "b": [3, 0], "samples": 16})

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -180,6 +181,12 @@ class TestPersistence:
         save_run(record, path)
         again = load_run(path)
         assert again == record
+
+    def test_stamp_names_every_tolerance(self):
+        tol = ToleranceConfig(tau_zero=1e-13, tau_det=1e-9)
+        stamped = environment_stamp(tol)["tolerances"]
+        assert list(stamped) == [f.name for f in fields(ToleranceConfig)]
+        assert stamped == {"tau_zero": 1e-13, "tau_det": 1e-9}
 
     def test_corrupted_file_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
+    pair_to_complex,
     taylor_partial_sum,
 )
 
@@ -208,3 +209,36 @@ class TestValidation:
         assert tuple(s.coeffs) == (1.0, 2.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             p.to_series(1)
+
+
+class TestPairToComplex:
+    @pytest.mark.parametrize(
+        "payload, value",
+        [
+            (2, 2 + 0j),
+            (-0.75, -0.75 + 0j),
+            ("3/2", 1.5 + 0j),
+            ([1.5, -2.0], 1.5 - 2j),
+            (("0.25", 4), 0.25 + 4j),
+            (["1/2", "-3/4"], 0.5 - 0.75j),
+        ],
+    )
+    def test_accepted_forms(self, payload, value):
+        z = pair_to_complex(payload)
+        assert type(z) is complex and z == value
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1.0, 2.0, 3.0], [1.0], None, {"re": 1.0, "im": 0.0}],
+    )
+    def test_rejects_other_shapes(self, payload):
+        with pytest.raises(ValueError, match="expected \\[re, im\\]"):
+            pair_to_complex(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [float("nan"), float("inf"), [0.0, float("-inf")], [float("nan"), 1.0]],
+    )
+    def test_rejects_non_finite_values(self, payload):
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_to_complex(payload)
