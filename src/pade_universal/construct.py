@@ -46,6 +46,7 @@ from .errors import (
     OriginInKError,
     PadeNotExistError,
     PerturbationFailedError,
+    PerturbationRefusedError,
     ScheduleStepError,
 )
 from .pade import (
@@ -78,6 +79,10 @@ INDEX_RETRY_LIMIT = 8
 
 #: Evaluation budget of the perturbation-magnitude search.
 PERTURBATION_ATTEMPTS = 60
+
+#: A pair is refused unmeasured when its Hankel wall is at least this many
+#: times its sup wall (see ``_perturbation_walls``).
+_WALL_MARGIN = 2.0
 
 #: (center, point) pairs the verifier evaluates per block of centers: large
 #: enough that array passes amortize their overhead, small enough that the
@@ -516,6 +521,9 @@ class _Measurement:
             self.target_vals.append(
                 [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
             )
+        # K's points and level-0 target values, which the sup wall reads
+        k = next(i for i, (*_, name) in enumerate(compacts) if name == "K")
+        self.k_points, self.k_target = compacts[k][0], self.target_vals[0][k]
 
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int, strict: bool
@@ -676,6 +684,53 @@ def _search_perturbation(measure, d0: float):
     raise PerturbationFailedError(lo, hi, attempt)
 
 
+def _perturbation_walls(fit: Polynomial, measurement: _Measurement):
+    """``walls(p, q) -> (d_H, d_S)`` for the trials ``u = fit + d z^p`` at ``q >= 2``.
+
+    With ``deg fit < p`` every recentered row of ``u`` has ``a_p = d`` and
+    zeros above ``p``, so its Hankel window is anti-triangular with
+    determinant ``±d^q``.  Its other entries ``a_k(u, ζ) = a_k(fit, ζ) +
+    d C(p, k) (ζ - c)^(p-k)``, ``p - q + 1 <= k <= p - 1``, give the scale a
+    floor, so the test ``|d|^q > tau_det scale^q`` can hold at ζ only for
+    ``|d| > t A(ζ) / (1 + t B(ζ))``, with ``t = tau_det^(1/q)``, ``A(ζ) =
+    max |a_k(fit, ζ)|`` and ``B(ζ) = max C(p, k) |ζ - c|^(p-k)``.  The
+    Hankel wall ``d_H`` is the largest of these over the centers.  On K,
+    ``|u - T| >= |d| |z - c|^p - r_K`` with ``r_K = max_K |fit - T|``, so
+    the level-0 Taylor sup on K (where ``S_p(u, ζ) = u``) stays below
+    ``1/s`` only for ``|d| < d_S = (1/s + r_K) / max_K |z - c|^p``.
+
+    A pair with ``d_H >= _WALL_MARGIN * d_S`` cannot pass at any ``d``.
+    Below ``d_H`` the exact Hankel test fails at some center; the rounding
+    of ``det`` moves that wall by a few ulps, well inside the factor 2, so
+    where it could let the test pass the K sup is still near ``2/s + r_K``.
+    Above ``d_H`` the exact K sup is at least ``2 d_S max_K |z - c|^p - r_K
+    = 2/s + r_K``.  The one assumption is that the rounding floor of the
+    level-0 Taylor values on K stays below ``1/s + r_K``, so the measured
+    sup cannot fall to ``1/s``.  Everything is read from ``fit`` and the
+    prepared ``measurement``: one recentering of ``fit`` at the centers and
+    one evaluation on K serve every pair.
+    """
+    center = fit.center
+    rows = np.abs(recentered_coefficients(fit.coeffs, center, measurement.centers))
+    radii = np.abs(measurement.centers - center)
+    r_k = float(np.max(np.abs(fit.eval(measurement.k_points) - measurement.k_target)))
+    k_radius = float(np.max(np.abs(measurement.k_points - center)))
+    requested, tau_det = measurement.requested, measurement.tol.tau_det
+
+    def walls(p: int, q: int) -> tuple[float, float]:
+        t = tau_det ** (1.0 / q)
+        lo = max(0, p - q + 1)
+        ks = np.arange(lo, p)
+        a = np.max(rows[:, lo:p], axis=1, initial=0.0)
+        binomials = np.array([float(math.comb(p, k)) for k in ks])
+        with np.errstate(over="ignore"):  # an infinite B only lowers d_H
+            b = np.max(binomials * radii[:, None] ** (p - ks), axis=1, initial=0.0)
+        d_h = float(np.max(t * a / (1.0 + t * b)))
+        return d_h, (requested + r_k) / k_radius**p
+
+    return walls
+
+
 def _certify(
     fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement, s: int,
     sup_abs: float, fit_degree: int, diagnostics: dict, d_override=None,
@@ -692,8 +747,17 @@ def _certify(
     tried.  With ``d_override`` the first pair is measured at that value,
     passing or not.  Re-raises the last :class:`PerturbationFailedError`
     when no pair passes.
+
+    Before its search, a pair with ``q >= 2`` whose walls cross (see
+    :func:`_perturbation_walls`) is refused with
+    :class:`PerturbationRefusedError`, unmeasured, and the next pair is
+    tried as after a failed search.  Such a search could only fail, so the
+    pair certified, its ``d`` and its sups are those of the full search;
+    only ``d_attempts`` is smaller.  A pair with ``q <= 1`` is never
+    refused: its Hankel test cannot fail.
     """
     attempts = 0
+    walls = _perturbation_walls(fit, measurement) if d_override is None else None
 
     def measure(d: complex, p: int, q: int) -> Certificate:
         nonlocal attempts
@@ -707,6 +771,13 @@ def _certify(
         if d_override is not None:
             cert = measure(d_override, p, q)
         else:
+            if q >= 2:
+                d_h, d_s = walls(p, q)
+                if d_h >= _WALL_MARGIN * d_s:
+                    # built, not raised: a caught traceback would tie this frame
+                    # into a cycle that holds the build's arrays until a full GC
+                    last_error = PerturbationRefusedError(p, q, d_h, d_s)
+                    continue
             try:
                 cert = _search_perturbation(
                     lambda d: measure(d, p, q), 1.0 / (2.0 * s * sup_abs**p)
@@ -821,8 +892,11 @@ def extend_prefix(
     ``p_k`` above every occupied degree, and ``d != 0`` is shrunk until both
     the sup bound ``1/s`` on K and Hankel nonvanishing at 0 hold.  The
     fitted ``prefix_poly + t(z) z^(n0+1)`` goes through the same
-    ``_certify`` as a build's fit.  Every term after the prefix sits above
-    ``n0``, so the prefix survives verbatim and the extension stays within
+    ``_certify`` as a build's fit, so a pair with ``q >= 2`` whose Hankel
+    floor at 0 lies above its sup ceiling on K is refused unmeasured, and
+    when every pair fails the last failure is raised, possibly that
+    :class:`PerturbationRefusedError`.  Every term after the prefix sits
+    above ``n0``, so the prefix survives verbatim and the extension stays within
     ``2^-n0`` of the input in the disagreement metric; this is checked once,
     on the returned extension.
     """

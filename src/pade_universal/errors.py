@@ -123,6 +123,28 @@ class PerturbationFailedError(PadeUniversalError):
         self.attempts = attempts
 
 
+class PerturbationRefusedError(PerturbationFailedError):
+    """An index pair refused before any measurement: its perturbation walls cross.
+
+    The Hankel conclusion needs ``|d| > d_H`` and the Taylor sup on K stays
+    below the requested bound only for ``|d| < d_S``; ``d_H`` exceeds ``d_S``
+    by the refusal margin, so no magnitude can pass.  ``lo`` and ``hi`` are
+    the two walls and ``attempts`` is 0.
+    """
+
+    def __init__(self, p, q, d_H, d_S):
+        super().__init__(d_H, d_S, 0)
+        self.args = (
+            f"index pair ({p},{q}) refused without measuring: the Hankel conclusion "
+            f"needs |d| > {d_H:.3e}, the Taylor sup on K stays below 1/s only for "
+            f"|d| < {d_S:.3e}",
+        )
+        self.p = p
+        self.q = q
+        self.d_H = d_H
+        self.d_S = d_S
+
+
 class OriginInKError(PadeUniversalError):
     """The compact set for a prefix extension contains (or touches) 0."""
 

@@ -68,19 +68,25 @@ def coeffs_from_json(pairs) -> list[complex]:
     return [pair_to_complex(c) for c in pairs]
 
 
+def _fraction_float(value) -> float:
+    """``float(Fraction(value))``; a value beyond the float range is a ``ValueError``."""
+    try:
+        return float(Fraction(value))
+    except OverflowError:
+        raise ValueError(f"value must be finite, got {value!r}") from None
+
+
 def pair_to_complex(pair) -> complex:
     """Parse ``[re, im]`` (or a bare real) back into a complex number."""
     if isinstance(pair, (int, float)):
         return _require_finite(complex(pair), "value")
     if isinstance(pair, str):
         # exact-mode payload: fraction string such as "3/2"
-        return _require_finite(complex(float(Fraction(pair)), 0.0), "value")
+        return complex(_fraction_float(pair), 0.0)
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         re, im = pair
         if isinstance(re, str) or isinstance(im, str):
-            return _require_finite(
-                complex(float(Fraction(re)), float(Fraction(im))), "value"
-            )
+            return complex(_fraction_float(re), _fraction_float(im))
         return _require_finite(complex(float(re), float(im)), "value")
     raise ValueError(f"expected [re, im], got {pair!r}")
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pade_universal import cli, errors
+from pade_universal import cli, construct, errors
 from pade_universal.errors import ScheduleStepError
 from pade_universal.pade import hankel_determinant
 from pade_universal.reporting import load_run
@@ -111,6 +111,13 @@ class TestPadeCommand:
         payload = json.loads(out)
         assert payload["rational"]["A"] == [[1.0, 0.0]] * 4
         assert payload["rational"]["B"] == [[1.0, 0.0]]
+
+    def test_out_of_range_fraction_exits_one(self, capsys):
+        coeffs = '[["1e999", 0], [1, 0]]'
+        code, _, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "1", "--q", "0")
+        assert code == 1
+        diag = json.loads(err)
+        assert diag["error"] == "validation" and "must be finite" in diag["message"]
 
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "pade", "--p", "1", "--q", "1")
@@ -275,6 +282,29 @@ class TestBuildCommand:
         assert json.loads(err)["error"] == "perturbation-failed"
         assert load_run(out).certificates == []
 
+    def test_refused_pairs_exit_six_unmeasured(self, capsys, tmp_path, monkeypatch):
+        # the wide geometry: the fit stops at degree 22, and (23, 2) has a
+        # Hankel wall far above its sup wall
+        scenario_data = build_scenario(s=200)
+        requirement = scenario_data["requirement"]
+        requirement["target"]["coeffs"] = [[0.5, 0], [0, 0.25], [-0.5, 0]]
+        requirement["derivative_levels"] = 2
+        scenario_data["f_on_L"]["denom"] = [[2.5, 0], [-1, 0]]
+        scenario_data["F"] = [[23, 2]]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        out = tmp_path / "run.json"
+        calls = []
+        monkeypatch.setattr(construct._Measurement, "__call__", lambda *a, **k: calls.append(a))
+        code, _, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
+        assert code == 6 and calls == []
+        diag = json.loads(err)
+        assert diag["error"] == "perturbation-failed"
+        assert "refused without measuring" in diag["message"]
+        assert "Hankel conclusion needs |d| >" in diag["message"]
+        assert "Taylor sup on K stays below 1/s only for |d| <" in diag["message"]
+        assert load_run(out).certificates == []
+
     def test_fit_floor_exits_four(self, capsys, tmp_path):
         # s = 10^4 asks for a residual below the float64 fit floor (5.4e-5)
         scenario = tmp_path / "scenario.json"
@@ -370,6 +400,7 @@ FAILURE_ROWS = [
     (errors.FitFailedError, 4, "fit-failed"),
     (errors.IllConditionedError, 3, "numeric"),
     (errors.PerturbationFailedError, 6, "perturbation-failed"),
+    (errors.PerturbationRefusedError, 6, "perturbation-failed"),
     (errors.OriginInKError, 3, "numeric"),
     (errors.SchemaError, 1, "schema"),
     (ValueError, 1, "validation"),

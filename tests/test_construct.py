@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from pade_universal.errors import (
     IndexExhaustedError,
     OriginInKError,
     PerturbationFailedError,
+    PerturbationRefusedError,
     PoleProximityError,
     ScheduleStepError,
 )
@@ -490,6 +492,148 @@ class TestVerify:
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
         again = Certificate.from_json(cert.to_json())
         assert again == cert
+
+
+def wide_requirement(centers):
+    """The wide geometry (s = 200, levels 2) with a target whose fit stops at
+    degree 22, so its first pair (23, 2) is refused."""
+    return RequirementSpec(
+        K=SEGMENT_K,
+        target_on_K=TargetFunction.poly([0.5, 0.25j, -0.5]),
+        L=CompactSpec([FilledDisk(0.0, 0.4)], centers),
+        s=200,
+        derivative_levels=2,
+        J=DISK_J,
+    )
+
+
+WIDE_F_ON_L = TargetFunction.rational([1.0], [2.5, -1.0])
+F_WIDE = IndexSequence([(k, 1 + k % 2) for k in range(61)])
+DESK_POLES = (2.5, 2.5j, -2.5, 2.2 * np.exp(1j), 3.0 * np.exp(2j))
+GREEDY_WEIGHTS = (0.6, 1.1, 1.2)
+
+
+def desk_build(pole):
+    """A desk-geometry build of the wide workload's target shape: 1/(a - z) on L."""
+    target = TargetFunction.poly([0.5, 0.25j, -0.5])
+    req = dataclasses.replace(desk_requirement(), target_on_K=target)
+    return build_universal_polynomial(req, TargetFunction.rational([1.0], [pole, -1.0]), F_WIDE)
+
+
+def greedy_steps(w):
+    """The three-step schedule of the desk benchmark, every target scaled by ``w``."""
+    schedule = [
+        ExtensionRequirement(CIRCLE_K, TargetFunction.rational([w], [0.0, 1.0]), 10),
+        ExtensionRequirement(CIRCLE_K, TargetFunction.poly([w, 0.0, 0.5 * w]), 50),
+        ExtensionRequirement(CIRCLE_K, TargetFunction.rational([w], [0.0, 1.0]), 100),
+    ]
+    f_seq = IndexSequence([(k, k % 3) for k in range(61)])
+    _, certs = run_extension_schedule([0.0], schedule, f_seq)
+    return certs
+
+
+def without_d_attempts(cert):
+    out = cert.to_json()
+    out["diagnostics"].pop("d_attempts")
+    return json.dumps(out, sort_keys=True)
+
+
+class TestPerturbationWalls:
+    def test_refused_pairs_fail_the_full_search(self, monkeypatch):
+        # every pair the rule refuses, searched as without the rule from the
+        # same d0 over the same measurement, ends in PerturbationFailedError
+        calls = []
+        certify = construct._certify
+
+        def recorded(fit, min_degree, f_seq, measurement, s, sup_abs, *args, **kwargs):
+            calls.append((fit, min_degree, f_seq, measurement, s, sup_abs))
+            return certify(fit, min_degree, f_seq, measurement, s, sup_abs, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "_certify", recorded)
+        for pole in DESK_POLES:
+            desk_build(pole)
+        for w in GREEDY_WEIGHTS:
+            greedy_steps(w)
+        refused = 0
+        for fit, min_degree, f_seq, measurement, s, sup_abs in calls:
+            walls = construct._perturbation_walls(fit, measurement)
+            for p, q in construct.candidate_indices(
+                f_seq, min_degree, construct.INDEX_RETRY_LIMIT
+            ):
+                if q < 2:
+                    continue
+                d_h, d_s = walls(p, q)
+                if d_h < construct._WALL_MARGIN * d_s:
+                    continue
+                refused += 1
+                with pytest.raises(PerturbationFailedError) as info:
+                    _search_perturbation(
+                        lambda d: measurement(fit.plus_monomial(d, p), p, q, d, -1, False),
+                        1.0 / (2.0 * s * sup_abs**p),
+                    )
+                assert type(info.value) is PerturbationFailedError
+        # the first pair of four of the five builds, and (29, 2) of the last
+        # step at w = 1.1 and 1.2
+        assert refused >= 6
+
+    def test_certificates_match_the_unrefused_search(self, monkeypatch):
+        refusing = (
+            [build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)[1]]
+            + [desk_build(pole)[1] for pole in DESK_POLES]
+            + [cert for w in GREEDY_WEIGHTS for cert in greedy_steps(w)]
+        )
+        monkeypatch.setattr(
+            construct, "_perturbation_walls", lambda fit, m: lambda p, q: (0.0, math.inf)
+        )
+        searching = (
+            [build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)[1]]
+            + [desk_build(pole)[1] for pole in DESK_POLES]
+            + [cert for w in GREEDY_WEIGHTS for cert in greedy_steps(w)]
+        )
+        assert [without_d_attempts(c) for c in refusing] == [
+            without_d_attempts(c) for c in searching
+        ]
+        assert all(c.passed for c in refusing)
+        assert sum(c.diagnostics["d_attempts"] for c in refusing) < sum(
+            c.diagnostics["d_attempts"] for c in searching
+        )
+
+    def test_wide_build_measures_once(self, monkeypatch):
+        calls = []
+        call = construct._Measurement.__call__
+
+        def counted(measurement, u, p, q, *args, **kwargs):
+            calls.append((p, q))
+            return call(measurement, u, p, q, *args, **kwargs)
+
+        monkeypatch.setattr(construct._Measurement, "__call__", counted)
+        _, cert = build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)
+        assert cert.passed and cert.selected == (24, 1)
+        assert calls == [(24, 1)] and cert.diagnostics["d_attempts"] == 1
+
+    def test_every_pair_refused_raises_the_walls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(construct._Measurement, "__call__", lambda *a, **k: calls.append(a))
+        with pytest.raises(PerturbationRefusedError) as info:
+            build_universal_polynomial(wide_requirement(16), WIDE_F_ON_L, IndexSequence([(23, 2)]))
+        error = info.value
+        assert calls == [] and error.attempts == 0
+        assert (error.p, error.q) == (23, 2)
+        assert error.d_H >= construct._WALL_MARGIN * error.d_S > 0.0
+        assert (error.lo, error.hi) == (error.d_H, error.d_S)
+
+    def test_pairs_below_q_two_have_no_walls(self, monkeypatch):
+        # q = 1 compares |d| with tau_det |d|: the rule never looks at it
+        def no_walls(fit, measurement):
+            def walls(p, q):
+                raise AssertionError(f"walls asked for ({p}, {q})")
+            return walls
+
+        monkeypatch.setattr(construct, "_perturbation_walls", no_walls)
+        _, cert = build_universal_polynomial(
+            wide_requirement(16), WIDE_F_ON_L, IndexSequence([(24, 1)])
+        )
+        assert cert.passed and cert.diagnostics["d_attempts"] == 1
 
 
 class TestExtendPrefix:

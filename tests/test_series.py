@@ -242,3 +242,10 @@ class TestPairToComplex:
     def test_rejects_non_finite_values(self, payload):
         with pytest.raises(ValueError, match="must be finite"):
             pair_to_complex(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [["1e999", 0], [0, "-1e999"], "1e999"], ids=["real", "imag", "bare"]
+    )
+    def test_rejects_fractions_beyond_the_float_range(self, payload):
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_to_complex(payload)
