@@ -65,6 +65,7 @@ from .series import (
     coeffs_from_json,
     coeffs_to_json,
     complex_to_pair,
+    int_from_json,
     pair_to_complex,
 )
 
@@ -147,11 +148,6 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _write_record(record: RunRecord, path: str | None) -> None:
     if path:
         save_run(record, path)
@@ -159,60 +155,52 @@ def _write_record(record: RunRecord, path: str | None) -> None:
         sys.stdout.write(dumps_canonical(record.to_json()))
 
 
-def _write_extension(scenario, coeffs, certificates, tol, path) -> int:
-    """Write the record of a prefix extension run; the exit code of its certificates."""
-    record = RunRecord(
-        scenario=scenario,
-        certificates=certificates,
-        environment=environment_stamp(tol),
-        artifacts={"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))},
-    )
-    _write_record(record, path)
-    return EXIT_OK if all(c.passed for c in certificates) else EXIT_PERTURBATION
+#: The typed refusals of a run: the record is still written, with no certificate.
+_REFUSALS = (FitFailedError, IndexExhaustedError, PerturbationFailedError)
 
 
-def _cmd_build(args) -> int:
-    scenario = _read_json(args.scenario)
+def _run_scenario(args, run) -> int:
+    """Run ``run(scenario, tol) -> (certificates, artifacts)`` on the scenario
+    file and write its record; the exit code of its certificates.  A refusal,
+    also as the cause of a failed schedule step, writes it with no certificate.
+    """
+    with open(args.scenario, "r", encoding="utf-8") as handle:
+        scenario = json.load(handle)
+    tol = _tolerances(args)
+    record = RunRecord(scenario=scenario, certificates=[], environment=environment_stamp(tol))
+    try:
+        record.certificates, record.artifacts = run(scenario, tol)
+    except (*_REFUSALS, ScheduleStepError) as exc:
+        if isinstance(getattr(exc, "cause", exc), _REFUSALS):
+            _write_record(record, args.out)
+        raise
+    _write_record(record, args.out)
+    return EXIT_OK if all(c.passed for c in record.certificates) else EXIT_PERTURBATION
+
+
+def _build(scenario, tol):
     req = RequirementSpec.from_json(scenario["requirement"])
     f_on_l = TargetFunction.from_json(scenario["f_on_L"])
     f_seq = IndexSequence.from_json(scenario["F"])
-    tol = _tolerances(args)
-    record = RunRecord(
-        scenario=scenario,
-        certificates=[],
-        environment=environment_stamp(tol),
-    )
-    try:
-        u, cert = build_universal_polynomial(req, f_on_l, f_seq, tol)
-    except (FitFailedError, IndexExhaustedError, PerturbationFailedError):
-        # record what we can for diagnosis, then map the exit code
-        _write_record(record, args.out)
-        raise
-    record.certificates = [cert]
-    record.artifacts = {"universal_poly": u.to_json()}
-    _write_record(record, args.out)
-    return EXIT_OK if cert.passed else EXIT_PERTURBATION
+    u, cert = build_universal_polynomial(req, f_on_l, f_seq, tol)
+    return [cert], {"universal_poly": u.to_json()}
 
 
-def _cmd_seleznev(args) -> int:
-    scenario = _read_json(args.scenario)
+def _seleznev(scenario, tol):
     prefix = coeffs_from_json(scenario["prefix"])
     k_compact = CompactSpec.from_json(scenario["K"])
     psi = TargetFunction.from_json(scenario["psi"])
     f_seq = IndexSequence.from_json(scenario["F"])
-    tol = _tolerances(args)
-    coeffs, cert = extend_prefix(prefix, k_compact, psi, int(scenario["s"]), f_seq, tol)
-    return _write_extension(scenario, coeffs, [cert], tol, args.out)
+    coeffs, cert = extend_prefix(prefix, k_compact, psi, int_from_json(scenario["s"]), f_seq, tol)
+    return [cert], {"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))}
 
 
-def _cmd_greedy(args) -> int:
-    scenario = _read_json(args.scenario)
+def _greedy(scenario, tol):
     prefix = coeffs_from_json(scenario.get("prefix", [[0.0, 0.0]]))
     schedule = [ExtensionRequirement.from_json(step) for step in scenario["schedule"]]
     f_seq = IndexSequence.from_json(scenario["F"])
-    tol = _tolerances(args)
     coeffs, certs = run_extension_schedule(prefix, schedule, f_seq, tol)
-    return _write_extension(scenario, coeffs, certs, tol, args.out)
+    return certs, {"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))}
 
 
 def _cmd_verify(args) -> int:
@@ -305,16 +293,16 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--out")
     p_table.set_defaults(func=_cmd_table)
 
-    for name, func, help_text in (
-        ("build", _cmd_build, "build a certified universal polynomial"),
-        ("seleznev", _cmd_seleznev, "extend a coefficient prefix against a compact target"),
-        ("greedy", _cmd_greedy, "run a schedule of prefix extensions"),
+    for name, run, help_text in (
+        ("build", _build, "build a certified universal polynomial"),
+        ("seleznev", _seleznev, "extend a coefficient prefix against a compact target"),
+        ("greedy", _greedy, "run a schedule of prefix extensions"),
     ):
         p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("--scenario", required=True)
         p_run.add_argument("--out")
         p_run.add_argument("--tau-det", type=float, dest="tau_det")
-        p_run.set_defaults(func=func)
+        p_run.set_defaults(func=functools.partial(_run_scenario, run=run))
 
     p_verify = sub.add_parser(
         "verify", help="re-measure a saved build record under its recorded tolerances"

@@ -26,7 +26,7 @@ from .errors import (
     EmptySpecError,
     UnsupportedDomainError,
 )
-from .series import complex_to_pair, pair_to_complex
+from .series import complex_to_pair, int_from_json, pair_to_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,7 +98,7 @@ class CompactSpec:
 
     def __init__(self, primitives: Sequence[Primitive], samples_per_primitive: int = DEFAULT_SAMPLES):
         object.__setattr__(self, "primitives", tuple(primitives))
-        object.__setattr__(self, "samples_per_primitive", int(samples_per_primitive))
+        object.__setattr__(self, "samples_per_primitive", int_from_json(samples_per_primitive))
         if self.samples_per_primitive < 8:
             raise ValueError("samples_per_primitive must be at least 8")
 
@@ -112,10 +112,10 @@ class CompactSpec:
     def from_json(cls, obj: dict) -> "CompactSpec":
         if "primitives" in obj:
             prims = [_primitive_from_json(p) for p in obj["primitives"]]
-            samples = int(obj.get("samples_per_primitive", obj.get("samples", DEFAULT_SAMPLES)))
+            samples = obj.get("samples_per_primitive", obj.get("samples", DEFAULT_SAMPLES))
             return cls(prims, samples)
         # shorthand: a single primitive object with an optional sample count
-        samples = int(obj.get("samples", DEFAULT_SAMPLES))
+        samples = obj.get("samples", DEFAULT_SAMPLES)
         return cls([_primitive_from_json(obj)], samples)
 
 

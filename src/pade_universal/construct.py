@@ -13,8 +13,12 @@ in a :class:`Certificate`.
 
 Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
 points, grown by the columns each new degree needs, and one least-squares
-solve per degree; each builder chooses its degrees and weight and keeps
-its own residual and stop rule.
+solve per degree; each builder chooses its degrees, weight and residual,
+and the ramp yields the fits that clear half the requested bound or
+raises :class:`FitFailedError` when none does.
+
+Inside this module a refusal is a value: ``_certify`` returns a failed
+search or a refused pair unraised, and each builder raises it once.
 
 One certificate path follows the fit: each builder hands its fitted
 polynomial to ``_certify``, the only code that builds a trial
@@ -66,6 +70,7 @@ from .series import (
     differentiate,
     disagreement_metric,
     horner,
+    int_from_json,
     pair_to_complex,
     poly_mul,
     recentered_coefficients,
@@ -97,7 +102,7 @@ class IndexSequence:
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, pairs: Sequence[Sequence[int]]):
-        norm = tuple((int(p), int(q)) for p, q in pairs)
+        norm = tuple((int_from_json(p), int_from_json(q)) for p, q in pairs)
         if not norm:
             raise ValueError("index sequence must be non-empty")
         for p, q in norm:
@@ -329,24 +334,31 @@ def _fit_on_points(
     return Polynomial(coeffs, 0.0)
 
 
-def _fit_ramp(z: np.ndarray, values: np.ndarray, degrees, weight: np.ndarray | None = None):
-    """Yield ``(degree, fit)`` for each of ``degrees`` from one ladder on ``z``.
+def _fit_ramp(z: np.ndarray, values: np.ndarray, degrees, target: float, residual, weight=None):
+    """Yield ``(degree, fit, residual(fit))`` for each of ``degrees`` whose
+    fit, from one ladder on ``z``, has ``residual(fit) < target``.
 
-    Stops before a degree the points cannot determine and at the first
-    degree the ladder or the system cannot support; the callers measure
-    each fit and decide when to stop.
+    The ramp ends before a degree the points cannot determine and at the
+    first degree the ladder or the system cannot support, and raises
+    :class:`FitFailedError` with the best residual if no fit cleared ``target``.
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
     ladder = _ArnoldiLadder(z)
+    best = math.inf
     for degree in degrees:
         if degree + 1 > len(z):
-            return
+            break
         try:
             fit = _fit_on_points(ladder, values, degree, weight)
         except IllConditionedError:
-            return
-        yield degree, fit
+            break
+        r = residual(fit)
+        best = min(best, r)
+        if r < target:
+            yield degree, fit, r
+    if best >= target:
+        raise FitFailedError(target, best, RAMP_CAP)
 
 
 @dataclass(frozen=True)
@@ -396,8 +408,8 @@ class RequirementSpec:
             K=CompactSpec.from_json(obj["K"]),
             target_on_K=TargetFunction.from_json(obj["target"]),
             L=CompactSpec.from_json(obj["L"]),
-            s=int(obj["s"]),
-            derivative_levels=int(obj.get("derivative_levels", 0)),
+            s=int_from_json(obj["s"]),
+            derivative_levels=int_from_json(obj.get("derivative_levels", 0)),
             J=CompactSpec.from_json(obj["J"]) if "J" in obj else None,
         )
 
@@ -451,9 +463,9 @@ class Certificate:
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
         return cls(
-            selected=(int(obj["selected"][0]), int(obj["selected"][1])),
+            selected=(int_from_json(obj["selected"][0]), int_from_json(obj["selected"][1])),
             perturbation=pair_to_complex(obj["perturbation"]),
-            fit_degree=int(obj["fit_degree"]),
+            fit_degree=int_from_json(obj["fit_degree"]),
             achieved={k: float(v) for k, v in obj["achieved"].items()},
             requested=float(obj["requested"]),
             hankel_min=float(obj["hankel_min"]),
@@ -660,7 +672,8 @@ def _search_perturbation(measure, d0: float):
     :attr:`~Certificate.sup_ok` and :attr:`~Certificate.hankel_ok` steer the
     search.  A sup-bound violation sends it down, a Hankel violation sends
     it up; once both walls are known it bisects in log scale.  Returns the
-    passing certificate or raises with the established window.
+    passing certificate, or an unraised :class:`PerturbationFailedError`
+    with the established window.
     """
     lo = 0.0  # largest magnitude known to fail the Hankel floor
     hi = math.inf  # smallest magnitude known to break a sup bound
@@ -681,7 +694,7 @@ def _search_perturbation(measure, d0: float):
             break
         if math.isfinite(hi) and lo > 0.0 and hi / lo < 1.0 + 1e-9:
             break
-    raise PerturbationFailedError(lo, hi, attempt)
+    return PerturbationFailedError(lo, hi, attempt)
 
 
 def _perturbation_walls(fit: Polynomial, measurement: _Measurement):
@@ -722,19 +735,30 @@ def _perturbation_walls(fit: Polynomial, measurement: _Measurement):
         lo = max(0, p - q + 1)
         ks = np.arange(lo, p)
         a = np.max(rows[:, lo:p], axis=1, initial=0.0)
-        binomials = np.array([float(math.comb(p, k)) for k in ks])
-        with np.errstate(over="ignore"):  # an infinite B only lowers d_H
-            b = np.max(binomials * radii[:, None] ** (p - ks), axis=1, initial=0.0)
-        d_h = float(np.max(t * a / (1.0 + t * b)))
-        return d_h, (requested + r_k) / k_radius**p
+        binomials = np.array([_float_or_inf(math.comb(p, k)) for k in ks])
+        with np.errstate(over="ignore"):  # an infinite B or K power only lowers d_H or d_S
+            powers = radii[:, None] ** (p - ks)
+            # a center at radius 0 adds nothing, even beside an infinite binomial
+            terms = np.multiply(binomials, powers, out=np.zeros_like(powers), where=powers > 0)
+            k_power = np.float64(k_radius) ** p
+        d_h = float(np.max(t * a / (1.0 + t * np.max(terms, axis=1, initial=0.0))))
+        return d_h, float((requested + r_k) / k_power)
 
     return walls
+
+
+def _float_or_inf(n: int) -> float:
+    """``float(n)``, or ``inf`` for an integer beyond the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def _certify(
     fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement, s: int,
     sup_abs: float, fit_degree: int, diagnostics: dict, d_override=None,
-) -> tuple[Polynomial, Certificate]:
+) -> tuple[Polynomial, Certificate] | PerturbationFailedError:
     """``u = fit + d z^p`` and its passing certificate, for the first index
     pair ``(p, q)`` with ``p > min_degree`` whose search succeeds.
 
@@ -745,8 +769,9 @@ def _certify(
     ``d0 = 1 / (2 s sup_abs^p)``, and a passing search's certificate
     records as ``d_attempts`` every measurement made here, on every pair
     tried.  With ``d_override`` the first pair is measured at that value,
-    passing or not.  Re-raises the last :class:`PerturbationFailedError`
-    when no pair passes.
+    passing or not.  When no pair passes, returns the last pair's refusal
+    or failed search, unraised: a refusal is a value here, and the builders
+    raise it once.
 
     Before its search, a pair with ``q >= 2`` whose walls cross (see
     :func:`_perturbation_walls`) is refused with
@@ -766,29 +791,20 @@ def _certify(
         cert.diagnostics.update(diagnostics)
         return cert
 
-    last_error: PerturbationFailedError | None = None
     for p, q in candidate_indices(f_seq, min_degree, INDEX_RETRY_LIMIT):
         if d_override is not None:
             cert = measure(d_override, p, q)
-        else:
-            if q >= 2:
-                d_h, d_s = walls(p, q)
-                if d_h >= _WALL_MARGIN * d_s:
-                    # built, not raised: a caught traceback would tie this frame
-                    # into a cycle that holds the build's arrays until a full GC
-                    last_error = PerturbationRefusedError(p, q, d_h, d_s)
-                    continue
-            try:
-                cert = _search_perturbation(
-                    lambda d: measure(d, p, q), 1.0 / (2.0 * s * sup_abs**p)
-                )
-            except PerturbationFailedError as exc:
-                last_error = exc
+            return fit.plus_monomial(cert.perturbation, p), cert
+        if q >= 2:
+            d_h, d_s = walls(p, q)
+            if d_h >= _WALL_MARGIN * d_s:
+                outcome = PerturbationRefusedError(p, q, d_h, d_s)
                 continue
-            cert.diagnostics["d_attempts"] = attempts
-        return fit.plus_monomial(cert.perturbation, p), cert
-    assert last_error is not None
-    raise last_error
+        outcome = _search_perturbation(lambda d: measure(d, p, q), 1.0 / (2.0 * s * sup_abs**p))
+        if isinstance(outcome, Certificate):
+            outcome.diagnostics["d_attempts"] = attempts
+            return fit.plus_monomial(outcome.perturbation, p), outcome
+    return outcome
 
 
 def build_universal_polynomial(
@@ -801,11 +817,11 @@ def build_universal_polynomial(
     """Construct ``u = P + d z^p`` certified against one requirement.
 
     Fits the glued target (outer target on K, inner target on L and J) with
-    a degree ramp until the residual clears half the requested bound, then
-    walks admissible index pairs and perturbation magnitudes until the full
-    certificate passes.  ``d_override`` short-circuits the search and
-    returns the certificate for that exact perturbation (possibly failing;
-    a zero perturbation never passes).
+    a degree ramp and hands each fit that clears half the requested bound to
+    ``_certify`` until one passes; the last failure is raised when the ramp
+    ends or reaches a fit with no index pair above it.  ``d_override``
+    short-circuits the search and returns the certificate for that exact
+    perturbation (possibly failing; a zero perturbation never passes).
     """
     grid_k = discretize(req.K)
     grid_l = discretize(req.L)
@@ -818,37 +834,28 @@ def build_universal_polynomial(
     pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
     z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
-    fit_target = req.requested / 2.0
     sup_k_abs = float(np.max(np.abs(grid_k.points)))
-
-    best_residual = math.inf
+    ramp = _fit_ramp(
+        z, values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
+        lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
+    )
     measurement = None  # prepared at the first fit that clears the target
-    last_perturbation_error: PerturbationFailedError | None = None
-
-    for degree, fit in _fit_ramp(z, values, range(2, RAMP_CAP + 1, 2)):
-        residual = float(np.max(np.abs(fit.eval(z) - values)))
-        best_residual = min(best_residual, residual)
-        if residual >= fit_target:
-            continue
+    outcome = None
+    for degree, fit, residual in ramp:
+        if outcome is not None and fit.array_degree() >= f_seq.max_p:
+            break  # no pair above this fit: report the failed search
         if measurement is None:
             measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
-        try:
-            return _certify(
-                fit, fit.array_degree(), f_seq, measurement, req.s, sup_k_abs, degree,
-                {"fit_residual": residual}, d_override,
-            )
-        except PerturbationFailedError as exc:
-            last_perturbation_error = exc
-        except IndexExhaustedError:
-            # the higher fit degree leaves no pair above it: report the failed search
-            if last_perturbation_error is None:
-                raise
-            break
-
-    if measurement is None:
-        raise FitFailedError(fit_target, best_residual, RAMP_CAP)
-    assert last_perturbation_error is not None
-    raise last_perturbation_error
+        outcome = _certify(
+            fit, fit.array_degree(), f_seq, measurement, req.s, sup_k_abs, degree,
+            {"fit_residual": residual}, d_override,
+        )
+        if isinstance(outcome, tuple):
+            return outcome
+    try:
+        raise outcome
+    finally:
+        del outcome  # the traceback holds this frame: keep the error out of it
 
 
 @dataclass(frozen=True)
@@ -871,7 +878,7 @@ class ExtensionRequirement:
         return cls(
             K=CompactSpec.from_json(obj["K"]),
             psi=TargetFunction.from_json(obj["psi"]),
-            s=int(obj["s"]),
+            s=int_from_json(obj["s"]),
         )
 
 
@@ -888,7 +895,8 @@ def extend_prefix(
     With ``n0`` the last prefix index, the extension has the shape
     ``h = prefix_poly + t(z) z^(n0+1) + d z^(p_k)``: the correction ``t`` is
     fitted against ``(psi - prefix_poly)/z^(n0+1)`` on K (which requires
-    ``0`` off K), the pair ``(p_k, q_k)`` comes from the index sequence with
+    ``0`` off K) and taken from the first fit of its ramp that clears half
+    the bound, the pair ``(p_k, q_k)`` comes from the index sequence with
     ``p_k`` above every occupied degree, and ``d != 0`` is shrunk until both
     the sup bound ``1/s`` on K and Hankel nonvanishing at 0 hold.  The
     fitted ``prefix_poly + t(z) z^(n0+1)`` goes through the same
@@ -926,31 +934,29 @@ def extend_prefix(
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
 
-    fit_target = requested / 2.0
-    best = math.inf
-    correction = None
-    fit_degree = -1
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
-    for degree, t_poly in _fit_ramp(z, divided, range(RAMP_CAP + 1), weight=shifted):
-        composite = float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted)))
-        best = min(best, composite)
-        if composite < fit_target:
-            correction = t_poly
-            fit_degree = degree
-            break
-    if correction is None:
-        raise FitFailedError(fit_target, best, RAMP_CAP)
+    fit_degree, correction, residual = next(_fit_ramp(
+        z, divided, range(RAMP_CAP + 1), requested / 2.0,
+        lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
+        weight=shifted,
+    ))
 
     # the correction up to its last nonzero term; "+ 0.0" writes its exact
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
     sup_abs = float(np.max(np.abs(z)))
-    u, cert = _certify(
+    outcome = _certify(
         fitted, len(fitted.coeffs) - 1, f_seq, measurement, s, sup_abs, fit_degree,
-        {"fit_residual": best},
+        {"fit_residual": residual},
     )
+    if not isinstance(outcome, tuple):
+        try:
+            raise outcome
+        finally:
+            del outcome  # the traceback holds this frame: keep the error out of it
+    u, cert = outcome
     # every term the search adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs

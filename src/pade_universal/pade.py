@@ -38,6 +38,7 @@ from .series import (
     coeffs_to_json,
     complex_to_pair,
     differentiate,
+    int_from_json,
     pair_to_complex,
     poly_mul,
 )
@@ -143,8 +144,8 @@ class RationalFunction:
         return cls(
             Polynomial(coeffs_from_json(obj["A"]), center),
             Polynomial(coeffs_from_json(obj["B"]), center),
-            int(obj["p"]),
-            int(obj["q"]),
+            int_from_json(obj["p"]),
+            int_from_json(obj["q"]),
         )
 
 

@@ -21,6 +21,7 @@ driven by the first index of disagreement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -91,6 +92,14 @@ def pair_to_complex(pair) -> complex:
     raise ValueError(f"expected [re, im], got {pair!r}")
 
 
+def int_from_json(value) -> int:
+    """Parse an integer field: an integer or an integral float, in the int64 range."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or abs(int(value)) >= 2**63:
+        raise ValueError(f"expected an integer in the int64 range, got {value!r:.40}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numeric thresholds shared across the package.
@@ -142,11 +151,6 @@ class FormalPowerSeries(_CoefficientRow):
     def __init__(self, coeffs, center: complex = 0.0):
         object.__setattr__(self, "center", _require_finite(center, "center"))
         object.__setattr__(self, "coeffs", _coeff_array(coeffs))
-
-    @property
-    def truncation(self) -> int:
-        """Number of stored coefficients (``M + 1``)."""
-        return len(self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)

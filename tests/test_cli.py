@@ -87,6 +87,37 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: JSON integer fields, each with a setter that writes a marker in its place.
+def _set_s(scenario):
+    scenario["requirement"]["s"] = "MARK"
+
+
+def _set_levels(scenario):
+    scenario["requirement"]["derivative_levels"] = "MARK"
+
+
+def _set_samples(scenario):
+    scenario["requirement"]["K"]["samples_per_primitive"] = "MARK"
+
+
+def _set_pair(scenario):
+    scenario["F"][3] = [3, "MARK"]
+
+
+BUILD_INT_FIELDS = {"s": _set_s, "derivative_levels": _set_levels,
+                    "samples_per_primitive": _set_samples, "F-pair": _set_pair}
+
+#: An overflowing float literal, an integer beyond int64, a non-integral float.
+BAD_INTEGERS = {"1e400": "1e400", "10**400": str(10**400), "2.7": "2.7"}
+
+
+def with_marker(obj, text):
+    """The JSON text of ``obj`` with the string ``"MARK"`` replaced by ``text``."""
+    encoded = json.dumps(obj)
+    assert encoded.count('"MARK"') == 1
+    return encoded.replace('"MARK"', text)
+
+
 class TestPadeCommand:
     def test_exponential_one_one(self, capsys):
         code, out, _ = run(capsys, "pade", "--coeffs", json.dumps(EXP_COEFFS), "--p", "1", "--q", "1")
@@ -341,6 +372,49 @@ class TestBuildCommand:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
+    @pytest.mark.parametrize("field", BUILD_INT_FIELDS)
+    def test_build_scenario_field(self, capsys, tmp_path, field, value):
+        scenario = build_scenario()
+        BUILD_INT_FIELDS[field](scenario)
+        path = tmp_path / "scenario.json"
+        path.write_text(with_marker(scenario, value))
+        code, _, err = run(capsys, "build", "--scenario", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
+    def test_seleznev_s(self, capsys, tmp_path, value):
+        scenario = extension_scenario()
+        scenario["s"] = "MARK"
+        path = tmp_path / "scenario.json"
+        path.write_text(with_marker(scenario, value))
+        code, _, err = run(capsys, "seleznev", "--scenario", str(path))
+        assert code == 1
+        assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
+    @pytest.mark.parametrize("field", ["fit_degree", "selected"])
+    def test_record_field(self, capsys, tmp_path, field, value):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        cert = record["certificates"][0]
+        if field == "selected":
+            cert["selected"][1] = "MARK"
+        else:
+            cert["fit_degree"] = "MARK"
+        out.write_text(with_marker(record, value))
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert code == 1 and verify_out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "schema"
+        assert diag["message"].startswith("malformed record: ")
+
+
 class TestExtensionCommands:
     def test_seleznev_command(self, capsys, tmp_path):
         scenario = tmp_path / "ext.json"
@@ -449,6 +523,39 @@ class TestFailureTable:
         diag = json.loads(err)
         assert diag["error"] == "schedule-step" and diag["step"] == 2
         assert diag["message"].startswith("least-squares ramp reached degree")
+
+        # with --out, the refusal also writes the record, with no certificate
+        out = tmp_path / "run.json"
+        again = run(capsys, "greedy", "--scenario", str(scenario), "--out", str(out))
+        assert again == (4, "", err)
+        record = load_run(out)
+        assert record.certificates == [] and record.artifacts == {}
+        assert record.scenario == desk_schedule_scenario(w=1.3)
+
+    def test_refused_extension_writes_its_record(self, capsys, tmp_path):
+        # (8, 6) on the circle at s = 10: the walls cross, so the pair is refused
+        scenario_data = {**extension_scenario(), "s": 10, "F": [[8, 6]]}
+        scenario = tmp_path / "ext.json"
+        scenario.write_text(json.dumps(scenario_data))
+        code, _, err = run(capsys, "seleznev", "--scenario", str(scenario))
+        assert code == 6
+        diag = json.loads(err)
+        assert diag["error"] == "perturbation-failed"
+        assert "index pair (8,6) refused without measuring" in diag["message"]
+
+        out = tmp_path / "run.json"
+        again = run(capsys, "seleznev", "--scenario", str(scenario), "--out", str(out))
+        assert again == (6, "", err)
+        assert load_run(out).certificates == []
+
+    @pytest.mark.parametrize("command", ["seleznev", "greedy"])
+    def test_failure_that_is_no_refusal_writes_no_record(self, capsys, tmp_path, command):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(one_step_scenario(command, *ORIGIN_IN_K)))
+        out = tmp_path / "run.json"
+        code, _, _ = run(capsys, command, "--scenario", str(scenario), "--out", str(out))
+        assert code == 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["seleznev", "greedy"])
     @pytest.mark.parametrize(

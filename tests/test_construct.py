@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -32,16 +34,18 @@ from pade_universal.construct import (
     verify_construction,
 )
 from pade_universal.errors import (
+    FitFailedError,
     IllConditionedError,
     IndexExhaustedError,
     OriginInKError,
+    PadeUniversalError,
     PerturbationFailedError,
     PerturbationRefusedError,
     PoleProximityError,
     ScheduleStepError,
 )
 from pade_universal.reporting import RunRecord, load_run, save_run
-from pade_universal.series import Polynomial, disagreement_metric
+from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
 
 from conftest import random_coefficients
 
@@ -273,15 +277,15 @@ class TestFitRamp:
     def test_ramp_fits_are_bitwise_the_rebuilt_fits(self, weighted):
         z, values = self.wide_points()
         weight = z**3 if weighted else None
-        ramp = list(_fit_ramp(z, values, range(25), weight=weight))
-        assert [degree for degree, _ in ramp] == list(range(25))
-        for degree, fit in ramp:
+        ramp = list(_fit_ramp(z, values, range(25), math.inf, lambda fit: 0.0, weight=weight))
+        assert [degree for degree, _, _ in ramp] == list(range(25))
+        for degree, fit, _ in ramp:
             assert np.array_equal(fit.coeffs, rebuilt_fit(z, values, degree, weight))
 
     def test_ramp_stops_where_the_rebuilt_basis_collapses(self):
         z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
-        ramp = list(_fit_ramp(z, z * z, range(10)))
-        assert [degree for degree, _ in ramp] == [0, 1, 2]
+        ramp = list(_fit_ramp(z, z * z, range(10), math.inf, lambda fit: 0.0))
+        assert [degree for degree, _, _ in ramp] == [0, 1, 2]
         with pytest.raises(IllConditionedError):
             rebuilt_fit(z, z * z, 3)
 
@@ -290,7 +294,36 @@ class TestFitRamp:
         values = np.ones(len(z), dtype=complex)
         values[5] = complex("nan")
         with pytest.raises(ValueError, match="finite"):
-            list(_fit_ramp(z, values, range(3)))
+            list(_fit_ramp(z, values, range(3), math.inf, lambda fit: 0.0))
+
+    def test_ramp_yields_the_fits_below_the_target(self):
+        z, values = self.wide_points()
+        residuals = []
+
+        def residual(fit):
+            residuals.append(float(np.max(np.abs(fit.eval(z) - values))))
+            return residuals[-1]
+
+        target = 1e-3
+        ramp = list(_fit_ramp(z, values, range(25), target, residual))
+        assert len(residuals) == 25
+        cleared = [(k, r) for k, r in enumerate(residuals) if r < target]
+        assert 0 < len(cleared) < 25
+        assert [(degree, r) for degree, _, r in ramp] == cleared
+
+    def test_ramp_without_a_clearing_fit_raises(self):
+        z, values = self.wide_points()
+        residuals = []
+
+        def residual(fit):
+            residuals.append(float(np.max(np.abs(fit.eval(z) - values))))
+            return residuals[-1]
+
+        with pytest.raises(FitFailedError) as info:
+            next(_fit_ramp(z, values, range(6), 1e-12, residual))
+        assert len(residuals) == 6
+        assert (info.value.target, info.value.best_residual) == (1e-12, min(residuals))
+        assert info.value.cap == construct.RAMP_CAP
 
     def count_fits(self, monkeypatch):
         """Count ``_fit_on_points`` calls and ``np.vdot`` calls."""
@@ -483,10 +516,10 @@ class TestVerify:
         # every magnitude fails the Hankel test with the sups in bounds, so no
         # sup ceiling is ever met
         cert = Certificate((3, 0), 1.0, 2, {}, 1.0, 0.0, False)
-        with pytest.raises(PerturbationFailedError) as info:
-            _search_perturbation(lambda d: cert, 1.0)
-        assert info.value.hi == math.inf
-        assert "sup ceiling ~inf" in str(info.value)
+        error = _search_perturbation(lambda d: cert, 1.0)
+        assert isinstance(error, PerturbationFailedError)
+        assert error.hi == math.inf
+        assert "sup ceiling ~inf" in str(error)
 
     def test_certificate_json_round_trip(self):
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
@@ -566,12 +599,11 @@ class TestPerturbationWalls:
                 if d_h < construct._WALL_MARGIN * d_s:
                     continue
                 refused += 1
-                with pytest.raises(PerturbationFailedError) as info:
-                    _search_perturbation(
-                        lambda d: measurement(fit.plus_monomial(d, p), p, q, d, -1, False),
-                        1.0 / (2.0 * s * sup_abs**p),
-                    )
-                assert type(info.value) is PerturbationFailedError
+                error = _search_perturbation(
+                    lambda d: measurement(fit.plus_monomial(d, p), p, q, d, -1, False),
+                    1.0 / (2.0 * s * sup_abs**p),
+                )
+                assert type(error) is PerturbationFailedError
         # the first pair of four of the five builds, and (29, 2) of the last
         # step at w = 1.1 and 1.2
         assert refused >= 6
@@ -634,6 +666,64 @@ class TestPerturbationWalls:
             wide_requirement(16), WIDE_F_ON_L, IndexSequence([(24, 1)])
         )
         assert cert.passed and cert.diagnostics["d_attempts"] == 1
+
+    def test_walls_of_a_pair_beyond_the_float_range(self):
+        # C(1100, k) and 3^1100 overflow a float: they read as inf, and the
+        # center at radius 0 adds nothing beside an infinite binomial
+        req = desk_requirement()
+        grids = discretize(req.L), discretize(req.K), discretize(req.inner_compact())
+        assert np.any(grids[0].points == 0)
+        measurement = construct._requirement_measurement(req, F_ON_L, *grids, DEFAULT_TOL)
+        fit = Polynomial([0.5, -0.25, 1.0])
+        assert construct._perturbation_walls(fit, measurement)(1100, 600) == (0.0, 0.0)
+        with pytest.raises(PerturbationRefusedError) as info:
+            build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(1100, 600)]))
+        assert (info.value.p, info.value.q, info.value.attempts) == (1100, 600, 0)
+
+
+def construct_frames_left(call):
+    """Names of the frames of :mod:`construct` that a refused ``call`` leaves
+    for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.raises(PadeUniversalError):
+            call()
+        gc.collect()
+        return [
+            obj.f_code.co_name for obj in gc.garbage
+            if isinstance(obj, types.FrameType) and obj.f_code.co_filename == construct.__file__
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+class TestRefusalsLeaveNoCycle:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: build_universal_polynomial(
+                desk_requirement(), F_ON_L, IndexSequence([(13, 2)])), PerturbationFailedError),
+            (lambda: build_universal_polynomial(
+                wide_requirement(16), WIDE_F_ON_L, IndexSequence([(23, 2)])),
+             PerturbationRefusedError),
+            (lambda: build_universal_polynomial(
+                desk_requirement(s=10000), F_ON_L, F_DEFAULT), FitFailedError),
+            (lambda: extend_prefix(
+                [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(8, 6)])), PerturbationRefusedError),
+            (lambda: extend_prefix(
+                [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(4, 4)])), PerturbationFailedError),
+        ],
+        ids=["failed-build", "refused-build", "fit-failed-build", "refused-extension",
+             "failed-extension"],
+    )
+    def test_no_construct_frame_is_left_for_the_collector(self, call, error):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        del info
+        assert construct_frames_left(call) == []
 
 
 class TestExtendPrefix:

@@ -1,0 +1,37 @@
+"""Smoke test of ``tools/fingerprints.py``, the parity check of the outputs.
+
+One ``table`` seed runs twice in fresh interpreters: each run prints one
+``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
+print the same lines.  Nothing is written under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "tools", "fingerprints.py")
+
+
+def fingerprints(*argv) -> list[str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, SCRIPT, *argv], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    return done.stdout.splitlines()
+
+
+def test_one_table_seed_prints_one_stable_digest_per_cycle(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    first = fingerprints("--workload", "table", "--seeds", "101")
+    assert len(first) == workloads.WORKLOADS["table"].pass_length
+    for i, line in enumerate(first):
+        assert re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", line)
+    assert fingerprints("--workload", "table", "--seeds", "101") == first

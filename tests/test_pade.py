@@ -210,6 +210,17 @@ class TestConstruction:
             pade_denominators(np.array([geometric_series().coeffs]), 1, 2)
 
 
+class TestRationalFunctionJson:
+    @pytest.mark.parametrize("value", [1e400, 10**400, 2.7], ids=["1e400", "10**400", "2.7"])
+    @pytest.mark.parametrize("field", ["p", "q"])
+    def test_degrees_must_be_integers(self, field, value):
+        obj = pade_approximant(FormalPowerSeries([1.0, 1.0, 0.5, 1 / 6]), 2, 1).to_json()
+        assert RationalFunction.from_json(obj).to_json() == obj
+        obj[field] = value
+        with pytest.raises(ValueError, match="integer"):
+            RationalFunction.from_json(obj)
+
+
 class TestOrderCondition:
     def test_constructed_approximant_satisfies_order(self):
         f = exp_series()

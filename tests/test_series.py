@@ -12,6 +12,7 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
+    int_from_json,
     pair_to_complex,
     taylor_partial_sum,
 )
@@ -209,6 +210,21 @@ class TestValidation:
         assert tuple(s.coeffs) == (1.0, 2.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             p.to_series(1)
+
+
+class TestIntFromJson:
+    @pytest.mark.parametrize("payload", [0, 7, -3, 7.0, np.int64(7), 2**63 - 1])
+    def test_accepted_forms(self, payload):
+        value = int_from_json(payload)
+        assert type(value) is int and value == int(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [2.7, float("inf"), float("nan"), 10**400, 2**63, -(2**63), True, "3", None, [3]],
+    )
+    def test_rejects(self, payload):
+        with pytest.raises(ValueError):
+            int_from_json(payload)
 
 
 class TestPairToComplex:
