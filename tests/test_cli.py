@@ -87,35 +87,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-#: JSON integer fields, each with a setter that writes a marker in its place.
-def _set_s(scenario):
-    scenario["requirement"]["s"] = "MARK"
-
-
-def _set_levels(scenario):
-    scenario["requirement"]["derivative_levels"] = "MARK"
-
-
-def _set_samples(scenario):
-    scenario["requirement"]["K"]["samples_per_primitive"] = "MARK"
-
-
-def _set_pair(scenario):
-    scenario["F"][3] = [3, "MARK"]
-
-
-BUILD_INT_FIELDS = {"s": _set_s, "derivative_levels": _set_levels,
-                    "samples_per_primitive": _set_samples, "F-pair": _set_pair}
+#: The integer fields of a build scenario, by their path in it.
+BUILD_INT_FIELDS = {
+    "s": ("requirement", "s"),
+    "derivative_levels": ("requirement", "derivative_levels"),
+    "samples_per_primitive": ("requirement", "K", "samples_per_primitive"),
+    "F-pair": ("F", 3, 1),
+}
 
 #: An overflowing float literal, an integer beyond int64, a non-integral float.
 BAD_INTEGERS = {"1e400": "1e400", "10**400": str(10**400), "2.7": "2.7"}
 
 
-def with_marker(obj, text):
-    """The JSON text of ``obj`` with the string ``"MARK"`` replaced by ``text``."""
-    encoded = json.dumps(obj)
-    assert encoded.count('"MARK"') == 1
-    return encoded.replace('"MARK"', text)
+def with_literal(obj, path, text):
+    """The JSON text of ``obj`` with the value at ``path`` written as the literal ``text``."""
+    *parents, last = path
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = "MARK"
+    return json.dumps(obj).replace('"MARK"', text)
 
 
 class TestPadeCommand:
@@ -376,38 +367,29 @@ class TestIntegerFields:
     @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
     @pytest.mark.parametrize("field", BUILD_INT_FIELDS)
     def test_build_scenario_field(self, capsys, tmp_path, field, value):
-        scenario = build_scenario()
-        BUILD_INT_FIELDS[field](scenario)
         path = tmp_path / "scenario.json"
-        path.write_text(with_marker(scenario, value))
+        path.write_text(with_literal(build_scenario(), BUILD_INT_FIELDS[field], value))
         code, _, err = run(capsys, "build", "--scenario", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "validation"
 
     @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
     def test_seleznev_s(self, capsys, tmp_path, value):
-        scenario = extension_scenario()
-        scenario["s"] = "MARK"
         path = tmp_path / "scenario.json"
-        path.write_text(with_marker(scenario, value))
+        path.write_text(with_literal(extension_scenario(), ("s",), value))
         code, _, err = run(capsys, "seleznev", "--scenario", str(path))
         assert code == 1
         assert json.loads(err)["error"] == "validation"
 
     @pytest.mark.parametrize("value", BAD_INTEGERS.values(), ids=BAD_INTEGERS.keys())
-    @pytest.mark.parametrize("field", ["fit_degree", "selected"])
+    @pytest.mark.parametrize("field", [("fit_degree",), ("selected", 1)], ids=["fit_degree", "selected"])
     def test_record_field(self, capsys, tmp_path, field, value):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario()))
         out = tmp_path / "run.json"
         assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
         record = json.loads(out.read_text())
-        cert = record["certificates"][0]
-        if field == "selected":
-            cert["selected"][1] = "MARK"
-        else:
-            cert["fit_degree"] = "MARK"
-        out.write_text(with_marker(record, value))
+        out.write_text(with_literal(record, ("certificates", 0, *field), value))
         code, verify_out, err = run(capsys, "verify", "--run", str(out))
         assert code == 1 and verify_out == ""
         diag = json.loads(err)
