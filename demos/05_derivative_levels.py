@@ -2,8 +2,9 @@
 
 The self-reproduction identities survive differentiation: at every center
 the recentered partial sum and the Pade approximant of the built
-polynomial agree with the polynomial itself at derivative levels 0..3, to
-roundoff scaled by the derivative's own size.  Deviations from the
+polynomial are the polynomial itself, so they agree with it at derivative
+levels 0..3 exactly (the built polynomial has degree exactly p, and the
+certificate is decided by that identity).  Deviations from the
 *targets'* derivatives are a different matter: the least-squares fit only
 controls values, so those sups are reported as diagnostics, not certified.
 """

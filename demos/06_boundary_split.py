@@ -4,7 +4,8 @@ The centers fill a boundary-inclusive half of the closed unit disk (the
 left half, including its boundary arc), while the outer compact is a
 segment touching the opposite boundary point z = 1.  One perturbed
 polynomial satisfies derivative-level sup bounds on both sides at once:
-self-agreement over the center half, target matching on the segment.
+self-agreement over the center half (exact, since the polynomial has
+degree exactly p), target matching on the segment.
 """
 
 import math

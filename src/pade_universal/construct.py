@@ -8,8 +8,8 @@ beyond the fit degree, and perturb to ``u = P + d z^p`` with ``d != 0``
 small.  Because ``u`` then has degree exactly ``p``, its ``(p, q)``
 approximant exists at every center and reproduces ``u`` identically, which
 is what makes one polynomial satisfy all the sup bounds simultaneously.
-Nothing is assumed: every claimed bound is measured on grids and recorded
-in a :class:`Certificate`.
+The measurement decides such a ``u`` by that identity; every other claimed
+bound is measured on grids; each is recorded in a :class:`Certificate`.
 
 Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
 points, grown by the columns each new degree needs, and one least-squares
@@ -18,19 +18,21 @@ and the ramp yields the fits that clear half the requested bound or
 raises :class:`FitFailedError` when none does.
 
 Inside this module a refusal is a value: ``_certify`` returns a failed
-search or a refused pair unraised, and each builder raises it once.
+trial unraised, and each builder raises it once.
 
 One certificate path follows the fit: each builder hands its fitted
 polynomial to ``_certify``, the only code that builds a trial
-``u = fit + d z^p`` and judges it.  The judge is a :class:`_Measurement`,
-the sup over the product grid L x (K u J) at every derivative level,
-prepared once per requirement (its targets evaluated once) and called for
-each polynomial a search tries; it returns the :class:`Certificate`, so
-the pass rule lives in one place.  It takes the centers of L in blocks and
-measures each block with the array kernels of :mod:`.series` and
-:mod:`.pade` (stacked recentering, Hankel test, denominator solve and
-Horner evaluation) instead of one scalar approximant per center.  Builds
-and ``verify_construction`` measure K and J on the grid of L; a prefix
+``u = fit + d z^p`` and judges it.  It takes the first index pair above the
+fit and the one ``d`` that spends half the headroom the fit leaves on K and
+J, and measures that trial once.  The judge is a :class:`_Measurement`, the
+sup over the product grid L x (K u J) at every derivative level, prepared
+once per requirement (its targets evaluated once); it returns the
+:class:`Certificate`, so the pass rule lives in one place.  A ``u`` of
+degree exactly ``p`` is decided by the identity; any other ``u`` is
+measured center by center, in blocks, with the array kernels of
+:mod:`.series` and :mod:`.pade` (stacked recentering, Hankel test,
+denominator solve and Horner evaluation).  Builds and
+``verify_construction`` measure K and J on the grid of L; a prefix
 extension is its one-center case, L = {0} and K alone at level 0.
 """
 
@@ -50,7 +52,6 @@ from .errors import (
     OriginInKError,
     PadeNotExistError,
     PerturbationFailedError,
-    PerturbationRefusedError,
     ScheduleStepError,
 )
 from .pade import (
@@ -78,16 +79,6 @@ from .series import (
 
 #: Hard cap of the least-squares degree ramp.
 RAMP_CAP = 48
-
-#: How many admissible index pairs a builder will try before giving up.
-INDEX_RETRY_LIMIT = 8
-
-#: Evaluation budget of the perturbation-magnitude search.
-PERTURBATION_ATTEMPTS = 60
-
-#: A pair is refused unmeasured when its Hankel wall is at least this many
-#: times its sup wall (see ``_perturbation_walls``).
-_WALL_MARGIN = 2.0
 
 #: (center, point) pairs the verifier evaluates per block of centers: large
 #: enough that array passes amortize their overhead, small enough that the
@@ -122,22 +113,12 @@ class IndexSequence:
         return cls(obj)
 
 
-def candidate_indices(f_seq: IndexSequence, min_degree, limit: int | None = None):
-    """Pairs with ``p > min_degree`` in sequence order (at most ``limit``)."""
-    found = 0
-    for pair in f_seq.pairs:
-        if pair[0] > min_degree:
-            yield pair
-            found += 1
-            if limit is not None and found >= limit:
-                return
-    if found == 0:
-        raise IndexExhaustedError(min_degree, f_seq.max_p)
-
-
 def select_index(f_seq: IndexSequence, min_degree) -> tuple[int, int]:
     """First pair (in sequence order) with ``p`` strictly above ``min_degree``."""
-    return next(candidate_indices(f_seq, min_degree, limit=1))
+    for pair in f_seq.pairs:
+        if pair[0] > min_degree:
+            return pair
+    raise IndexExhaustedError(min_degree, f_seq.max_p)
 
 
 @dataclass(frozen=True)
@@ -425,7 +406,10 @@ class Certificate:
     L x (K u J).  ``passed`` requires every achieved sup below ``requested``,
     Hankel nonvanishing over the whole center grid, and a nonzero
     perturbation.  ``diagnostics`` carries ungated measurements (derivative
-    sups against the targets, the admissible perturbation window, scales).
+    sups against the targets, scales), and ``by_identity: true`` when the
+    conclusions hold by the degree-``p`` identity: then every ``id_*`` sup
+    is exactly 0, each Pade-side sup equals its Taylor-side sup, and
+    ``hankel_min`` is ``|u_p|^q``, the modulus of the exact determinant.
     """
 
     selected: tuple[int, int]
@@ -489,28 +473,28 @@ class _Measurement:
     A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
     ``requested``: it passes when :attr:`Certificate.sup_ok` and
     :attr:`Certificate.hankel_ok` hold and the perturbation is nonzero.
-    With ``strict`` a vanishing Hankel determinant at any center raises;
-    otherwise the Pade-side sups are left out of ``achieved`` so a
-    perturbation search can react.
 
-    The centers are measured in blocks of ``_BLOCK_PAIRS // points``, each
-    block in array passes: one stacked Horner shift recenters ``u``, one
-    stacked determinant tests the Hankel windows, one stacked solve builds
-    the denominators, and one Horner per derivative level evaluates the
-    Taylor partial sums and the approximants on the points of every compact.
-    Running maxima carry the sups across blocks.  Errors are those of the
-    center-by-center order: the first failing center, and at it the first
-    point in compact order.
+    A ``u`` of degree exactly ``p`` (``p + 1`` coefficients, ``u_p != 0``),
+    which is every polynomial the builders produce, is decided by identity.
+    Recentering keeps its coefficients above ``p`` at exactly 0 and
+    ``a_p(ζ) = u_p``, so at every center the Hankel window is
+    anti-triangular with determinant ``±u_p^q != 0``, and ``S_p(u, ζ) = u``
+    and ``[u; p/q]_ζ = u`` (Baker & Graves-Morris, *Pade Approximants*,
+    ch. 1).  The call then evaluates ``u^(l)`` once on K and J and records
+    those values as both the Taylor and the Pade row: every ``id_*`` sup is
+    exactly 0 and no center is recentered, tested or solved for.
 
-    Every polynomial a builder measures, ``u = fit + d z^p`` with
-    ``deg fit < p`` and ``d != 0``, skips the Pade half: its recentered rows
-    are zero above ``p``, so the denominator system is triangular with ``d``
-    on its diagonal and a zero right side, ``B = 1`` exactly, and each
-    ``P_l / B^(l+1)`` is the level-``l`` Taylor row up to the signs of zeros.
-    The Taylor values of the Hankel-passing centers are then recorded as the
-    Pade values, bit for bit what the solve gives.  The general path stays
-    for every other ``u``, and where ``tau_zero >= 1`` makes the pole guard
-    reject ``|B| = 1``; the Hankel test runs at every center either way.
+    Every other ``u``, and every ``u`` when ``tau_zero >= 1`` makes the pole
+    guard reject ``|B| = 1``, is measured center by center.  With ``strict``
+    a vanishing Hankel determinant at any center raises; otherwise the
+    Pade-side sups are left out of ``achieved``.  The centers are measured
+    in blocks of ``_BLOCK_PAIRS // points``, each block in array passes: one
+    stacked Horner shift recenters ``u``, one stacked determinant tests the
+    Hankel windows, one stacked solve builds the denominators, and one
+    Horner per derivative level evaluates the Taylor partial sums and the
+    approximants on the points of every compact.  Running maxima carry the
+    sups across blocks.  Errors are those of the center-by-center order:
+    the first failing center, and at it the first point in compact order.
     """
 
     def __init__(
@@ -533,9 +517,6 @@ class _Measurement:
             self.target_vals.append(
                 [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
             )
-        # K's points and level-0 target values, which the sup wall reads
-        k = next(i for i, (*_, name) in enumerate(compacts) if name == "K")
-        self.k_points, self.k_target = compacts[k][0], self.target_vals[0][k]
 
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int, strict: bool
@@ -563,8 +544,44 @@ class _Measurement:
         coeffs = u.coeffs
         if len(coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
-        # u of degree exactly p: its approximant is its Taylor sum (B = 1)
-        taylor_is_pade = len(coeffs) == p + 1 and coeffs[p] != 0 and tol.tau_zero < 1
+        diagnostics: dict = {}
+        pade_everywhere = True
+        if len(coeffs) == p + 1 and coeffs[p] != 0 and tol.tau_zero < 1:
+            # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u
+            for l, values in enumerate(u_vals):
+                record("taylor", l, values[None])
+                record("pade", l, values[None])
+            with np.errstate(over="ignore", under="ignore"):
+                hankel_min = float(np.abs(coeffs[p]) ** q)
+            diagnostics["by_identity"] = True
+        else:
+            hankel_min, diagnostics["hankel_tau_max"], pade_everywhere = self._per_center(
+                u, p, q, strict, record
+            )
+
+        achieved = dict(sups)
+        if not pade_everywhere:
+            for _, _, pade, _ in self.parts:
+                achieved.pop(pade)
+            for l in range(levels + 1):
+                achieved.pop(f"id_pade_l{l}")
+
+        diagnostics = {**diag_targets, **diagnostics}
+        for l in range(levels + 1):
+            diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
+
+        cert = Certificate(
+            (p, q), perturbation, fit_degree, achieved, self.requested, hankel_min, False,
+            diagnostics,
+        )
+        cert.passed = bool(cert.sup_ok and cert.hankel_ok and perturbation != 0)
+        return cert
+
+    def _per_center(self, u: Polynomial, p: int, q: int, strict: bool, record):
+        """Record the Taylor and Pade rows of every center through
+        ``record(kind, level, values)``; returns ``(hankel_min,
+        hankel_tau_max, pade_everywhere)``."""
+        zkj, levels, tol = self.points, self.levels, self.tol
         block = max(1, _BLOCK_PAIRS // len(zkj))
         hankel_min = math.inf
         hankel_tau_max = 0.0
@@ -572,17 +589,15 @@ class _Measurement:
         for start in range(0, len(self.centers), block):
             zeta = self.centers[start : start + block]
             series = np.zeros((len(zeta), p + q + 1), dtype=complex)
-            series[:, : len(coeffs)] = recentered_coefficients(coeffs, u.center, zeta)
+            series[:, : len(u.coeffs)] = recentered_coefficients(u.coeffs, u.center, zeta)
             values, scales, thresholds, exists = hankel_test(series, p, q, tol)
             hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
             hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
             w = zkj - zeta[:, None]
 
             partial = series[:, : p + 1]
-            taylor_vals = []
             for l in range(levels + 1):
-                taylor_vals.append(horner(partial, w))
-                record("taylor", l, taylor_vals[-1])
+                record("taylor", l, horner(partial, w))
                 partial = differentiate(partial)
 
             failed = np.flatnonzero(~exists)
@@ -590,10 +605,7 @@ class _Measurement:
             rows = np.flatnonzero(exists)
             if strict and len(failed):
                 rows = rows[rows < failed[0]]  # only these can raise before it
-            if len(rows) and taylor_is_pade:
-                for l, level_vals in enumerate(taylor_vals):
-                    record("pade", l, level_vals[rows])
-            elif len(rows):
+            if len(rows):
                 sub, w_rows = series[rows], w[rows]
                 denom = pade_denominators(sub, p, q)
                 bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
@@ -607,26 +619,7 @@ class _Measurement:
                     float(thresholds[i]), float(scales[i]),
                 )
                 raise PadeNotExistError(report)
-
-        achieved = dict(sups)
-        if not pade_everywhere:
-            for _, _, pade, _ in self.parts:
-                achieved.pop(pade)
-            for l in range(levels + 1):
-                achieved.pop(f"id_pade_l{l}")
-
-        diagnostics = dict(diag_targets)
-        diagnostics["hankel_tau_max"] = hankel_tau_max
-        for l in range(levels + 1):
-            diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
-
-        hankel_min = 0.0 if math.isinf(hankel_min) else float(hankel_min)
-        cert = Certificate(
-            (p, q), perturbation, fit_degree, achieved, self.requested, hankel_min, False,
-            diagnostics,
-        )
-        cert.passed = bool(cert.sup_ok and cert.hankel_ok and perturbation != 0)
-        return cert
+        return 0.0 if math.isinf(hankel_min) else hankel_min, hankel_tau_max, pade_everywhere
 
 
 def _requirement_measurement(
@@ -652,8 +645,10 @@ def verify_construction(
 ) -> Certificate:
     """Re-measure every conclusion for a given polynomial; pure measurement.
 
-    Raises :class:`PadeNotExistError` (with the offending center attached)
-    when the approximant fails to exist at some grid center.  The
+    A ``u`` of degree exactly ``p`` is decided by identity, as the builders'
+    outputs are, so a build and its verification agree bit for bit.  Any
+    other ``u`` raises :class:`PadeNotExistError` (with the offending center
+    attached) when the float Hankel test fails at some grid center.  The
     ``perturbation`` metadata defaults to the coefficient of ``u`` at the
     selected degree, which is the perturbation the builders install there.
     """
@@ -665,146 +660,43 @@ def verify_construction(
     return measurement(u, p, q, perturbation, fit_degree, strict=True)
 
 
-def _search_perturbation(measure, d0: float):
-    """Find ``|d|`` whose certificate passes, moving geometrically.
-
-    ``measure(d)`` returns the certificate for ``d``; its
-    :attr:`~Certificate.sup_ok` and :attr:`~Certificate.hankel_ok` steer the
-    search.  A sup-bound violation sends it down, a Hankel violation sends
-    it up; once both walls are known it bisects in log scale.  Returns the
-    passing certificate, or an unraised :class:`PerturbationFailedError`
-    with the established window.
-    """
-    lo = 0.0  # largest magnitude known to fail the Hankel floor
-    hi = math.inf  # smallest magnitude known to break a sup bound
-    d = d0
-    for attempt in range(1, PERTURBATION_ATTEMPTS + 1):
-        cert = measure(d)
-        if cert.passed:
-            cert.diagnostics["d_window_lo"] = lo
-            cert.diagnostics["d_window_hi"] = hi if math.isfinite(hi) else None
-            return cert
-        if not cert.hankel_ok and cert.sup_ok:
-            lo = max(lo, d)
-            d = math.sqrt(lo * hi) if math.isfinite(hi) else d * 2.0
-        elif cert.hankel_ok and not cert.sup_ok:
-            hi = min(hi, d)
-            d = math.sqrt(lo * hi) if lo > 0.0 else d / 2.0
-        else:
-            break
-        if math.isfinite(hi) and lo > 0.0 and hi / lo < 1.0 + 1e-9:
-            break
-    return PerturbationFailedError(lo, hi, attempt)
-
-
-def _perturbation_walls(fit: Polynomial, measurement: _Measurement):
-    """``walls(p, q) -> (d_H, d_S)`` for the trials ``u = fit + d z^p`` at ``q >= 2``.
-
-    With ``deg fit < p`` every recentered row of ``u`` has ``a_p = d`` and
-    zeros above ``p``, so its Hankel window is anti-triangular with
-    determinant ``±d^q``.  Its other entries ``a_k(u, ζ) = a_k(fit, ζ) +
-    d C(p, k) (ζ - c)^(p-k)``, ``p - q + 1 <= k <= p - 1``, give the scale a
-    floor, so the test ``|d|^q > tau_det scale^q`` can hold at ζ only for
-    ``|d| > t A(ζ) / (1 + t B(ζ))``, with ``t = tau_det^(1/q)``, ``A(ζ) =
-    max |a_k(fit, ζ)|`` and ``B(ζ) = max C(p, k) |ζ - c|^(p-k)``.  The
-    Hankel wall ``d_H`` is the largest of these over the centers.  On K,
-    ``|u - T| >= |d| |z - c|^p - r_K`` with ``r_K = max_K |fit - T|``, so
-    the level-0 Taylor sup on K (where ``S_p(u, ζ) = u``) stays below
-    ``1/s`` only for ``|d| < d_S = (1/s + r_K) / max_K |z - c|^p``.
-
-    A pair with ``d_H >= _WALL_MARGIN * d_S`` cannot pass at any ``d``.
-    Below ``d_H`` the exact Hankel test fails at some center; the rounding
-    of ``det`` moves that wall by a few ulps, well inside the factor 2, so
-    where it could let the test pass the K sup is still near ``2/s + r_K``.
-    Above ``d_H`` the exact K sup is at least ``2 d_S max_K |z - c|^p - r_K
-    = 2/s + r_K``.  The one assumption is that the rounding floor of the
-    level-0 Taylor values on K stays below ``1/s + r_K``, so the measured
-    sup cannot fall to ``1/s``.  Everything is read from ``fit`` and the
-    prepared ``measurement``: one recentering of ``fit`` at the centers and
-    one evaluation on K serve every pair.
-    """
-    center = fit.center
-    rows = np.abs(recentered_coefficients(fit.coeffs, center, measurement.centers))
-    radii = np.abs(measurement.centers - center)
-    r_k = float(np.max(np.abs(fit.eval(measurement.k_points) - measurement.k_target)))
-    k_radius = float(np.max(np.abs(measurement.k_points - center)))
-    requested, tau_det = measurement.requested, measurement.tol.tau_det
-
-    def walls(p: int, q: int) -> tuple[float, float]:
-        t = tau_det ** (1.0 / q)
-        lo = max(0, p - q + 1)
-        ks = np.arange(lo, p)
-        a = np.max(rows[:, lo:p], axis=1, initial=0.0)
-        binomials = np.array([_float_or_inf(math.comb(p, k)) for k in ks])
-        with np.errstate(over="ignore"):  # an infinite B or K power only lowers d_H or d_S
-            powers = radii[:, None] ** (p - ks)
-            # a center at radius 0 adds nothing, even beside an infinite binomial
-            terms = np.multiply(binomials, powers, out=np.zeros_like(powers), where=powers > 0)
-            k_power = np.float64(k_radius) ** p
-        d_h = float(np.max(t * a / (1.0 + t * np.max(terms, axis=1, initial=0.0))))
-        return d_h, float((requested + r_k) / k_power)
-
-    return walls
-
-
-def _float_or_inf(n: int) -> float:
-    """``float(n)``, or ``inf`` for an integer beyond the float range."""
-    try:
-        return float(n)
-    except OverflowError:
-        return math.inf
-
-
 def _certify(
-    fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement, s: int,
-    sup_abs: float, fit_degree: int, diagnostics: dict, d_override=None,
+    fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement,
+    fit_degree: int, diagnostics: dict, d_override=None,
 ) -> tuple[Polynomial, Certificate] | PerturbationFailedError:
-    """``u = fit + d z^p`` and its passing certificate, for the first index
-    pair ``(p, q)`` with ``p > min_degree`` whose search succeeds.
+    """``u = fit + d z^p`` and its passing certificate, at the first index
+    pair ``(p, q)`` with ``p > min_degree``, or an unraised
+    :class:`PerturbationFailedError`: a refusal is a value here, and the
+    builders raise it once.
 
-    The one place a trial is built and judged: every ``d`` tried is measured
-    as ``measurement(fit.plus_monomial(d, p), ...)``, with ``diagnostics``
-    (the builder's fit residual) added to its certificate.  At most
-    ``INDEX_RETRY_LIMIT`` pairs are tried, each search starting from
-    ``d0 = 1 / (2 s sup_abs^p)``, and a passing search's certificate
-    records as ``d_attempts`` every measurement made here, on every pair
-    tried.  With ``d_override`` the first pair is measured at that value,
-    passing or not.  When no pair passes, returns the last pair's refusal
-    or failed search, unraised: a refusal is a value here, and the builders
-    raise it once.
-
-    Before its search, a pair with ``q >= 2`` whose walls cross (see
-    :func:`_perturbation_walls`) is refused with
-    :class:`PerturbationRefusedError`, unmeasured, and the next pair is
-    tried as after a failed search.  Such a search could only fail, so the
-    pair certified, its ``d`` and its sups are those of the full search;
-    only ``d_attempts`` is smaller.  A pair with ``q <= 1`` is never
-    refused: its Hankel test cannot fail.
+    The one place a trial is built and judged.  ``u`` has degree exactly
+    ``p``, so the Hankel conclusion and ``S_p(u, ζ) = [u; p/q]_ζ = u`` hold
+    at every center, and on K and J ``|u - T| <= r + |d| R^p``, with ``r``
+    the fit's sup error against the targets and ``R = max |z - c|``.  So
+    ``d = (1/s - r) / (2 R^p)`` spends half the headroom and keeps every
+    gated sup near ``(1/s + r) / 2``.  ``R^p`` is a float64 power: beyond
+    the float range ``d`` reads 0 and the pair is refused unmeasured.
+    Otherwise the trial is measured once, as ``measurement(u, ...)`` with
+    ``diagnostics`` (the builder's fit residual) added to its certificate,
+    and refused if that measurement fails.  With ``d_override`` the pair is
+    measured at that value, passing or not.
     """
-    attempts = 0
-    walls = _perturbation_walls(fit, measurement) if d_override is None else None
-
-    def measure(d: complex, p: int, q: int) -> Certificate:
-        nonlocal attempts
-        attempts += 1
-        cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree, strict=False)
-        cert.diagnostics.update(diagnostics)
-        return cert
-
-    for p, q in candidate_indices(f_seq, min_degree, INDEX_RETRY_LIMIT):
-        if d_override is not None:
-            cert = measure(d_override, p, q)
-            return fit.plus_monomial(cert.perturbation, p), cert
-        if q >= 2:
-            d_h, d_s = walls(p, q)
-            if d_h >= _WALL_MARGIN * d_s:
-                outcome = PerturbationRefusedError(p, q, d_h, d_s)
-                continue
-        outcome = _search_perturbation(lambda d: measure(d, p, q), 1.0 / (2.0 * s * sup_abs**p))
-        if isinstance(outcome, Certificate):
-            outcome.diagnostics["d_attempts"] = attempts
-            return fit.plus_monomial(outcome.perturbation, p), outcome
-    return outcome
+    p, q = select_index(f_seq, min_degree)
+    d = d_override
+    if d is None:
+        targets = np.concatenate(measurement.target_vals[0])
+        r = float(np.max(np.abs(fit.eval(measurement.points) - targets)))
+        radius = np.max(np.abs(measurement.points - fit.center))
+        with np.errstate(over="ignore", divide="ignore"):  # R^p = inf reads as d = 0
+            d = float((measurement.requested - r) / 2.0 / radius**p)
+        if not 0.0 < d < math.inf:
+            return PerturbationFailedError(p, q, d, 0)
+    u = fit.plus_monomial(d, p)
+    cert = measurement(u, p, q, d, fit_degree, strict=False)
+    cert.diagnostics.update(diagnostics)
+    if cert.passed or d_override is not None:
+        return u, cert
+    return PerturbationFailedError(p, q, d, 1)
 
 
 def build_universal_polynomial(
@@ -820,8 +712,8 @@ def build_universal_polynomial(
     a degree ramp and hands each fit that clears half the requested bound to
     ``_certify`` until one passes; the last failure is raised when the ramp
     ends or reaches a fit with no index pair above it.  ``d_override``
-    short-circuits the search and returns the certificate for that exact
-    perturbation (possibly failing; a zero perturbation never passes).
+    replaces the chosen perturbation and returns the certificate for that
+    exact value (possibly failing; a zero perturbation never passes).
     """
     grid_k = discretize(req.K)
     grid_l = discretize(req.L)
@@ -834,7 +726,6 @@ def build_universal_polynomial(
     pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
     z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
-    sup_k_abs = float(np.max(np.abs(grid_k.points)))
     ramp = _fit_ramp(
         z, values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
@@ -843,12 +734,12 @@ def build_universal_polynomial(
     outcome = None
     for degree, fit, residual in ramp:
         if outcome is not None and fit.array_degree() >= f_seq.max_p:
-            break  # no pair above this fit: report the failed search
+            break  # no pair above this fit: report the failed trial
         if measurement is None:
             measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
         outcome = _certify(
-            fit, fit.array_degree(), f_seq, measurement, req.s, sup_k_abs, degree,
-            {"fit_residual": residual}, d_override,
+            fit, fit.array_degree(), f_seq, measurement, degree, {"fit_residual": residual},
+            d_override,
         )
         if isinstance(outcome, tuple):
             return outcome
@@ -896,14 +787,11 @@ def extend_prefix(
     ``h = prefix_poly + t(z) z^(n0+1) + d z^(p_k)``: the correction ``t`` is
     fitted against ``(psi - prefix_poly)/z^(n0+1)`` on K (which requires
     ``0`` off K) and taken from the first fit of its ramp that clears half
-    the bound, the pair ``(p_k, q_k)`` comes from the index sequence with
-    ``p_k`` above every occupied degree, and ``d != 0`` is shrunk until both
-    the sup bound ``1/s`` on K and Hankel nonvanishing at 0 hold.  The
-    fitted ``prefix_poly + t(z) z^(n0+1)`` goes through the same
-    ``_certify`` as a build's fit, so a pair with ``q >= 2`` whose Hankel
-    floor at 0 lies above its sup ceiling on K is refused unmeasured, and
-    when every pair fails the last failure is raised, possibly that
-    :class:`PerturbationRefusedError`.  Every term after the prefix sits
+    the bound, and the fitted ``prefix_poly + t(z) z^(n0+1)`` goes through
+    the same ``_certify`` as a build's fit: the first pair ``(p_k, q_k)``
+    with ``p_k`` above every occupied degree, and ``d != 0`` from the
+    headroom the fit leaves on K.  A refused trial is raised as
+    :class:`PerturbationFailedError`.  Every term after the prefix sits
     above ``n0``, so the prefix survives verbatim and the extension stays within
     ``2^-n0`` of the input in the disagreement metric; this is checked once,
     on the returned extension.
@@ -946,10 +834,8 @@ def extend_prefix(
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
-    sup_abs = float(np.max(np.abs(z)))
     outcome = _certify(
-        fitted, len(fitted.coeffs) - 1, f_seq, measurement, s, sup_abs, fit_degree,
-        {"fit_residual": residual},
+        fitted, len(fitted.coeffs) - 1, f_seq, measurement, fit_degree, {"fit_residual": residual}
     )
     if not isinstance(outcome, tuple):
         try:
@@ -957,7 +843,7 @@ def extend_prefix(
         finally:
             del outcome  # the traceback holds this frame: keep the error out of it
     u, cert = outcome
-    # every term the search adds sits above n0: the prefix is checked once, on u
+    # every term _certify adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs
     cert.passed = cert.passed and np.array_equal(u.coeffs[: n0 + 1], base.coeffs)

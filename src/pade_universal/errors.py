@@ -106,43 +106,22 @@ class IllConditionedError(PadeUniversalError):
 
 
 class PerturbationFailedError(PadeUniversalError):
-    """No admissible perturbation magnitude was found.
+    """The trial ``u = fit + d z^p`` at the first admissible pair was refused.
 
-    Carries the window bounds that the search established: magnitudes below
-    ``lo`` fail the Hankel nonvanishing test, magnitudes above ``hi`` break
-    the requested sup bounds.
+    ``d = (1/s - r) / (2 max |z - c|^p)`` is not a positive float (the power
+    leaves the float range; ``attempts`` is 0), or its one measurement
+    failed a gated sup in float64 (``attempts`` is 1).
     """
 
-    def __init__(self, lo, hi, attempts):
+    def __init__(self, p, q, d, attempts):
+        reason = "failed its measurement" if attempts else "is not a positive float"
         super().__init__(
-            f"no admissible perturbation after {attempts} evaluations "
-            f"(hankel floor ~{lo:.3e}, sup ceiling ~{hi:.3e})"
-        )
-        self.lo = lo
-        self.hi = hi
-        self.attempts = attempts
-
-
-class PerturbationRefusedError(PerturbationFailedError):
-    """An index pair refused before any measurement: its perturbation walls cross.
-
-    The Hankel conclusion needs ``|d| > d_H`` and the Taylor sup on K stays
-    below the requested bound only for ``|d| < d_S``; ``d_H`` exceeds ``d_S``
-    by the refusal margin, so no magnitude can pass.  ``lo`` and ``hi`` are
-    the two walls and ``attempts`` is 0.
-    """
-
-    def __init__(self, p, q, d_H, d_S):
-        super().__init__(d_H, d_S, 0)
-        self.args = (
-            f"index pair ({p},{q}) refused without measuring: the Hankel conclusion "
-            f"needs |d| > {d_H:.3e}, the Taylor sup on K stays below 1/s only for "
-            f"|d| < {d_S:.3e}",
+            f"no admissible perturbation at index pair ({p},{q}): d = {d:.3e} {reason}"
         )
         self.p = p
         self.q = q
-        self.d_H = d_H
-        self.d_S = d_S
+        self.d = d
+        self.attempts = attempts
 
 
 class OriginInKError(PadeUniversalError):

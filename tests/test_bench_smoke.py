@@ -6,7 +6,10 @@ seed 101 must pass the workload's own output check.  This catches a change
 to the program's API that would stop the benchmark, such as a renamed
 function or a deleted argument it passes.  The Hankel oracle of ``wide``
 and ``desk``, which a traced run reports, iterates the center grid of each
-build, so it runs here too.
+build, so it runs here too.  It compares the exact determinant with the
+float Hankel test of each recentered row; a build's output is decided by
+the degree-``p`` identity instead, so the program's verdict is checked
+against the same exact determinants here.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ import os
 import sys
 
 import pytest
+
+from pade_universal.compacts import discretize
+from pade_universal.construct import Certificate
+from pade_universal.exact import QComplex, exact_hankel_determinant
+from pade_universal.series import Polynomial
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -39,4 +47,18 @@ def test_first_cycle_passes_its_check(name, workloads, tmp_path):
 def test_first_cycle_oracle_agrees_at_every_center(name, expected, workloads, tmp_path):
     work = workloads.WORKLOADS[name](101, str(tmp_path))
     _, evidence = work.run_cycle(0)
-    assert work.oracle({0: evidence}) == {"build": expected}
+    (_, compared), = work.oracle({0: evidence}).values()
+    if name == "wide":
+        u, cert, req = evidence["u"], evidence["cert"], work.inputs[0][1]
+    else:
+        record = evidence["build"][3]
+        u = Polynomial.from_json(record["artifacts"]["universal_poly"])
+        cert, req = Certificate.from_json(record["certificates"][0]), work.requirements[0]
+    assert cert.passed and cert.diagnostics["by_identity"] is True
+    p, q = cert.selected
+    agree = 0
+    for zeta in discretize(req.L).points:
+        row = u.recenter(zeta).to_series(p + q + 1).coeffs
+        exact = exact_hankel_determinant([QComplex.of(c.real, c.imag) for c in row], p, q)
+        agree += cert.hankel_ok == (not exact.is_zero())
+    assert [agree, compared] == expected

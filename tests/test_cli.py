@@ -34,6 +34,16 @@ def build_scenario(s=50, f_max=40):
     }
 
 
+def wide_scenario():
+    """The wide geometry (s = 200, levels 2), whose fit stops at degree 22."""
+    scenario = build_scenario(s=200)
+    requirement = scenario["requirement"]
+    requirement["target"]["coeffs"] = [[0.5, 0], [0, 0.25], [-0.5, 0]]
+    requirement["derivative_levels"] = 2
+    scenario["f_on_L"]["denom"] = [[2.5, 0], [-1, 0]]
+    return scenario
+
+
 def extension_scenario():
     return {
         "prefix": [[0, 0]],
@@ -250,14 +260,23 @@ class TestBuildCommand:
         argv = ("build", "--scenario", str(scenario), "--out", str(out), "--tau-det", "1e-3")
         assert run(capsys, *argv)[0] == 0
         record = json.loads(out.read_text())
-        assert record["environment"]["tolerances"]["tau_det"] == 1e-3
-        stored = record["certificates"][0]["diagnostics"]["hankel_tau_max"]
+        assert record["environment"]["tolerances"] == {"tau_zero": 1e-12, "tau_det": 1e-3}
 
         code, verify_out, _ = run(capsys, "verify", "--run", str(out))
         assert code == 0
         payload = json.loads(verify_out)
         assert payload["match"] is True
-        assert payload["certificate"]["diagnostics"]["hankel_tau_max"] == stored
+        assert payload["certificate"]["diagnostics"]["by_identity"] is True
+
+        # the same record stamped with tau_zero = 1: the pole guard of the
+        # rational target 1/(2 - z), |2 - z| <= 2 tau_zero, now rejects J
+        record["environment"]["tolerances"] = {"tau_zero": 1.0, "tau_det": 1.0}
+        out.write_text(json.dumps(record))
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert (code, verify_out) == (3, "")
+        diag = json.loads(err)
+        assert diag["error"] == "numeric"
+        assert "below the pole-proximity threshold" in diag["message"]
 
     def test_verify_refuses_malformed_tolerances(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -292,27 +311,26 @@ class TestBuildCommand:
         assert load_run(out).certificates == []
 
     def test_failed_search_exits_six(self, capsys, tmp_path):
-        # (13, 2) fails its perturbation search, and the next fit degree
-        # leaves no pair: the failed search is reported, not the exhaustion
+        # 3^1100 leaves the float range, so d reads 0 and (1100, 1) is
+        # refused with a diagnostic and a record, not a traceback
         scenario_data = build_scenario()
-        scenario_data["F"] = [[13, 2]]
+        scenario_data["F"] = [[1100, 1]]
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(scenario_data))
         out = tmp_path / "run.json"
-        code, _, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
-        assert code == 6
-        assert json.loads(err)["error"] == "perturbation-failed"
+        code, stdout, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
+        assert (code, stdout) == (6, "")
+        assert json.loads(err) == {
+            "error": "perturbation-failed",
+            "message": "no admissible perturbation at index pair (1100,1): "
+                       "d = 0.000e+00 is not a positive float",
+        }
         assert load_run(out).certificates == []
 
     def test_refused_pairs_exit_six_unmeasured(self, capsys, tmp_path, monkeypatch):
-        # the wide geometry: the fit stops at degree 22, and (23, 2) has a
-        # Hankel wall far above its sup wall
-        scenario_data = build_scenario(s=200)
-        requirement = scenario_data["requirement"]
-        requirement["target"]["coeffs"] = [[0.5, 0], [0, 0.25], [-0.5, 0]]
-        requirement["derivative_levels"] = 2
-        scenario_data["f_on_L"]["denom"] = [[2.5, 0], [-1, 0]]
-        scenario_data["F"] = [[23, 2]]
+        # the wide geometry at q = 2: (1100, 2) is refused before any measurement
+        scenario_data = wide_scenario()
+        scenario_data["F"] = [[1100, 2]]
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(scenario_data))
         out = tmp_path / "run.json"
@@ -322,10 +340,23 @@ class TestBuildCommand:
         assert code == 6 and calls == []
         diag = json.loads(err)
         assert diag["error"] == "perturbation-failed"
-        assert "refused without measuring" in diag["message"]
-        assert "Hankel conclusion needs |d| >" in diag["message"]
-        assert "Taylor sup on K stays below 1/s only for |d| <" in diag["message"]
+        assert "index pair (1100,2): d = 0.000e+00 is not a positive float" in diag["message"]
         assert load_run(out).certificates == []
+
+    def test_pair_the_walls_refused_certifies_and_verifies(self, capsys, tmp_path):
+        # the fit stops at degree 22; the float Hankel test of (23, 2) fails
+        # at every |d| the sups allow, but the pair holds exactly
+        scenario_data = wide_scenario()
+        scenario_data["F"] = [[23, 2]]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        cert = load_run(out).certificates[0]
+        assert cert.passed and cert.selected == (23, 2)
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        payload = json.loads(verify_out)
+        assert code == 0 and payload["match"] is True and payload["max_deviation"] == 0.0
 
     def test_fit_floor_exits_four(self, capsys, tmp_path):
         # s = 10^4 asks for a residual below the float64 fit floor (5.4e-5)
@@ -456,7 +487,6 @@ FAILURE_ROWS = [
     (errors.FitFailedError, 4, "fit-failed"),
     (errors.IllConditionedError, 3, "numeric"),
     (errors.PerturbationFailedError, 6, "perturbation-failed"),
-    (errors.PerturbationRefusedError, 6, "perturbation-failed"),
     (errors.OriginInKError, 3, "numeric"),
     (errors.SchemaError, 1, "schema"),
     (ValueError, 1, "validation"),
@@ -515,15 +545,16 @@ class TestFailureTable:
         assert record.scenario == desk_schedule_scenario(w=1.3)
 
     def test_refused_extension_writes_its_record(self, capsys, tmp_path):
-        # (8, 6) on the circle at s = 10: the walls cross, so the pair is refused
-        scenario_data = {**extension_scenario(), "s": 10, "F": [[8, 6]]}
+        # (1100, 1) on the circle at s = 10: 2.5^1100 leaves the float range,
+        # so the pair is refused
+        scenario_data = {**extension_scenario(), "s": 10, "F": [[1100, 1]]}
         scenario = tmp_path / "ext.json"
         scenario.write_text(json.dumps(scenario_data))
         code, _, err = run(capsys, "seleznev", "--scenario", str(scenario))
         assert code == 6
         diag = json.loads(err)
         assert diag["error"] == "perturbation-failed"
-        assert "index pair (8,6) refused without measuring" in diag["message"]
+        assert "index pair (1100,1): d = 0.000e+00 is not a positive float" in diag["message"]
 
         out = tmp_path / "run.json"
         again = run(capsys, "seleznev", "--scenario", str(scenario), "--out", str(out))

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import math
 import types
 
@@ -26,7 +25,6 @@ from pade_universal.construct import (
     _ArnoldiLadder,
     _fit_on_points,
     _fit_ramp,
-    _search_perturbation,
     build_universal_polynomial,
     extend_prefix,
     run_extension_schedule,
@@ -40,12 +38,10 @@ from pade_universal.errors import (
     OriginInKError,
     PadeUniversalError,
     PerturbationFailedError,
-    PerturbationRefusedError,
     PoleProximityError,
     ScheduleStepError,
 )
-from pade_universal.reporting import RunRecord, load_run, save_run
-from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
+from pade_universal.series import DEFAULT_TOL, Polynomial, ToleranceConfig, disagreement_metric
 
 from conftest import random_coefficients
 
@@ -69,6 +65,21 @@ def desk_requirement(s=50, levels=0):
 
 
 F_ON_L = TargetFunction.rational([1.0], [2.0, -1.0])
+
+
+#: Tolerances under which no trial takes the degree-p identity: the Hankel
+#: test at q = 2 compares |d|^2 with tau_det max(|a_(p-1)|, |d|)^2 >= |d|^2
+#: and fails at every center.
+NO_IDENTITY = ToleranceConfig(tau_zero=1.0, tau_det=1.0)
+QUADRATIC = TargetFunction.poly([0.0, 0.0, 1.0])
+F_Q2 = IndexSequence([(k, 2) for k in range(61)])
+
+
+def quadratic_build(f_seq, tol=DEFAULT_TOL):
+    """The desk geometry with z^2 on K, L and J, so the ramp fits it exactly
+    at degree 2 and no target has a pole for the guard to reject."""
+    req = dataclasses.replace(desk_requirement(), target_on_K=QUADRATIC)
+    return build_universal_polynomial(req, QUADRATIC, f_seq, tol)
 
 
 def table_loop(points, values, z):
@@ -471,34 +482,42 @@ class TestVerify:
         for key in ("2", "3", "4", "5"):
             assert abs(plain.achieved[key] - cert.achieved[key]) <= 1e-12
 
-    def test_first_try_certificate_records_unknown_ceiling(self, tmp_path):
-        _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
-        assert cert.diagnostics["d_attempts"] == 1
-        assert cert.diagnostics["d_window_hi"] is None
-        path = tmp_path / "run.json"
-        save_run(RunRecord(scenario={}, certificates=[cert], environment={}), path)
-        assert '"d_window_hi": null' in path.read_text()
-        assert load_run(path).certificates[0].diagnostics["d_window_hi"] is None
-
-    def test_d_attempts_counts_every_measurement(self, monkeypatch):
-        # (13, 2) fails its search after two measurements, (14, 2) passes at
-        # its first: the certificate counts all three
-        pairs = []
+    def test_build_measures_one_trial(self, monkeypatch):
+        # the first pair above the fit, one d, one measurement, decided by identity
+        calls = []
         call = construct._Measurement.__call__
 
         def counted(measurement, u, p, q, *args, **kwargs):
-            pairs.append((p, q))
+            calls.append((p, q))
             return call(measurement, u, p, q, *args, **kwargs)
 
         monkeypatch.setattr(construct._Measurement, "__call__", counted)
         f_seq = IndexSequence([(k, 2) for k in range(41)])
-        _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, f_seq)
-        assert cert.selected == (14, 2) and sorted(set(pairs)) == [(13, 2), (14, 2)]
-        assert cert.diagnostics["d_attempts"] == len(pairs) == 3
+        u, cert = build_universal_polynomial(desk_requirement(), F_ON_L, f_seq)
+        assert calls == [cert.selected] == [(cert.fit_degree + 1, 2)]
+        assert cert.passed and cert.diagnostics["by_identity"] is True
+        assert cert.hankel_min == abs(cert.perturbation) ** 2
+
+    def test_perturbation_spends_half_the_headroom(self):
+        # |u - T| <= r + |d| R^p = (1/s + r) / 2 on K and J, r the fit's error there
+        req = desk_requirement()
+        u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)
+        p, _ = cert.selected
+        zk, zj = discretize(req.K).points, discretize(req.inner_compact()).points
+        fit = Polynomial(u.coeffs[:p])
+        r = max(
+            float(np.max(np.abs(fit.eval(zk) - req.target_on_K.evaluate(zk)))),
+            float(np.max(np.abs(fit.eval(zj) - F_ON_L.evaluate(zj)))),
+        )
+        radius = float(np.max(np.abs(np.concatenate([zk, zj]))))
+        assert cert.perturbation == (req.requested - r) / 2.0 / radius**p
+        worst = max(cert.achieved[k] for k in ("2", "3", "4", "5"))
+        assert worst <= (req.requested + r) / 2.0 * (1.0 + 1e-12)
 
     def test_failed_search_survives_an_exhausted_ramp(self, monkeypatch):
-        # (13, 2) fails its search; the next fit degree leaves no pair above
-        # it, and the build reports the failed search with its attempts
+        # the one trial of (3, 2) fails (no identity at tau_zero = 1, and the
+        # Hankel test fails); the next fit degree leaves no pair above it, and
+        # the build reports the failed trial with its one attempt
         calls = []
         call = construct._Measurement.__call__
 
@@ -508,18 +527,18 @@ class TestVerify:
 
         monkeypatch.setattr(construct._Measurement, "__call__", counted)
         with pytest.raises(PerturbationFailedError) as info:
-            build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(13, 2)]))
-        assert calls == [(13, 2), (13, 2)]
-        assert info.value.attempts == 2
+            quadratic_build(IndexSequence([(3, 2)]), NO_IDENTITY)
+        assert calls == [(3, 2)]
+        assert (info.value.p, info.value.q, info.value.attempts) == (3, 2, 1)
 
-    def test_failed_search_reports_unknown_ceiling(self):
-        # every magnitude fails the Hankel test with the sups in bounds, so no
-        # sup ceiling is ever met
-        cert = Certificate((3, 0), 1.0, 2, {}, 1.0, 0.0, False)
-        error = _search_perturbation(lambda d: cert, 1.0)
-        assert isinstance(error, PerturbationFailedError)
-        assert error.hi == math.inf
-        assert "sup ceiling ~inf" in str(error)
+    def test_pair_beyond_the_float_range_is_refused(self, monkeypatch):
+        # 3^1100 overflows: d reads 0 and nothing is measured
+        calls = []
+        monkeypatch.setattr(construct._Measurement, "__call__", lambda *a, **k: calls.append(a))
+        with pytest.raises(PerturbationFailedError) as info:
+            build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(1100, 1)]))
+        assert calls == []
+        assert (info.value.p, info.value.q, info.value.d, info.value.attempts) == (1100, 1, 0.0, 0)
 
     def test_certificate_json_round_trip(self):
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
@@ -565,122 +584,6 @@ def greedy_steps(w):
     return certs
 
 
-def without_d_attempts(cert):
-    out = cert.to_json()
-    out["diagnostics"].pop("d_attempts")
-    return json.dumps(out, sort_keys=True)
-
-
-class TestPerturbationWalls:
-    def test_refused_pairs_fail_the_full_search(self, monkeypatch):
-        # every pair the rule refuses, searched as without the rule from the
-        # same d0 over the same measurement, ends in PerturbationFailedError
-        calls = []
-        certify = construct._certify
-
-        def recorded(fit, min_degree, f_seq, measurement, s, sup_abs, *args, **kwargs):
-            calls.append((fit, min_degree, f_seq, measurement, s, sup_abs))
-            return certify(fit, min_degree, f_seq, measurement, s, sup_abs, *args, **kwargs)
-
-        monkeypatch.setattr(construct, "_certify", recorded)
-        for pole in DESK_POLES:
-            desk_build(pole)
-        for w in GREEDY_WEIGHTS:
-            greedy_steps(w)
-        refused = 0
-        for fit, min_degree, f_seq, measurement, s, sup_abs in calls:
-            walls = construct._perturbation_walls(fit, measurement)
-            for p, q in construct.candidate_indices(
-                f_seq, min_degree, construct.INDEX_RETRY_LIMIT
-            ):
-                if q < 2:
-                    continue
-                d_h, d_s = walls(p, q)
-                if d_h < construct._WALL_MARGIN * d_s:
-                    continue
-                refused += 1
-                error = _search_perturbation(
-                    lambda d: measurement(fit.plus_monomial(d, p), p, q, d, -1, False),
-                    1.0 / (2.0 * s * sup_abs**p),
-                )
-                assert type(error) is PerturbationFailedError
-        # the first pair of four of the five builds, and (29, 2) of the last
-        # step at w = 1.1 and 1.2
-        assert refused >= 6
-
-    def test_certificates_match_the_unrefused_search(self, monkeypatch):
-        refusing = (
-            [build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)[1]]
-            + [desk_build(pole)[1] for pole in DESK_POLES]
-            + [cert for w in GREEDY_WEIGHTS for cert in greedy_steps(w)]
-        )
-        monkeypatch.setattr(
-            construct, "_perturbation_walls", lambda fit, m: lambda p, q: (0.0, math.inf)
-        )
-        searching = (
-            [build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)[1]]
-            + [desk_build(pole)[1] for pole in DESK_POLES]
-            + [cert for w in GREEDY_WEIGHTS for cert in greedy_steps(w)]
-        )
-        assert [without_d_attempts(c) for c in refusing] == [
-            without_d_attempts(c) for c in searching
-        ]
-        assert all(c.passed for c in refusing)
-        assert sum(c.diagnostics["d_attempts"] for c in refusing) < sum(
-            c.diagnostics["d_attempts"] for c in searching
-        )
-
-    def test_wide_build_measures_once(self, monkeypatch):
-        calls = []
-        call = construct._Measurement.__call__
-
-        def counted(measurement, u, p, q, *args, **kwargs):
-            calls.append((p, q))
-            return call(measurement, u, p, q, *args, **kwargs)
-
-        monkeypatch.setattr(construct._Measurement, "__call__", counted)
-        _, cert = build_universal_polynomial(wide_requirement(64), WIDE_F_ON_L, F_WIDE)
-        assert cert.passed and cert.selected == (24, 1)
-        assert calls == [(24, 1)] and cert.diagnostics["d_attempts"] == 1
-
-    def test_every_pair_refused_raises_the_walls(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(construct._Measurement, "__call__", lambda *a, **k: calls.append(a))
-        with pytest.raises(PerturbationRefusedError) as info:
-            build_universal_polynomial(wide_requirement(16), WIDE_F_ON_L, IndexSequence([(23, 2)]))
-        error = info.value
-        assert calls == [] and error.attempts == 0
-        assert (error.p, error.q) == (23, 2)
-        assert error.d_H >= construct._WALL_MARGIN * error.d_S > 0.0
-        assert (error.lo, error.hi) == (error.d_H, error.d_S)
-
-    def test_pairs_below_q_two_have_no_walls(self, monkeypatch):
-        # q = 1 compares |d| with tau_det |d|: the rule never looks at it
-        def no_walls(fit, measurement):
-            def walls(p, q):
-                raise AssertionError(f"walls asked for ({p}, {q})")
-            return walls
-
-        monkeypatch.setattr(construct, "_perturbation_walls", no_walls)
-        _, cert = build_universal_polynomial(
-            wide_requirement(16), WIDE_F_ON_L, IndexSequence([(24, 1)])
-        )
-        assert cert.passed and cert.diagnostics["d_attempts"] == 1
-
-    def test_walls_of_a_pair_beyond_the_float_range(self):
-        # C(1100, k) and 3^1100 overflow a float: they read as inf, and the
-        # center at radius 0 adds nothing beside an infinite binomial
-        req = desk_requirement()
-        grids = discretize(req.L), discretize(req.K), discretize(req.inner_compact())
-        assert np.any(grids[0].points == 0)
-        measurement = construct._requirement_measurement(req, F_ON_L, *grids, DEFAULT_TOL)
-        fit = Polynomial([0.5, -0.25, 1.0])
-        assert construct._perturbation_walls(fit, measurement)(1100, 600) == (0.0, 0.0)
-        with pytest.raises(PerturbationRefusedError) as info:
-            build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(1100, 600)]))
-        assert (info.value.p, info.value.q, info.value.attempts) == (1100, 600, 0)
-
-
 def construct_frames_left(call):
     """Names of the frames of :mod:`construct` that a refused ``call`` leaves
     for the cyclic collector."""
@@ -703,25 +606,30 @@ class TestRefusalsLeaveNoCycle:
     @pytest.mark.parametrize(
         "call, error",
         [
+            (lambda: quadratic_build(IndexSequence([(3, 2)]), NO_IDENTITY),
+             PerturbationFailedError),
             (lambda: build_universal_polynomial(
-                desk_requirement(), F_ON_L, IndexSequence([(13, 2)])), PerturbationFailedError),
-            (lambda: build_universal_polynomial(
-                wide_requirement(16), WIDE_F_ON_L, IndexSequence([(23, 2)])),
-             PerturbationRefusedError),
+                desk_requirement(), F_ON_L, IndexSequence([(1100, 1)])), PerturbationFailedError),
             (lambda: build_universal_polynomial(
                 desk_requirement(s=10000), F_ON_L, F_DEFAULT), FitFailedError),
             (lambda: extend_prefix(
-                [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(8, 6)])), PerturbationRefusedError),
+                [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(1100, 1)])),
+             PerturbationFailedError),
             (lambda: extend_prefix(
-                [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(4, 4)])), PerturbationFailedError),
+                [0.0], CIRCLE_K, RECIPROCAL, 10, F_Q2, NO_IDENTITY),
+             PerturbationFailedError),
         ],
         ids=["failed-build", "refused-build", "fit-failed-build", "refused-extension",
              "failed-extension"],
     )
     def test_no_construct_frame_is_left_for_the_collector(self, call, error):
+        # "failed": the one trial was measured and failed; "refused": d left
+        # the float range, so nothing was measured
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error
+        if error is PerturbationFailedError:
+            assert info.value.attempts == (0 if info.value.p == 1100 else 1)
         del info
         assert construct_frames_left(call) == []
 

@@ -4,19 +4,23 @@ Extensions are the one-center case of the blocked verifier: L = {0}, K
 alone, derivative level 0, with the labels "3" (Taylor) and "2" (Pade).
 ``oracle_extension_measure`` is the closure they used before, built from the
 public scalar API only (``hankel_determinant``, ``pade_approximant``,
-``disagreement_metric``).  Every quantity it reports must come out bit for
-bit the same through the shared path, with the same decisions and the same
-errors at the same point; the shared path adds only ``id_taylor_l0``,
-``id_pade_l0`` (both exactly 0.0) and ``sup_u_d0``.  The prefix
-diagnostics are measured once, on the returned extension, and compared
-there.  The closure's prefix gate ``prefix_metric < 0.5**n0`` underflowed
-for prefixes of 1076 or more coefficients; the shared path checks the
-prefix by index instead (``test_long_prefix_is_kept_verbatim``).
+``disagreement_metric``).  Every trial an extension measures has degree
+exactly ``p``, so the shared path decides its Hankel conclusion and its
+approximant by identity: the Taylor sup "3" equals the closure's bit for
+bit, the Pade sup "2" equals "3", and ``hankel_min`` is ``|d|^q``.  Where
+the closure's float Hankel test passes its "2" is that same value; where it
+fails (``|d|`` small against the coefficients below it), the exact
+determinant of the same float coefficients is still nonzero.  The shared
+path adds ``id_taylor_l0``, ``id_pade_l0`` (both exactly 0.0), ``sup_u_d0``
+and ``by_identity``.  The prefix diagnostics are measured once, on the
+returned extension, and compared there.  The closure's prefix gate
+``prefix_metric < 0.5**n0`` underflowed for prefixes of 1076 or more
+coefficients; the shared path checks the prefix by index instead
+(``test_long_prefix_is_kept_verbatim``).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 
 import numpy as np
@@ -36,13 +40,12 @@ from pade_universal.construct import (
     run_extension_schedule,
 )
 from pade_universal.errors import PoleProximityError
+from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.pade import hankel_determinant, pade_approximant
 from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
 
 CIRCLE_K = CompactSpec([Circle(2.0, 0.5)], 64)
 GREEDY_F = IndexSequence([(k, k % 3) for k in range(61)])
-#: Added by the perturbation search to the certificate it returns.
-SEARCH_KEYS = {"d_window_lo", "d_window_hi", "d_attempts"}
 #: Added by ``extend_prefix`` to the certificate it returns.
 PREFIX_KEYS = {"prefix_metric", "prefix_length"}
 
@@ -92,6 +95,13 @@ def same_bits(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+def exact_hankel_at_zero(coeffs, p: int, q: int):
+    """The exact ``(p, q)`` Hankel determinant of the float ``coeffs`` at 0."""
+    exact = [QComplex.of(c.real, c.imag) for c in np.asarray(coeffs, dtype=complex)]
+    exact += [QComplex.zero()] * (p + q + 1 - len(exact))
+    return exact_hankel_determinant(exact, p, q)
+
+
 class Spy:
     """Records every extension measurement: ``steps`` holds one list per
     ``_certify`` call, each entry ``(cert, coeffs)`` with ``coeffs`` the
@@ -111,8 +121,7 @@ class Spy:
             self._active.append((cert, u.coeffs.tolist()))
             return cert
 
-        def spied_certify(fit, min_degree, f_seq, measurement, s, sup_abs, fit_degree,
-                          diagnostics, *args):
+        def spied_certify(fit, min_degree, f_seq, measurement, fit_degree, diagnostics, *args):
             calls = []
             self.steps.append(calls)
 
@@ -124,40 +133,44 @@ class Spy:
 
             self.measures.append(measure)
             self._active = calls
-            return certify(fit, min_degree, f_seq, measurement, s, sup_abs, fit_degree,
-                           diagnostics, *args)
+            return certify(fit, min_degree, f_seq, measurement, fit_degree, diagnostics, *args)
 
         monkeypatch.setattr(construct._Measurement, "__call__", spied_call)
         monkeypatch.setattr(construct, "_certify", spied_certify)
 
 
 def assert_matches_oracle(calls, prefix, k_compact, psi, s):
-    """Each recorded extension certificate against the closure's; the
-    prefix diagnostics only where a certificate carries them."""
+    """Each recorded extension certificate against the closure's, and its
+    Hankel conclusion against the exact determinant; returns the closure's
+    float Hankel verdicts."""
     z = discretize(k_compact).points
     psi_vals = np.asarray(psi.evaluate(z))
+    verdicts = []
     for cert, coeffs in calls:
         old, old_ok = oracle_extension_measure(
             prefix, coeffs, cert.perturbation, cert.selected, z, psi_vals,
             cert.fit_degree, cert.diagnostics["fit_residual"], 1.0 / s,
         )
-        assert cert.hankel_ok == old_ok
-        assert (cert.selected, cert.perturbation, cert.passed) == (
-            old.selected, old.perturbation, old.passed
-        )
-        assert same_bits(cert.hankel_min, old.hankel_min)
+        p, q = cert.selected
+        verdicts.append(old_ok)
+        assert cert.hankel_ok and not exact_hankel_at_zero(coeffs, p, q).is_zero()
+        assert cert.diagnostics["by_identity"] is True
+        assert cert.hankel_min == abs(cert.perturbation) ** q
+        assert (cert.selected, cert.perturbation) == (old.selected, old.perturbation)
         assert cert.requested == old.requested and cert.fit_degree == old.fit_degree
-        for key, value in old.achieved.items():
-            assert same_bits(cert.achieved[key], value), key
+        assert same_bits(cert.achieved["3"], old.achieved["3"])
+        assert same_bits(cert.achieved["2"], cert.achieved["3"])
+        if old_ok:
+            assert same_bits(cert.achieved["2"], old.achieved["2"])
+            assert cert.passed == old.passed
         for key, value in old.diagnostics.items():
-            if key in cert.diagnostics or key not in PREFIX_KEYS:
+            if key in cert.diagnostics or key not in PREFIX_KEYS | {"hankel_tau_max"}:
                 assert same_bits(cert.diagnostics[key], value), key
-        added = set(cert.achieved) - set(old.achieved)
-        assert added == ({"id_taylor_l0", "id_pade_l0"} if "2" in old.achieved
-                         else {"id_taylor_l0"})
-        assert all(cert.achieved[key] == 0.0 for key in added)
-        extra = set(cert.diagnostics) - set(old.diagnostics) - SEARCH_KEYS
-        assert extra == {"sup_u_d0"}
+        assert cert.achieved["id_taylor_l0"] == cert.achieved["id_pade_l0"] == 0.0
+        assert set(cert.achieved) == {"3", "2", "id_taylor_l0", "id_pade_l0"}
+        extra = set(cert.diagnostics) - set(old.diagnostics)
+        assert extra == {"sup_u_d0", "by_identity"}
+    return verdicts
 
 
 @pytest.mark.parametrize("w", [0.5, 0.8, 1.0, 1.2])
@@ -175,41 +188,57 @@ def test_desk_greedy_steps(w, monkeypatch):
     coeffs, certs = run_extension_schedule([0.0], schedule, GREEDY_F)
     assert all(cert.passed for cert in certs)
     prefix_length = 1
+    verdicts = []
     for step, cert, measure, calls in zip(schedule, certs, spy.measures, spy.steps):
         p, q = cert.selected
         d = cert.perturbation
         assert PREFIX_KEYS <= set(cert.diagnostics)
-        assert any(trial is cert for trial, _ in calls)
+        assert [trial for trial, _ in calls] == [cert]
         for extra in ((d, p + 3 - p % 3, 0), (1e-30 * d, p, q), (1e6 * d, p, q),
                       (1e-30 * d, p, 2)):
             measure(*extra)
-        assert_matches_oracle(calls, coeffs[:prefix_length], step.K, step.psi, step.s)
+        verdicts += assert_matches_oracle(calls, coeffs[:prefix_length], step.K, step.psi, step.s)
         prefix_length = p + 1
     measured = [trial for calls in spy.steps for trial, _ in calls]
     assert any(cert.selected[1] == 0 and cert.passed for cert in measured)
     assert any(not cert.passed and cert.hankel_ok for cert in measured)
+    # the tiny q = 2 trials fail the closure's float test, never the exact one
+    assert False in verdicts
 
 
 def test_hankel_failure_drops_the_pade_sup(monkeypatch):
-    """q = 2: a ``d`` small against the coefficient below it fails the Hankel
-    test, so "2" is absent and the search moves ``d`` up."""
+    """q = 2 at s = 1000: a ``d`` small against the coefficient below it fails
+    the float Hankel test where the general path measures the trial (padded
+    by one zero coefficient), so "2" is absent there; the trial itself holds
+    by identity, and the exact determinant agrees with the identity."""
     spy = Spy(monkeypatch)
     psi = TargetFunction.rational([1.5], [0.0, 1.0])
     f_seq = IndexSequence([(k, 2) for k in range(61)])
     _, cert = extend_prefix([0.0], CIRCLE_K, psi, 1000, f_seq)
-    assert cert.passed and cert.diagnostics["d_attempts"] > 1
+    assert cert.passed
     (calls,) = spy.steps
-    failed = [trial for trial, _ in calls if not trial.hankel_ok]
-    assert failed and all("2" not in c.achieved and not c.passed for c in failed)
-    assert_matches_oracle(calls, [0.0], CIRCLE_K, psi, 1000)
+    (measure,) = spy.measures
+    p, q = cert.selected
+    tiny = measure(1e-30 * cert.perturbation, p, q)
+    assert tiny.hankel_ok and "2" in tiny.achieved
+    trials = list(calls)
+    z = discretize(CIRCLE_K).points
+    measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
+                               DEFAULT_TOL, 1e-3)
+    coeffs = calls[-1][1]
+    general = measurement(Polynomial(coeffs + [0j]), p, q, tiny.perturbation, 0, strict=False)
+    assert not general.hankel_ok and not general.passed and "2" not in general.achieved
+    assert general.achieved["3"] == tiny.achieved["3"]
+    assert_matches_oracle(trials, [0.0], CIRCLE_K, psi, 1000)
 
 
 @pytest.mark.parametrize("q_only", [None, 2])
 def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
-    """Every q >= 1 trial of the greedy schedule (and of a q = 2 extension,
-    whose small ``d`` fail the Hankel test): its certificate equals, in JSON,
-    that of the trial padded by one zero coefficient, which the measurement
-    takes through the denominator solve."""
+    """Every q >= 1 trial of the greedy schedule (and of a q = 2 extension),
+    with extra trials at a large and a small ``d``: where the trial padded by one zero
+    coefficient passes the float Hankel test, the general path it takes
+    gives the same sups bit for bit; where it fails, the exact determinant
+    of the trial is nonzero, as the identity says."""
     reciprocal = TargetFunction.rational([1.0], [0.0, 1.0])
     if q_only is None:
         f_seq = GREEDY_F
@@ -225,6 +254,10 @@ def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
         schedule = [ExtensionRequirement(CIRCLE_K, psi, 1000)]
     spy = Spy(monkeypatch)
     run_extension_schedule([0.0], schedule, f_seq)
+    for (cert, _), measure in zip([calls[-1] for calls in spy.steps], spy.measures):
+        p, q = cert.selected
+        for scale in (1e6, 1e-9):
+            measure(scale * cert.perturbation, p, max(q, 1))
     steps = [list(calls) for calls in spy.steps]
     compared = []
     for step, calls in zip(schedule, steps):
@@ -238,10 +271,13 @@ def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
             args = (p, q, cert.perturbation, cert.fit_degree)
             fast = measurement(Polynomial(coeffs), *args, strict=False)
             general = measurement(Polynomial(coeffs + [0j]), *args, strict=False)
-            assert json.dumps(fast.to_json()) == json.dumps(general.to_json())
-            assert fast.achieved == cert.achieved
-            compared.append(fast.hankel_ok)
-    assert True in compared and (q_only is None or False in compared)
+            assert fast.achieved == cert.achieved and fast.hankel_ok
+            if general.hankel_ok:
+                assert general.achieved == fast.achieved
+            else:
+                assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
+            compared.append(general.hankel_ok)
+    assert True in compared and False in compared
 
 
 def test_long_prefix_is_kept_verbatim(monkeypatch):
@@ -254,7 +290,6 @@ def test_long_prefix_is_kept_verbatim(monkeypatch):
     prefix = [0.0] * 1100
     coeffs, cert = extend_prefix(prefix, k_compact, psi, 10, IndexSequence([(1100, 1), (1101, 0)]))
     assert cert.passed and cert.selected == (1100, 1)
-    assert cert.diagnostics["d_attempts"] == 1
     assert len(coeffs) == 1101 and coeffs[1100] == cert.perturbation != 0
     kept = np.array(coeffs[:1100]).view(np.uint64)
     assert np.array_equal(kept, np.array(prefix, dtype=complex).view(np.uint64))
@@ -306,7 +341,7 @@ class TestTargetEvaluations:
         _, cert = build_universal_polynomial(
             req, inner, IndexSequence([(k, 1 + k % 2) for k in range(61)])
         )
-        assert cert.passed and cert.diagnostics["d_attempts"] > 1
+        assert cert.passed
         # the fit: K, L and J; the measurement: K and J, and their derivatives
         assert sum(t is outer for t in seen) == 2
         assert sum(t is inner for t in seen) == 3
@@ -317,6 +352,6 @@ class TestTargetEvaluations:
         seen = self.count(monkeypatch)
         f_seq = IndexSequence([(k, 2) for k in range(61)])
         _, cert = extend_prefix([0.0], CIRCLE_K, psi, 1000, f_seq)
-        assert cert.passed and cert.diagnostics["d_attempts"] > 1
+        assert cert.passed
         # once, for the fit and the measurement
         assert len(seen) == 1 and seen[0] is psi

@@ -9,11 +9,15 @@ the Pade-side sups may move only within the a-priori Horner rounding bound
 ``2 n eps max_{zeta, z} sum_k |P_{l,k}| |z - zeta|^k / |B(z)|^(l+1)``
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1),
 computed from the oracle's own coefficients.
+
+A builder output has degree exactly ``p`` and is decided by identity, not
+by this loop; padded by one zero coefficient (the same polynomial) it
+takes the per-center path, which is how the builds below reach it.  The
+identity itself is checked against the exact oracle (``test_identity.py``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 
@@ -58,6 +62,7 @@ from pade_universal.series import (
 )
 
 from conftest import random_coefficients
+from test_identity import assert_build_holds_exactly, assert_exact_hankel
 
 EPS = float(np.finfo(float).eps)
 SEGMENT_K = CompactSpec([Segment(2.0, 3.0)], 64)
@@ -334,16 +339,22 @@ class TestKernels:
                 assert (report.value, report.threshold) == (value, threshold)
 
 
+def padded(u: Polynomial) -> Polynomial:
+    """``u`` with one more coefficient, zero: the same polynomial, which the
+    measurement takes through the denominator solve."""
+    return Polynomial(np.append(u.coeffs, 0j), u.center)
+
+
 class TestParity:
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     def test_desk_scenario(self, levels, monkeypatch):
         req = desk_requirement(levels)
         u, cert = build_universal_polynomial(req, F_ON_L, F_DESK)
         assert cert.passed
-        assert_parity(u, cert.selected, req, F_ON_L)
+        assert_parity(padded(u), cert.selected, req, F_ON_L)
         # blocks of three centers: running maxima across six blocks
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
-        assert_parity(u, cert.selected, req, F_ON_L)
+        assert_parity(padded(u), cert.selected, req, F_ON_L)
 
     def test_boundary_split_scenario(self):
         left_half = CompactSpec(
@@ -354,9 +365,10 @@ class TestParity:
             K=CompactSpec([Segment(1.0, 2.0)], 48), target_on_K=target, L=left_half,
             s=25, derivative_levels=2, J=left_half,
         )
-        u, cert = build_universal_polynomial(req, target, F_DESK)
+        # F_WIDE: q >= 1 at every pair, so a zero can be padded
+        u, cert = build_universal_polynomial(req, target, F_WIDE)
         assert cert.passed
-        assert_parity(u, cert.selected, req, target)
+        assert_parity(padded(u), cert.selected, req, target, strict=False)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_polynomial(self, seed):
@@ -371,7 +383,7 @@ class TestParity:
         req, inner = wide_requirement(64)
         u, cert = build_universal_polynomial(req, inner, F_WIDE)
         assert cert.passed
-        assert_parity(u, cert.selected, req, inner)
+        assert_parity(padded(u), cert.selected, req, inner, strict=False)
 
 
 def vanishing_at_center(index: int, p: int):
@@ -442,101 +454,86 @@ class TestErrorsAndMasking:
         assert complex in kinds and (not strict or HankelReport in kinds)
 
 
-def padded(u: Polynomial) -> Polynomial:
-    """``u`` with one more coefficient, zero: the same polynomial, which the
-    measurement takes through the denominator solve."""
-    return Polynomial(np.append(u.coeffs, 0j), u.center)
-
-
-def assert_taylor_is_pade(u, pq, req, f_on_l, strict=True, tol=DEFAULT_TOL):
-    """A degree-``p`` ``u`` and ``padded(u)`` give the same certificate,
-    bit for bit in its JSON form; returns it."""
-    p, q = pq
-    assert q >= 1 and len(u.coeffs) == p + 1 and u.coeffs[p] != 0
-    measurement = _requirement_measurement(req, f_on_l, *grids(req), tol)
-    d = complex(u.coeffs[p])
-    fast = measurement(u, p, q, d, 0, strict=strict)
-    general = measurement(padded(u), p, q, d, 0, strict=strict)
-    assert json.dumps(fast.to_json()) == json.dumps(general.to_json())
-    return fast
-
-
 class TestTaylorIsPade:
     """Builder outputs ``u = fit + d z^p``: the approximants are the Taylor
-    sums, so the measurement reuses them instead of solving for ``B = 1``."""
+    sums, both ``u`` itself, so the measurement records ``u``'s values as
+    both rows and makes no per-center pass; checked against the exact
+    oracle, and against the per-center path where its float test passes."""
 
     @pytest.mark.parametrize("angle", [1.0, 2.0, 3.0])
-    def test_wide_builds(self, angle, monkeypatch):
+    def test_wide_builds(self, angle):
         req, inner = wide_requirement(64, angle)
         u, cert = build_universal_polynomial(req, inner, F_WIDE)
         assert cert.passed
-        fast = assert_taylor_is_pade(u, cert.selected, req, inner)
-        assert fast.achieved == cert.achieved
-        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 5 * 128)
-        assert_taylor_is_pade(u, cert.selected, req, inner)
+        again = verify_construction(u, req, cert.selected, inner)
+        assert (again.achieved, again.hankel_min) == (cert.achieved, cert.hankel_min)
+        assert_build_holds_exactly(u, cert, req, inner)
 
     @pytest.mark.parametrize("levels", [0, 2])
-    @pytest.mark.parametrize("pq", [(14, 2), (15, 3)])
+    @pytest.mark.parametrize("pq", [(13, 2), (13, 3)])
     def test_desk_builds(self, pq, levels):
         req = desk_requirement(levels)
         f_seq = IndexSequence([(k, pq[1]) for k in range(41)])
         u, cert = build_universal_polynomial(req, F_ON_L, f_seq)
         assert cert.passed and cert.selected == pq
-        assert_taylor_is_pade(u, pq, req, F_ON_L)
+        assert_build_holds_exactly(u, cert, req, F_ON_L)
+        measurement = _requirement_measurement(req, F_ON_L, *grids(req), DEFAULT_TOL)
         for d in (1e-6 * cert.perturbation, 1e3 * cert.perturbation):
             trial = Polynomial(np.append(u.coeffs[:-1], d))
-            assert_taylor_is_pade(trial, pq, req, F_ON_L, strict=False)
+            trial_cert = measurement(trial, *pq, d, 0, strict=False)
+            assert trial_cert.passed == (abs(d) < abs(cert.perturbation))
+            assert_build_holds_exactly(trial, trial_cert, req, F_ON_L)
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_hankel_failure_at_some_centers(self, strict, monkeypatch):
         # q = 2 windows [[a_13, d], [d, 0]] with a_13(zeta) = 14 d (zeta - 0.5):
-        # the test fails where |zeta - 0.5| >= 0.71, first at the sixth center
+        # the float test fails where |zeta - 0.5| >= 0.71, first at the sixth
+        # center, but each determinant is -d^2 != 0 exactly, and u holds by identity
         tol = ToleranceConfig(tau_zero=1e-12, tau_det=0.01)
         p, q, d = 14, 2, 1e-3
         u = Polynomial([0j] * (p - 1) + [-p * 0.5 * d, d])
         req = desk_requirement(2)
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
+        cert = verify_construction(u, req, (p, q), F_ON_L, d, 0, tol)
+        assert cert.hankel_ok and cert.diagnostics["by_identity"] is True
+        assert cert.hankel_min == d**2
+        assert_exact_hankel(u, discretize(req.L).points, p, q)
         args = (u, p, q, *grids(req), req.target_on_K, F_ON_L, 2, tol)
         if not strict:
-            cert = assert_taylor_is_pade(u, (p, q), req, F_ON_L, strict=False, tol=tol)
-            assert not cert.hankel_ok and "K_pade_d2" in cert.diagnostics
+            general = blocked_measure(padded(u), *args[1:], strict=False)
+            assert not general["hankel_ok"] and "K_pade_d2" in general["diagnostics"]
             old, _ = oracle_measure(*args, False)
-            assert cert.achieved == old["achieved"]
-            assert cert.diagnostics == old["diagnostics"]
+            assert general["achieved"] == old["achieved"]
+            assert general["diagnostics"] == old["diagnostics"]
             return
-        raised = []
-        for trial in (u, padded(u)):
-            with pytest.raises(PadeNotExistError) as info:
-                verify_construction(trial, req, (p, q), F_ON_L, d, 0, tol)
-            raised.append(info.value.report)
+        with pytest.raises(PadeNotExistError) as new:
+            verify_construction(padded(u), req, (p, q), F_ON_L, d, 0, tol)
         with pytest.raises(PadeNotExistError) as old:
             oracle_measure(*args, True)
-        assert raised[0] == raised[1] == old.value.report
-        assert raised[0].center == discretize(req.L).points[5]
+        assert new.value.report == old.value.report
+        assert new.value.report.center == discretize(req.L).points[5]
 
     @pytest.mark.parametrize("levels", [0, 2])
     def test_q0_builds_against_the_oracle(self, levels):
-        # no zero can be padded at q = 0 (it would exceed p + q + 1): every
-        # sup, Pade side included, equals the per-center loop's exactly
+        # at q = 0 the approximant is the partial sum, u itself
         req = desk_requirement(levels)
         u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(13, 0)]))
         assert cert.passed and cert.selected == (13, 0)
-        args = (u, 13, 0, *grids(req), req.target_on_K, F_ON_L, levels, DEFAULT_TOL)
-        old, _ = oracle_measure(*args, True)
-        new = blocked_measure(*args, strict=True, requested=req.requested)
-        assert new["achieved"] == old["achieved"] == cert.achieved
-        assert new["diagnostics"] == old["diagnostics"]
-        assert list(new["diagnostics"]) == list(old["diagnostics"])
-        assert new["hankel_min"] == old["hankel_min"]
+        assert cert.hankel_min == 1.0
+        assert_build_holds_exactly(u, cert, req, F_ON_L)
+
+
+#: The array kernels of the per-center path, counted by ``solver_calls``.
+KERNELS = ("recentered_coefficients", "hankel_test", "pade_denominators", "derivative_numerators")
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Calls of ``pade_denominators`` and ``derivative_numerators`` made by
-    measurement calls (a rational target's derivatives are built before)."""
-    calls = {"measure": 0, "pade_denominators": 0, "derivative_numerators": 0}
+    """Calls of the per-center kernels made by measurement calls (a rational
+    target's derivatives are built before)."""
+    calls = dict.fromkeys(("measure",) + KERNELS, 0)
     inside = []
-    for name in ("pade_denominators", "derivative_numerators"):
+    for name in KERNELS:
         def counted(*args, _name=name, _kernel=getattr(construct, name)):
             calls[_name] += bool(inside)
             return _kernel(*args)
@@ -557,8 +554,8 @@ def solver_calls(monkeypatch):
 
 
 class TestSolverCalls:
-    """The denominator solve runs exactly for polynomials that are not of
-    degree ``p`` with ``u_p != 0``."""
+    """The per-center path (recentering, Hankel test, denominator solve) runs
+    exactly for polynomials that are not of degree ``p`` with ``u_p != 0``."""
 
     @pytest.mark.parametrize("q", [0, 2])
     def test_builds_and_their_verification_solve_nothing(self, q, solver_calls):
@@ -569,16 +566,16 @@ class TestSolverCalls:
         wide, inner = wide_requirement(64)
         w, wide_cert = build_universal_polynomial(wide, inner, F_WIDE)
         verify_construction(w, wide, wide_cert.selected, inner)
-        assert solver_calls["measure"] >= 4
-        assert solver_calls["pade_denominators"] == solver_calls["derivative_numerators"] == 0
+        assert solver_calls["measure"] == 4
+        assert [solver_calls[k] for k in KERNELS] == [0, 0, 0, 0]
 
     def test_extension_solves_nothing(self, solver_calls):
         psi = TargetFunction.rational([1.5], [0.0, 1.0])
         k_compact = CompactSpec([FilledDisk(2.0, 0.5)], 32)
         f_seq = IndexSequence([(k, 2) for k in range(61)])
         construct.extend_prefix([0.0], k_compact, psi, 1000, f_seq)
-        assert solver_calls["measure"] > 1
-        assert solver_calls["pade_denominators"] == solver_calls["derivative_numerators"] == 0
+        assert solver_calls["measure"] == 1
+        assert [solver_calls[k] for k in KERNELS] == [0, 0, 0, 0]
 
     def test_other_polynomials_solve(self, solver_calls):
         req = desk_requirement(1)
@@ -591,10 +588,8 @@ class TestSolverCalls:
         ):
             before = dict(solver_calls)
             verify_construction(trial, req, pq, F_ON_L, 1.0)
-            seen.append(
-                [solver_calls[k] - before[k] for k in ("pade_denominators", "derivative_numerators")]
-            )
-        assert all(calls[0] >= 1 and calls[1] >= 1 for calls in seen)
+            seen.append([solver_calls[k] - before[k] for k in KERNELS])
+        assert all(min(calls) >= 1 for calls in seen)
 
     def test_pole_guard_at_tau_zero_one_still_raises(self):
         # q = 0 and B = 1: a pole guard |B| <= 1 rejects the first point of K,
