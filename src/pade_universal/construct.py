@@ -315,9 +315,9 @@ def _fit_on_points(
     return Polynomial(coeffs, 0.0)
 
 
-def _fit_ramp(z: np.ndarray, values: np.ndarray, degrees, target: float, residual, weight=None):
+def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual, weight=None):
     """Yield ``(degree, fit, residual(fit))`` for each of ``degrees`` whose
-    fit, from one ladder on ``z``, has ``residual(fit) < target``.
+    fit, from ``ladder`` (grown as needed), has ``residual(fit) < target``.
 
     The ramp ends before a degree the points cannot determine and at the
     first degree the ladder or the system cannot support, and raises
@@ -325,10 +325,9 @@ def _fit_ramp(z: np.ndarray, values: np.ndarray, degrees, target: float, residua
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
-    ladder = _ArnoldiLadder(z)
     best = math.inf
     for degree in degrees:
-        if degree + 1 > len(z):
+        if degree + 1 > len(ladder.z):
             break
         try:
             fit = _fit_on_points(ladder, values, degree, weight)
@@ -609,7 +608,7 @@ class _Measurement:
                 sub, w_rows = series[rows], w[rows]
                 denom = pade_denominators(sub, p, q)
                 bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
-                numer = poly_mul(sub[:, : p + 1], denom)[:, : p + 1]
+                numer = poly_mul(sub[:, : p + 1], denom, p + 1)
                 for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
                     record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
             if strict and len(failed):
@@ -727,7 +726,7 @@ def build_universal_polynomial(
     z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
     ramp = _fit_ramp(
-        z, values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
+        _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
     )
     measurement = None  # prepared at the first fit that clears the target
@@ -780,6 +779,7 @@ def extend_prefix(
     s: int,
     f_seq: IndexSequence,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *, _ladders: dict | None = None,
 ) -> tuple[tuple[complex, ...], Certificate]:
     """Extend a coefficient prefix so the extension approximates ``psi``.
 
@@ -794,7 +794,8 @@ def extend_prefix(
     :class:`PerturbationFailedError`.  Every term after the prefix sits
     above ``n0``, so the prefix survives verbatim and the extension stays within
     ``2^-n0`` of the input in the disagreement metric; this is checked once,
-    on the returned extension.
+    on the returned extension.  ``_ladders`` holds the fit ladders that
+    :func:`run_extension_schedule`'s steps share, by point set.
     """
     if s < 1:
         raise ValueError("precision parameter s must be >= 1")
@@ -821,11 +822,12 @@ def extend_prefix(
     base_vals = base.eval(z)
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
+    ladder = ({} if _ladders is None else _ladders).setdefault(z.tobytes(), _ArnoldiLadder(z))
 
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
     fit_degree, correction, residual = next(_fit_ramp(
-        z, divided, range(RAMP_CAP + 1), requested / 2.0,
+        ladder, divided, range(RAMP_CAP + 1), requested / 2.0,
         lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
         weight=shifted,
     ))
@@ -862,14 +864,16 @@ def run_extension_schedule(
     """Fold :func:`extend_prefix` over a finite requirement schedule.
 
     Each step extends the previous step's coefficient stream; failures are
-    re-raised wrapped with the index of the offending requirement.
+    re-raised wrapped with the index of the offending requirement.  Steps on
+    the same points share one fit ladder.
     """
     coeffs = tuple(complex(c) for c in prefix)
     certificates: list[Certificate] = []
+    ladders: dict = {}
     for step, requirement in enumerate(schedule):
         try:
             coeffs, cert = extend_prefix(
-                coeffs, requirement.K, requirement.psi, requirement.s, f_seq, tol
+                coeffs, requirement.K, requirement.psi, requirement.s, f_seq, tol, _ladders=ladders
             )
         except Exception as exc:
             raise ScheduleStepError(step, exc) from exc

@@ -14,6 +14,8 @@ they build on, work on coefficient arrays with one series per row, so a
 verifier can treat many centers in one pass; the scalar entry points are
 one-row calls of them.  ``hankel_test`` also takes a range of ``p`` for one
 ``q``, so a membership table tests a whole q-column of one series at once.
+``pade_approximant`` builds one Hankel window per cell, shared by the test
+and the denominator solve, and the numerator only up to degree ``p``.
 """
 
 from __future__ import annotations
@@ -150,6 +152,8 @@ class RationalFunction:
 
 
 def _require_truncation(f: FormalPowerSeries, p: int, q: int) -> None:
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be nonnegative")
     needed = p + q + 1
     if len(f) < needed:
         raise TruncationExceededError(needed - 1, len(f))
@@ -161,7 +165,8 @@ def _hankel_windows(coeffs: np.ndarray, p, q: int) -> np.ndarray:
     ``coeffs`` holds one series per row (last axis); negative indices read
     as zero.  ``p`` is an int, or a 1-D array of evenly spaced increasing
     ``p`` that puts a leading p-axis in front of the rows.  The windows are
-    a read-only strided view of the zero-padded rows, not a copy.
+    a read-only strided view of the rows, zero-padded in front only when a
+    window reaches a negative index, not a copy.
     Reversing the columns gives the Toeplitz denominator system.
     """
     ranged = np.ndim(p) != 0
@@ -176,12 +181,14 @@ def _hankel_windows(coeffs: np.ndarray, p, q: int) -> np.ndarray:
         first = last = int(p)
     if first < 0 or last + q > coeffs.shape[-1]:
         raise IndexError(f"(p, q) = ({last}, {q}) windows need {last + q} coefficients")
-    pad = np.concatenate([np.zeros(coeffs.shape[:-1] + (q,), dtype=complex), coeffs], axis=-1)
-    *row_strides, s = pad.strides
+    lead = max(0, q - 1 - first)  # the zeros read at negative indices
+    if lead or not (coeffs.flags.c_contiguous and coeffs.dtype == complex):
+        coeffs = np.concatenate([np.zeros(coeffs.shape[:-1] + (lead,), complex), coeffs], axis=-1)
+    *row_strides, s = coeffs.strides
     shape, strides = coeffs.shape[:-1] + (q, q), (*row_strides, s, s)
     if ranged:
         shape, strides = (len(ps),) + shape, (step * s,) + strides
-    windows = np.ndarray(shape, complex, pad, (first + 1) * s, strides)
+    windows = np.ndarray(shape, complex, coeffs, (first + 1 - q + lead) * s, strides)
     windows.flags.writeable = False
     return windows
 
@@ -205,10 +212,14 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
             np.full(rows, tol.tau_det),
             np.ones(rows, dtype=bool),
         )
-    windows = _hankel_windows(coeffs, p, q)
-    scales = np.max(np.abs(windows), axis=(-2, -1))
+    return _window_test(_hankel_windows(coeffs, p, q), q, tol)
+
+
+def _window_test(windows: np.ndarray, q: int, tol: ToleranceConfig):
+    """:func:`hankel_test` of stacked ``q x q`` windows, ``q >= 1``."""
+    scales = np.abs(windows).max(axis=(-2, -1))
     values = np.linalg.det(windows)
-    thresholds = np.array([tol.tau_det * s**q for s in scales.ravel().tolist()]).reshape(rows)
+    thresholds = np.array([tol.tau_det * s**q for s in scales.ravel().tolist()]).reshape(scales.shape)
     nonvanishing = np.hypot(values.real, values.imag) > thresholds
     return values, scales, thresholds, nonvanishing
 
@@ -225,8 +236,6 @@ def hankel_determinant(
     magnitude, since the determinant is homogeneous of degree ``q`` in the
     window coefficients.
     """
-    if p < 0 or q < 0:
-        raise ValueError("p and q must be nonnegative")
     _require_truncation(f, p, q)
     values, scales, thresholds, nonvanishing = hankel_test(f.coeffs[None], p, q, tol)
     return HankelReport(
@@ -243,18 +252,22 @@ def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
     column flip, so nonvanishing of the determinant guarantees a unique
     solution; a singular system raises :class:`DegenerateDenominatorError`.
     """
-    ones = np.ones(coeffs.shape[:-1] + (1,), dtype=complex)
-    if q == 0:
-        return ones
-    system = _hankel_windows(coeffs, p, q)[..., ::-1]
-    rhs = -coeffs[..., p + 1 : p + q + 1, None]
-    try:
-        tail = np.linalg.solve(system, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDenominatorError(
-            f"denominator system singular at (p, q) = ({p}, {q})"
-        ) from exc
-    return np.concatenate([ones, tail], axis=-1)
+    return _window_denominators(_hankel_windows(coeffs, p, q) if q else None, coeffs, p, q)
+
+
+def _window_denominators(windows, coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
+    """:func:`pade_denominators` from the ``(p, q)`` windows of ``coeffs``."""
+    b = np.empty(coeffs.shape[:-1] + (q + 1,), dtype=complex)
+    b[..., 0] = 1
+    if q:
+        rhs = -coeffs[..., p + 1 : p + q + 1, None]
+        try:
+            b[..., 1:] = np.linalg.solve(windows[..., ::-1], rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDenominatorError(
+                f"denominator system singular at (p, q) = ({p}, {q})"
+            ) from exc
+    return b
 
 
 def pade_approximant(
@@ -263,19 +276,25 @@ def pade_approximant(
     """Construct the unique normalized ``(p, q)`` approximant of ``f``.
 
     Requires the Hankel test to pass; raises :class:`PadeNotExistError`
-    otherwise, and :class:`DegenerateDenominatorError` when the denominator
-    system is singular.  The denominator comes from :func:`pade_denominators`
-    and the numerator is ``B * S_p`` truncated at degree ``p``, so ``q = 0``
+    otherwise, with :func:`hankel_determinant`'s report, and
+    :class:`DegenerateDenominatorError` when the denominator system is
+    singular.  One window serves the test and :func:`pade_denominators`'
+    solve; the numerator is ``B * S_p`` up to degree ``p``, so ``q = 0``
     gives the partial sum over the constant denominator.  Common roots of
     the returned pair are asserted against, not cancelled, so a construction
     bug cannot hide behind a GCD step.
     """
-    report = hankel_determinant(f, p, q, tol)
-    if not report.nonvanishing:
-        raise PadeNotExistError(report)
+    _require_truncation(f, p, q)
     coeffs = f.coeffs[: p + q + 1]
-    b = pade_denominators(coeffs, p, q)
-    a = poly_mul(coeffs[: p + 1], b)[: p + 1]
+    windows = None
+    if q:
+        windows = _hankel_windows(coeffs, p, q)
+        det, scale, tau, exists = _window_test(windows, q, tol)
+        if not exists:
+            report = HankelReport(complex(det), p, q, f.center, False, float(tau), float(scale))
+            raise PadeNotExistError(report)
+    b = _window_denominators(windows, coeffs, p, q)
+    a = poly_mul(coeffs[: p + 1], b, p + 1)
     return RationalFunction(Polynomial(a, f.center), Polynomial(b, f.center), p, q)
 
 
@@ -290,13 +309,12 @@ def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float
     p, q = r.p, r.q
     _require_truncation(f, p, q)
     numer = r.numer.coeffs.tolist() + [0j] * (p + q + 1 - len(r.numer.coeffs))
-    denom = r.denom.coeffs.tolist()
+    b0, *b_tail = r.denom.coeffs.tolist()
     taylor: list[complex] = []
-    for k in range(p + q + 1):
-        acc = numer[k]
-        for i in range(1, min(k, len(denom) - 1) + 1):
-            acc -= denom[i] * taylor[k - i]
-        taylor.append(acc / denom[0])
+    for acc in numer:
+        for b_i, t in zip(b_tail, reversed(taylor)):  # B_i b_{k-i}, i = 1, 2, ...
+            acc -= b_i * t
+        taylor.append(acc / b0)
     return max(abs(a - b) for a, b in zip(f.coeffs[: p + q + 1].tolist(), taylor))
 
 

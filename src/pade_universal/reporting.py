@@ -8,7 +8,6 @@ in a record survive a load/save cycle untouched.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -41,23 +40,22 @@ def emit_pade_table(
     series raises before anything is emitted, with the error of its first
     such cell in p-major order, which lies on ``p + q = len(f)``.
     """
-    out = io.StringIO()
-    out.write("p,q,det_re,det_im,abs_det,exists\n")
+    rows = ["p,q,det_re,det_im,abs_det,exists\n"]
     if p_max < 0 or q_max < 0:
-        return out.getvalue()
+        return rows[0]
     if p_max + q_max >= len(f):
         raise TruncationExceededError(len(f), len(f))
     ps = np.arange(p_max + 1)
     columns = []
     for q in range(q_max + 1):
         values, _, _, nonvanishing = hankel_test(f.coeffs, ps, q, tol)
-        columns.append((values.tolist(), nonvanishing.tolist()))
+        columns.append((values.tolist(), ["true" if v else "false" for v in nonvanishing.tolist()]))
     for p in range(p_max + 1):
-        for q, (values, nonvanishing) in enumerate(columns):
+        for q, (values, exists) in enumerate(columns):
             value = values[p]
-            exists = "true" if nonvanishing[p] else "false"
-            out.write(f"{p},{q},{value.real:.17g},{value.imag:.17g},{abs(value):.17g},{exists}\n")
-    return out.getvalue()
+            cell = (p, q, value.real, value.imag, abs(value), exists[p])
+            rows.append("%d,%d,%.17g,%.17g,%.17g,%s\n" % cell)
+    return "".join(rows)
 
 
 def environment_stamp(tol: ToleranceConfig = DEFAULT_TOL) -> dict:

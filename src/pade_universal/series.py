@@ -188,11 +188,15 @@ class Polynomial(_CoefficientRow):
         return self.eval(z)
 
     def eval(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        values = horner(self.coeffs, np.atleast_1d(np.asarray(z) - self.center))
-        if np.ndim(z) == 0:
-            return complex(values[0])
-        return values
+        """Horner evaluation; accepts scalars or numpy arrays.  A scalar runs
+        :func:`horner`'s steps on numpy scalars, which round as its arrays do."""
+        w = np.asarray(z) - self.center
+        if np.ndim(w) == 0:
+            acc = np.complex128(0)
+            for c in self.coeffs[::-1].tolist():
+                acc = acc * w + c
+            return complex(acc)
+        return horner(self.coeffs, w)
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative of the given order."""
@@ -289,13 +293,16 @@ def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of ``a * b`` along the last axis, stacked over the rest."""
+def poly_mul(a: np.ndarray, b: np.ndarray, length: int | None = None) -> np.ndarray:
+    """Coefficients of ``a * b`` along the last axis, stacked over the rest; only the
+    first ``length`` if given, each summed in the order of the whole product."""
     m, n = a.shape[-1], b.shape[-1]
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (m + n - 1,)
-    out = np.zeros(shape, dtype=complex)
-    for i in range(n):
-        out[..., i : i + m] += a * b[..., i : i + 1]
+    length = m + n - 1 if length is None else length
+    terms = a[..., None, :] * b[..., :, None]  # row i: a * b_i
+    out = np.zeros(terms.shape[:-2] + (length,), dtype=complex)
+    for i in range(min(n, length)):
+        acc = out[..., i : i + m]
+        acc += terms[..., i, : length - i]
     return out
 
 

@@ -288,14 +288,16 @@ class TestFitRamp:
     def test_ramp_fits_are_bitwise_the_rebuilt_fits(self, weighted):
         z, values = self.wide_points()
         weight = z**3 if weighted else None
-        ramp = list(_fit_ramp(z, values, range(25), math.inf, lambda fit: 0.0, weight=weight))
+        ramp = list(_fit_ramp(
+            _ArnoldiLadder(z), values, range(25), math.inf, lambda fit: 0.0, weight=weight
+        ))
         assert [degree for degree, _, _ in ramp] == list(range(25))
         for degree, fit, _ in ramp:
             assert np.array_equal(fit.coeffs, rebuilt_fit(z, values, degree, weight))
 
     def test_ramp_stops_where_the_rebuilt_basis_collapses(self):
         z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
-        ramp = list(_fit_ramp(z, z * z, range(10), math.inf, lambda fit: 0.0))
+        ramp = list(_fit_ramp(_ArnoldiLadder(z), z * z, range(10), math.inf, lambda fit: 0.0))
         assert [degree for degree, _, _ in ramp] == [0, 1, 2]
         with pytest.raises(IllConditionedError):
             rebuilt_fit(z, z * z, 3)
@@ -305,7 +307,7 @@ class TestFitRamp:
         values = np.ones(len(z), dtype=complex)
         values[5] = complex("nan")
         with pytest.raises(ValueError, match="finite"):
-            list(_fit_ramp(z, values, range(3), math.inf, lambda fit: 0.0))
+            list(_fit_ramp(_ArnoldiLadder(z), values, range(3), math.inf, lambda fit: 0.0))
 
     def test_ramp_yields_the_fits_below_the_target(self):
         z, values = self.wide_points()
@@ -316,7 +318,7 @@ class TestFitRamp:
             return residuals[-1]
 
         target = 1e-3
-        ramp = list(_fit_ramp(z, values, range(25), target, residual))
+        ramp = list(_fit_ramp(_ArnoldiLadder(z), values, range(25), target, residual))
         assert len(residuals) == 25
         cleared = [(k, r) for k, r in enumerate(residuals) if r < target]
         assert 0 < len(cleared) < 25
@@ -331,7 +333,7 @@ class TestFitRamp:
             return residuals[-1]
 
         with pytest.raises(FitFailedError) as info:
-            next(_fit_ramp(z, values, range(6), 1e-12, residual))
+            next(_fit_ramp(_ArnoldiLadder(z), values, range(6), 1e-12, residual))
         assert len(residuals) == 6
         assert (info.value.target, info.value.best_residual) == (1e-12, min(residuals))
         assert info.value.cap == construct.RAMP_CAP
@@ -369,6 +371,29 @@ class TestFitRamp:
         assert degree >= 2
         assert counts["fits"] == degree + 1
         assert counts["vdots"] == degree * (degree + 1)
+
+    def schedule_on_one_compact(self):
+        quadratic = TargetFunction.poly([1.0, 0.0, 0.5])
+        return [ExtensionRequirement(CIRCLE_K, psi, s)
+                for psi, s in ((RECIPROCAL, 10), (quadratic, 50), (RECIPROCAL, 100))]
+
+    def test_schedule_builds_each_column_once(self, monkeypatch):
+        counts = self.count_fits(monkeypatch)
+        _, certs = run_extension_schedule([0.0], self.schedule_on_one_compact(), F_DEFAULT)
+        degree = max(cert.fit_degree for cert in certs)
+        assert degree >= 2 and len({cert.fit_degree for cert in certs}) > 1
+        assert counts["fits"] == sum(cert.fit_degree + 1 for cert in certs)
+        assert counts["vdots"] == degree * (degree + 1)
+
+    def test_schedule_equals_its_steps_alone(self):
+        schedule = self.schedule_on_one_compact()
+        coeffs, certs = run_extension_schedule([0.0], schedule, F_DEFAULT)
+        alone, alone_certs = (0.0,), []
+        for step in schedule:
+            alone, cert = extend_prefix(alone, step.K, step.psi, step.s, F_DEFAULT)
+            alone_certs.append(cert)
+        assert np.array_equal(np.array(coeffs).view(np.int64), np.array(alone).view(np.int64))
+        assert certs == alone_certs
 
 
 class TestBuilder:

@@ -2,7 +2,9 @@
 
 One ``table`` seed runs twice in fresh interpreters: each run prints one
 ``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
-print the same lines.  Nothing is written under ``perfbench/``.
+print the same lines.  ``--workload all`` prints the lines of each workload
+and of the demos behind the workload's name.  Nothing is written under
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -35,3 +37,21 @@ def test_one_table_seed_prints_one_stable_digest_per_cycle(monkeypatch):
     for i, line in enumerate(first):
         assert re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", line)
     assert fingerprints("--workload", "table", "--seeds", "101") == first
+
+
+def test_all_prefixes_each_workload_and_the_demos(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    lines = fingerprints("--workload", "all", "--seeds", "101")
+    names = [line.split(" ", 1)[0] for line in lines]
+    runs = {name: workloads.WORKLOADS[name].pass_length for name in ("wide", "desk", "table")}
+    demos = fingerprints("--workload", "demos")
+    assert names == [n for n, k in runs.items() for _ in range(k)] + ["demos"] * len(demos)
+    for name in runs:
+        body = [line.split(" ", 1)[1] for line in lines if line.startswith(name + " ")]
+        assert all(re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", b) for i, b in enumerate(body))
+    table = [line.split(" ", 1)[1] for line in lines if line.startswith("table ")]
+    assert table == fingerprints("--workload", "table", "--seeds", "101")
+    assert [line.split(" ", 1)[1] for line in lines if line.startswith("demos ")] == demos

@@ -1,5 +1,7 @@
+import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from pade_universal.errors import (
     PoleProximityError,
     TruncationExceededError,
 )
-from pade_universal.exact import QComplex, exact_hankel_determinant
+from pade_universal.exact import QComplex, exact_hankel_determinant, exact_rational_taylor
 from pade_universal.pade import (
     RationalFunction,
     _hankel_windows,
     hankel_determinant,
+    hankel_test,
     order_condition_decidability,
     order_condition_residual,
     pade_approximant,
@@ -23,7 +26,7 @@ from pade_universal.pade import (
     rational_derivative,
     rational_table_membership,
 )
-from pade_universal.series import FormalPowerSeries, Polynomial, taylor_partial_sum
+from pade_universal.series import FormalPowerSeries, Polynomial, poly_mul, taylor_partial_sum
 
 from conftest import make_exact_rational, random_coefficients
 
@@ -208,6 +211,69 @@ class TestConstruction:
     def test_toeplitz_singular_raises_degenerate(self):
         with pytest.raises(DegenerateDenominatorError):
             pade_denominators(np.array([geometric_series().coeffs]), 1, 2)
+
+
+def table_families(rng, n=32):
+    """One series of each family of the membership-table benchmark."""
+    q = QComplex.of
+    rational = exact_rational_taylor(
+        [q(Fraction(1, 2)), q(0, 1), q(-1), q(Fraction(1, 4), Fraction(1, 2))],
+        [q(1), q(Fraction(-1, 2), Fraction(1, 4)), q(Fraction(1, 4))],
+        q(Fraction(1, 4), Fraction(-1, 4)),
+        n,
+    )
+    families = {
+        "exp": [1.3**k / math.factorial(k) for k in range(n)],
+        "log": [1.0 / (k + 1) for k in range(n)],
+        "geometric": [(0.8 * cmath.exp(1j)) ** k for k in range(n)],
+        "random": random_coefficients(rng, n, bound=1.0),
+        "rational": [c.to_complex() for c in rational],
+    }
+    return {name: FormalPowerSeries(coeffs) for name, coeffs in families.items()}
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64).tolist()
+
+
+class TestOnePadeRoute:
+    """``pade_approximant`` is the one-row call of the stacked kernels."""
+
+    def test_cells_are_the_stacked_kernels_rows(self, rng):
+        refused = 0
+        for name, f in table_families(rng).items():
+            for p in range(20):
+                for q in range(12):
+                    row = f.coeffs[None, : p + q + 1]
+                    exists = hankel_test(row, p, q)[3][0]
+                    try:
+                        r = pade_approximant(f, p, q)
+                    except PadeNotExistError as exc:
+                        assert not exists
+                        assert exc.report == hankel_determinant(f, p, q), (name, p, q)
+                        refused += 1
+                        continue
+                    assert exists
+                    b = pade_denominators(row, p, q)
+                    assert bits(r.denom.coeffs) == bits(b[0]), (name, p, q)
+                    a = poly_mul(row[:, : p + 1], b)[:, : p + 1]
+                    assert bits(r.numer.coeffs) == bits(a[0]), (name, p, q)
+        assert 0 < refused < 5 * 20 * 12
+
+    def test_errors(self, monkeypatch):
+        f = exp_series(8)
+        for p, q in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pade_approximant(f, p, q)
+        with pytest.raises(TruncationExceededError):
+            pade_approximant(f, 4, 4)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(DegenerateDenominatorError, match=r"at \(p, q\) = \(2, 3\)"):
+            pade_approximant(f, 2, 3)
 
 
 class TestRationalFunctionJson:

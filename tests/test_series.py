@@ -12,8 +12,10 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
+    horner,
     int_from_json,
     pair_to_complex,
+    poly_mul,
     taylor_partial_sum,
 )
 
@@ -84,6 +86,15 @@ class TestEvalAndDerivative:
     def test_horner_example(self):
         p = Polynomial([1.0, 1.0, 1.0])
         assert p.eval(1.0) == 3.0
+
+    def test_scalar_eval_is_bitwise_the_one_row_horner(self, rng):
+        for trial in range(2000):
+            coeffs = random_coefficients(rng, int(rng.integers(1, 30)))
+            center = complex(*rng.normal(size=2)) if trial % 2 else 0.0
+            z = (complex(*rng.normal(size=2)), float(rng.normal()), int(rng.integers(-3, 4)))[trial % 3]
+            p = Polynomial(coeffs, center)
+            row = horner(p.coeffs, np.atleast_1d(np.asarray(z) - center))
+            assert np.array([p.eval(z)]).view(np.int64).tolist() == row.view(np.int64).tolist()
 
     def test_cubic_second_derivative(self):
         p = Polynomial([0.0, 0.0, 0.0, 1.0])  # z^3
@@ -265,3 +276,22 @@ class TestPairToComplex:
     def test_rejects_fractions_beyond_the_float_range(self, payload):
         with pytest.raises(ValueError, match="must be finite"):
             pair_to_complex(payload)
+
+
+class TestPolyMul:
+    def test_truncated_product_is_the_product_prefix(self, rng):
+        for _ in range(200):
+            m, n = (int(k) for k in rng.integers(1, 14, 2))
+            rows = int(rng.integers(1, 4))
+            a = np.array([random_coefficients(rng, m) for _ in range(rows)])
+            b = np.array([random_coefficients(rng, n) for _ in range(rows)])
+            a[rng.random(a.shape) < 0.2] = -0.0
+            whole = poly_mul(a, b)
+            assert whole.shape == (rows, m + n - 1)
+            for length in range(1, m + n):
+                cut = poly_mul(a, b, length)
+                assert cut.view(np.int64).tolist() == whole[:, :length].copy().view(np.int64).tolist()
+
+    def test_product_values(self):
+        a, b = np.array([1.0, 2.0 + 0j]), np.array([3.0, 0j, -1.0])
+        assert poly_mul(a, b).tolist() == [3.0, 6.0, -1.0, -2.0]

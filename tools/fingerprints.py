@@ -4,15 +4,18 @@ Usage, from the root of a checkout:
 
     python3 tools/fingerprints.py --workload wide|desk|table --seeds 101-105
     python3 tools/fingerprints.py --workload demos
+    python3 tools/fingerprints.py --workload all --seeds 101-105
 
 Runs every cycle of one pass of the workload for each seed, with the
 workloads of this checkout's ``perfbench/workloads.py`` and the program of
 its ``src/``, and prints ``<seed> <cycle> <sha256>`` per cycle.  The
 ``demos`` workload runs each ``demos/*.py`` with this checkout's ``src/``
 first on ``PYTHONPATH`` and prints ``<demo> <sha256 of its stdout>``; it
-takes no seeds and fails when a demo does.  Running it in two checkouts
-and diffing the outputs checks that a change keeps every output
-bit-identical.  BLAS runs on one thread, as in the benchmark.
+takes no seeds and fails when a demo does.  ``all`` runs ``wide``, ``desk``
+and ``table`` for the seeds, then the demos, and puts the workload's name in
+front of each line.  Running it in two checkouts and diffing the outputs
+checks that a change keeps every output bit-identical.  BLAS runs on one
+thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ def _seeds(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def _demos() -> int:
+WORKLOADS = ("wide", "desk", "table")
+
+
+def _demos(prefix: str = "") -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -49,30 +55,37 @@ def _demos() -> int:
         if done.returncode != 0:
             sys.stderr.write(done.stderr.decode(errors="replace"))
             return 1
-        print(os.path.basename(demo), hashlib.sha256(done.stdout).hexdigest(), flush=True)
+        print(prefix + os.path.basename(demo), hashlib.sha256(done.stdout).hexdigest(), flush=True)
     return 0
+
+
+def _cycles(name: str, seeds, prefix: str = "") -> None:
+    import workloads
+
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as workdir:
+            work = workloads.WORKLOADS[name](seed, workdir)
+            for i in range(work.pass_length):
+                _, evidence = work.run_cycle(i)
+                digest = hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+                print(f"{prefix}{seed} {i} {digest}", flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=["wide", "desk", "table", "demos"])
+    parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "demos", "all"])
     parser.add_argument("--seeds", type=_seeds, help="one seed N or a range A-B")
     args = parser.parse_args(argv)
     if args.workload == "demos":
         return _demos()
     if args.seeds is None:
         parser.error(f"--seeds is required for the {args.workload} workload")
-
-    import workloads
-
-    for seed in args.seeds:
-        with tempfile.TemporaryDirectory() as workdir:
-            work = workloads.WORKLOADS[args.workload](seed, workdir)
-            for i in range(work.pass_length):
-                _, evidence = work.run_cycle(i)
-                digest = hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
-                print(seed, i, digest, flush=True)
-    return 0
+    if args.workload != "all":
+        _cycles(args.workload, args.seeds)
+        return 0
+    for name in WORKLOADS:
+        _cycles(name, args.seeds, f"{name} ")
+    return _demos("demos ")
 
 
 if __name__ == "__main__":
