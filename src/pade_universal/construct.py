@@ -822,12 +822,14 @@ def extend_prefix(
     base_vals = base.eval(z)
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
-    ladder = ({} if _ladders is None else _ladders).setdefault(z.tobytes(), _ArnoldiLadder(z))
+    ladders, key = ({} if _ladders is None else _ladders), z.tobytes()
+    if key not in ladders:
+        ladders[key] = _ArnoldiLadder(z)
 
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
     fit_degree, correction, residual = next(_fit_ramp(
-        ladder, divided, range(RAMP_CAP + 1), requested / 2.0,
+        ladders[key], divided, range(RAMP_CAP + 1), requested / 2.0,
         lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
         weight=shifted,
     ))

@@ -188,15 +188,11 @@ class Polynomial(_CoefficientRow):
         return self.eval(z)
 
     def eval(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays.  A scalar runs
-        :func:`horner`'s steps on numpy scalars, which round as its arrays do."""
-        w = np.asarray(z) - self.center
-        if np.ndim(w) == 0:
-            acc = np.complex128(0)
-            for c in self.coeffs[::-1].tolist():
-                acc = acc * w + c
-            return complex(acc)
-        return horner(self.coeffs, w)
+        """Horner evaluation; accepts scalars or numpy arrays."""
+        values = horner(self.coeffs, np.atleast_1d(np.asarray(z) - self.center))
+        if np.ndim(z) == 0:
+            return complex(values[0])
+        return values
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative of the given order."""

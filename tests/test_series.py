@@ -12,7 +12,6 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
-    horner,
     int_from_json,
     pair_to_complex,
     poly_mul,
@@ -86,15 +85,6 @@ class TestEvalAndDerivative:
     def test_horner_example(self):
         p = Polynomial([1.0, 1.0, 1.0])
         assert p.eval(1.0) == 3.0
-
-    def test_scalar_eval_is_bitwise_the_one_row_horner(self, rng):
-        for trial in range(2000):
-            coeffs = random_coefficients(rng, int(rng.integers(1, 30)))
-            center = complex(*rng.normal(size=2)) if trial % 2 else 0.0
-            z = (complex(*rng.normal(size=2)), float(rng.normal()), int(rng.integers(-3, 4)))[trial % 3]
-            p = Polynomial(coeffs, center)
-            row = horner(p.coeffs, np.atleast_1d(np.asarray(z) - center))
-            assert np.array([p.eval(z)]).view(np.int64).tolist() == row.view(np.int64).tolist()
 
     def test_cubic_second_derivative(self):
         p = Polynomial([0.0, 0.0, 0.0, 1.0])  # z^3
