@@ -39,8 +39,8 @@ class FilledDisk:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError("radius must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError("radius must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,12 @@ class AnnulusSector:
     theta_b: float
 
     def __post_init__(self):
-        if self.r_in < 0 or self.r_out < 0:
-            raise ValueError("radii must be nonnegative")
+        if not (0 <= self.r_in < math.inf and 0 <= self.r_out < math.inf):
+            raise ValueError("radii must be nonnegative and finite")
         if self.r_in > self.r_out:
             raise ValueError("r_in must not exceed r_out")
-        if self.theta_b < self.theta_a:
-            raise ValueError("theta_b must not precede theta_a")
+        if not -math.inf < self.theta_a <= self.theta_b < math.inf:
+            raise ValueError("the angles must be finite, and theta_b must not precede theta_a")
 
 
 @dataclass(frozen=True)
@@ -257,12 +257,14 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in {"disk", "half_plane", "disk_complement", "disk_union"}:
             raise UnsupportedDomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind in {"disk", "disk_complement"} and self.radius <= 0:
-            raise ValueError("domain radius must be positive")
-        if self.kind == "half_plane" and abs(self.normal) == 0:
-            raise ValueError("half-plane normal must be nonzero")
+        if self.kind in {"disk", "disk_complement"} and not 0 < self.radius < math.inf:
+            raise ValueError("domain radius must be positive and finite")
+        if self.kind == "half_plane" and not (abs(self.normal) > 0 and math.isfinite(self.offset)):
+            raise ValueError("half-plane normal must be nonzero and its offset finite")
         if self.kind == "disk_union" and not self.disks:
             raise ValueError("disk_union needs at least one disk")
+        if not all(0 < r < math.inf for _, r in self.disks):
+            raise ValueError("disk radii must be positive and finite")
 
     def unit_normal(self) -> complex:
         return self.normal / abs(self.normal)

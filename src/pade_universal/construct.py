@@ -17,21 +17,19 @@ solve per degree; each builder chooses its degrees, weight and residual,
 and the ramp yields the fits that clear half the requested bound or
 raises :class:`FitFailedError` when none does.
 
-Inside this module a refusal is a value: ``_certify`` returns a failed
-trial unraised, and each builder raises it once.
-
-One certificate path follows the fit: each builder hands its fitted
-polynomial to ``_certify``, the only code that builds a trial
+One certificate path follows the fit: each builder takes the first fit of
+its ramp and hands it to ``_certify``, the only code that builds a trial
 ``u = fit + d z^p`` and judges it.  It takes the first index pair above the
 fit and the one ``d`` that spends half the headroom the fit leaves on K and
-J, and measures that trial once.  The judge is a :class:`_Measurement`, the
-sup over the product grid L x (K u J) at every derivative level, prepared
-once per requirement (its targets evaluated once); it returns the
-:class:`Certificate`, so the pass rule lives in one place.  A ``u`` of
-degree exactly ``p`` is decided by the identity; any other ``u`` is
-measured center by center, in blocks, with the array kernels of
-:mod:`.series` and :mod:`.pade` (stacked recentering, Hankel test,
-denominator solve and Horner evaluation).  Builds and
+J, measures that trial once, and raises :class:`PerturbationFailedError`
+when it is refused; no builder tries a second fit.  The judge is a
+:class:`_Measurement`, the sup over the product grid L x (K u J) at every
+derivative level, prepared once per requirement (its targets evaluated
+once); it returns the :class:`Certificate`, so the pass rule lives in one
+place.  A ``u`` of degree exactly ``p`` is decided by the identity; any
+other ``u`` is measured center by center, in blocks, with the array
+kernels of :mod:`.series` and :mod:`.pade` (stacked recentering, Hankel
+test, denominator solve and Horner evaluation).  Builds and
 ``verify_construction`` measure K and J on the grid of L; a prefix
 extension is its one-center case, L = {0} and K alone at level 0.
 """
@@ -445,6 +443,8 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        if not isinstance(obj["passed"], bool):
+            raise ValueError(f"expected a boolean 'passed', got {obj['passed']!r:.40}")
         return cls(
             selected=(int_from_json(obj["selected"][0]), int_from_json(obj["selected"][1])),
             perturbation=pair_to_complex(obj["perturbation"]),
@@ -452,7 +452,7 @@ class Certificate:
             achieved={k: float(v) for k, v in obj["achieved"].items()},
             requested=float(obj["requested"]),
             hankel_min=float(obj["hankel_min"]),
-            passed=bool(obj["passed"]),
+            passed=obj["passed"],
             diagnostics=dict(obj.get("diagnostics", {})),
         )
 
@@ -662,11 +662,10 @@ def verify_construction(
 def _certify(
     fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement,
     fit_degree: int, diagnostics: dict, d_override=None,
-) -> tuple[Polynomial, Certificate] | PerturbationFailedError:
+) -> tuple[Polynomial, Certificate]:
     """``u = fit + d z^p`` and its passing certificate, at the first index
-    pair ``(p, q)`` with ``p > min_degree``, or an unraised
-    :class:`PerturbationFailedError`: a refusal is a value here, and the
-    builders raise it once.
+    pair ``(p, q)`` with ``p > min_degree``; raises
+    :class:`PerturbationFailedError` when the trial is refused.
 
     The one place a trial is built and judged.  ``u`` has degree exactly
     ``p``, so the Hankel conclusion and ``S_p(u, ζ) = [u; p/q]_ζ = u`` hold
@@ -689,13 +688,13 @@ def _certify(
         with np.errstate(over="ignore", divide="ignore"):  # R^p = inf reads as d = 0
             d = float((measurement.requested - r) / 2.0 / radius**p)
         if not 0.0 < d < math.inf:
-            return PerturbationFailedError(p, q, d, 0)
+            raise PerturbationFailedError(p, q, d, 0)
     u = fit.plus_monomial(d, p)
     cert = measurement(u, p, q, d, fit_degree, strict=False)
     cert.diagnostics.update(diagnostics)
-    if cert.passed or d_override is not None:
-        return u, cert
-    return PerturbationFailedError(p, q, d, 1)
+    if not (cert.passed or d_override is not None):
+        raise PerturbationFailedError(p, q, d, 1)
+    return u, cert
 
 
 def build_universal_polynomial(
@@ -708,11 +707,11 @@ def build_universal_polynomial(
     """Construct ``u = P + d z^p`` certified against one requirement.
 
     Fits the glued target (outer target on K, inner target on L and J) with
-    a degree ramp and hands each fit that clears half the requested bound to
-    ``_certify`` until one passes; the last failure is raised when the ramp
-    ends or reaches a fit with no index pair above it.  ``d_override``
-    replaces the chosen perturbation and returns the certificate for that
-    exact value (possibly failing; a zero perturbation never passes).
+    a degree ramp, takes the first fit that clears half the requested bound
+    and hands it to ``_certify``, which returns the certified ``u`` or
+    raises the refusal of its one trial.  ``d_override`` replaces the chosen
+    perturbation and returns the certificate for that exact value (possibly
+    failing; a zero perturbation never passes).
     """
     grid_k = discretize(req.K)
     grid_l = discretize(req.L)
@@ -725,27 +724,15 @@ def build_universal_polynomial(
     pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
     z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
-    ramp = _fit_ramp(
+    degree, fit, residual = next(_fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
+    ))
+    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
+    return _certify(
+        fit, fit.array_degree(), f_seq, measurement, degree, {"fit_residual": residual},
+        d_override,
     )
-    measurement = None  # prepared at the first fit that clears the target
-    outcome = None
-    for degree, fit, residual in ramp:
-        if outcome is not None and fit.array_degree() >= f_seq.max_p:
-            break  # no pair above this fit: report the failed trial
-        if measurement is None:
-            measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
-        outcome = _certify(
-            fit, fit.array_degree(), f_seq, measurement, degree, {"fit_residual": residual},
-            d_override,
-        )
-        if isinstance(outcome, tuple):
-            return outcome
-    try:
-        raise outcome
-    finally:
-        del outcome  # the traceback holds this frame: keep the error out of it
 
 
 @dataclass(frozen=True)
@@ -838,15 +825,9 @@ def extend_prefix(
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
-    outcome = _certify(
+    u, cert = _certify(
         fitted, len(fitted.coeffs) - 1, f_seq, measurement, fit_degree, {"fit_residual": residual}
     )
-    if not isinstance(outcome, tuple):
-        try:
-            raise outcome
-        finally:
-            del outcome  # the traceback holds this frame: keep the error out of it
-    u, cert = outcome
     # every term _certify adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs

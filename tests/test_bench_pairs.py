@@ -14,8 +14,8 @@ import pytest
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 END_TO_END = [
-    {"name": "cycle_ref.p50", "better": "lower"},
-    {"name": "cells.per_s", "better": "higher"},
+    {"name": "cycle_ref.p50", "better": "lower", "bound": 0.2},
+    {"name": "cells.per_s", "better": "higher", "bound": 0.1},
 ]
 NAMES = [metric["name"] for metric in END_TO_END]
 
@@ -40,11 +40,11 @@ def stdout(cycle, rate=None, correct=True, failed=0):
     return f"{report}\n{result}\n"
 
 
-def runs(bench_pairs, sides):
+def runs(bench_pairs, sides, failed=(0, 0)):
     out = []
     for pair, values in enumerate(sides):
-        for side, (cycle, rate) in zip(("parent", "change"), values):
-            run = bench_pairs.parse_run(stdout(cycle, rate), 0, NAMES)
+        for side, (cycle, rate), fails in zip(("parent", "change"), values, failed):
+            run = bench_pairs.parse_run(stdout(cycle, rate, failed=fails), 0, NAMES)
             out.append({"pair": pair, "seed": 101 + pair, "side": side, **run})
     return out
 
@@ -90,3 +90,53 @@ def test_a_pair_counts_only_when_both_runs_report(bench_pairs):
     rate = summary["cells.per_s"]
     assert rate["pairs"] == 0 and rate["pairs_won"] == {"parent": 0, "change": 0}
     assert rate["parent"]["median"] == 1.0 and rate["change"] is None
+
+
+PARENT = [20.0, 21.0, 22.0, 23.0, 24.0, 25.0, 26.0, 27.0, 28.0, 29.0]  # median 24.5, IQR 4.5
+# one low run and a high tail: median 100.5, IQR 50, wider than 0.2 x 100.5
+SPREAD = [100.0] * 5 + [101.0, 150.0, 150.0, 150.0, 150.0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, failed, expected",
+    [
+        (PARENT, [v - 10.0 for v in PARENT], (0, 0), "gain"),
+        # 9 of 10 pairs won is enough, 8 is not
+        (PARENT, [v - 10.0 for v in PARENT[:9]] + [40.0], (0, 0), "gain"),
+        (PARENT, [v - 10.0 for v in PARENT[:8]] + [40.0, 40.0], (0, 0), "no regression"),
+        # the medians must differ by more than the parent's IQR
+        (PARENT, [v - 4.0 for v in PARENT], (0, 0), "no regression"),
+        # no gain where the change fails a larger share of its operations
+        (PARENT, [v - 10.0 for v in PARENT], (0, 1), "no regression"),
+        (PARENT, [v * 1.25 for v in PARENT], (0, 0), "worse"),
+        (PARENT, [v * 1.15 for v in PARENT], (0, 0), "no regression"),
+        (SPREAD, SPREAD, (0, 0), "unresolved"),
+        # every change run beats every parent run: resolved despite the spread
+        (SPREAD, [99.9] * 10, (0, 0), "no regression"),
+    ],
+    ids=["gain", "nine-of-ten", "eight-of-ten", "inside-iqr", "fails-more", "worse",
+         "inside-bound", "unresolved", "beats-every-run"],
+)
+def test_verdict_follows_the_pair_rules(bench_pairs, parent, change, failed, expected):
+    sides = [((p, None), (c, None)) for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(runs(bench_pairs, sides, failed), END_TO_END)
+    assert summary["cycle_ref.p50"]["verdict"] == expected
+
+
+@pytest.mark.parametrize("scale, expected", [(1.5, "gain"), (0.85, "worse"), (0.95, "unresolved")])
+def test_verdict_of_a_higher_is_better_metric(bench_pairs, scale, expected):
+    # IQR 4.5 is wider than 0.1 x 24.5, so a change within the bound is unresolved
+    sides = [((24.0, rate), (24.0, rate * scale)) for rate in PARENT]
+    summary = bench_pairs.summarize(runs(bench_pairs, sides), END_TO_END)
+    assert summary["cells.per_s"]["verdict"] == expected
+
+
+def test_failed_share_per_side(bench_pairs):
+    sides = [((24.0, 1.0), (17.0, 2.0))] * 2
+    summary = bench_pairs.summarize(runs(bench_pairs, sides, failed=(0, 3)), END_TO_END)
+    assert summary["failed_share"] == {"parent": 0.0, "change": 6 / 18}
+    broken = {"pair": 0, "seed": 101, "side": "parent",
+              **bench_pairs.parse_run("Traceback ...\n", 1, NAMES)}
+    summary = bench_pairs.summarize([broken], END_TO_END)
+    assert summary["failed_share"] == {"parent": None, "change": None}
+    assert summary["cycle_ref.p50"]["verdict"] is None

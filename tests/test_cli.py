@@ -651,6 +651,17 @@ class TestFamilyCommand:
             {"kind": "segment", "a": [2.0, 0.0], "b": [3.0, 0.0]}
         ]
 
+    @pytest.mark.parametrize(
+        "radius, mode", [("nan", "interior"), ("inf", "off-closure")]
+    )
+    def test_non_finite_radius_exits_one(self, capsys, radius, mode):
+        code, out, err = run(
+            capsys, "family", "--domain", "disk", "--radius", radius, "--mode", mode,
+            "--index", "2",
+        )
+        assert (code, out) == (1, "")
+        assert "radius must be positive and finite" in err
+
     def test_inline_domain_json(self, capsys):
         domain = json.dumps({"kind": "half_plane", "normal": [1, 0], "offset": 0.0})
         code, out, _ = run(

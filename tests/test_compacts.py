@@ -84,6 +84,20 @@ class TestDiscretize:
             (lambda: AnnulusSector(0.0, 2.0, 1.0, 0.0, 1.0), "r_in must not exceed r_out"),
             (lambda: AnnulusSector(0.0, 1.0, 2.0, 1.0, 0.5), "theta_b must not precede theta_a"),
             (lambda: PointSet([]), "point set must be non-empty"),
+            (lambda: FilledDisk(0.0, math.nan), "radius must be nonnegative and finite"),
+            (lambda: Circle(0.0, math.inf), "radius must be nonnegative and finite"),
+            (lambda: AnnulusSector(0.0, 1.0, math.inf, 0.0, 1.0), "radii must be nonnegative"),
+            (lambda: AnnulusSector(0.0, math.nan, 1.0, 0.0, 1.0), "radii must be nonnegative"),
+            (lambda: AnnulusSector(0.0, 1.0, 2.0, math.nan, 1.0), "angles must be finite"),
+            (lambda: AnnulusSector(0.0, 1.0, 2.0, 0.0, math.inf), "angles must be finite"),
+            (lambda: CompactSpec.from_json({"kind": "circle", "center": [0, 0], "radius": "inf"}),
+             "radius must be nonnegative and finite"),
+            (lambda: DomainSpec(kind="disk", radius=math.nan), "radius must be positive"),
+            (lambda: DomainSpec.from_json({"kind": "disk_complement", "center": [0, 0],
+                                           "radius": "inf"}), "radius must be positive"),
+            (lambda: DomainSpec(kind="half_plane", normal=1.0, offset=math.nan), "offset finite"),
+            (lambda: DomainSpec(kind="disk_union", disks=((0.0, 1.0), (3.0, math.inf))),
+             "disk radii must be positive and finite"),
         ],
     )
     def test_primitive_constructors_reject(self, make, message):

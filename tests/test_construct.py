@@ -541,8 +541,7 @@ class TestVerify:
 
     def test_failed_search_survives_an_exhausted_ramp(self, monkeypatch):
         # the one trial of (3, 2) fails (no identity at tau_zero = 1, and the
-        # Hankel test fails); the next fit degree leaves no pair above it, and
-        # the build reports the failed trial with its one attempt
+        # Hankel test fails), and the build reports it with its one attempt
         calls = []
         call = construct._Measurement.__call__
 
@@ -557,12 +556,21 @@ class TestVerify:
         assert (info.value.p, info.value.q, info.value.attempts) == (3, 2, 1)
 
     def test_pair_beyond_the_float_range_is_refused(self, monkeypatch):
-        # 3^1100 overflows: d reads 0 and nothing is measured
-        calls = []
+        # 3^1100 overflows: d reads 0, nothing is measured, and the build
+        # makes its one trial on the first fit of the ramp and no other
+        calls, trials = [], []
+        certify = construct._certify
+
+        def counted(*args, **kwargs):
+            trials.append(args[0])
+            return certify(*args, **kwargs)
+
         monkeypatch.setattr(construct._Measurement, "__call__", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(construct, "_certify", counted)
         with pytest.raises(PerturbationFailedError) as info:
             build_universal_polynomial(desk_requirement(), F_ON_L, IndexSequence([(1100, 1)]))
         assert calls == []
+        assert len(trials) == 1
         assert (info.value.p, info.value.q, info.value.d, info.value.attempts) == (1100, 1, 0.0, 0)
 
     def test_certificate_json_round_trip(self):

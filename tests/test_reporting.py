@@ -188,7 +188,7 @@ class TestPersistence:
         assert list(stamped) == [f.name for f in fields(ToleranceConfig)]
         assert stamped == {"tau_zero": 1e-13, "tau_det": 1e-9}
 
-    def test_corrupted_file_is_schema_error(self, tmp_path):
+    def test_corrupted_file_is_schema_error(self, rng, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SchemaError):
@@ -197,6 +197,13 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_run(path)
         path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
+        with pytest.raises(SchemaError):
+            load_run(path)
+        # "passed" is a JSON boolean: the string "false" must not load as passed
+        save_run(RunRecord({}, [random_certificate(rng)], environment_stamp()), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["certificates"][0]["passed"] = "false"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(SchemaError):
             load_run(path)
 

@@ -13,7 +13,8 @@ each side's git sha, every run's end-to-end metrics (the ``end_to_end``
 names of this checkout's ``BENCHMARK.json``) with ``correct`` and
 ``failed``, each side's median and quartiles per metric, and per metric the
 pairs each side won: the better value as ``BENCHMARK.json`` says, a tie
-counting for neither.  Standard library only.
+counting for neither.  Each metric gets a verdict (see :func:`verdict`), and
+each side the share of its operations that failed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -62,24 +63,68 @@ def quartiles(values) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def failed_share(runs, side: str) -> float | None:
+    """Failed operations over attempted ones, across the runs of ``side``
+    that report both counts; ``None`` when none attempted any."""
+    counted = [run for run in runs
+               if run["side"] == side and run["failed"] is not None and run["attempted"]]
+    attempted = sum(run["attempted"] for run in counted)
+    return sum(run["failed"] for run in counted) / attempted if attempted else None
+
+
+def verdict(entry: dict, values: dict, fails_more: bool) -> str | None:
+    """``gain``, ``worse``, ``unresolved`` or ``no regression`` for one metric.
+
+    ``entry`` is the metric's summary, its ``bound`` the fraction of the
+    parent's median the change may be worse by, and ``values`` each side's
+    runs.  A gain needs the change to win at least 9 in 10 pairs, the medians
+    to differ by more than the parent's interquartile range, and no larger
+    share of failed operations (``fails_more``).  Where the parent's
+    spread is wider than the bound the metric is unresolved, unless every
+    run of the change beats every run of the parent.  ``None`` when a side
+    has no runs.
+    """
+    if entry["parent"] is None or entry["change"] is None:
+        return None
+    sign = 1.0 if entry["better"] == "lower" else -1.0
+    parent, change = entry["parent"], entry["change"]
+    allowed = entry["bound"] * abs(parent["median"])
+    ahead = sign * (parent["median"] - change["median"])  # > 0: the change is better
+    if (10 * entry["pairs_won"]["change"] >= 9 * entry["pairs"] > 0
+            and ahead > parent["iqr"] and not fails_more):
+        return "gain"
+    if -ahead > allowed:
+        return "worse"
+    beats_all = max(sign * v for v in values["change"]) < min(sign * v for v in values["parent"])
+    if parent["iqr"] > allowed and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(runs, end_to_end) -> dict:
-    """Per metric: each side's quartiles over its runs and the pairs each side won.
+    """Per metric: each side's quartiles over its runs, the pairs each side
+    won and a :func:`verdict`; under ``failed_share``, each side's
+    :func:`failed_share`.
 
     ``runs`` are records of :func:`parse_run` with ``pair`` and ``side``
     added; ``end_to_end`` the ``BENCHMARK.json`` entries (``name``,
-    ``better``).  A pair counts only where both of its runs report the metric.
+    ``better``, ``bound``).  A pair counts only where both of its runs
+    report the metric.
     """
-    summary = {}
+    shares = {side: failed_share(runs, side) for side in SIDES}
+    fails_more = (shares["change"] or 0.0) > (shares["parent"] or 0.0)
+    summary: dict = {"failed_share": shares}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         by_pair: dict = {}
         for run in runs:
             if name in run["metrics"]:
                 by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"][name]
-        entry = {"better": metric["better"]}
+        entry = {"better": metric["better"], "bound": metric["bound"]}
+        values = {}
         for side in SIDES:
-            values = [pair[side] for pair in by_pair.values() if side in pair]
-            entry[side] = quartiles(values) if values else None
+            values[side] = [pair[side] for pair in by_pair.values() if side in pair]
+            entry[side] = quartiles(values[side]) if values[side] else None
         won = dict.fromkeys(SIDES, 0)
         complete = [pair for pair in by_pair.values() if len(pair) == 2]
         for pair in complete:
@@ -88,6 +133,7 @@ def summarize(runs, end_to_end) -> dict:
                 won["change" if (change < parent) == lower else "parent"] += 1
         entry["pairs"] = len(complete)
         entry["pairs_won"] = won
+        entry["verdict"] = verdict(entry, values, fails_more)
         summary[name] = entry
     return summary
 
