@@ -26,7 +26,7 @@ from .errors import (
     EmptySpecError,
     UnsupportedDomainError,
 )
-from .series import complex_to_pair, int_from_json, pair_to_complex
+from .series import _require_finite, complex_to_pair, int_from_json, pair_to_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +39,7 @@ class FilledDisk:
     radius: float
 
     def __post_init__(self):
+        _require_finite(self.center, "center")
         if not 0 <= self.radius < math.inf:
             raise ValueError("radius must be nonnegative and finite")
 
@@ -49,6 +50,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
+        _require_finite(self.center, "center")
         if not 0 <= self.radius < math.inf:
             raise ValueError("radius must be nonnegative and finite")
 
@@ -57,6 +59,10 @@ class Circle:
 class Segment:
     a: complex
     b: complex
+
+    def __post_init__(self):
+        _require_finite(self.a, "segment end")
+        _require_finite(self.b, "segment end")
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,7 @@ class AnnulusSector:
     theta_b: float
 
     def __post_init__(self):
+        _require_finite(self.center, "center")
         if not (0 <= self.r_in < math.inf and 0 <= self.r_out < math.inf):
             raise ValueError("radii must be nonnegative and finite")
         if self.r_in > self.r_out:
@@ -81,7 +88,7 @@ class PointSet:
     points: tuple[complex, ...]
 
     def __init__(self, points: Sequence[complex]):
-        object.__setattr__(self, "points", tuple(complex(p) for p in points))
+        object.__setattr__(self, "points", tuple(_require_finite(p, "point") for p in points))
         if not self.points:
             raise ValueError("point set must be non-empty")
 
@@ -257,10 +264,14 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in {"disk", "half_plane", "disk_complement", "disk_union"}:
             raise UnsupportedDomainError(f"unknown domain kind {self.kind!r}")
+        for center in (self.center, *(c for c, _ in self.disks)):
+            _require_finite(center, "domain center")
         if self.kind in {"disk", "disk_complement"} and not 0 < self.radius < math.inf:
             raise ValueError("domain radius must be positive and finite")
-        if self.kind == "half_plane" and not (abs(self.normal) > 0 and math.isfinite(self.offset)):
-            raise ValueError("half-plane normal must be nonzero and its offset finite")
+        if self.kind == "half_plane" and not (
+            0 < abs(self.normal) < math.inf and math.isfinite(self.offset)
+        ):
+            raise ValueError("half-plane normal must be nonzero and finite, and its offset finite")
         if self.kind == "disk_union" and not self.disks:
             raise ValueError("disk_union needs at least one disk")
         if not all(0 < r < math.inf for _, r in self.disks):

@@ -63,6 +63,7 @@ from .series import (
     DEFAULT_TOL,
     Polynomial,
     ToleranceConfig,
+    _require_finite,
     coeffs_from_json,
     coeffs_to_json,
     complex_to_pair,
@@ -148,8 +149,8 @@ class TargetFunction:
 
     @classmethod
     def table(cls, points: Sequence[complex], values: Sequence[complex]) -> "TargetFunction":
-        pts = tuple(complex(p) for p in points)
-        vals = tuple(complex(v) for v in values)
+        pts = tuple(_require_finite(p, "table point") for p in points)
+        vals = tuple(_require_finite(v, "table value") for v in values)
         if len(pts) != len(vals):
             raise ValueError("table points and values must have equal lengths")
         return cls(kind="table", points=pts, values=vals)
@@ -319,11 +320,12 @@ def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual, weig
 
     The ramp ends before a degree the points cannot determine and at the
     first degree the ladder or the system cannot support, and raises
-    :class:`FitFailedError` with the best residual if no fit cleared ``target``.
+    :class:`FitFailedError` with the best residual and the last degree
+    fitted if no fit cleared ``target``.
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
-    best = math.inf
+    best, fitted = math.inf, -1
     for degree in degrees:
         if degree + 1 > len(ladder.z):
             break
@@ -331,12 +333,13 @@ def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual, weig
             fit = _fit_on_points(ladder, values, degree, weight)
         except IllConditionedError:
             break
+        fitted = degree
         r = residual(fit)
         best = min(best, r)
         if r < target:
             yield degree, fit, r
     if best >= target:
-        raise FitFailedError(target, best, RAMP_CAP)
+        raise FitFailedError(target, best, fitted)
 
 
 @dataclass(frozen=True)
@@ -400,8 +403,8 @@ class Certificate:
     are the plain sup bounds (Taylor/Pade against the outer target on K,
     Taylor/Pade against the inner target on J) and "id_taylor_l{l}" /
     "id_pade_l{l}" are the derivative-level self-reproduction sups over
-    L x (K u J).  ``passed`` requires every achieved sup below ``requested``,
-    Hankel nonvanishing over the whole center grid, and a nonzero
+    L x (K u J); every Pade-side label is always present.  ``passed``
+    requires every achieved sup below ``requested`` and a nonzero
     perturbation.  ``diagnostics`` carries ungated measurements (derivative
     sups against the targets, scales), and ``by_identity: true`` when the
     conclusions hold by the degree-``p`` identity: then every ``id_*`` sup
@@ -422,12 +425,6 @@ class Certificate:
     def sup_ok(self) -> bool:
         """Every achieved sup lies below ``requested``."""
         return all(v < self.requested for v in self.achieved.values())
-
-    @property
-    def hankel_ok(self) -> bool:
-        """The Hankel test held at every center: the Pade-side sups are
-        recorded exactly then."""
-        return "id_pade_l0" in self.achieved
 
     def to_json(self) -> dict:
         return {
@@ -470,8 +467,8 @@ class _Measurement:
     polynomial.
 
     A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
-    ``requested``: it passes when :attr:`Certificate.sup_ok` and
-    :attr:`Certificate.hankel_ok` hold and the perturbation is nonzero.
+    ``requested``: it passes when :attr:`Certificate.sup_ok` holds and the
+    perturbation is nonzero.
 
     A ``u`` of degree exactly ``p`` (``p + 1`` coefficients, ``u_p != 0``),
     which is every polynomial the builders produce, is decided by identity.
@@ -484,14 +481,14 @@ class _Measurement:
     exactly 0 and no center is recentered, tested or solved for.
 
     Every other ``u``, and every ``u`` when ``tau_zero >= 1`` makes the pole
-    guard reject ``|B| = 1``, is measured center by center.  With ``strict``
-    a vanishing Hankel determinant at any center raises; otherwise the
-    Pade-side sups are left out of ``achieved``.  The centers are measured
-    in blocks of ``_BLOCK_PAIRS // points``, each block in array passes: one
-    stacked Horner shift recenters ``u``, one stacked determinant tests the
-    Hankel windows, one stacked solve builds the denominators, and one
-    Horner per derivative level evaluates the Taylor partial sums and the
-    approximants on the points of every compact.  Running maxima carry the
+    guard reject ``|B| = 1``, is measured center by center; the first center
+    whose Hankel test fails raises :class:`PadeNotExistError`, so a returned
+    certificate holds the Pade sups of every center.  The centers are
+    measured in blocks of ``_BLOCK_PAIRS // points``, each block in array
+    passes: one stacked Horner shift recenters ``u``, one stacked
+    determinant tests the Hankel windows, one stacked solve builds the
+    denominators, and one Horner per derivative level evaluates the Taylor
+    partial sums and the approximants on the points of every compact.  Running maxima carry the
     sups across blocks.  Errors are those of the center-by-center order:
     the first failing center, and at it the first point in compact order.
     """
@@ -518,7 +515,7 @@ class _Measurement:
             )
 
     def __call__(
-        self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int, strict: bool
+        self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int
     ) -> Certificate:
         zkj, levels, tol = self.points, self.levels, self.tol
         u_vals = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
@@ -544,7 +541,6 @@ class _Measurement:
         if len(coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
         diagnostics: dict = {}
-        pade_everywhere = True
         if len(coeffs) == p + 1 and coeffs[p] != 0 and tol.tau_zero < 1:
             # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u
             for l, values in enumerate(u_vals):
@@ -554,37 +550,26 @@ class _Measurement:
                 hankel_min = float(np.abs(coeffs[p]) ** q)
             diagnostics["by_identity"] = True
         else:
-            hankel_min, diagnostics["hankel_tau_max"], pade_everywhere = self._per_center(
-                u, p, q, strict, record
-            )
-
-        achieved = dict(sups)
-        if not pade_everywhere:
-            for _, _, pade, _ in self.parts:
-                achieved.pop(pade)
-            for l in range(levels + 1):
-                achieved.pop(f"id_pade_l{l}")
+            hankel_min, diagnostics["hankel_tau_max"] = self._per_center(u, p, q, record)
 
         diagnostics = {**diag_targets, **diagnostics}
         for l in range(levels + 1):
             diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
 
         cert = Certificate(
-            (p, q), perturbation, fit_degree, achieved, self.requested, hankel_min, False,
-            diagnostics,
+            (p, q), perturbation, fit_degree, sups, self.requested, hankel_min, False, diagnostics
         )
-        cert.passed = bool(cert.sup_ok and cert.hankel_ok and perturbation != 0)
+        cert.passed = bool(cert.sup_ok and perturbation != 0)
         return cert
 
-    def _per_center(self, u: Polynomial, p: int, q: int, strict: bool, record):
+    def _per_center(self, u: Polynomial, p: int, q: int, record):
         """Record the Taylor and Pade rows of every center through
-        ``record(kind, level, values)``; returns ``(hankel_min,
-        hankel_tau_max, pade_everywhere)``."""
+        ``record(kind, level, values)``, up to the first center whose Hankel
+        test fails; returns ``(hankel_min, hankel_tau_max)``."""
         zkj, levels, tol = self.points, self.levels, self.tol
         block = max(1, _BLOCK_PAIRS // len(zkj))
         hankel_min = math.inf
         hankel_tau_max = 0.0
-        pade_everywhere = True
         for start in range(0, len(self.centers), block):
             zeta = self.centers[start : start + block]
             series = np.zeros((len(zeta), p + q + 1), dtype=complex)
@@ -600,25 +585,23 @@ class _Measurement:
                 partial = differentiate(partial)
 
             failed = np.flatnonzero(~exists)
-            pade_everywhere = pade_everywhere and not len(failed)
-            rows = np.flatnonzero(exists)
-            if strict and len(failed):
-                rows = rows[rows < failed[0]]  # only these can raise before it
-            if len(rows):
-                sub, w_rows = series[rows], w[rows]
+            # Pade rows only before the first failure: only these can raise before it
+            rows = failed[0] if len(failed) else len(zeta)
+            if rows:
+                sub, w_rows = series[:rows], w[:rows]
                 denom = pade_denominators(sub, p, q)
                 bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
                 numer = poly_mul(sub[:, : p + 1], denom, p + 1)
                 for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
                     record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
-            if strict and len(failed):
+            if len(failed):
                 i = failed[0]
                 report = HankelReport(
                     complex(values[i]), p, q, complex(zeta[i]), False,
                     float(thresholds[i]), float(scales[i]),
                 )
                 raise PadeNotExistError(report)
-        return 0.0 if math.isinf(hankel_min) else hankel_min, hankel_tau_max, pade_everywhere
+        return 0.0 if math.isinf(hankel_min) else hankel_min, hankel_tau_max
 
 
 def _requirement_measurement(
@@ -656,7 +639,7 @@ def verify_construction(
     if perturbation is None:
         perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
     measurement = _requirement_measurement(req, f_on_L, *grids, tol)
-    return measurement(u, p, q, perturbation, fit_degree, strict=True)
+    return measurement(u, p, q, perturbation, fit_degree)
 
 
 def _certify(
@@ -676,8 +659,9 @@ def _certify(
     the float range ``d`` reads 0 and the pair is refused unmeasured.
     Otherwise the trial is measured once, as ``measurement(u, ...)`` with
     ``diagnostics`` (the builder's fit residual) added to its certificate,
-    and refused if that measurement fails.  With ``d_override`` the pair is
-    measured at that value, passing or not.
+    and refused if that certificate fails or the Hankel test fails at a
+    center.  With ``d_override`` the pair is measured at that value, and a
+    certificate that does not pass is returned; ``d = 0`` never passes.
     """
     p, q = select_index(f_seq, min_degree)
     d = d_override
@@ -690,7 +674,10 @@ def _certify(
         if not 0.0 < d < math.inf:
             raise PerturbationFailedError(p, q, d, 0)
     u = fit.plus_monomial(d, p)
-    cert = measurement(u, p, q, d, fit_degree, strict=False)
+    try:
+        cert = measurement(u, p, q, d, fit_degree)
+    except PadeNotExistError:
+        raise PerturbationFailedError(p, q, d, 1) from None
     cert.diagnostics.update(diagnostics)
     if not (cert.passed or d_override is not None):
         raise PerturbationFailedError(p, q, d, 1)

@@ -89,16 +89,17 @@ class IndexExhaustedError(PadeUniversalError):
 
 
 class FitFailedError(PadeUniversalError):
-    """The polynomial-fit degree ramp hit its cap with residual too large."""
+    """The polynomial-fit degree ramp ended with residual too large;
+    ``degree`` is the last degree it fitted, -1 when it fitted none."""
 
-    def __init__(self, target, best_residual, cap):
+    def __init__(self, target, best_residual, degree):
         super().__init__(
-            f"least-squares ramp reached degree {cap} with residual "
+            f"least-squares ramp reached degree {degree} with residual "
             f"{best_residual:.3e} >= target {target:.3e}"
         )
         self.target = target
         self.best_residual = best_residual
-        self.cap = cap
+        self.degree = degree
 
 
 class IllConditionedError(PadeUniversalError):
@@ -110,7 +111,8 @@ class PerturbationFailedError(PadeUniversalError):
 
     ``d = (1/s - r) / (2 max |z - c|^p)`` is not a positive float (the power
     leaves the float range; ``attempts`` is 0), or its one measurement
-    failed a gated sup in float64 (``attempts`` is 1).
+    failed a gated sup or the Hankel test at a center in float64
+    (``attempts`` is 1).
     """
 
     def __init__(self, p, q, d, attempts):

@@ -298,23 +298,24 @@ def pade_approximant(
     return RationalFunction(Polynomial(a, f.center), Polynomial(b, f.center), p, q)
 
 
-def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float:
-    """Largest deviation of ``A/B``'s Taylor prefix from ``f``'s.
-
-    The expansion coefficients of the rational function at its center come
-    from the convolution recurrence
-    ``b_k = (A_k - sum_{i=1..min(k,q)} B_i b_{k-i}) / B_0``; the residual is
-    ``max_{k <= p+q} |a_k - b_k|``.
-    """
-    p, q = r.p, r.q
-    _require_truncation(f, p, q)
-    numer = r.numer.coeffs.tolist() + [0j] * (p + q + 1 - len(r.numer.coeffs))
-    b0, *b_tail = r.denom.coeffs.tolist()
+def _quotient_taylor(numer: list[complex], denom: list[complex], n: int) -> list[complex]:
+    """The first ``n`` Taylor coefficients of ``A/B`` at its center, by the
+    convolution recurrence ``b_k = (A_k - sum_{i=1..min(k,q)} B_i b_{k-i}) / B_0``."""
+    b0, *b_tail = denom
     taylor: list[complex] = []
-    for acc in numer:
+    for acc in (numer + [0j] * n)[:n]:
         for b_i, t in zip(b_tail, reversed(taylor)):  # B_i b_{k-i}, i = 1, 2, ...
             acc -= b_i * t
         taylor.append(acc / b0)
+    return taylor
+
+
+def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float:
+    """Largest deviation of ``A/B``'s Taylor prefix from ``f``'s:
+    ``max_{k <= p+q} |a_k - b_k|``, with ``b_k`` from :func:`_quotient_taylor`."""
+    p, q = r.p, r.q
+    _require_truncation(f, p, q)
+    taylor = _quotient_taylor(r.numer.coeffs.tolist(), r.denom.coeffs.tolist(), p + q + 1)
     return max(abs(a - b) for a, b in zip(f.coeffs[: p + q + 1].tolist(), taylor))
 
 
@@ -333,13 +334,7 @@ def order_condition_decidability(
     """
     p, q = r.p, r.q
     denom = r.denom.coeffs.tolist()
-    inv = [1.0 + 0j]
-    for k in range(1, p + q + 1):
-        acc = 0j
-        for i in range(1, min(k, len(denom) - 1) + 1):
-            acc -= denom[i] * inv[k - i]
-        inv.append(acc)
-    amp = max(abs(x) for x in inv)
+    amp = max(abs(x) for x in _quotient_taylor([1.0 + 0j], denom, p + q + 1))
     b_norm = sum(abs(x) for x in denom)
     if q:
         _require_truncation(f, p, q)

@@ -6,6 +6,7 @@ prints (a report line, then the JSON result line), written by hand.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -47,6 +48,22 @@ def runs(bench_pairs, sides, failed=(0, 0)):
             run = bench_pairs.parse_run(stdout(cycle, rate, failed=fails), 0, NAMES)
             out.append({"pair": pair, "seed": 101 + pair, "side": side, **run})
     return out
+
+
+def test_seeds_are_one_seed_or_a_nonempty_range(bench_pairs):
+    assert bench_pairs._seeds("101") == range(101, 102)
+    assert bench_pairs._seeds("101-110") == range(101, 111)
+    with pytest.raises(argparse.ArgumentTypeError, match="empty seed range"):
+        bench_pairs._seeds("110-101")
+
+
+def test_reversed_seed_range_runs_nothing(bench_pairs, capsys):
+    label = "reversed_seed_range_test"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "wide",
+                          "--seeds", "110-101", "--label", label])
+    assert info.value.code == 2 and "empty seed range" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(bench_pairs.ROOT, f"BENCH_{label}.json"))
 
 
 def test_parse_keeps_the_end_to_end_metrics(bench_pairs):

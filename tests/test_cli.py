@@ -358,6 +358,43 @@ class TestBuildCommand:
         payload = json.loads(verify_out)
         assert code == 0 and payload["match"] is True and payload["max_deviation"] == 0.0
 
+    def test_verify_of_a_vanishing_window_exits_two(self, capsys, tmp_path):
+        # u_p = 0 in the record: u falls below degree p, so its (23, 2)
+        # windows vanish and the re-measurement refuses the first center
+        scenario_data = wide_scenario()
+        scenario_data["F"] = [[23, 2]]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        record["artifacts"]["universal_poly"]["coeffs"][23] = [0.0, 0.0]
+        out.write_text(json.dumps(record))
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert (code, verify_out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"] == "pade-not-exist"
+        assert (diag["hankel"]["p"], diag["hankel"]["q"]) == (23, 2)
+        assert diag["hankel"]["nonvanishing"] is False
+        assert diag["hankel"]["center"] == [0.0, 0.0]
+
+    def test_hankel_refusal_of_the_trial_exits_six(self, capsys, tmp_path, monkeypatch):
+        # a trial whose Hankel test fails at a center is refused like one
+        # that fails a sup: exit 6 and the record, not exit 2
+        def refuse(measurement, *args):
+            raise errors.PadeNotExistError(hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2))
+
+        monkeypatch.setattr(construct._Measurement, "__call__", refuse)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        code, stdout, err = run(capsys, "build", "--scenario", str(scenario), "--out", str(out))
+        assert (code, stdout) == (6, "")
+        diag = json.loads(err)
+        assert diag["error"] == "perturbation-failed"
+        assert diag["message"].endswith("failed its measurement")
+        assert load_run(out).certificates == []
+
     def test_fit_floor_exits_four(self, capsys, tmp_path):
         # s = 10^4 asks for a residual below the float64 fit floor (5.4e-5)
         scenario = tmp_path / "scenario.json"

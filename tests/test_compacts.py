@@ -98,6 +98,20 @@ class TestDiscretize:
             (lambda: DomainSpec(kind="half_plane", normal=1.0, offset=math.nan), "offset finite"),
             (lambda: DomainSpec(kind="disk_union", disks=((0.0, 1.0), (3.0, math.inf))),
              "disk radii must be positive and finite"),
+            (lambda: FilledDisk(complex(math.nan, 0.0), 1.0), "center must be finite"),
+            (lambda: Circle(complex(0.0, math.inf), 1.0), "center must be finite"),
+            (lambda: AnnulusSector(math.nan, 1.0, 2.0, 0.0, 1.0), "center must be finite"),
+            (lambda: Segment(0.0, math.inf), "segment end must be finite"),
+            (lambda: Segment(complex(math.nan, 1.0), 1.0), "segment end must be finite"),
+            (lambda: PointSet([0.0, complex(1.0, math.nan)]), "point must be finite"),
+            (lambda: DomainSpec(kind="disk", center=math.inf, radius=1.0),
+             "domain center must be finite"),
+            (lambda: DomainSpec(kind="disk_complement", center=math.nan, radius=1.0),
+             "domain center must be finite"),
+            (lambda: DomainSpec(kind="disk_union", disks=((0.0, 1.0), (math.nan, 1.0))),
+             "domain center must be finite"),
+            (lambda: DomainSpec(kind="half_plane", normal=math.inf, offset=0.0),
+             "normal must be nonzero and finite"),
         ],
     )
     def test_primitive_constructors_reject(self, make, message):

@@ -152,6 +152,19 @@ class TestTargets:
                 table.evaluate(off)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "points, values, message",
+        [
+            ([math.nan, 1.0], [5.0, 7.0], "table point must be finite"),
+            ([1.0, complex(2.0, math.inf)], [5.0, 7.0], "table point must be finite"),
+            ([1.0, 2.0], [math.inf, 7.0], "table value must be finite"),
+        ],
+    )
+    def test_table_rejects_non_finite_entries(self, points, values, message):
+        # a NaN point would match every z, the table's own points included
+        with pytest.raises(ValueError, match=message):
+            TargetFunction.table(points, values)
+
     def test_rational_pole_guard(self):
         with pytest.raises(PoleProximityError):
             F_ON_L.evaluate(2.0)
@@ -336,7 +349,23 @@ class TestFitRamp:
             next(_fit_ramp(_ArnoldiLadder(z), values, range(6), 1e-12, residual))
         assert len(residuals) == 6
         assert (info.value.target, info.value.best_residual) == (1e-12, min(residuals))
-        assert info.value.cap == construct.RAMP_CAP
+        assert info.value.degree == 5
+
+    def test_refusal_names_the_last_degree_fitted(self):
+        # 24 glued points: the ramp 2, 4, ... ends after degree 22, not at RAMP_CAP
+        req = RequirementSpec(
+            K=CompactSpec([Segment(2.0, 3.0)], 8), target_on_K=TargetFunction.poly([0.0, 0.0, 1.0]),
+            L=CompactSpec([FilledDisk(0.0, 0.4)], 8), s=10**8, J=CompactSpec([Circle(0.0, 0.6)], 8),
+        )
+        with pytest.raises(FitFailedError, match="reached degree 22 ") as info:
+            build_universal_polynomial(req, F_ON_L, F_DEFAULT)
+        assert info.value.degree == 22
+
+    def test_ramp_that_fits_nothing_names_degree_minus_one(self):
+        z, values = self.wide_points()
+        with pytest.raises(FitFailedError) as info:
+            next(_fit_ramp(_ArnoldiLadder(z), values, range(len(z), len(z) + 3), 1.0, lambda fit: 0.0))
+        assert (info.value.degree, info.value.best_residual) == (-1, math.inf)
 
     def count_fits(self, monkeypatch):
         """Count ``_fit_on_points`` calls and ``np.vdot`` calls."""
@@ -417,11 +446,10 @@ class TestBuilder:
         assert cert.achieved["3"] <= abs(cert.perturbation) * sup_k + 1e-9
 
     def test_zero_perturbation_never_passes(self):
-        u, cert = build_universal_polynomial(
-            desk_requirement(), F_ON_L, F_DEFAULT, d_override=0.0
-        )
-        assert not cert.passed
-        assert cert.perturbation == 0.0
+        # d = 0 leaves u below degree p: its Hankel test fails and the trial is refused
+        with pytest.raises(PerturbationFailedError) as info:
+            build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT, d_override=0.0)
+        assert (info.value.d, info.value.attempts) == (0.0, 1)
 
     def test_overlapping_compacts_rejected(self):
         req = RequirementSpec(

@@ -39,7 +39,7 @@ from pade_universal.construct import (
     extend_prefix,
     run_extension_schedule,
 )
-from pade_universal.errors import PoleProximityError
+from pade_universal.errors import PadeNotExistError, PoleProximityError
 from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.pade import hankel_determinant, pade_approximant
 from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
@@ -116,8 +116,8 @@ class Spy:
         self._active: list = []
         call, certify = construct._Measurement.__call__, construct._certify
 
-        def spied_call(measurement, u, p, q, perturbation, fit_degree, strict):
-            cert = call(measurement, u, p, q, perturbation, fit_degree, strict)
+        def spied_call(measurement, u, p, q, perturbation, fit_degree):
+            cert = call(measurement, u, p, q, perturbation, fit_degree)
             self._active.append((cert, u.coeffs.tolist()))
             return cert
 
@@ -127,7 +127,7 @@ class Spy:
 
             def measure(d, p, q):
                 self._active = calls
-                cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree, strict=False)
+                cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree)
                 cert.diagnostics.update(diagnostics)
                 return cert
 
@@ -153,7 +153,7 @@ def assert_matches_oracle(calls, prefix, k_compact, psi, s):
         )
         p, q = cert.selected
         verdicts.append(old_ok)
-        assert cert.hankel_ok and not exact_hankel_at_zero(coeffs, p, q).is_zero()
+        assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
         assert cert.diagnostics["by_identity"] is True
         assert cert.hankel_min == abs(cert.perturbation) ** q
         assert (cert.selected, cert.perturbation) == (old.selected, old.perturbation)
@@ -201,16 +201,16 @@ def test_desk_greedy_steps(w, monkeypatch):
         prefix_length = p + 1
     measured = [trial for calls in spy.steps for trial, _ in calls]
     assert any(cert.selected[1] == 0 and cert.passed for cert in measured)
-    assert any(not cert.passed and cert.hankel_ok for cert in measured)
+    assert any(not cert.passed and "2" in cert.achieved for cert in measured)
     # the tiny q = 2 trials fail the closure's float test, never the exact one
     assert False in verdicts
 
 
-def test_hankel_failure_drops_the_pade_sup(monkeypatch):
+def test_float_hankel_failure_refuses_the_padded_trial(monkeypatch):
     """q = 2 at s = 1000: a ``d`` small against the coefficient below it fails
     the float Hankel test where the general path measures the trial (padded
-    by one zero coefficient), so "2" is absent there; the trial itself holds
-    by identity, and the exact determinant agrees with the identity."""
+    by one zero coefficient), so that measurement raises; the trial itself
+    holds by identity, and the exact determinant agrees with the identity."""
     spy = Spy(monkeypatch)
     psi = TargetFunction.rational([1.5], [0.0, 1.0])
     f_seq = IndexSequence([(k, 2) for k in range(61)])
@@ -220,15 +220,16 @@ def test_hankel_failure_drops_the_pade_sup(monkeypatch):
     (measure,) = spy.measures
     p, q = cert.selected
     tiny = measure(1e-30 * cert.perturbation, p, q)
-    assert tiny.hankel_ok and "2" in tiny.achieved
+    assert {"2", "id_pade_l0"} <= set(tiny.achieved)
     trials = list(calls)
     z = discretize(CIRCLE_K).points
     measurement = _Measurement(np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
                                DEFAULT_TOL, 1e-3)
     coeffs = calls[-1][1]
-    general = measurement(Polynomial(coeffs + [0j]), p, q, tiny.perturbation, 0, strict=False)
-    assert not general.hankel_ok and not general.passed and "2" not in general.achieved
-    assert general.achieved["3"] == tiny.achieved["3"]
+    with pytest.raises(PadeNotExistError) as refused:
+        measurement(Polynomial(coeffs + [0j]), p, q, tiny.perturbation, 0)
+    assert refused.value.report.center == 0 and not refused.value.report.nonvanishing
+    assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
     assert_matches_oracle(trials, [0.0], CIRCLE_K, psi, 1000)
 
 
@@ -237,8 +238,8 @@ def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
     """Every q >= 1 trial of the greedy schedule (and of a q = 2 extension),
     with extra trials at a large and a small ``d``: where the trial padded by one zero
     coefficient passes the float Hankel test, the general path it takes
-    gives the same sups bit for bit; where it fails, the exact determinant
-    of the trial is nonzero, as the identity says."""
+    gives the same sups bit for bit; where it fails, that path raises and the
+    exact determinant of the trial is nonzero, as the identity says."""
     reciprocal = TargetFunction.rational([1.0], [0.0, 1.0])
     if q_only is None:
         f_seq = GREEDY_F
@@ -269,14 +270,16 @@ def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
             if q == 0:
                 continue
             args = (p, q, cert.perturbation, cert.fit_degree)
-            fast = measurement(Polynomial(coeffs), *args, strict=False)
-            general = measurement(Polynomial(coeffs + [0j]), *args, strict=False)
-            assert fast.achieved == cert.achieved and fast.hankel_ok
-            if general.hankel_ok:
-                assert general.achieved == fast.achieved
-            else:
+            fast = measurement(Polynomial(coeffs), *args)
+            assert fast.achieved == cert.achieved and "id_pade_l0" in fast.achieved
+            try:
+                general = measurement(Polynomial(coeffs + [0j]), *args)
+            except PadeNotExistError:
                 assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
-            compared.append(general.hankel_ok)
+                compared.append(False)
+            else:
+                assert general.achieved == fast.achieved
+                compared.append(True)
     assert True in compared and False in compared
 
 
@@ -296,7 +299,7 @@ def test_long_prefix_is_kept_verbatim(monkeypatch):
     assert cert.diagnostics["prefix_length"] == 1100.0
     assert cert.diagnostics["prefix_metric"] == 0.5**1100 == 0.0
     ((trial, _),) = spy.steps[0]
-    assert trial is cert and trial.hankel_ok and trial.sup_ok
+    assert trial is cert and "2" in trial.achieved and trial.sup_ok
 
 
 def test_pole_next_to_k_raises_at_the_same_point():
@@ -309,7 +312,7 @@ def test_pole_next_to_k_raises_at_the_same_point():
     with pytest.raises(PoleProximityError) as old:
         oracle_extension_measure([0j], coeffs, 1.0, (3, 1), z, psi.evaluate(z), 0, 0.0, 0.1)
     with pytest.raises(PoleProximityError) as new:
-        measurement(Polynomial(coeffs), 3, 1, 1.0, 0, strict=False)
+        measurement(Polynomial(coeffs), 3, 1, 1.0, 0)
     assert complex(new.value.point) == complex(old.value.point) == z[5]
     assert new.value.args == old.value.args
 

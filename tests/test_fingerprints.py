@@ -39,6 +39,16 @@ def test_one_table_seed_prints_one_stable_digest_per_cycle(monkeypatch):
     assert fingerprints("--workload", "table", "--seeds", "101") == first
 
 
+def test_reversed_seed_range_is_an_error():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, SCRIPT, "--workload", "table", "--seeds", "105-101"], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "empty seed range" in done.stderr
+
+
 def test_all_prefixes_each_workload_and_the_demos(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

@@ -72,9 +72,10 @@ F_DESK = IndexSequence([(k, k % 3) for k in range(41)])
 F_WIDE = IndexSequence([(k, 1 + k % 2) for k in range(61)])
 
 
-def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict):
+def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol):
     """The per-center verifier loop; returns the measurement and the
-    ``(center, approximant)`` pairs it built."""
+    ``(center, approximant)`` pairs it built, or raises at the first center
+    whose Hankel test fails."""
     zk = grid_k.points
     zj = grid_j.points
     zkj = np.concatenate([zk, zj])
@@ -98,14 +99,13 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     def bump(key, deviation):
         diag[key] = max(diag.get(key, 0.0), float(np.max(np.abs(deviation))))
 
-    pade_everywhere = True
     approximants = []
     for zeta in grid_l.points:
         series = u.recenter(zeta).to_series(p + q + 1)
         report = hankel_determinant(series, p, q, tol)
         hankel_min = min(hankel_min, abs(report.value))
         hankel_tau_max = max(hankel_tau_max, report.threshold)
-        if not report.nonvanishing and strict:
+        if not report.nonvanishing:
             raise PadeNotExistError(report)
 
         partial = taylor_partial_sum(series, p)
@@ -120,9 +120,6 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
             if l >= 1 and fj_levels[l - 1] is not None:
                 bump(f"J_taylor_d{l}", s_dl[len(zk):] - fj_levels[l - 1])
 
-        if not report.nonvanishing:
-            pade_everywhere = False
-            continue
         approximant = pade_approximant(series, p, q, tol)
         approximants.append((zeta, approximant))
         sup["3"] = max(sup["3"], float(np.max(np.abs(approximant.eval(zk, tol) - hk))))
@@ -137,11 +134,6 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
                 bump(f"J_pade_d{l}", r_dl[len(zk):] - fj_levels[l - 1])
 
     achieved = dict(sup)
-    if not pade_everywhere:
-        achieved.pop("3")
-        achieved.pop("5")
-        for l in range(levels + 1):
-            ident.pop(f"id_pade_l{l}")
     achieved.update(ident)
     diagnostics = dict(diag)
     diagnostics["hankel_tau_max"] = hankel_tau_max
@@ -150,13 +142,12 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     measurement = {
         "achieved": achieved,
         "hankel_min": 0.0 if math.isinf(hankel_min) else float(hankel_min),
-        "hankel_ok": pade_everywhere,
         "diagnostics": diagnostics,
     }
     return measurement, approximants
 
 
-def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol, strict,
+def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, tol,
                     requested=1.0):
     """The blocked verifier, prepared for a build's K and J against
     ``requested`` and called once at perturbation 1.0; returns the fields of
@@ -167,11 +158,10 @@ def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels,
     ]
     centers = np.array(grid_l.points, dtype=complex)
     measurement = _Measurement(centers, compacts, levels, tol, requested)
-    cert = measurement(u, p, q, 1.0, 0, strict=strict)
+    cert = measurement(u, p, q, 1.0, 0)
     return {
         "achieved": cert.achieved,
         "hankel_min": cert.hankel_min,
-        "hankel_ok": cert.hankel_ok,
         "diagnostics": cert.diagnostics,
         "passed": cert.passed,
     }
@@ -202,21 +192,22 @@ def grids(req: RequirementSpec):
     return discretize(req.L), discretize(req.K), discretize(req.inner_compact())
 
 
-def assert_parity(u, pq, req, f_on_l, strict=True):
+def assert_parity(u, pq, req, f_on_l):
     p, q = pq
     levels = req.derivative_levels
     grid_l, grid_k, grid_j = grids(req)
     args = (u, p, q, grid_l, grid_k, grid_j, req.target_on_K, f_on_l, levels, DEFAULT_TOL)
-    old, approximants = oracle_measure(*args, strict)
-    new = blocked_measure(*args, strict=strict, requested=req.requested)
+    old, approximants = oracle_measure(*args)
+    new = blocked_measure(*args, requested=req.requested)
 
-    assert new["hankel_ok"] == old["hankel_ok"]
+    # the Hankel test held at every center: both sides of every label
+    assert {"3", "5", *(f"id_pade_l{l}" for l in range(levels + 1))} <= set(new["achieved"])
     assert list(new["achieved"]) == list(old["achieved"])
     assert list(new["diagnostics"]) == list(old["diagnostics"])
     assert new["hankel_min"] == old["hankel_min"]
-    # the pass rule at a nonzero perturbation: every sup in bounds, Hankel everywhere
+    # the pass rule at a nonzero perturbation: every sup in bounds
     sup_ok = all(v < req.requested for v in old["achieved"].values())
-    assert new["passed"] == (sup_ok and old["hankel_ok"])
+    assert new["passed"] == sup_ok
 
     zkj = np.concatenate([grid_k.points, grid_j.points])
     bounds = horner_bounds(approximants, zkj, levels)
@@ -239,6 +230,17 @@ def assert_parity(u, pq, req, f_on_l, strict=True):
                 want = np.array(want)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     return new
+
+
+def assert_same_refusal(u, pq, req, f_on_l, tol) -> HankelReport:
+    """Both loops raise :class:`PadeNotExistError` with the same report."""
+    args = (u, *pq, *grids(req), req.target_on_K, f_on_l, req.derivative_levels, tol)
+    with pytest.raises(PadeNotExistError) as old:
+        oracle_measure(*args)
+    with pytest.raises(PadeNotExistError) as new:
+        blocked_measure(*args)
+    assert new.value.report == old.value.report
+    return new.value.report
 
 
 def desk_requirement(levels: int) -> RequirementSpec:
@@ -368,7 +370,7 @@ class TestParity:
         # F_WIDE: q >= 1 at every pair, so a zero can be padded
         u, cert = build_universal_polynomial(req, target, F_WIDE)
         assert cert.passed
-        assert_parity(padded(u), cert.selected, req, target, strict=False)
+        assert_parity(padded(u), cert.selected, req, target)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_polynomial(self, seed):
@@ -377,13 +379,15 @@ class TestParity:
         # grids, where the Horner bound of the numerator governs
         coeffs = random_coefficients(np.random.default_rng(seed), 9, bound=0.5)
         u = Polynomial(coeffs[:7] + [0.01 * c for c in coeffs[7:]])
-        assert_parity(u, (6, 2), desk_requirement(1), F_ON_L, strict=False)
+        assert_parity(u, (6, 2), desk_requirement(1), F_ON_L)
 
     def test_wide_geometry(self):
+        # padded, u's tiny top coefficient fails the float Hankel test at
+        # some center: both loops refuse the same center
         req, inner = wide_requirement(64)
         u, cert = build_universal_polynomial(req, inner, F_WIDE)
         assert cert.passed
-        assert_parity(padded(u), cert.selected, req, inner, strict=False)
+        assert_same_refusal(padded(u), cert.selected, req, inner, DEFAULT_TOL)
 
 
 def vanishing_at_center(index: int, p: int):
@@ -395,24 +399,23 @@ def vanishing_at_center(index: int, p: int):
 
 
 class TestErrorsAndMasking:
-    def test_non_strict_partial_hankel_failure(self, monkeypatch):
-        u, req = vanishing_at_center(7, 3)
-        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
-        new = assert_parity(u, (3, 1), req, F_ON_L, strict=False)
-        assert not new["hankel_ok"]
-        assert "3" not in new["achieved"] and "id_taylor_l2" in new["achieved"]
-        assert "K_pade_d1" in new["diagnostics"]
-
     def test_strict_pade_not_exist(self, monkeypatch):
         u, req = vanishing_at_center(7, 3)
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
-        args = (u, 3, 1, *grids(req), req.target_on_K, F_ON_L, 2, DEFAULT_TOL)
-        with pytest.raises(PadeNotExistError) as old:
-            oracle_measure(*args, True)
-        with pytest.raises(PadeNotExistError) as new:
-            blocked_measure(*args, strict=True)
-        assert new.value.report == old.value.report
-        assert new.value.report.center == discretize(req.L).points[7]
+        report = assert_same_refusal(u, (3, 1), req, F_ON_L, DEFAULT_TOL)
+        assert report.center == discretize(req.L).points[7]
+
+    def test_one_outcome_per_measurement(self, monkeypatch):
+        # a per-center u: every Pade key when its Hankel test passes at every
+        # center, else the oracle's refusal of the first center where it fails
+        monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
+        req = desk_requirement(2)
+        # (3, 1) windows a_3(zeta) = 4 (zeta - 0.9): nonzero on L
+        assert_parity(Polynomial([0j] * 4 + [1.0], 0.9), (3, 1), req, F_ON_L)
+        for index in (0, 4, 15):
+            u, _ = vanishing_at_center(index, 3)
+            report = assert_same_refusal(u, (3, 1), req, F_ON_L, DEFAULT_TOL)
+            assert report.center == discretize(req.L).points[index]
 
     def test_pole_proximity_names_the_same_point(self, monkeypatch):
         # the (3, 1) approximant about the 5th center has its pole on a J point
@@ -423,14 +426,13 @@ class TestErrorsAndMasking:
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
         args = (u, 3, 1, *grids(req), req.target_on_K, F_ON_L, 2, DEFAULT_TOL)
         with pytest.raises(PoleProximityError) as old:
-            oracle_measure(*args, False)
+            oracle_measure(*args)
         with pytest.raises(PoleProximityError) as new:
-            blocked_measure(*args, strict=True)
+            blocked_measure(*args)
         assert complex(new.value.point) == complex(old.value.point) == pole
 
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_first_error_in_grid_order(self, strict, monkeypatch):
+    def test_first_error_in_grid_order(self, monkeypatch):
         # a loose pole guard puts poles next to some centers; which error
         # comes first then depends on where the vanishing window sits
         tol = ToleranceConfig(tau_zero=0.1, tau_det=0.1)
@@ -440,8 +442,7 @@ class TestErrorsAndMasking:
             u, req = vanishing_at_center(index, 3)
             args = (u, 3, 1, *grids(req), req.target_on_K, F_ON_L, 2, tol)
             outcomes = []
-            for measure in (lambda: oracle_measure(*args, strict),
-                            lambda: blocked_measure(*args, strict=strict)):
+            for measure in (lambda: oracle_measure(*args), lambda: blocked_measure(*args)):
                 try:
                     measure()
                     outcomes.append(None)
@@ -451,7 +452,7 @@ class TestErrorsAndMasking:
                     outcomes.append(complex(exc.point))
             assert outcomes[0] == outcomes[1], index
             kinds.add(type(outcomes[0]))
-        assert complex in kinds and (not strict or HankelReport in kinds)
+        assert complex in kinds and HankelReport in kinds
 
 
 class TestTaylorIsPade:
@@ -480,12 +481,11 @@ class TestTaylorIsPade:
         measurement = _requirement_measurement(req, F_ON_L, *grids(req), DEFAULT_TOL)
         for d in (1e-6 * cert.perturbation, 1e3 * cert.perturbation):
             trial = Polynomial(np.append(u.coeffs[:-1], d))
-            trial_cert = measurement(trial, *pq, d, 0, strict=False)
+            trial_cert = measurement(trial, *pq, d, 0)
             assert trial_cert.passed == (abs(d) < abs(cert.perturbation))
             assert_build_holds_exactly(trial, trial_cert, req, F_ON_L)
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_hankel_failure_at_some_centers(self, strict, monkeypatch):
+    def test_hankel_failure_at_some_centers(self, monkeypatch):
         # q = 2 windows [[a_13, d], [d, 0]] with a_13(zeta) = 14 d (zeta - 0.5):
         # the float test fails where |zeta - 0.5| >= 0.71, first at the sixth
         # center, but each determinant is -d^2 != 0 exactly, and u holds by identity
@@ -495,21 +495,15 @@ class TestTaylorIsPade:
         req = desk_requirement(2)
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
         cert = verify_construction(u, req, (p, q), F_ON_L, d, 0, tol)
-        assert cert.hankel_ok and cert.diagnostics["by_identity"] is True
+        assert cert.diagnostics["by_identity"] is True
+        assert {"3", "5", "id_pade_l0", "id_pade_l2"} <= set(cert.achieved)
         assert cert.hankel_min == d**2
         assert_exact_hankel(u, discretize(req.L).points, p, q)
         args = (u, p, q, *grids(req), req.target_on_K, F_ON_L, 2, tol)
-        if not strict:
-            general = blocked_measure(padded(u), *args[1:], strict=False)
-            assert not general["hankel_ok"] and "K_pade_d2" in general["diagnostics"]
-            old, _ = oracle_measure(*args, False)
-            assert general["achieved"] == old["achieved"]
-            assert general["diagnostics"] == old["diagnostics"]
-            return
         with pytest.raises(PadeNotExistError) as new:
             verify_construction(padded(u), req, (p, q), F_ON_L, d, 0, tol)
         with pytest.raises(PadeNotExistError) as old:
-            oracle_measure(*args, True)
+            oracle_measure(*args)
         assert new.value.report == old.value.report
         assert new.value.report.center == discretize(req.L).points[5]
 
@@ -602,7 +596,7 @@ class TestSolverCalls:
             verify_construction(u, req, (13, 0), inner, tol=tol)
         args = (u, 13, 0, *grids(req), req.target_on_K, inner, 0, tol)
         with pytest.raises(PoleProximityError) as old:
-            oracle_measure(*args, True)
+            oracle_measure(*args)
         assert new.value.args == old.value.args
         assert complex(new.value.point) == discretize(req.K).points[0]
 

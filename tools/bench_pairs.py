@@ -31,8 +31,12 @@ SIDES = ("parent", "change")
 
 
 def _seeds(text: str) -> range:
+    """The seeds of ``N`` or ``A-B`` (``A`` to ``B``); an empty range is an error."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
 def parse_run(stdout: str, exit_code: int, names) -> dict:

@@ -34,10 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-
-def _seeds(text: str) -> range:
-    first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+from bench_pairs import _seeds  # noqa: E402  (this directory, after the paths above)
 
 
 WORKLOADS = ("wide", "desk", "table")
