@@ -482,15 +482,15 @@ class _Measurement:
 
     Every other ``u``, and every ``u`` when ``tau_zero >= 1`` makes the pole
     guard reject ``|B| = 1``, is measured center by center; the first center
-    whose Hankel test fails raises :class:`PadeNotExistError`, so a returned
-    certificate holds the Pade sups of every center.  The centers are
-    measured in blocks of ``_BLOCK_PAIRS // points``, each block in array
-    passes: one stacked Horner shift recenters ``u``, one stacked
+    whose Hankel test fails raises :class:`PadeNotExistError`.  The centers
+    are measured in blocks of ``_BLOCK_PAIRS // points``, each block in
+    array passes: one stacked Horner shift recenters ``u``, one stacked
     determinant tests the Hankel windows, one stacked solve builds the
     denominators, and one Horner per derivative level evaluates the Taylor
-    partial sums and the approximants on the points of every compact.  Running maxima carry the
-    sups across blocks.  Errors are those of the center-by-center order:
-    the first failing center, and at it the first point in compact order.
+    partial sums and the approximants on the points of every compact.
+    Running maxima carry the sups across blocks.  Errors are those of the
+    center-by-center order: the first failing center, and at it the first
+    point in compact order.
     """
 
     def __init__(
