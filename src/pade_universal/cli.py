@@ -3,7 +3,10 @@
 Subcommands: ``pade`` (one approximant), ``table`` (Hankel membership CSV),
 ``build`` (certified universal polynomial), ``seleznev`` (prefix
 extension), ``greedy`` (chained extensions), ``verify`` (re-measure a saved
-run), ``family`` (compact-family generators).
+run), ``family`` (compact-family generators).  Only ``pade`` and ``table``
+take ``--tau-det``: the builders decide their outputs by the degree-``p``
+identity, which no threshold enters, and ``verify`` re-reads the threshold
+stamped in the record.
 
 Exit codes: 0 success, 1 usage/validation, 2 approximant does not exist,
 3 numeric failure, 4 fit ramp failed, 5 index sequence exhausted,
@@ -14,6 +17,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 from dataclasses import fields
 import functools
 import json
@@ -97,17 +101,29 @@ def _diag(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _reading(error: type[Exception]):
+    """Reads of JSON input: a value of the wrong type, such as a number
+    where a list belongs, raises ``error`` instead of a traceback.  Only
+    reads sit inside, so a ``TypeError`` of the program itself still shows."""
+    try:
+        yield
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise error(f"malformed input: {exc}") from exc
+
+
 def _load_series(args) -> FormalPowerSeries:
-    if args.series:
-        text = args.series.strip()
-        if text.startswith("{"):
-            return FormalPowerSeries.from_json(json.loads(text))
-        with open(args.series, "r", encoding="utf-8") as handle:
-            return FormalPowerSeries.from_json(json.load(handle))
-    if args.coeffs:
-        coeffs = coeffs_from_json(json.loads(args.coeffs))
-        center = pair_to_complex(json.loads(args.center)) if args.center else 0.0
-        return FormalPowerSeries(coeffs, center)
+    with _reading(ValueError):
+        if args.series:
+            text = args.series.strip()
+            if text.startswith("{"):
+                return FormalPowerSeries.from_json(json.loads(text))
+            with open(args.series, "r", encoding="utf-8") as handle:
+                return FormalPowerSeries.from_json(json.load(handle))
+        if args.coeffs:
+            coeffs = coeffs_from_json(json.loads(args.coeffs))
+            center = pair_to_complex(json.loads(args.center)) if args.center else 0.0
+            return FormalPowerSeries(coeffs, center)
     raise _UsageError("one of --series or --coeffs is required")
 
 
@@ -160,16 +176,15 @@ _REFUSALS = (FitFailedError, IndexExhaustedError, PerturbationFailedError)
 
 
 def _run_scenario(args, run) -> int:
-    """Run ``run(scenario, tol) -> (certificates, artifacts)`` on the scenario
+    """Run ``run(scenario) -> (certificates, artifacts)`` on the scenario
     file and write its record; the exit code of its certificates.  A refusal,
     also as the cause of a failed schedule step, writes it with no certificate.
     """
     with open(args.scenario, "r", encoding="utf-8") as handle:
         scenario = json.load(handle)
-    tol = _tolerances(args)
-    record = RunRecord(scenario=scenario, certificates=[], environment=environment_stamp(tol))
+    record = RunRecord(scenario=scenario, certificates=[], environment=environment_stamp())
     try:
-        record.certificates, record.artifacts = run(scenario, tol)
+        record.certificates, record.artifacts = run(scenario)
     except (*_REFUSALS, ScheduleStepError) as exc:
         if isinstance(getattr(exc, "cause", exc), _REFUSALS):
             _write_record(record, args.out)
@@ -178,28 +193,32 @@ def _run_scenario(args, run) -> int:
     return EXIT_OK if all(c.passed for c in record.certificates) else EXIT_PERTURBATION
 
 
-def _build(scenario, tol):
-    req = RequirementSpec.from_json(scenario["requirement"])
-    f_on_l = TargetFunction.from_json(scenario["f_on_L"])
-    f_seq = IndexSequence.from_json(scenario["F"])
-    u, cert = build_universal_polynomial(req, f_on_l, f_seq, tol)
+def _build(scenario):
+    with _reading(ValueError):
+        req = RequirementSpec.from_json(scenario["requirement"])
+        f_on_l = TargetFunction.from_json(scenario["f_on_L"])
+        f_seq = IndexSequence.from_json(scenario["F"])
+    u, cert = build_universal_polynomial(req, f_on_l, f_seq)
     return [cert], {"universal_poly": u.to_json()}
 
 
-def _seleznev(scenario, tol):
-    prefix = coeffs_from_json(scenario["prefix"])
-    k_compact = CompactSpec.from_json(scenario["K"])
-    psi = TargetFunction.from_json(scenario["psi"])
-    f_seq = IndexSequence.from_json(scenario["F"])
-    coeffs, cert = extend_prefix(prefix, k_compact, psi, int_from_json(scenario["s"]), f_seq, tol)
+def _seleznev(scenario):
+    with _reading(ValueError):
+        prefix = coeffs_from_json(scenario["prefix"])
+        k_compact = CompactSpec.from_json(scenario["K"])
+        psi = TargetFunction.from_json(scenario["psi"])
+        s = int_from_json(scenario["s"])
+        f_seq = IndexSequence.from_json(scenario["F"])
+    coeffs, cert = extend_prefix(prefix, k_compact, psi, s, f_seq)
     return [cert], {"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))}
 
 
-def _greedy(scenario, tol):
-    prefix = coeffs_from_json(scenario.get("prefix", [[0.0, 0.0]]))
-    schedule = [ExtensionRequirement.from_json(step) for step in scenario["schedule"]]
-    f_seq = IndexSequence.from_json(scenario["F"])
-    coeffs, certs = run_extension_schedule(prefix, schedule, f_seq, tol)
+def _greedy(scenario):
+    with _reading(ValueError):
+        prefix = coeffs_from_json(scenario.get("prefix", [[0.0, 0.0]]))
+        schedule = [ExtensionRequirement.from_json(step) for step in scenario["schedule"]]
+        f_seq = IndexSequence.from_json(scenario["F"])
+    coeffs, certs = run_extension_schedule(prefix, schedule, f_seq)
     return certs, {"coefficients": coeffs_to_json(np.array(coeffs, dtype=complex))}
 
 
@@ -207,18 +226,15 @@ def _cmd_verify(args) -> int:
     record = load_run(args.run)
     if "universal_poly" not in record.artifacts or not record.certificates:
         raise SchemaError("record carries no built polynomial to verify")
-    scenario = record.scenario
-    req = RequirementSpec.from_json(scenario["requirement"])
-    f_on_l = TargetFunction.from_json(scenario["f_on_L"])
-    u = Polynomial.from_json(record.artifacts["universal_poly"])
-    stored = record.certificates[0]
-    # re-measured under the tolerances the record was built with; retired ones are ignored
     known = {f.name for f in fields(ToleranceConfig)}
-    try:
+    with _reading(SchemaError):
+        req = RequirementSpec.from_json(record.scenario["requirement"])
+        f_on_l = TargetFunction.from_json(record.scenario["f_on_L"])
+        u = Polynomial.from_json(record.artifacts["universal_poly"])
+        # re-measured under the tolerances the record was built with; retired ones are ignored
         stamped = record.environment.get("tolerances", {})
         tol = ToleranceConfig(**{k: v for k, v in stamped.items() if k in known})
-    except (AttributeError, TypeError) as exc:
-        raise SchemaError(f"malformed tolerances: {exc}") from exc
+    stored = record.certificates[0]
     # the perturbation is re-read from the polynomial, not copied from the record
     cert = verify_construction(
         u, req, stored.selected, f_on_l, fit_degree=stored.fit_degree, tol=tol
@@ -260,10 +276,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    domain = DomainSpec.from_json(json.loads(args.domain)) if args.domain.strip().startswith("{") else DomainSpec(
-        kind=args.domain, center=pair_to_complex(json.loads(args.center)) if args.center else 0.0,
-        radius=args.radius if args.radius is not None else 1.0,
-    )
+    with _reading(ValueError):
+        domain = DomainSpec.from_json(json.loads(args.domain)) if args.domain.strip().startswith("{") else DomainSpec(
+            kind=args.domain, center=pair_to_complex(json.loads(args.center)) if args.center else 0.0,
+            radius=args.radius if args.radius is not None else 1.0,
+        )
     if args.mode in {"interior", "boundary"}:
         spec = exhausting_family(domain, args.index, args.mode, args.samples)
     else:
@@ -301,7 +318,6 @@ def _build_parser() -> _Parser:
         p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("--scenario", required=True)
         p_run.add_argument("--out")
-        p_run.add_argument("--tau-det", type=float, dest="tau_det")
         p_run.set_defaults(func=functools.partial(_run_scenario, run=run))
 
     p_verify = sub.add_parser(

@@ -61,6 +61,7 @@ from .pade import (
 )
 from .series import (
     DEFAULT_TOL,
+    TAU_ZERO,
     Polynomial,
     ToleranceConfig,
     _require_finite,
@@ -69,6 +70,7 @@ from .series import (
     complex_to_pair,
     differentiate,
     disagreement_metric,
+    float_from_json,
     horner,
     int_from_json,
     pair_to_complex,
@@ -155,14 +157,14 @@ class TargetFunction:
             raise ValueError("table points and values must have equal lengths")
         return cls(kind="table", points=pts, values=vals)
 
-    def evaluate(self, z, tol: ToleranceConfig = DEFAULT_TOL):
+    def evaluate(self, z):
         if self.kind == "poly":
             return self.numer.eval(z)
         if self.kind == "rational":
             # scaled threshold: unlike a Pade denominator (b_0 = 1), a
             # target's denominator carries no normalization
             scale = float(np.max(np.abs(self.denom.coeffs)))
-            return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, tol.tau_zero * scale)
+            return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, scale)
         if self.kind == "table":
             zz = np.atleast_1d(np.asarray(z, dtype=complex))
             pts = np.array(self.points, dtype=complex)
@@ -440,13 +442,20 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        """Read a certificate; ``selected`` must be two nonnegative integers
+        and ``achieved`` an object of finite numbers."""
         if not isinstance(obj["passed"], bool):
             raise ValueError(f"expected a boolean 'passed', got {obj['passed']!r:.40}")
+        selected, achieved = tuple(int_from_json(k) for k in obj["selected"]), obj["achieved"]
+        if len(selected) != 2 or min(selected) < 0:
+            raise ValueError(f"expected 'selected' as [p, q] >= 0, got {obj['selected']!r:.40}")
+        if not isinstance(achieved, dict):
+            raise ValueError(f"expected 'achieved' as an object, got {achieved!r:.40}")
         return cls(
-            selected=(int_from_json(obj["selected"][0]), int_from_json(obj["selected"][1])),
+            selected=selected,
             perturbation=pair_to_complex(obj["perturbation"]),
             fit_degree=int_from_json(obj["fit_degree"]),
-            achieved={k: float(v) for k, v in obj["achieved"].items()},
+            achieved={k: float_from_json(v) for k, v in achieved.items()},
             requested=float(obj["requested"]),
             hankel_min=float(obj["hankel_min"]),
             passed=obj["passed"],
@@ -480,14 +489,14 @@ class _Measurement:
     those values as both the Taylor and the Pade row: every ``id_*`` sup is
     exactly 0 and no center is recentered, tested or solved for.
 
-    Every other ``u``, and every ``u`` when ``tau_zero >= 1`` makes the pole
-    guard reject ``|B| = 1``, is measured center by center; the first center
-    whose Hankel test fails raises :class:`PadeNotExistError`.  The centers
-    are measured in blocks of ``_BLOCK_PAIRS // points``, each block in
-    array passes: one stacked Horner shift recenters ``u``, one stacked
-    determinant tests the Hankel windows, one stacked solve builds the
-    denominators, and one Horner per derivative level evaluates the Taylor
-    partial sums and the approximants on the points of every compact.
+    Every other ``u`` is measured center by center under the Hankel
+    threshold of ``tol``; the first center whose Hankel test fails raises
+    :class:`PadeNotExistError`.  The centers are measured in blocks of
+    ``_BLOCK_PAIRS // points``, each block in array passes: one stacked
+    Horner shift recenters ``u``, one stacked determinant tests the Hankel
+    windows, one stacked solve builds the denominators, and one Horner per
+    derivative level evaluates the Taylor partial sums and the approximants
+    on the points of every compact.
     Running maxima carry the sups across blocks.  Errors are those of the
     center-by-center order: the first failing center, and at it the first
     point in compact order.
@@ -511,13 +520,13 @@ class _Measurement:
         for l in range(levels + 1):
             derived = [(target.derivative(l), points) for points, target, *_ in compacts]
             self.target_vals.append(
-                [None if t is None else np.asarray(t.evaluate(z, tol)) for t, z in derived]
+                [None if t is None else np.asarray(t.evaluate(z)) for t, z in derived]
             )
 
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int
     ) -> Certificate:
-        zkj, levels, tol = self.points, self.levels, self.tol
+        zkj, levels = self.points, self.levels
         u_vals = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
         sups: dict[str, float] = {}
         for _, taylor, pade, _ in self.parts:
@@ -541,7 +550,7 @@ class _Measurement:
         if len(coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
         diagnostics: dict = {}
-        if len(coeffs) == p + 1 and coeffs[p] != 0 and tol.tau_zero < 1:
+        if len(coeffs) == p + 1 and coeffs[p] != 0:
             # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u
             for l, values in enumerate(u_vals):
                 record("taylor", l, values[None])
@@ -590,7 +599,7 @@ class _Measurement:
             if rows:
                 sub, w_rows = series[:rows], w[:rows]
                 denom = pade_denominators(sub, p, q)
-                bz = _off_poles(horner(denom, w_rows), zkj, tol.tau_zero)
+                bz = _off_poles(horner(denom, w_rows), zkj)
                 numer = poly_mul(sub[:, : p + 1], denom, p + 1)
                 for l, numer_l in enumerate(derivative_numerators(numer, denom, levels)):
                     record("pade", l, horner(numer_l, w_rows) / bz ** (l + 1))
@@ -643,12 +652,12 @@ def verify_construction(
 
 
 def _certify(
-    fit: Polynomial, min_degree, f_seq: IndexSequence, measurement: _Measurement,
+    fit: Polynomial, f_seq: IndexSequence, measurement: _Measurement,
     fit_degree: int, diagnostics: dict, d_override=None,
 ) -> tuple[Polynomial, Certificate]:
     """``u = fit + d z^p`` and its passing certificate, at the first index
-    pair ``(p, q)`` with ``p > min_degree``; raises
-    :class:`PerturbationFailedError` when the trial is refused.
+    pair ``(p, q)`` with ``p`` above every stored coefficient of ``fit``;
+    raises :class:`PerturbationFailedError` when the trial is refused.
 
     The one place a trial is built and judged.  ``u`` has degree exactly
     ``p``, so the Hankel conclusion and ``S_p(u, ζ) = [u; p/q]_ζ = u`` hold
@@ -663,7 +672,7 @@ def _certify(
     center.  With ``d_override`` the pair is measured at that value, and a
     certificate that does not pass is returned; ``d = 0`` never passes.
     """
-    p, q = select_index(f_seq, min_degree)
+    p, q = select_index(f_seq, len(fit.coeffs) - 1)
     d = d_override
     if d is None:
         targets = np.concatenate(measurement.target_vals[0])
@@ -688,7 +697,6 @@ def build_universal_polynomial(
     req: RequirementSpec,
     f_on_L: TargetFunction,
     f_seq: IndexSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
     d_override: complex | None = None,
 ) -> tuple[Polynomial, Certificate]:
     """Construct ``u = P + d z^p`` certified against one requirement.
@@ -710,16 +718,13 @@ def build_universal_polynomial(
 
     pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
     z = np.concatenate([grid.points for grid, _ in pieces])
-    values = np.concatenate([np.asarray(t.evaluate(grid.points, tol)) for grid, t in pieces])
+    values = np.concatenate([np.asarray(t.evaluate(grid.points)) for grid, t in pieces])
     degree, fit, residual = next(_fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
     ))
-    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, tol)
-    return _certify(
-        fit, fit.array_degree(), f_seq, measurement, degree, {"fit_residual": residual},
-        d_override,
-    )
+    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, DEFAULT_TOL)
+    return _certify(fit, f_seq, measurement, degree, {"fit_residual": residual}, d_override)
 
 
 @dataclass(frozen=True)
@@ -752,7 +757,6 @@ def extend_prefix(
     psi: TargetFunction,
     s: int,
     f_seq: IndexSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
     *, _ladders: dict | None = None,
 ) -> tuple[tuple[complex, ...], Certificate]:
     """Extend a coefficient prefix so the extension approximates ``psi``.
@@ -778,7 +782,7 @@ def extend_prefix(
         raise ValueError("prefix must be non-empty")
     z = discretize(k_compact).points
     min_abs = float(np.min(np.abs(z)))
-    if min_abs <= tol.tau_zero:
+    if min_abs <= TAU_ZERO:
         raise OriginInKError(
             f"the compact set touches the origin (min |z| = {min_abs:.3e}); "
             f"division by z^(n0+1) is impossible there"
@@ -788,7 +792,7 @@ def extend_prefix(
     # and the labels reversed ("3" is the Taylor sup, "2" the Pade sup)
     requested = 1.0 / s
     measurement = _Measurement(
-        np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, tol, requested
+        np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, DEFAULT_TOL, requested
     )
     (psi_vals,) = measurement.target_vals[0]
     n0 = len(prefix) - 1
@@ -812,9 +816,7 @@ def extend_prefix(
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
-    u, cert = _certify(
-        fitted, len(fitted.coeffs) - 1, f_seq, measurement, fit_degree, {"fit_residual": residual}
-    )
+    u, cert = _certify(fitted, f_seq, measurement, fit_degree, {"fit_residual": residual})
     # every term _certify adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs
@@ -829,7 +831,6 @@ def run_extension_schedule(
     prefix: Sequence[complex],
     schedule: Sequence[ExtensionRequirement],
     f_seq: IndexSequence,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[tuple[complex, ...], list[Certificate]]:
     """Fold :func:`extend_prefix` over a finite requirement schedule.
 
@@ -843,7 +844,7 @@ def run_extension_schedule(
     for step, requirement in enumerate(schedule):
         try:
             coeffs, cert = extend_prefix(
-                coeffs, requirement.K, requirement.psi, requirement.s, f_seq, tol, _ladders=ladders
+                coeffs, requirement.K, requirement.psi, requirement.s, f_seq, _ladders=ladders
             )
         except Exception as exc:
             raise ScheduleStepError(step, exc) from exc

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .series import (
     DEFAULT_TOL,
+    TAU_ZERO,
     FormalPowerSeries,
     Polynomial,
     ToleranceConfig,
@@ -70,10 +71,11 @@ class HankelReport:
         }
 
 
-def _off_poles(bz, z, tau_zero: float):
+def _off_poles(bz, z, scale: float = 1.0):
     """Denominator values ``bz`` at ``z`` (broadcast against them), checked: raises
-    :class:`PoleProximityError` at the first entry in row-major order with ``|bz| <= tau_zero``."""
-    bad = np.abs(bz) <= tau_zero
+    :class:`PoleProximityError` at the first entry in row-major order with
+    ``|bz| <= TAU_ZERO * scale``."""
+    bad = np.abs(bz) <= TAU_ZERO * scale
     if np.any(bad):
         idx = int(np.argmax(bad))
         point = np.broadcast_to(z, np.shape(bz)).ravel()[idx]
@@ -109,26 +111,26 @@ class RationalFunction:
     def center(self) -> complex:
         return self.numer.center
 
-    def eval(self, z, tol: ToleranceConfig = DEFAULT_TOL):
+    def eval(self, z):
         """Evaluate ``A(z)/B(z)``; raises near the poles."""
-        return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, tol.tau_zero)
+        return self.numer.eval(z) / _off_poles(self.denom.eval(z), z)
 
-    def __call__(self, z, tol: ToleranceConfig = DEFAULT_TOL):
-        return self.eval(z, tol)
+    def __call__(self, z):
+        return self.eval(z)
 
-    def common_zero(self, tol: ToleranceConfig = DEFAULT_TOL):
+    def common_zero(self):
         """Search for a shared zero by testing A at B's numerical roots.
 
         Returns the offending root, or ``None`` when numerator and
         denominator are coprime as far as sampling can tell.  Coprimality is
         asserted, never enforced by cancellation.
         """
-        deg = self.denom.degree(tol.tau_zero)
+        deg = self.denom.degree()
         if deg in (0, float("-inf")):
             return None
         roots = np.roots(self.denom.coeffs[deg::-1]) + self.center
         a_scale = float(np.max(np.abs(self.numer.coeffs)))
-        shared = np.flatnonzero(np.abs(self.numer.eval(roots)) <= tol.tau_zero * (1.0 + a_scale))
+        shared = np.flatnonzero(np.abs(self.numer.eval(roots)) <= TAU_ZERO * (1.0 + a_scale))
         return complex(roots[shared[0]]) if len(shared) else None
 
     def to_json(self) -> dict:
@@ -330,8 +332,12 @@ def order_condition_decidability(
     expansion of ``1/B`` over the matched window: coefficient rounding of
     order ``eps`` is amplified by exactly these factors.  A cell whose floor
     exceeds the acceptance tolerance is not decidable in doubles, no matter
-    how the approximant was computed.
+    how the approximant was computed.  A series of exact zeros has no
+    coefficient rounding to amplify, and its floor is 0.
     """
+    scale = float(np.max(np.abs(f.coeffs)))
+    if scale == 0:
+        return 0.0
     p, q = r.p, r.q
     denom = r.denom.coeffs.tolist()
     amp = max(abs(x) for x in _quotient_taylor([1.0 + 0j], denom, p + q + 1))
@@ -341,7 +347,6 @@ def order_condition_decidability(
         cond = float(np.linalg.cond(_hankel_windows(f.coeffs, p, q)[:, ::-1]))
     else:
         cond = 1.0
-    scale = float(np.max(np.abs(f.coeffs)))
     return float(np.finfo(float).eps) * cond * b_norm * amp / scale
 
 
@@ -373,36 +378,27 @@ class RationalDerivativeEvaluator:
     :func:`derivative_numerators`.
     """
 
-    def __init__(self, r: RationalFunction, order: int, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, r: RationalFunction, order: int):
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         if order > 10:
             raise ValueError("derivative order limited to 10")
         self.order = order
-        self.tol = tol
         self.denom = r.denom
         numer = derivative_numerators(r.numer.coeffs, r.denom.coeffs, order)[-1]
         self.numerator = Polynomial(numer, r.center)
 
     def __call__(self, z):
-        bz = _off_poles(self.denom.eval(z), z, self.tol.tau_zero)
+        bz = _off_poles(self.denom.eval(z), z)
         return self.numerator.eval(z) / bz ** (self.order + 1)
 
 
-def rational_derivative(
-    r: RationalFunction, order: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> RationalDerivativeEvaluator:
+def rational_derivative(r: RationalFunction, order: int) -> RationalDerivativeEvaluator:
     """Evaluator for the ``order``-th derivative of ``r`` (order <= 10)."""
-    return RationalDerivativeEvaluator(r, order, tol)
+    return RationalDerivativeEvaluator(r, order)
 
 
-def rational_table_membership(
-    r: RationalFunction,
-    p: int,
-    q: int,
-    zeta: complex,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
+def rational_table_membership(r: RationalFunction, p: int, q: int, zeta: complex):
     """Predicted Hankel-table membership for an exact-degree rational.
 
     For a coprime rational of exact type ``(p0, q0)`` with ``B(zeta) != 0``
@@ -413,13 +409,13 @@ def rational_table_membership(
     of or below the block edges are not determined by the degrees alone, so
     the function returns ``None`` there.
     """
-    p0 = r.numer.degree(tol.tau_zero)
-    q0 = r.denom.degree(tol.tau_zero)
+    p0 = r.numer.degree()
+    q0 = r.denom.degree()
     if p0 != r.p or q0 != r.q:
         raise DegreeMismatchError(
             f"stated degrees ({r.p}, {r.q}) are not exact: found ({p0}, {q0})"
         )
-    if abs(r.denom.eval(zeta)) <= tol.tau_zero:
+    if abs(r.denom.eval(zeta)) <= TAU_ZERO:
         raise DegreeMismatchError(f"denominator vanishes at zeta = {zeta}")
     if q == 0:
         return True

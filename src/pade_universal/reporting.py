@@ -58,10 +58,10 @@ def emit_pade_table(
     return "".join(rows)
 
 
-def environment_stamp(tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def environment_stamp() -> dict:
     return {
         "version": __version__,
-        "tolerances": asdict(tol),
+        "tolerances": asdict(DEFAULT_TOL),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -92,6 +93,14 @@ def pair_to_complex(pair) -> complex:
     raise ValueError(f"expected [re, im], got {pair!r}")
 
 
+def float_from_json(value) -> float:
+    """Parse a number field: a finite number in the float range, not a boolean or a string."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # NaN fails the comparison
+        raise ValueError(f"expected a finite number, got {value!r:.40}")
+    return float(value)
+
+
 def int_from_json(value) -> int:
     """Parse an integer field: an integer or an integral float, in the int64 range."""
     whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
@@ -100,26 +109,26 @@ def int_from_json(value) -> int:
     return int(value)
 
 
+#: Coefficient-negligibility threshold: degree trimming, the pole guards of
+#: rational evaluation and the origin check of a prefix extension.
+TAU_ZERO = 1e-12
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numeric thresholds shared across the package.
+    """The Hankel threshold of the float existence test.
 
-    tau_zero
-        Coefficient-negligibility threshold (degree trimming, pole guards).
     tau_det
         Base of the Hankel nonvanishing threshold; the applied threshold is
         ``tau_det * scale**q`` where ``scale`` is the largest entry magnitude
         of the Hankel window.  User-overridable.
     """
 
-    tau_zero: float = 1e-12
     tau_det: float = 1e-10
 
     def __post_init__(self):
-        if not (self.tau_zero > 0 and self.tau_det > 0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.tau_zero > self.tau_det:
-            raise ValueError("tau_zero must not exceed tau_det")
+        if not self.tau_det > 0:
+            raise ValueError("tau_det must be strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -175,9 +184,9 @@ class Polynomial(_CoefficientRow):
         object.__setattr__(self, "center", _require_finite(center, "center"))
         object.__setattr__(self, "coeffs", _coeff_array(coeffs))
 
-    def degree(self, tau_zero: float = DEFAULT_TOL.tau_zero):
-        """Highest index with ``|c_k| > tau_zero``; ``NEG_INF`` if none."""
-        hits = np.flatnonzero(np.abs(self.coeffs) > tau_zero)
+    def degree(self, threshold: float = TAU_ZERO):
+        """Highest index with ``|c_k| > threshold``; ``NEG_INF`` if none."""
+        hits = np.flatnonzero(np.abs(self.coeffs) > threshold)
         return int(hits[-1]) if len(hits) else NEG_INF
 
     def array_degree(self):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -151,6 +152,16 @@ class TestPadeCommand:
         diag = json.loads(err)
         assert diag["error"] == "validation" and "must be finite" in diag["message"]
 
+    @pytest.mark.parametrize("series", [
+        ("--series", '{"center": [0, 0], "coeffs": 5}'),
+        ("--series", '{"center": [0, 0], "coeffs": [[1, [2]]]}'),
+        ("--coeffs", "5"),
+    ], ids=["coeffs-number", "nested-part", "inline-number"])
+    def test_malformed_series_exits_one(self, capsys, series):
+        code, out, err = run(capsys, "pade", *series, "--p", "0", "--q", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "validation"
+
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "pade", "--p", "1", "--q", "1")
         assert code == 1
@@ -173,6 +184,17 @@ class TestTableCommand:
         assert lines[0] == "p,q,det_re,det_im,abs_det,exists"
         assert len(lines) == 10
 
+    def test_tau_det_flips_a_membership_cell(self, capsys):
+        # D_{1,1} of exp is a_1 = 1 with scale 1: nonvanishing at 1e-10, not at 1e3
+        argv = ("table", "--coeffs", json.dumps(EXP_COEFFS), "--p-max", "1", "--q-max", "1")
+        cells = []
+        for extra in ((), ("--tau-det", "1e3")):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            cells.append({tuple(row.split(",")[:2]): row.split(",")[-1] for row in out.split()[1:]})
+        assert cells[0][("1", "1")] == "true" and cells[1][("1", "1")] == "false"
+        assert cells[0][("1", "0")] == cells[1][("1", "0")] == "true"
+
 
 class TestBuildCommand:
     def test_build_and_verify(self, capsys, tmp_path):
@@ -190,6 +212,31 @@ class TestBuildCommand:
         payload = json.loads(verify_out)
         assert payload["match"] is True
         assert payload["max_deviation"] <= 1e-12
+
+    def test_zero_target_certifies_by_identity(self, capsys, tmp_path):
+        # the fit is three exact zeros; p sits above all three, so u = d z^p
+        zero = {"kind": "poly", "coeffs": [[0, 0]]}
+        scenario_data = build_scenario()
+        scenario_data["requirement"]["target"] = scenario_data["f_on_L"] = zero
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        cert = load_run(out).certificates[0]
+        assert cert.passed and cert.selected[0] == 3 and cert.diagnostics["by_identity"] is True
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        assert code == 0 and json.loads(verify_out)["match"] is True
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("build", build_scenario()), ("seleznev", extension_scenario()),
+        ("greedy", greedy_scenario()),
+    ])
+    def test_builders_take_no_tolerance_option(self, capsys, tmp_path, command, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, command, "--scenario", str(path), "--tau-det", "1e-3")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "usage"
 
     def test_verify_names_the_deviating_conclusion(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -257,26 +304,30 @@ class TestBuildCommand:
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario()))
         out = tmp_path / "run.json"
-        argv = ("build", "--scenario", str(scenario), "--out", str(out), "--tau-det", "1e-3")
-        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
         record = json.loads(out.read_text())
-        assert record["environment"]["tolerances"] == {"tau_zero": 1e-12, "tau_det": 1e-3}
+        assert record["environment"]["tolerances"] == {"tau_det": 1e-10}
 
+        # an older record stamped with the retired tau_zero verifies: the key
+        # is ignored, and u holds by identity under any tau_det
+        record["environment"]["tolerances"] = {"tau_zero": 1.0, "tau_det": 1e-3}
+        out.write_text(json.dumps(record))
         code, verify_out, _ = run(capsys, "verify", "--run", str(out))
         assert code == 0
         payload = json.loads(verify_out)
         assert payload["match"] is True
         assert payload["certificate"]["diagnostics"]["by_identity"] is True
 
-        # the same record stamped with tau_zero = 1: the pole guard of the
-        # rational target 1/(2 - z), |2 - z| <= 2 tau_zero, now rejects J
-        record["environment"]["tolerances"] = {"tau_zero": 1.0, "tau_det": 1.0}
-        out.write_text(json.dumps(record))
-        code, verify_out, err = run(capsys, "verify", "--run", str(out))
-        assert (code, verify_out) == (3, "")
-        diag = json.loads(err)
-        assert diag["error"] == "numeric"
-        assert "below the pole-proximity threshold" in diag["message"]
+        # u padded by one zero coefficient is measured center by center under
+        # the stamped tau_det: its (13, 1) window at 0 passes the test at 1e-3
+        # (the sups then deviate by rounding) and vanishes at 1
+        record["artifacts"]["universal_poly"]["coeffs"].append([0.0, 0.0])
+        for tau_det, expected, label in ((1e-3, 3, "verification-mismatch"),
+                                         (1.0, 2, "pade-not-exist")):
+            record["environment"]["tolerances"] = {"tau_det": tau_det}
+            out.write_text(json.dumps(record))
+            code, _, err = run(capsys, "verify", "--run", str(out))
+            assert (code, json.loads(err)["error"]) == (expected, label)
 
     def test_verify_refuses_malformed_tolerances(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -645,6 +696,83 @@ class TestFailureTable:
         with pytest.raises(TypeError, match="no row"):
             cli.main(["seleznev", "--scenario", str(scenario)])
         assert capsys.readouterr().err == ""
+
+
+def test_tau_det_only_where_it_decides():
+    (subcommands,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    with_tau_det = sorted(
+        name for name, parser in subcommands.choices.items()
+        if any("--tau-det" in action.option_strings for action in parser._actions)
+    )
+    assert with_tau_det == ["pade", "table"]
+
+
+def built_record(capsys, tmp_path) -> dict:
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(build_scenario()))
+    out = tmp_path / "run.json"
+    assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+    return json.loads(out.read_text())
+
+
+#: Malformed values of a build record, by their path in it.
+MALFORMED_RECORD = {
+    "scenario-list": (("scenario",), "[]"),
+    "requirement-list": (("scenario", "requirement"), "[]"),
+    "environment-list": (("environment",), "[]"),
+    "achieved-list": (("certificates", 0, "achieved"), "[]"),
+    "achieved-nan-string": (("certificates", 0, "achieved", "2"), '"nan"'),
+    "achieved-nan": (("certificates", 0, "achieved", "2"), "NaN"),
+    "selected-short": (("certificates", 0, "selected"), "[5]"),
+    "selected-negative": (("certificates", 0, "selected"), "[-5, 10]"),
+    "universal-poly-list": (("artifacts", "universal_poly"), "[]"),
+}
+
+#: Malformed build scenarios, by the path of the bad value.
+MALFORMED_SCENARIO = {
+    "scenario-list": ((), "[]"),
+    "requirement-list": (("requirement",), "[]"),
+    "target-number": (("requirement", "target"), "5"),
+    "F-number": (("F",), "5"),
+    "coeffs-nested": (("f_on_L", "numer"), "[[1, [2]]]"),
+}
+
+
+class TestMalformedInput:
+    """A JSON value of the wrong type exits 1 with a diagnostic, not a traceback."""
+
+    @pytest.mark.parametrize("case", MALFORMED_RECORD)
+    def test_record(self, capsys, tmp_path, case):
+        path, literal = MALFORMED_RECORD[case]
+        record = tmp_path / "bad.json"
+        record.write_text(with_literal(built_record(capsys, tmp_path), path, literal))
+        code, out, err = run(capsys, "verify", "--run", str(record))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("case", MALFORMED_SCENARIO)
+    def test_scenario(self, capsys, tmp_path, case):
+        path, literal = MALFORMED_SCENARIO[case]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(literal if not path else with_literal(build_scenario(), path, literal))
+        code, out, err = run(capsys, "build", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "disk_union", "disks": [1]},
+        {"kind": "disk_union", "disks": 5},
+        {"kind": "disk", "center": [0, 0], "radius": [1]},
+    ], ids=["disk-number", "disks-number", "radius-list"])
+    def test_family_domain(self, capsys, domain):
+        code, out, err = run(
+            capsys, "family", "--domain", json.dumps(domain), "--mode", "interior", "--index", "2",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "validation"
 
 
 class TestParserCache:

@@ -36,12 +36,14 @@ from pade_universal.errors import (
     IllConditionedError,
     IndexExhaustedError,
     OriginInKError,
+    PadeNotExistError,
     PadeUniversalError,
     PerturbationFailedError,
     PoleProximityError,
     ScheduleStepError,
 )
-from pade_universal.series import DEFAULT_TOL, Polynomial, ToleranceConfig, disagreement_metric
+from pade_universal.pade import HankelReport
+from pade_universal.series import Polynomial, disagreement_metric
 
 from conftest import random_coefficients
 
@@ -67,19 +69,28 @@ def desk_requirement(s=50, levels=0):
 F_ON_L = TargetFunction.rational([1.0], [2.0, -1.0])
 
 
-#: Tolerances under which no trial takes the degree-p identity: the Hankel
-#: test at q = 2 compares |d|^2 with tau_det max(|a_(p-1)|, |d|)^2 >= |d|^2
-#: and fails at every center.
-NO_IDENTITY = ToleranceConfig(tau_zero=1.0, tau_det=1.0)
 QUADRATIC = TargetFunction.poly([0.0, 0.0, 1.0])
 F_Q2 = IndexSequence([(k, 2) for k in range(61)])
 
 
-def quadratic_build(f_seq, tol=DEFAULT_TOL):
+def quadratic_build(f_seq):
     """The desk geometry with z^2 on K, L and J, so the ramp fits it exactly
     at degree 2 and no target has a pole for the guard to reject."""
     req = dataclasses.replace(desk_requirement(), target_on_K=QUADRATIC)
-    return build_universal_polynomial(req, QUADRATIC, f_seq, tol)
+    return build_universal_polynomial(req, QUADRATIC, f_seq)
+
+
+def fail_every_hankel_test(monkeypatch):
+    """Make each measured trial fail: the measurement runs, then raises as
+    the per-center path does when the Hankel test fails at its first center."""
+    call = construct._Measurement.__call__
+
+    def failing(measurement, u, p, q, *args):
+        call(measurement, u, p, q, *args)
+        center = complex(measurement.centers[0])
+        raise PadeNotExistError(HankelReport(0j, p, q, center, False, 1.0, 1.0))
+
+    monkeypatch.setattr(construct._Measurement, "__call__", failing)
 
 
 def table_loop(points, values, z):
@@ -568,8 +579,9 @@ class TestVerify:
         assert worst <= (req.requested + r) / 2.0 * (1.0 + 1e-12)
 
     def test_failed_search_survives_an_exhausted_ramp(self, monkeypatch):
-        # the one trial of (3, 2) fails (no identity at tau_zero = 1, and the
-        # Hankel test fails), and the build reports it with its one attempt
+        # the one trial of (3, 2) fails its Hankel test, and the build
+        # reports it with its one attempt
+        fail_every_hankel_test(monkeypatch)
         calls = []
         call = construct._Measurement.__call__
 
@@ -579,7 +591,7 @@ class TestVerify:
 
         monkeypatch.setattr(construct._Measurement, "__call__", counted)
         with pytest.raises(PerturbationFailedError) as info:
-            quadratic_build(IndexSequence([(3, 2)]), NO_IDENTITY)
+            quadratic_build(IndexSequence([(3, 2)]))
         assert calls == [(3, 2)]
         assert (info.value.p, info.value.q, info.value.attempts) == (3, 2, 1)
 
@@ -665,27 +677,30 @@ def construct_frames_left(call):
 
 class TestRefusalsLeaveNoCycle:
     @pytest.mark.parametrize(
-        "call, error",
+        "call, error, hankel_fails",
         [
-            (lambda: quadratic_build(IndexSequence([(3, 2)]), NO_IDENTITY),
-             PerturbationFailedError),
+            (lambda: quadratic_build(IndexSequence([(3, 2)])), PerturbationFailedError, True),
             (lambda: build_universal_polynomial(
-                desk_requirement(), F_ON_L, IndexSequence([(1100, 1)])), PerturbationFailedError),
+                desk_requirement(), F_ON_L, IndexSequence([(1100, 1)])),
+             PerturbationFailedError, False),
             (lambda: build_universal_polynomial(
-                desk_requirement(s=10000), F_ON_L, F_DEFAULT), FitFailedError),
+                desk_requirement(s=10000), F_ON_L, F_DEFAULT), FitFailedError, False),
             (lambda: extend_prefix(
                 [0.0], CIRCLE_K, RECIPROCAL, 10, IndexSequence([(1100, 1)])),
-             PerturbationFailedError),
-            (lambda: extend_prefix(
-                [0.0], CIRCLE_K, RECIPROCAL, 10, F_Q2, NO_IDENTITY),
-             PerturbationFailedError),
+             PerturbationFailedError, False),
+            (lambda: extend_prefix([0.0], CIRCLE_K, RECIPROCAL, 10, F_Q2),
+             PerturbationFailedError, True),
         ],
         ids=["failed-build", "refused-build", "fit-failed-build", "refused-extension",
              "failed-extension"],
     )
-    def test_no_construct_frame_is_left_for_the_collector(self, call, error):
+    def test_no_construct_frame_is_left_for_the_collector(
+        self, call, error, hankel_fails, monkeypatch
+    ):
         # "failed": the one trial was measured and failed; "refused": d left
         # the float range, so nothing was measured
+        if hankel_fails:
+            fail_every_hankel_test(monkeypatch)
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error

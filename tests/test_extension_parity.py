@@ -62,7 +62,7 @@ def oracle_extension_measure(prefix, coeffs, d, pq, z, psi_vals, fit_degree, fit
     achieved = {"3": float(np.max(np.abs(h_vals - psi_vals)))}
     if report.nonvanishing:
         approximant = pade_approximant(series, p_k, q_k, tol)
-        achieved["2"] = float(np.max(np.abs(approximant.eval(z, tol) - psi_vals)))
+        achieved["2"] = float(np.max(np.abs(approximant.eval(z) - psi_vals)))
     prefix_metric = disagreement_metric(
         list(prefix) + [0j] * (len(coeffs) - len(prefix)), coeffs
     )
@@ -121,7 +121,7 @@ class Spy:
             self._active.append((cert, u.coeffs.tolist()))
             return cert
 
-        def spied_certify(fit, min_degree, f_seq, measurement, fit_degree, diagnostics, *args):
+        def spied_certify(fit, f_seq, measurement, fit_degree, diagnostics, *args):
             calls = []
             self.steps.append(calls)
 
@@ -133,7 +133,7 @@ class Spy:
 
             self.measures.append(measure)
             self._active = calls
-            return certify(fit, min_degree, f_seq, measurement, fit_degree, diagnostics, *args)
+            return certify(fit, f_seq, measurement, fit_degree, diagnostics, *args)
 
         monkeypatch.setattr(construct._Measurement, "__call__", spied_call)
         monkeypatch.setattr(construct, "_certify", spied_certify)

@@ -316,6 +316,13 @@ class TestOrderCondition:
         r = pade_approximant(f, 3, 3)
         assert order_condition_decidability(f, r) < 1e-10
 
+    def test_zero_series_is_decidable_exactly(self):
+        # no coefficient rounding to amplify: the floor is 0, not 0 / 0
+        f = FormalPowerSeries([0.0] * 4)
+        r = pade_approximant(f, 2, 0)
+        assert order_condition_residual(f, r) == 0.0
+        assert order_condition_decidability(f, r) == 0.0
+
 
 class TestRationalDerivative:
     def test_value_at_center(self):

@@ -183,10 +183,9 @@ class TestPersistence:
         assert again == record
 
     def test_stamp_names_every_tolerance(self):
-        tol = ToleranceConfig(tau_zero=1e-13, tau_det=1e-9)
-        stamped = environment_stamp(tol)["tolerances"]
+        stamped = environment_stamp()["tolerances"]
         assert list(stamped) == [f.name for f in fields(ToleranceConfig)]
-        assert stamped == {"tau_zero": 1e-13, "tau_det": 1e-9}
+        assert stamped == {"tau_det": DEFAULT_TOL.tau_det} == {"tau_det": 1e-10}
 
     def test_corrupted_file_is_schema_error(self, rng, tmp_path):
         path = tmp_path / "bad.json"

