@@ -231,7 +231,7 @@ def _cmd_verify(args) -> int:
         req = RequirementSpec.from_json(record.scenario["requirement"])
         f_on_l = TargetFunction.from_json(record.scenario["f_on_L"])
         u = Polynomial.from_json(record.artifacts["universal_poly"])
-        # re-measured under the tolerances the record was built with; retired ones are ignored
+        # re-measured under the stamped tau_det; retired keys such as tau_zero are ignored
         stamped = record.environment.get("tolerances", {})
         tol = ToleranceConfig(**{k: v for k, v in stamped.items() if k in known})
     stored = record.certificates[0]
