@@ -430,16 +430,6 @@ def outer_family(
     raise UnsupportedDomainError(f"unsupported domain kind {domain.kind!r}")
 
 
-def grid_domain_distance(grid: Grid, domain: DomainSpec) -> float:
-    """Smallest distance from a grid point to the closure of the domain."""
-    return float(np.min(domain.distance_from(grid.points)))
-
-
-def grids_min_distance(a: Grid, b: Grid) -> float:
-    """Smallest pairwise distance between two grids."""
-    return float(np.min(np.abs(a.points[:, None] - b.points[None, :])))
-
-
 def _abs(z: np.ndarray) -> np.ndarray:
     """``|z|`` rounded as Python's ``abs`` of a complex rounds it (numpy's
     complex ``abs`` can differ in the last place)."""

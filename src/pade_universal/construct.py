@@ -412,6 +412,9 @@ class Certificate:
     conclusions hold by the degree-``p`` identity: then every ``id_*`` sup
     is exactly 0, each Pade-side sup equals its Taylor-side sup, and
     ``hankel_min`` is ``|u_p|^q``, the modulus of the exact determinant.
+    A ``hankel_min`` beyond the float range is ``inf`` in memory and
+    ``null`` in JSON, and then ``diagnostics["hankel_min_log10"]`` holds
+    its ``log10`` where it is known, so the record stays strict JSON.
     """
 
     selected: tuple[int, int]
@@ -435,7 +438,7 @@ class Certificate:
             "fit_degree": self.fit_degree,
             "achieved": dict(self.achieved),
             "requested": self.requested,
-            "hankel_min": self.hankel_min,
+            "hankel_min": self.hankel_min if math.isfinite(self.hankel_min) else None,
             "passed": self.passed,
             "diagnostics": dict(self.diagnostics),
         }
@@ -457,7 +460,7 @@ class Certificate:
             fit_degree=int_from_json(obj["fit_degree"]),
             achieved={k: float_from_json(v) for k, v in achieved.items()},
             requested=float(obj["requested"]),
-            hankel_min=float(obj["hankel_min"]),
+            hankel_min=math.inf if obj["hankel_min"] is None else float(obj["hankel_min"]),
             passed=obj["passed"],
             diagnostics=dict(obj.get("diagnostics", {})),
         )
@@ -479,8 +482,10 @@ class _Measurement:
     ``requested``: it passes when :attr:`Certificate.sup_ok` holds and the
     perturbation is nonzero.
 
-    A ``u`` of degree exactly ``p`` (``p + 1`` coefficients, ``u_p != 0``),
-    which is every polynomial the builders produce, is decided by identity.
+    A ``u`` of degree exactly ``p`` (``u_p != 0`` and every stored
+    coefficient above ``p`` exactly 0), which is every polynomial the
+    builders produce, is decided by identity, however many trailing zeros
+    it stores.
     Recentering keeps its coefficients above ``p`` at exactly 0 and
     ``a_p(ζ) = u_p``, so at every center the Hankel window is
     anti-triangular with determinant ``±u_p^q != 0``, and ``S_p(u, ζ) = u``
@@ -550,13 +555,15 @@ class _Measurement:
         if len(coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
         diagnostics: dict = {}
-        if len(coeffs) == p + 1 and coeffs[p] != 0:
+        if u.array_degree() == p:
             # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u
             for l, values in enumerate(u_vals):
                 record("taylor", l, values[None])
                 record("pade", l, values[None])
             with np.errstate(over="ignore", under="ignore"):
                 hankel_min = float(np.abs(coeffs[p]) ** q)
+            if math.isinf(hankel_min):
+                diagnostics["hankel_min_log10"] = q * math.log10(abs(coeffs[p]))
             diagnostics["by_identity"] = True
         else:
             hankel_min, diagnostics["hankel_tau_max"] = self._per_center(u, p, q, record)

@@ -11,15 +11,17 @@ through order ``p + q``.
 The array kernels here (``hankel_test``, ``pade_denominators``,
 ``derivative_numerators``), like the polynomial kernels of :mod:`.series`
 they build on, work on coefficient arrays with one series per row, so a
-verifier can treat many centers in one pass; the scalar entry points are
-one-row calls of them.  ``hankel_test`` also takes a range of ``p`` for one
-``q``, so a membership table tests a whole q-column of one series at once.
-``pade_approximant`` builds one Hankel window per cell, shared by the test
-and the denominator solve, and the numerator only up to degree ``p``.
+verifier can treat many centers in one pass.  ``hankel_test`` also takes a
+range of ``p`` for one ``q``, so a membership table tests a whole q-column
+of one series at once.  ``hankel_determinant`` and ``pade_approximant``
+test one window with the operations of a stacked row, so a cell is bitwise
+that row; ``pade_approximant`` shares the window with the denominator solve
+and builds the numerator only up to degree ``p``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,9 +204,11 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
     entry per row, each as :func:`hankel_determinant` reports it.  ``p`` may
     be a range as in :func:`_hankel_windows`, which adds a leading p-axis to
     every output; each window's determinant is the one a single-``p`` call
-    gives.  The threshold power and the magnitude use the libm routines of
-    Python's scalar arithmetic (numpy's vectorized ones round differently),
-    so a row matches the scalar test bit for bit.
+    gives.  A window's first row and last column hold all of its ``2q - 1``
+    coefficients, so its scale reads those.  The threshold power and the
+    magnitude use the libm routines of Python's scalar arithmetic (numpy's
+    vectorized ones round differently), so a row matches the scalar test
+    bit for bit.
     """
     rows = np.shape(p) + coeffs.shape[:-1]
     if q == 0:
@@ -214,16 +218,23 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
             np.full(rows, tol.tau_det),
             np.ones(rows, dtype=bool),
         )
-    return _window_test(_hankel_windows(coeffs, p, q), q, tol)
-
-
-def _window_test(windows: np.ndarray, q: int, tol: ToleranceConfig):
-    """:func:`hankel_test` of stacked ``q x q`` windows, ``q >= 1``."""
-    scales = np.abs(windows).max(axis=(-2, -1))
+    windows = _hankel_windows(coeffs, p, q)
+    scales = np.maximum(np.abs(windows[..., 0, :]).max(-1), np.abs(windows[..., :, -1]).max(-1))
     values = np.linalg.det(windows)
     thresholds = np.array([tol.tau_det * s**q for s in scales.ravel().tolist()]).reshape(scales.shape)
     nonvanishing = np.hypot(values.real, values.imag) > thresholds
     return values, scales, thresholds, nonvanishing
+
+
+def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
+    """``(window, value, scale, threshold, nonvanishing)`` of one row at one
+    ``(p, q)``, ``q >= 1``, the last four bitwise :func:`hankel_test`'s; the
+    scale reads ``a_{p-q+1} .. a_{p+q-1}``, the window's first row and last column."""
+    window = _hankel_windows(coeffs, p, q)
+    scale = float(np.abs(coeffs[max(0, p - q + 1) : p + q]).max())
+    value = np.linalg.det(window)
+    threshold = tol.tau_det * scale**q
+    return window, value, scale, threshold, bool(np.hypot(value.real, value.imag) > threshold)
 
 
 def hankel_determinant(
@@ -239,11 +250,14 @@ def hankel_determinant(
     window coefficients.
     """
     _require_truncation(f, p, q)
-    values, scales, thresholds, nonvanishing = hankel_test(f.coeffs[None], p, q, tol)
-    return HankelReport(
-        complex(values[0]), p, q, f.center, bool(nonvanishing[0]),
-        float(thresholds[0]), float(scales[0]),
-    )
+    if q == 0:
+        return HankelReport(1 + 0j, p, q, f.center, True, float(tol.tau_det), 1.0)
+    _, value, scale, threshold, exists = _cell_test(f.coeffs, p, q, tol)
+    return HankelReport(complex(value), p, q, f.center, exists, threshold, scale)
+
+
+def _singular(p: int, q: int) -> DegenerateDenominatorError:
+    return DegenerateDenominatorError(f"denominator system singular at (p, q) = ({p}, {q})")
 
 
 def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -254,21 +268,15 @@ def pade_denominators(coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
     column flip, so nonvanishing of the determinant guarantees a unique
     solution; a singular system raises :class:`DegenerateDenominatorError`.
     """
-    return _window_denominators(_hankel_windows(coeffs, p, q) if q else None, coeffs, p, q)
-
-
-def _window_denominators(windows, coeffs: np.ndarray, p: int, q: int) -> np.ndarray:
-    """:func:`pade_denominators` from the ``(p, q)`` windows of ``coeffs``."""
     b = np.empty(coeffs.shape[:-1] + (q + 1,), dtype=complex)
     b[..., 0] = 1
     if q:
+        windows = _hankel_windows(coeffs, p, q)
         rhs = -coeffs[..., p + 1 : p + q + 1, None]
         try:
             b[..., 1:] = np.linalg.solve(windows[..., ::-1], rhs)[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise DegenerateDenominatorError(
-                f"denominator system singular at (p, q) = ({p}, {q})"
-            ) from exc
+            raise _singular(p, q) from exc
     return b
 
 
@@ -280,24 +288,27 @@ def pade_approximant(
     Requires the Hankel test to pass; raises :class:`PadeNotExistError`
     otherwise, with :func:`hankel_determinant`'s report, and
     :class:`DegenerateDenominatorError` when the denominator system is
-    singular.  One window serves the test and :func:`pade_denominators`'
-    solve; the numerator is ``B * S_p`` up to degree ``p``, so ``q = 0``
-    gives the partial sum over the constant denominator.  Common roots of
-    the returned pair are asserted against, not cancelled, so a construction
-    bug cannot hide behind a GCD step.
+    singular.  One window serves the test and the solve of
+    :func:`pade_denominators`' system; the numerator is ``B * S_p`` up to
+    degree ``p``, so ``q = 0`` gives the partial sum over the constant
+    denominator.  Common roots of the returned pair are asserted against,
+    not cancelled, so a construction bug cannot hide behind a GCD step.
     """
     _require_truncation(f, p, q)
     coeffs = f.coeffs[: p + q + 1]
-    windows = None
+    b = np.ones(q + 1, dtype=complex)
     if q:
-        windows = _hankel_windows(coeffs, p, q)
-        det, scale, tau, exists = _window_test(windows, q, tol)
+        window, det, scale, tau, exists = _cell_test(coeffs, p, q, tol)
         if not exists:
-            report = HankelReport(complex(det), p, q, f.center, False, float(tau), float(scale))
-            raise PadeNotExistError(report)
-    b = _window_denominators(windows, coeffs, p, q)
+            raise PadeNotExistError(HankelReport(complex(det), p, q, f.center, False, tau, scale))
+        try:
+            b[1:] = np.linalg.solve(window[:, ::-1], -coeffs[p + 1 :])
+        except np.linalg.LinAlgError as exc:
+            raise _singular(p, q) from exc
     a = poly_mul(coeffs[: p + 1], b, p + 1)
-    return RationalFunction(Polynomial(a, f.center), Polynomial(b, f.center), p, q)
+    return RationalFunction(
+        Polynomial._of_kernel(a, f.center), Polynomial._of_kernel(b, f.center), p, q
+    )
 
 
 def _quotient_taylor(numer: list[complex], denom: list[complex], n: int) -> list[complex]:
@@ -318,7 +329,7 @@ def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float
     p, q = r.p, r.q
     _require_truncation(f, p, q)
     taylor = _quotient_taylor(r.numer.coeffs.tolist(), r.denom.coeffs.tolist(), p + q + 1)
-    return max(abs(a - b) for a, b in zip(f.coeffs[: p + q + 1].tolist(), taylor))
+    return max(map(abs, map(operator.sub, f.coeffs[: p + q + 1].tolist(), taylor)))
 
 
 def order_condition_decidability(
@@ -386,7 +397,7 @@ class RationalDerivativeEvaluator:
         self.order = order
         self.denom = r.denom
         numer = derivative_numerators(r.numer.coeffs, r.denom.coeffs, order)[-1]
-        self.numerator = Polynomial(numer, r.center)
+        self.numerator = Polynomial._of_kernel(numer, r.center)
 
     def __call__(self, z):
         bz = _off_poles(self.denom.eval(z), z)

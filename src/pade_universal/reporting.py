@@ -114,13 +114,15 @@ class RunRecord:
 
 
 def dumps_canonical(obj: dict) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, LF newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic, strict JSON text: sorted keys, fixed separators, LF
+    newline; a NaN or an infinity raises ``ValueError`` (RFC 8259 has none)."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def save_run(record: RunRecord, path) -> None:
+    text = dumps_canonical(record.to_json())  # before the file is opened and emptied
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps_canonical(record.to_json()))
+        handle.write(text)
 
 
 def load_run(path) -> RunRecord:

@@ -184,6 +184,18 @@ class Polynomial(_CoefficientRow):
         object.__setattr__(self, "center", _require_finite(center, "center"))
         object.__setattr__(self, "coeffs", _coeff_array(coeffs))
 
+    @classmethod
+    def _of_kernel(cls, coeffs: np.ndarray, center: complex) -> "Polynomial":
+        """Wrap a 1-D complex128 array a kernel has just computed, made read-only
+        in place, not copied; only finiteness is checked (a solve can overflow)."""
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        coeffs.flags.writeable = False
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "center", center)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     def degree(self, threshold: float = TAU_ZERO):
         """Highest index with ``|c_k| > threshold``; ``NEG_INF`` if none."""
         hits = np.flatnonzero(np.abs(self.coeffs) > threshold)
@@ -210,7 +222,7 @@ class Polynomial(_CoefficientRow):
         c = self.coeffs
         for _ in range(order):
             c = differentiate(c)
-        return Polynomial(c, self.center)
+        return Polynomial._of_kernel(c, self.center)
 
     def recenter(self, new_center: complex) -> "Polynomial":
         """Rewrite in the basis ``(z - new_center)^k`` by Horner shift.
@@ -219,7 +231,7 @@ class Polynomial(_CoefficientRow):
         """
         new_center = _require_finite(new_center, "center")
         shifted = recentered_coefficients(self.coeffs, self.center, np.array([new_center]))
-        return Polynomial(shifted[0], new_center)
+        return Polynomial._of_kernel(shifted[0], new_center)
 
     def to_series(self, length: int | None = None) -> FormalPowerSeries:
         """View the polynomial as a series prefix.
@@ -241,7 +253,7 @@ class Polynomial(_CoefficientRow):
         out = np.zeros(max(len(self.coeffs), power + 1), dtype=complex)
         out[: len(self.coeffs)] = self.coeffs
         out[power] += coefficient
-        return Polynomial(out, self.center)
+        return Polynomial._of_kernel(out, self.center)
 
 
 def taylor_partial_sum(f: FormalPowerSeries, n: int) -> Polynomial:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from pade_universal.exact import QComplex, exact_poly_eval, exact_rational_taylor
+from pade_universal.series import Polynomial
 
 COEFF_POOL = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 4)]
 CENTER_POOL = [
@@ -32,6 +33,20 @@ def random_coefficients(rng: np.random.Generator, n: int, bound: float = 2.0):
     radius = bound * np.sqrt(rng.uniform(0.0, 1.0, n))
     angle = rng.uniform(0.0, 2.0 * np.pi, n)
     return list(radius * np.exp(1j * angle))
+
+
+class PerCenter(Polynomial):
+    """A polynomial whose degree reads as its stored length less one.
+
+    The measurement decides a ``u`` of degree exactly ``p`` by identity,
+    trailing zeros or not.  A builder output padded by one exact zero in
+    this class (the same polynomial) still takes the per-center path, so
+    the parity tests compare that path with the identity and with the
+    center-by-center oracle on the very coefficients a build produced.
+    """
+
+    def array_degree(self):
+        return len(self.coeffs) - 1
 
 
 def _array_degree(coeffs: list[QComplex]) -> int:

@@ -1,7 +1,8 @@
 """The summary of ``tools/bench_pairs.py``, on synthetic benchmark output.
 
 No benchmark runs here: each run is the standard output the benchmark
-prints (a report line, then the JSON result line), written by hand.
+prints (a report line, then the JSON result line), written by hand, or a
+short Python command that stands in for the benchmark.
 """
 
 from __future__ import annotations
@@ -75,6 +76,18 @@ def test_parse_keeps_the_end_to_end_metrics(bench_pairs):
     broken = bench_pairs.parse_run("Traceback ...\n", 1, NAMES)
     assert broken == {"exit": 1, "correct": False, "failed": None, "attempted": None,
                       "metrics": {}}
+
+
+def test_a_failing_run_keeps_its_exit_code_and_stderr_tail(bench_pairs, tmp_path):
+    failing = [sys.executable, "-c",
+               "import sys\nfor i in range(30): print(f'line {i}', file=sys.stderr)\nsys.exit(3)"]
+    run = bench_pairs.run_once(failing, str(tmp_path), NAMES)
+    assert (run["exit"], run["correct"], run["metrics"]) == (3, False, {})
+    assert run["stderr"] == [f"line {i}" for i in range(10, 30)]
+    passing = [sys.executable, "-c", f"import sys\nsys.stdout.write({stdout(24.0)!r})\n"
+               "print('noise', file=sys.stderr)"]
+    run = bench_pairs.run_once(passing, str(tmp_path), NAMES)
+    assert run["correct"] and "stderr" not in run
 
 
 def test_quartiles(bench_pairs):

@@ -318,16 +318,54 @@ class TestBuildCommand:
         assert payload["match"] is True
         assert payload["certificate"]["diagnostics"]["by_identity"] is True
 
-        # u padded by one zero coefficient is measured center by center under
+        # u padded by one exact zero keeps its degree, and so its identity
+        coeffs = record["artifacts"]["universal_poly"]["coeffs"]
+        coeffs.append([0.0, 0.0])
+        for tau_det in (1e-3, 1.0):
+            record["environment"]["tolerances"] = {"tau_det": tau_det}
+            out.write_text(json.dumps(record))
+            code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+            payload = json.loads(verify_out)
+            assert (code, payload["match"]) == (0, True)
+            assert payload["certificate"]["diagnostics"]["by_identity"] is True
+
+        # a tiny nonzero coefficient above p is measured center by center under
         # the stamped tau_det: its (13, 1) window at 0 passes the test at 1e-3
         # (the sups then deviate by rounding) and vanishes at 1
-        record["artifacts"]["universal_poly"]["coeffs"].append([0.0, 0.0])
+        coeffs[-1] = [1e-300, 0.0]
         for tau_det, expected, label in ((1e-3, 3, "verification-mismatch"),
                                          (1.0, 2, "pade-not-exist")):
             record["environment"]["tolerances"] = {"tau_det": tau_det}
             out.write_text(json.dumps(record))
             code, _, err = run(capsys, "verify", "--run", str(out))
             assert (code, json.loads(err)["error"]) == (expected, label)
+
+    def test_overflowing_hankel_min_is_written_as_strict_json(self, capsys, tmp_path):
+        # K inside the unit disk and p = 300: d = 2.0e64, and |d|^5 overflows
+        scenario = build_scenario()
+        requirement = scenario["requirement"]
+        requirement["K"]["primitives"] = [{"kind": "segment", "a": [0.5, 0], "b": [0.6, 0]}]
+        requirement["L"]["primitives"][0]["radius"] = 0.1
+        requirement["J"]["primitives"][0]["radius"] = 0.2
+        scenario["F"] = [[300, 5]]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(path), "--out", str(out))[0] == 0
+
+        def strict(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        cert = json.loads(out.read_text(), parse_constant=strict)["certificates"][0]
+        d = complex(*cert["perturbation"])
+        assert cert["passed"] and cert["selected"] == [300, 5] and abs(d) > 1e64
+        assert cert["hankel_min"] is None
+        assert cert["diagnostics"]["hankel_min_log10"] == 5 * math.log10(abs(d))
+        assert load_run(out).certificates[0].hankel_min == math.inf
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        payload = json.loads(verify_out, parse_constant=strict)
+        assert (code, payload["match"]) == (0, True)
+        assert payload["certificate"]["hankel_min"] is None
 
     def test_verify_refuses_malformed_tolerances(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -10,12 +10,11 @@ from pade_universal.compacts import (
     CompactSpec,
     DomainSpec,
     FilledDisk,
+    Grid,
     PointSet,
     Segment,
     discretize,
     exhausting_family,
-    grid_domain_distance,
-    grids_min_distance,
     outer_family,
     spec_region_contains,
 )
@@ -29,6 +28,16 @@ UNIT_DISK = DomainSpec(kind="disk", center=0.0, radius=1.0)
 HALF_PLANE = DomainSpec(kind="half_plane", normal=2j, offset=0.5)
 EXTERIOR = DomainSpec(kind="disk_complement", center=1.0, radius=2.0)
 UNION = DomainSpec(kind="disk_union", disks=((0.0, 1.0), (1.5, 1.0)))
+
+
+def grid_domain_distance(grid: Grid, domain: DomainSpec) -> float:
+    """Smallest distance from a grid point to the closure of the domain."""
+    return float(np.min(domain.distance_from(grid.points)))
+
+
+def grids_min_distance(a: Grid, b: Grid) -> float:
+    """Smallest pairwise distance between two grids."""
+    return float(np.min(np.abs(a.points[:, None] - b.points[None, :])))
 
 
 class TestDiscretize:

@@ -536,6 +536,23 @@ class TestVerify:
             assert key in again.achieved
             assert abs(again.achieved[key] - value) <= 1e-12
 
+    def test_trailing_zeros_keep_the_identity(self):
+        # the degree decides, not the stored length: u padded by exact zeros
+        # (-0.0 among them) up to p + q + 1 coefficients is measured as u
+        req = desk_requirement(levels=1)
+        u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)
+        p, q = cert.selected
+        assert q >= 1
+        zeros = [complex(-0.0, 0.0)] + [0j] * (q - 1)
+        padded = Polynomial(np.append(u.coeffs, zeros), u.center)
+        again = verify_construction(padded, req, cert.selected, F_ON_L, fit_degree=cert.fit_degree)
+        assert again.diagnostics["by_identity"] is True
+        assert again == verify_construction(u, req, cert.selected, F_ON_L,
+                                            fit_degree=cert.fit_degree)
+        padded = Polynomial(np.append(u.coeffs, [0j] * (q + 1)), u.center)
+        with pytest.raises(ValueError, match="truncate"):
+            verify_construction(padded, req, cert.selected, F_ON_L)
+
     def test_level_zero_entries_match_plain(self):
         req = desk_requirement(levels=2)
         u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)

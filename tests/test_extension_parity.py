@@ -44,6 +44,8 @@ from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.pade import hankel_determinant, pade_approximant
 from pade_universal.series import DEFAULT_TOL, Polynomial, disagreement_metric
 
+from conftest import PerCenter
+
 CIRCLE_K = CompactSpec([Circle(2.0, 0.5)], 64)
 GREEDY_F = IndexSequence([(k, k % 3) for k in range(61)])
 #: Added by ``extend_prefix`` to the certificate it returns.
@@ -209,7 +211,7 @@ def test_desk_greedy_steps(w, monkeypatch):
 def test_float_hankel_failure_refuses_the_padded_trial(monkeypatch):
     """q = 2 at s = 1000: a ``d`` small against the coefficient below it fails
     the float Hankel test where the general path measures the trial (padded
-    by one zero coefficient), so that measurement raises; the trial itself
+    by one zero coefficient as a ``PerCenter``), so that measurement raises; the trial itself
     holds by identity, and the exact determinant agrees with the identity."""
     spy = Spy(monkeypatch)
     psi = TargetFunction.rational([1.5], [0.0, 1.0])
@@ -227,7 +229,7 @@ def test_float_hankel_failure_refuses_the_padded_trial(monkeypatch):
                                DEFAULT_TOL, 1e-3)
     coeffs = calls[-1][1]
     with pytest.raises(PadeNotExistError) as refused:
-        measurement(Polynomial(coeffs + [0j]), p, q, tiny.perturbation, 0)
+        measurement(PerCenter(coeffs + [0j]), p, q, tiny.perturbation, 0)
     assert refused.value.report.center == 0 and not refused.value.report.nonvanishing
     assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
     assert_matches_oracle(trials, [0.0], CIRCLE_K, psi, 1000)
@@ -237,7 +239,7 @@ def test_float_hankel_failure_refuses_the_padded_trial(monkeypatch):
 def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
     """Every q >= 1 trial of the greedy schedule (and of a q = 2 extension),
     with extra trials at a large and a small ``d``: where the trial padded by one zero
-    coefficient passes the float Hankel test, the general path it takes
+    coefficient as a ``PerCenter`` passes the float Hankel test, the general path it takes
     gives the same sups bit for bit; where it fails, that path raises and the
     exact determinant of the trial is nonzero, as the identity says."""
     reciprocal = TargetFunction.rational([1.0], [0.0, 1.0])
@@ -273,7 +275,7 @@ def test_trials_reuse_the_taylor_sums(q_only, monkeypatch):
             fast = measurement(Polynomial(coeffs), *args)
             assert fast.achieved == cert.achieved and "id_pade_l0" in fast.achieved
             try:
-                general = measurement(Polynomial(coeffs + [0j]), *args)
+                general = measurement(PerCenter(coeffs + [0j]), *args)
             except PadeNotExistError:
                 assert not exact_hankel_at_zero(coeffs, p, q).is_zero()
                 compared.append(False)

@@ -16,6 +16,7 @@ from pade_universal.errors import (
 from pade_universal.exact import QComplex, exact_hankel_determinant, exact_rational_taylor
 from pade_universal.pade import (
     RationalFunction,
+    _cell_test,
     _hankel_windows,
     hankel_determinant,
     hankel_test,
@@ -26,7 +27,13 @@ from pade_universal.pade import (
     rational_derivative,
     rational_table_membership,
 )
-from pade_universal.series import FormalPowerSeries, Polynomial, poly_mul, taylor_partial_sum
+from pade_universal.series import (
+    DEFAULT_TOL,
+    FormalPowerSeries,
+    Polynomial,
+    poly_mul,
+    taylor_partial_sum,
+)
 
 from conftest import make_exact_rational, random_coefficients
 
@@ -129,6 +136,23 @@ class TestHankelWindows:
                     assert windows.shape == (len(ps),) + coeffs.shape[:-1] + (q, q)
                     for k, p in enumerate(ps):
                         assert np.array_equal(windows[k], fancy_index_windows(coeffs, p, q))
+
+    def test_scales_read_the_first_row_and_last_column(self, rng):
+        """The scale of a window is its largest modulus, read from the 2q - 1
+        coefficients of its first row and last column, on stacks and on one
+        row; p < q - 1 puts leading zeros in the window."""
+        ps = np.arange(15)
+        for q in (1, 2, 3, 6, 11):
+            rows = np.array([random_coefficients(rng, 15 + q) for _ in range(6)])
+            rows *= 10.0 ** rng.integers(-20, 20, rows.shape)  # moduli over forty decades
+            rows[1, : 2 * q] = 0.0  # windows that are zero but for their last entries
+            scales = hankel_test(rows, ps, q)[1]
+            expected = np.abs(_hankel_windows(rows, ps, q)).max(axis=(-2, -1))
+            assert bits(scales) == bits(expected)
+            for k, p in enumerate(ps):
+                for r, row in enumerate(rows):
+                    scale = _cell_test(row, int(p), q, DEFAULT_TOL)[2]
+                    assert bits(scale) == bits(expected[k, r]), (q, p, r)
 
     def test_bad_p_ranges_raise(self):
         coeffs = np.ones(10, dtype=complex)
@@ -236,6 +260,15 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.int64).tolist()
 
 
+def assert_report_is_row(report, row, p, q):
+    """``report`` carries, bit for bit, the stacked test's entries of ``row``."""
+    values, scales, thresholds, exists = hankel_test(row, p, q)
+    assert report.nonvanishing == exists[0], (p, q)
+    assert bits(report.value) == bits(values[0]), (p, q)
+    assert bits(report.scale) == bits(scales[0]), (p, q)
+    assert bits(report.threshold) == bits(thresholds[0]), (p, q)
+
+
 class TestOnePadeRoute:
     """``pade_approximant`` is the one-row call of the stacked kernels."""
 
@@ -251,9 +284,11 @@ class TestOnePadeRoute:
                     except PadeNotExistError as exc:
                         assert not exists
                         assert exc.report == hankel_determinant(f, p, q), (name, p, q)
+                        assert_report_is_row(exc.report, row, p, q)
                         refused += 1
                         continue
                     assert exists
+                    assert_report_is_row(hankel_determinant(f, p, q), row, p, q)
                     b = pade_denominators(row, p, q)
                     assert bits(r.denom.coeffs) == bits(b[0]), (name, p, q)
                     a = poly_mul(row[:, : p + 1], b)[:, : p + 1]

@@ -224,6 +224,25 @@ class TestPersistence:
         save_run(record, out)
         assert json.loads(out.read_text())["future_extension"] == {"nested": [1, 2, 3]}
 
+    def test_records_are_strict_json(self, rng, tmp_path):
+        path = tmp_path / "run.json"
+        cert = random_certificate(rng)
+        finite = dumps_canonical(RunRecord({}, [cert], {}).to_json())
+        # beyond the float range: null in the file, inf again when read
+        cert.hankel_min = math.inf
+        save_run(RunRecord({}, [cert], {}), path)
+        text = path.read_text(encoding="utf-8")
+        assert json.loads(text)["certificates"][0]["hankel_min"] is None
+        assert text.replace("null", "X") == finite.replace(
+            json.dumps(json.loads(finite)["certificates"][0]["hankel_min"]), "X")
+        assert load_run(path).certificates[0].hankel_min == math.inf
+        # any other non-finite value refuses, and leaves the old file as it was
+        for bad in (math.nan, math.inf, -math.inf):
+            cert.diagnostics["fit_residual"] = bad
+            with pytest.raises(ValueError, match="JSON compliant"):
+                save_run(RunRecord({}, [cert], {}), path)
+            assert path.read_text(encoding="utf-8") == text
+
     def test_hundred_randomized_round_trips(self, rng, tmp_path):
         path = tmp_path / "many.json"
         for i in range(100):

@@ -182,6 +182,17 @@ class TestValidation:
         source[0] = 9.0
         assert tuple(p.coeffs) == (1.0, 2.0, 3.0)
         assert Polynomial(p.coeffs).coeffs is not p.coeffs
+        assert not np.shares_memory(Polynomial(source).coeffs, source)
+        assert source.flags.writeable
+
+    def test_kernel_outputs_are_wrapped_not_copied(self):
+        computed = np.array([1.0, 2.0 - 1j, 0.0], dtype=complex)
+        p = Polynomial._of_kernel(computed, 0.5j)
+        assert p.coeffs is computed and not computed.flags.writeable
+        assert p == Polynomial([1.0, 2.0 - 1j, 0.0], 0.5j)
+        for bad in (np.array([1.0, np.nan], dtype=complex), np.array([1j * np.inf, 0j])):
+            with pytest.raises(ValueError, match="finite"):
+                Polynomial._of_kernel(bad, 0j)
 
     def test_non_finite_array_and_2d_rejected(self):
         for bad in (np.array([1.0, np.nan]), np.array([1.0, 1j * np.inf]), np.ones((2, 2))):

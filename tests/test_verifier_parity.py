@@ -11,8 +11,9 @@ the Pade-side sups may move only within the a-priori Horner rounding bound
 computed from the oracle's own coefficients.
 
 A builder output has degree exactly ``p`` and is decided by identity, not
-by this loop; padded by one zero coefficient (the same polynomial) it
-takes the per-center path, which is how the builds below reach it.  The
+by this loop; padded by one zero coefficient as a ``conftest.PerCenter``
+(the same polynomial, whose degree reads as its stored length) it takes the
+per-center path, which is how the builds below reach it.  The
 identity itself is checked against the exact oracle (``test_identity.py``).
 """
 
@@ -61,7 +62,7 @@ from pade_universal.series import (
     taylor_partial_sum,
 )
 
-from conftest import random_coefficients
+from conftest import PerCenter, random_coefficients
 from test_identity import assert_build_holds_exactly, assert_exact_hankel
 
 EPS = float(np.finfo(float).eps)
@@ -342,9 +343,10 @@ class TestKernels:
 
 
 def padded(u: Polynomial) -> Polynomial:
-    """``u`` with one more coefficient, zero: the same polynomial, which the
-    measurement takes through the denominator solve."""
-    return Polynomial(np.append(u.coeffs, 0j), u.center)
+    """``u`` with one more coefficient, zero, as a :class:`PerCenter`: the
+    same polynomial, which the measurement takes through the denominator
+    solve."""
+    return PerCenter(np.append(u.coeffs, 0j), u.center)
 
 
 class TestParity:
@@ -577,7 +579,7 @@ class TestSolverCalls:
         u, cert = build_universal_polynomial(req, F_ON_L, IndexSequence([(14, 2)]))
         seen = []
         for trial, pq in (
-            (padded(u), (14, 2)),  # longer than p + 1
+            (Polynomial(np.append(u.coeffs, 1e-300)), (14, 2)),  # nonzero above p
             (Polynomial(np.append(u.coeffs[:-1], 0j)), (14, 0)),  # u_p = 0
             (Polynomial(random_coefficients(np.random.default_rng(0), 9, 0.5)), (6, 2)),
         ):

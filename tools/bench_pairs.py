@@ -11,7 +11,8 @@ odd pairs the change first, so a drift of a shared machine falls on both
 sides.  Writes ``BENCH_<label>.json`` at the root of this checkout with
 each side's git sha, every run's end-to-end metrics (the ``end_to_end``
 names of this checkout's ``BENCHMARK.json``) with ``correct`` and
-``failed``, each side's median and quartiles per metric, and per metric the
+``failed``, a failing run's exit code and the last lines of its standard
+error, each side's median and quartiles per metric, and per metric the
 pairs each side won: the better value as ``BENCHMARK.json`` says, a tie
 counting for neither.  Each metric gets a verdict (see :func:`verdict`), and
 each side the share of its operations that failed.  Standard library only.
@@ -28,6 +29,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+#: Lines of a failing run's standard error that its record keeps.
+STDERR_TAIL = 20
 
 
 def _seeds(text: str) -> range:
@@ -55,6 +58,17 @@ def parse_run(stdout: str, exit_code: int, names) -> dict:
         "attempted": result.get("attempted"),
         "metrics": {name: metrics[name]["value"] for name in names if name in metrics},
     }
+
+
+def run_once(argv, cwd: str, names) -> dict:
+    """Run one benchmark command in ``cwd``: its :func:`parse_run` record,
+    with the last ``STDERR_TAIL`` lines of its standard error as ``stderr``
+    when the run is not correct."""
+    done = subprocess.run(argv, cwd=cwd, capture_output=True, text=True)
+    run = parse_run(done.stdout, done.returncode, names)
+    if not run["correct"]:
+        run["stderr"] = done.stderr.splitlines()[-STDERR_TAIL:]
+    return run
 
 
 def quartiles(values) -> dict:
@@ -167,8 +181,7 @@ def main(argv=None) -> int:
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             argv_run = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                         "--seed", str(seed), "--seconds", str(args.seconds)]
-            done = subprocess.run(argv_run, cwd=checkouts[side], capture_output=True, text=True)
-            run = parse_run(done.stdout, done.returncode, names)
+            run = run_once(argv_run, checkouts[side], names)
             runs.append({"pair": pair, "seed": seed, "side": side, **run})
             print(json.dumps(runs[-1]), flush=True)
 
