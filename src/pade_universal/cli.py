@@ -41,6 +41,7 @@ from .construct import (
 from .errors import (
     DegenerateDenominatorError,
     FitFailedError,
+    HankelOverflowError,
     IllConditionedError,
     IndexExhaustedError,
     OriginInKError,
@@ -349,7 +350,7 @@ _FAILURES = (
     (FitFailedError, EXIT_FIT, "fit-failed"),
     (IndexExhaustedError, EXIT_INDEX, "index-exhausted"),
     (PerturbationFailedError, EXIT_PERTURBATION, "perturbation-failed"),
-    ((DegenerateDenominatorError, PoleProximityError, IllConditionedError,
+    ((DegenerateDenominatorError, PoleProximityError, IllConditionedError, HankelOverflowError,
       TruncationExceededError, OriginInKError, np.linalg.LinAlgError), EXIT_NUMERIC, "numeric"),
     (SchemaError, EXIT_USAGE, "schema"),
     ((ValueError, KeyError, OSError, PadeUniversalError), EXIT_USAGE, "validation"),

@@ -12,10 +12,11 @@ The measurement decides such a ``u`` by that identity; every other claimed
 bound is measured on grids; each is recorded in a :class:`Certificate`.
 
 Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
-points, grown by the columns each new degree needs, and one least-squares
-solve per degree; each builder chooses its degrees, weight and residual,
-and the ramp yields the fits that clear half the requested bound or
-raises :class:`FitFailedError` when none does.
+points, orthonormal in the fit's weighted inner product and grown by the
+columns each new degree needs, so each degree's least-squares fit is one
+projection onto its columns; each builder chooses its degrees, weight and
+residual, and the ramp yields the fits that clear half the requested bound
+or raises :class:`FitFailedError` when none does.
 
 One certificate path follows the fit: each builder takes the first fit of
 its ramp and hands it to ``_certify``, the only code that builds a trial
@@ -241,89 +242,75 @@ class TargetFunction:
 
 
 class _ArnoldiLadder:
-    """Orthonormal polynomial ladder on fixed points, with monomial images.
+    """Orthonormal polynomial ladder on fixed points, in the fit's own inner
+    product, with monomial images ("Vandermonde with Arnoldi": Brubeck,
+    Nakatsukasa & Trefethen, SIAM Review 63, 2021).
 
-    Gram-Schmidt on ``1, z*q_0, z*q_1, ...`` with a reorthogonalization
-    pass; every subtraction applied to the sampled vectors is mirrored on
-    the monomial coefficient columns, so ``q[:, k] == poly(coeffs[k])(z)``
-    up to rounding.  Column ``k + 1`` depends only on ``z`` and columns
-    ``0..k``, so a fit ramp grows one ladder instead of rebuilding it at
-    every degree.  The columns are strided views of one ``(points,
-    columns)`` array, reallocated as the ramp reaches a new degree:
-    ``np.vdot`` rounds a contiguous vector differently, and this layout
-    keeps every column bitwise equal to that of a build from scratch.
+    It starts from ``weight / rms(weight)`` (ones without a weight), and
+    column ``k + 1`` is ``z * q_k`` after two classical Gram-Schmidt passes
+    against columns ``0..k`` (twice is enough: Giraud, Langou & Rozložník,
+    2005), each mirrored on the monomial images.  So the columns, the rows
+    of one ``(columns, points)`` array ``q``, are orthonormal under ``<a, b>
+    = sum(conj(a) * b) / m``, and column ``j`` is ``weight * poly(c[:, j])``
+    on the points for one upper-triangular ``c``.  Column ``k + 1`` depends
+    only on the points, the weight and columns ``0..k``, so a fit ramp grows
+    one ladder instead of rebuilding it at every degree.
     """
 
-    def __init__(self, z: np.ndarray):
+    def __init__(self, z: np.ndarray, weight: np.ndarray | None = None):
         self.z = z
-        self.q = np.ones((len(z), 1), dtype=complex)
-        self.coeffs: list[np.ndarray] = [np.array([1.0 + 0j])]
+        self.weight = np.ones(len(z), dtype=complex) if weight is None else weight
+        rms = float(np.linalg.norm(self.weight)) / math.sqrt(len(z))
+        self.q = (self.weight / rms)[None, :]
+        self.c = np.array([[1.0 / rms]], dtype=complex)
         self.z_scale = max(1.0, float(np.max(np.abs(z))))
 
-    def basis(self, degree: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Columns ``0..degree`` and their monomial images, grown as needed."""
-        m = len(self.z)
-        if degree >= self.q.shape[1]:
-            grown = np.empty((m, degree + 1), dtype=complex)
-            grown[:, : self.q.shape[1]] = self.q
-            self.q = grown
-        q_mat, coeff_cols = self.q, self.coeffs
-        for k in range(len(coeff_cols) - 1, degree):
-            v = self.z * q_mat[:, k]
-            c_new = np.concatenate([[0j], coeff_cols[k]])
-            for _ in range(2):
-                for j in range(k + 1):
-                    h = complex(np.vdot(q_mat[:, j], v) / m)
-                    v = v - h * q_mat[:, j]
-                    c_new[: len(coeff_cols[j])] -= h * coeff_cols[j]
-            h_next = float(np.linalg.norm(v) / math.sqrt(m))
-            if h_next <= 1e-13 * self.z_scale:
-                raise IllConditionedError(
-                    f"orthogonal basis collapsed at degree {k + 1}; the grid "
-                    f"cannot support this fit degree"
-                )
-            q_mat[:, k + 1] = v / h_next
-            coeff_cols.append(c_new / h_next)
-        return q_mat[:, : degree + 1], coeff_cols[: degree + 1]
+    def basis(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Columns ``0..degree`` (as rows) and their images ``c``, grown as needed."""
+        have, m = len(self.q), len(self.z)
+        if degree >= have:
+            q = np.empty((degree + 1, m), dtype=complex)
+            c = np.zeros((degree + 1, degree + 1), dtype=complex)
+            q[:have], c[:have, :have] = self.q, self.c
+            for k in range(have - 1, degree):
+                v = self.z * q[k]
+                image = np.concatenate([[0j], c[: k + 1, k]])
+                for _ in range(2):
+                    h = np.conj(q[: k + 1] @ np.conj(v)) / m
+                    v -= h @ q[: k + 1]
+                    image[: k + 1] -= c[: k + 1, : k + 1] @ h
+                h_next = float(np.linalg.norm(v) / math.sqrt(m))
+                if h_next <= 1e-13 * self.z_scale:
+                    raise IllConditionedError(
+                        f"orthogonal basis collapsed at degree {k + 1}; the grid "
+                        f"cannot support this fit degree"
+                    )
+                q[k + 1] = v / h_next
+                c[: k + 2, k + 1] = image / h_next
+            self.q, self.c = q, c
+        return self.q[: degree + 1], self.c[: degree + 1, : degree + 1]
 
 
-def _fit_on_points(
-    ladder: _ArnoldiLadder,
-    values: np.ndarray,
-    degree: int,
-    weight: np.ndarray | None = None,
-) -> Polynomial:
-    """Monomial-coefficient LS fit on the ladder's points; optionally weighted per point."""
+def _fit_on_points(ladder: _ArnoldiLadder, values: np.ndarray, degree: int) -> Polynomial:
+    """Monomial-coefficient least-squares fit on the ladder's points, in its
+    weighted norm: one projection onto the orthonormal columns."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     m = len(ladder.z)
     if m < degree + 1:
         raise ValueError(f"{m} sample points cannot determine degree {degree}")
-    q_mat, coeff_cols = ladder.basis(degree)
-    if weight is not None:
-        system = q_mat * weight[:, None]
-        rhs = values * weight
-    else:
-        system = q_mat
-        rhs = values
-    # the singular values lstsq computes anyway are the condition estimate
-    solution, _, _, singular = np.linalg.lstsq(system, rhs, rcond=None)
-    if singular[-1] == 0 or singular[0] / singular[-1] > 1e12:
-        raise IllConditionedError("orthogonalized system condition estimate exceeds limit")
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for k, w in enumerate(solution):
-        coeffs[: len(coeff_cols[k])] += w * coeff_cols[k]
-    return Polynomial(coeffs, 0.0)
+    q, c = ladder.basis(degree)
+    solution = np.conj(q @ np.conj(ladder.weight * values)) / m
+    return Polynomial(c @ solution, 0.0)
 
 
-def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual, weight=None):
+def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual):
     """Yield ``(degree, fit, residual(fit))`` for each of ``degrees`` whose
     fit, from ``ladder`` (grown as needed), has ``residual(fit) < target``.
 
     The ramp ends before a degree the points cannot determine and at the
-    first degree the ladder or the system cannot support, and raises
-    :class:`FitFailedError` with the best residual and the last degree
-    fitted if no fit cleared ``target``.
+    first degree the ladder cannot support, and raises :class:`FitFailedError`
+    with the best residual and the last degree fitted if no fit cleared ``target``.
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
@@ -332,7 +319,7 @@ def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual, weig
         if degree + 1 > len(ladder.z):
             break
         try:
-            fit = _fit_on_points(ladder, values, degree, weight)
+            fit = _fit_on_points(ladder, values, degree)
         except IllConditionedError:
             break
         fitted = degree
@@ -764,7 +751,6 @@ def extend_prefix(
     psi: TargetFunction,
     s: int,
     f_seq: IndexSequence,
-    *, _ladders: dict | None = None,
 ) -> tuple[tuple[complex, ...], Certificate]:
     """Extend a coefficient prefix so the extension approximates ``psi``.
 
@@ -779,8 +765,7 @@ def extend_prefix(
     :class:`PerturbationFailedError`.  Every term after the prefix sits
     above ``n0``, so the prefix survives verbatim and the extension stays within
     ``2^-n0`` of the input in the disagreement metric; this is checked once,
-    on the returned extension.  ``_ladders`` holds the fit ladders that
-    :func:`run_extension_schedule`'s steps share, by point set.
+    on the returned extension.
     """
     if s < 1:
         raise ValueError("precision parameter s must be >= 1")
@@ -807,16 +792,12 @@ def extend_prefix(
     base_vals = base.eval(z)
     shifted = z ** (n0 + 1)
     divided = (psi_vals - base_vals) / shifted
-    ladders, key = ({} if _ladders is None else _ladders), z.tobytes()
-    if key not in ladders:
-        ladders[key] = _ArnoldiLadder(z)
 
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
     fit_degree, correction, residual = next(_fit_ramp(
-        ladders[key], divided, range(RAMP_CAP + 1), requested / 2.0,
+        _ArnoldiLadder(z, shifted), divided, range(RAMP_CAP + 1), requested / 2.0,
         lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
-        weight=shifted,
     ))
 
     # the correction up to its last nonzero term; "+ 0.0" writes its exact
@@ -842,16 +823,14 @@ def run_extension_schedule(
     """Fold :func:`extend_prefix` over a finite requirement schedule.
 
     Each step extends the previous step's coefficient stream; failures are
-    re-raised wrapped with the index of the offending requirement.  Steps on
-    the same points share one fit ladder.
+    re-raised wrapped with the index of the offending requirement.
     """
     coeffs = tuple(complex(c) for c in prefix)
     certificates: list[Certificate] = []
-    ladders: dict = {}
     for step, requirement in enumerate(schedule):
         try:
             coeffs, cert = extend_prefix(
-                coeffs, requirement.K, requirement.psi, requirement.s, f_seq, _ladders=ladders
+                coeffs, requirement.K, requirement.psi, requirement.s, f_seq
             )
         except Exception as exc:
             raise ScheduleStepError(step, exc) from exc

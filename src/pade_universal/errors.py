@@ -40,6 +40,16 @@ class PadeNotExistError(PadeUniversalError):
         self.report = report
 
 
+class HankelOverflowError(PadeUniversalError):
+    """The threshold ``tau_det * scale**q`` of a Hankel cell leaves the float range."""
+
+    def __init__(self, p, q, scale):
+        super().__init__(f"Hankel threshold of the ({p},{q}) cell overflows: scale {scale:.3e}")
+        self.p = p
+        self.q = q
+        self.scale = scale
+
+
 class DegenerateDenominatorError(PadeUniversalError):
     """A denominator vanished (at the center or as a leading coefficient)."""
 

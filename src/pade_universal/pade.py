@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     DegreeMismatchError,
+    HankelOverflowError,
     PadeNotExistError,
     PoleProximityError,
     TruncationExceededError,
@@ -221,7 +222,12 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
     windows = _hankel_windows(coeffs, p, q)
     scales = np.maximum(np.abs(windows[..., 0, :]).max(-1), np.abs(windows[..., :, -1]).max(-1))
     values = np.linalg.det(windows)
-    thresholds = np.array([tol.tau_det * s**q for s in scales.ravel().tolist()]).reshape(scales.shape)
+    try:
+        thresholds = [tol.tau_det * s**q for s in scales.ravel().tolist()]
+    except OverflowError:  # the power of the largest scale overflows: name its cell
+        cell_p = int(p[np.unravel_index(np.argmax(scales), scales.shape)[0]]) if np.ndim(p) else p
+        raise HankelOverflowError(cell_p, q, float(scales.max())) from None
+    thresholds = np.array(thresholds).reshape(scales.shape)
     nonvanishing = np.hypot(values.real, values.imag) > thresholds
     return values, scales, thresholds, nonvanishing
 
@@ -233,7 +239,10 @@ def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
     window = _hankel_windows(coeffs, p, q)
     scale = float(np.abs(coeffs[max(0, p - q + 1) : p + q]).max())
     value = np.linalg.det(window)
-    threshold = tol.tau_det * scale**q
+    try:
+        threshold = tol.tau_det * scale**q
+    except OverflowError:
+        raise HankelOverflowError(p, q, scale) from None
     return window, value, scale, threshold, bool(np.hypot(value.real, value.imag) > threshold)
 
 

@@ -162,6 +162,13 @@ class TestPadeCommand:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "validation"
 
+    def test_threshold_overflow_exits_three(self, capsys):
+        coeffs = json.dumps([[1e30, 0]] * 20)
+        code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "5", "--q", "11")
+        assert (code, out) == (3, "")
+        diag = json.loads(err)
+        assert diag["error"] == "numeric" and "(5,11) cell overflows" in diag["message"]
+
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "pade", "--p", "1", "--q", "1")
         assert code == 1
@@ -194,6 +201,19 @@ class TestTableCommand:
             cells.append({tuple(row.split(",")[:2]): row.split(",")[-1] for row in out.split()[1:]})
         assert cells[0][("1", "1")] == "true" and cells[1][("1", "1")] == "false"
         assert cells[0][("1", "0")] == cells[1][("1", "0")] == "true"
+
+
+    def test_threshold_overflow_exits_three(self, capsys, tmp_path):
+        # the q = 11 column overflows in its first cell; nothing is written
+        coeffs = json.dumps([[1, 0]] * 10 + [[1e30, 0]] + [[1, 0]] * 9)
+        out_path = tmp_path / "table.csv"
+        code, out, err = run(
+            capsys, "table", "--coeffs", coeffs, "--p-max", "8", "--q-max", "11",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (3, "") and not out_path.exists()
+        diag = json.loads(err)
+        assert diag["error"] == "numeric" and "(0,11) cell overflows" in diag["message"]
 
 
 class TestBuildCommand:
@@ -331,10 +351,12 @@ class TestBuildCommand:
 
         # a tiny nonzero coefficient above p is measured center by center under
         # the stamped tau_det: its (13, 1) window at 0 passes the test at 1e-3
-        # (the sups then deviate by rounding) and vanishes at 1
+        # (the sups then deviate by rounding) and vanishes at 2, where the
+        # one-entry window a_p can never exceed 2 |a_p| (at 1 it is a tie
+        # that rounding breaks)
         coeffs[-1] = [1e-300, 0.0]
         for tau_det, expected, label in ((1e-3, 3, "verification-mismatch"),
-                                         (1.0, 2, "pade-not-exist")):
+                                         (2.0, 2, "pade-not-exist")):
             record["environment"]["tolerances"] = {"tau_det": tau_det}
             out.write_text(json.dumps(record))
             code, _, err = run(capsys, "verify", "--run", str(out))
@@ -604,6 +626,7 @@ FAILURE_ROWS = [
     (errors.LengthMismatchError, 1, "validation"),
     (errors.PadeNotExistError, 2, "pade-not-exist"),
     (errors.DegenerateDenominatorError, 3, "numeric"),
+    (errors.HankelOverflowError, 3, "numeric"),
     (errors.PoleProximityError, 3, "numeric"),
     (errors.DegreeMismatchError, 1, "validation"),
     (errors.EmptySpecError, 1, "validation"),
@@ -653,9 +676,11 @@ class TestFailureTable:
         assert err == json.dumps({"error": "pade-not-exist", "hankel": report}, sort_keys=True) + "\n"
 
     def test_failed_step_exits_as_its_cause(self, capsys, tmp_path):
-        # w = 1.3 makes the third step's fit ramp refuse
+        # w = 2 makes the third step's fit ramp refuse: its best residual
+        # (about 1.6e-2) sits well above the target 5e-3, so rounding in the
+        # fit cannot flip it, as it flips the near-floor weights around 1.3
         scenario = tmp_path / "greedy.json"
-        scenario.write_text(json.dumps(desk_schedule_scenario(w=1.3)))
+        scenario.write_text(json.dumps(desk_schedule_scenario(w=2.0)))
         code, _, err = run(capsys, "greedy", "--scenario", str(scenario))
         assert code == 4
         diag = json.loads(err)
@@ -668,7 +693,7 @@ class TestFailureTable:
         assert again == (4, "", err)
         record = load_run(out)
         assert record.certificates == [] and record.artifacts == {}
-        assert record.scenario == desk_schedule_scenario(w=1.3)
+        assert record.scenario == desk_schedule_scenario(w=2.0)
 
     def test_refused_extension_writes_its_record(self, capsys, tmp_path):
         # (1100, 1) on the circle at s = 10: 2.5^1100 leaves the float range,

@@ -257,42 +257,65 @@ class TestPolyFit:
             ladder_fit([(grid, [1.0, 2.0, 3.0] * 4)], 6)
 
 
-def rebuilt_fit(z, values, degree, weight=None):
-    """The fit with its Arnoldi basis rebuilt from degree 0, as one call.
+def desk_glued_points():
+    """The 144 glued points of a desk build: K, then L, then J."""
+    return np.concatenate([discretize(spec).points for spec in (SEGMENT_K, DISK_L, DISK_J)])
 
-    The oracle of the ramp: Gram-Schmidt with reorthogonalization on
-    ``1, z*q_0, z*q_1, ...`` in a fresh ``(points, degree + 1)`` array, an
-    SVD condition estimate, then the least-squares solve.
-    """
-    m = len(z)
-    q_mat = np.empty((m, degree + 1), dtype=complex)
-    q_mat[:, 0] = 1.0
-    coeff_cols = [np.array([1.0 + 0j])]
-    z_scale = max(1.0, float(np.max(np.abs(z))))
-    for k in range(degree):
-        v = z * q_mat[:, k]
-        c_new = np.concatenate([[0j], coeff_cols[k]])
-        for _ in range(2):
-            for j in range(k + 1):
-                h = complex(np.vdot(q_mat[:, j], v) / m)
-                v = v - h * q_mat[:, j]
-                c_new[: len(coeff_cols[j])] -= h * coeff_cols[j]
-        h_next = float(np.linalg.norm(v) / math.sqrt(m))
-        if h_next <= 1e-13 * z_scale:
-            raise IllConditionedError("collapsed")
-        q_mat[:, k + 1] = v / h_next
-        coeff_cols.append(c_new / h_next)
-    system, rhs = q_mat, values
-    if weight is not None:
-        system, rhs = q_mat * weight[:, None], values * weight
-    singular = np.linalg.svd(system, compute_uv=False)
-    if singular[-1] == 0 or singular[0] / singular[-1] > 1e12:
-        raise IllConditionedError("condition")
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for k, w in enumerate(solution):
-        coeffs[: len(coeff_cols[k])] += w * coeff_cols[k]
-    return coeffs
+
+class TestArnoldiLadder:
+    def wide_points(self):
+        return TestFitRamp().wide_points()[0]
+
+    @pytest.mark.parametrize(
+        "case, degree",
+        [("desk", 48), ("weighted circle", 48), ("wide", 30)],
+    )
+    def test_columns_are_orthonormal_in_the_weighted_product(self, case, degree):
+        if case == "desk":
+            z, weight = desk_glued_points(), None
+        elif case == "weighted circle":
+            z = discretize(CIRCLE_K).points
+            weight = z**15
+        else:
+            z, weight = self.wide_points(), None
+        q, c = _ArnoldiLadder(z, weight).basis(degree)
+        assert q.shape == (degree + 1, len(z)) and q.flags.c_contiguous
+        gram = np.conj(q) @ q.T / len(z)
+        assert np.max(np.abs(gram - np.eye(degree + 1))) <= 1e-13
+        # the monomial images: one upper-triangular matrix, column j of
+        # degree exactly j, and q_j = weight * poly(c[:, j]) on the points
+        # (checked at low degrees: monomial rounding grows fast with j)
+        assert np.array_equal(np.triu(c), c) and np.all(np.diag(c) != 0)
+        w = np.ones(len(z)) if weight is None else weight
+        for j in range(4):
+            images = w * Polynomial(c[: j + 1, j]).eval(z)
+            assert np.max(np.abs(images - q[j])) <= 1e-11
+
+    def test_start_vector_is_the_weight_at_unit_rms(self):
+        z = discretize(CIRCLE_K).points
+        weight = z**15
+        q, c = _ArnoldiLadder(z, weight).basis(0)
+        rms = np.linalg.norm(weight) / math.sqrt(len(z))
+        assert np.array_equal(q[0], weight / rms) and c[0, 0] == 1.0 / rms
+        q, c = _ArnoldiLadder(z).basis(0)
+        assert np.array_equal(q[0], np.ones(len(z))) and c[0, 0] == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fits_are_the_least_squares_solutions(self, seed, weighted):
+        # random values, so every degree has a residual: the projection is
+        # lstsq on the same weighted system, in the basis and in monomials
+        rng = np.random.default_rng(seed)
+        z = discretize(CIRCLE_K).points if weighted else desk_glued_points()
+        weight = z**15 if weighted else np.ones(len(z))
+        values = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
+        ladder = _ArnoldiLadder(z, weight if weighted else None)
+        for degree in (0, 3, 10, 20):
+            fit = _fit_on_points(ladder, values, degree)
+            q, c = ladder.basis(degree)
+            solution, *_ = np.linalg.lstsq(q.T, weight * values, rcond=None)
+            expected = c @ solution
+            assert np.max(np.abs(fit.coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestFitRamp:
@@ -309,22 +332,21 @@ class TestFitRamp:
         return np.concatenate([k, lj]), values
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_ramp_fits_are_bitwise_the_rebuilt_fits(self, weighted):
+    def test_ramp_fits_are_bitwise_the_fresh_ladder_fits(self, weighted):
         z, values = self.wide_points()
         weight = z**3 if weighted else None
-        ramp = list(_fit_ramp(
-            _ArnoldiLadder(z), values, range(25), math.inf, lambda fit: 0.0, weight=weight
-        ))
+        ramp = list(_fit_ramp(_ArnoldiLadder(z, weight), values, range(25), math.inf, lambda fit: 0.0))
         assert [degree for degree, _, _ in ramp] == list(range(25))
         for degree, fit, _ in ramp:
-            assert np.array_equal(fit.coeffs, rebuilt_fit(z, values, degree, weight))
+            fresh = _fit_on_points(_ArnoldiLadder(z, weight), values, degree)
+            assert np.array_equal(fit.coeffs, fresh.coeffs)
 
-    def test_ramp_stops_where_the_rebuilt_basis_collapses(self):
+    def test_ramp_stops_where_a_fresh_ladder_collapses(self):
         z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
         ramp = list(_fit_ramp(_ArnoldiLadder(z), z * z, range(10), math.inf, lambda fit: 0.0))
         assert [degree for degree, _, _ in ramp] == [0, 1, 2]
-        with pytest.raises(IllConditionedError):
-            rebuilt_fit(z, z * z, 3)
+        with pytest.raises(IllConditionedError, match="collapsed at degree 3"):
+            _fit_on_points(_ArnoldiLadder(z), z * z, 3)
 
     def test_non_finite_values_rejected(self):
         z = discretize(SEGMENT_K).points
@@ -379,20 +401,21 @@ class TestFitRamp:
         assert (info.value.degree, info.value.best_residual) == (-1, math.inf)
 
     def count_fits(self, monkeypatch):
-        """Count ``_fit_on_points`` calls and ``np.vdot`` calls."""
-        counts = {"fits": 0, "vdots": 0}
-        fit, vdot = construct._fit_on_points, np.vdot
+        """Count ``_fit_on_points`` calls and ``np.linalg.norm`` calls: a
+        ladder takes one norm for its start vector and one per new column."""
+        counts = {"fits": 0, "norms": 0}
+        fit, norm = construct._fit_on_points, np.linalg.norm
 
         def counted_fit(*args, **kwargs):
             counts["fits"] += 1
             return fit(*args, **kwargs)
 
-        def counted_vdot(*args):
-            counts["vdots"] += 1
-            return vdot(*args)
+        def counted_norm(*args, **kwargs):
+            counts["norms"] += 1
+            return norm(*args, **kwargs)
 
         monkeypatch.setattr(construct, "_fit_on_points", counted_fit)
-        monkeypatch.setattr(np, "vdot", counted_vdot)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
         return counts
 
     def test_build_builds_each_column_once(self, monkeypatch):
@@ -400,9 +423,9 @@ class TestFitRamp:
         _, cert = build_universal_polynomial(desk_requirement(), F_ON_L, F_DEFAULT)
         degree = cert.fit_degree
         assert degree >= 4
-        # degrees 2, 4, ..., degree; column k + 1 takes 2 (k + 1) projections
+        # degrees 2, 4, ..., degree on one ladder of columns 0..degree
         assert counts["fits"] == degree // 2
-        assert counts["vdots"] == degree * (degree + 1)
+        assert counts["norms"] == 1 + degree
 
     def test_extend_builds_each_column_once(self, monkeypatch):
         counts = self.count_fits(monkeypatch)
@@ -410,7 +433,7 @@ class TestFitRamp:
         degree = cert.fit_degree
         assert degree >= 2
         assert counts["fits"] == degree + 1
-        assert counts["vdots"] == degree * (degree + 1)
+        assert counts["norms"] == 1 + degree
 
     def schedule_on_one_compact(self):
         quadratic = TargetFunction.poly([1.0, 0.0, 0.5])
@@ -420,10 +443,12 @@ class TestFitRamp:
     def test_schedule_builds_each_column_once(self, monkeypatch):
         counts = self.count_fits(monkeypatch)
         _, certs = run_extension_schedule([0.0], self.schedule_on_one_compact(), F_DEFAULT)
-        degree = max(cert.fit_degree for cert in certs)
-        assert degree >= 2 and len({cert.fit_degree for cert in certs}) > 1
+        assert min(cert.fit_degree for cert in certs) >= 2
+        assert len({cert.fit_degree for cert in certs}) > 1
         assert counts["fits"] == sum(cert.fit_degree + 1 for cert in certs)
-        assert counts["vdots"] == degree * (degree + 1)
+        # each step weights its fit by z^(n0+1) of its own prefix, so each
+        # step grows one ladder of its own
+        assert counts["norms"] == sum(1 + cert.fit_degree for cert in certs)
 
     def test_schedule_equals_its_steps_alone(self):
         schedule = self.schedule_on_one_compact()

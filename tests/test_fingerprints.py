@@ -3,8 +3,9 @@
 One ``table`` seed runs twice in fresh interpreters: each run prints one
 ``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
 print the same lines.  ``--workload all`` prints the lines of each workload
-and of the demos behind the workload's name.  Nothing is written under
-``perfbench/``.
+and of the demos behind the workload's name.  ``--decisions`` prints one
+line of outcomes per cycle, and the ``table`` digest as before.  Nothing is
+written under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -65,3 +66,24 @@ def test_all_prefixes_each_workload_and_the_demos(monkeypatch):
     table = [line.split(" ", 1)[1] for line in lines if line.startswith("table ")]
     assert table == fingerprints("--workload", "table", "--seeds", "101")
     assert [line.split(" ", 1)[1] for line in lines if line.startswith("demos ")] == demos
+
+
+def test_decisions_print_one_outcome_line_per_cycle(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    pair = r"\(\d+,\d+\)"
+    shapes = {
+        "wide": rf"(pair={pair} fit=\d+ passed=(True|False)|refused=\w+Error)",
+        "desk": rf"build=\d+ pairs=({pair}|-) greedy=\d+ pairs=({pair}(,{pair}){{2}}|-)",
+    }
+    for name, shape in shapes.items():
+        lines = fingerprints("--decisions", "--workload", name, "--seeds", "101")
+        assert len(lines) == workloads.WORKLOADS[name].pass_length
+        for i, line in enumerate(lines):
+            assert re.fullmatch(rf"101 {i} {shape}", line), line
+    # the desk pass holds its s = 10^4 builds, which end in exit 4
+    assert "build=4 pairs=-" in " ".join(lines)
+    table = fingerprints("--decisions", "--workload", "table", "--seeds", "101")
+    assert table == fingerprints("--workload", "table", "--seeds", "101")

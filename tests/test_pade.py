@@ -9,6 +9,7 @@ import pytest
 from pade_universal.errors import (
     DegenerateDenominatorError,
     DegreeMismatchError,
+    HankelOverflowError,
     PadeNotExistError,
     PoleProximityError,
     TruncationExceededError,
@@ -103,6 +104,27 @@ class TestHankel:
             for q in range(5):
                 expected = q <= 1 or p == 0
                 assert hankel_determinant(f, p, q).nonvanishing == expected, (p, q)
+
+
+    def test_threshold_beyond_the_float_range_is_a_typed_error(self):
+        # scale 1e30 to the power 11 overflows; to the power 10 it is about 1e300
+        f = FormalPowerSeries([1e30] * 20)
+        for cell in (hankel_determinant, pade_approximant):
+            with pytest.raises(HankelOverflowError, match=r"\(5,11\) cell") as info:
+                cell(f, 5, 11)
+            assert (info.value.p, info.value.q, info.value.scale) == (5, 11, 1e30)
+        assert hankel_determinant(f, 5, 10).threshold == DEFAULT_TOL.tau_det * 1e30**10
+
+    def test_stacked_threshold_overflow_names_a_cell(self):
+        # one huge coefficient a_10: every q = 11 window of p <= 8 holds it
+        coeffs = np.array([1.0] * 10 + [1e30] + [1.0] * 9, dtype=complex)
+        with pytest.raises(HankelOverflowError) as info:
+            hankel_test(coeffs, np.arange(9), 11)
+        assert (info.value.p, info.value.q, info.value.scale) == (0, 11, 1e30)
+        with pytest.raises(HankelOverflowError) as info:
+            hankel_test(np.stack([coeffs, coeffs]), 5, 11)
+        assert (info.value.p, info.value.q) == (5, 11)
+        assert hankel_test(coeffs, np.arange(9), 10)[2].max() == DEFAULT_TOL.tau_det * 1e30**10
 
 
 def fancy_index_windows(coeffs, p, q):

@@ -5,10 +5,15 @@ Usage, from the root of a checkout:
     python3 tools/fingerprints.py --workload wide|desk|table --seeds 101-105
     python3 tools/fingerprints.py --workload demos
     python3 tools/fingerprints.py --workload all --seeds 101-105
+    python3 tools/fingerprints.py --decisions --workload wide --seeds 101-110
 
 Runs every cycle of one pass of the workload for each seed, with the
 workloads of this checkout's ``perfbench/workloads.py`` and the program of
-its ``src/``, and prints ``<seed> <cycle> <sha256>`` per cycle.  The
+its ``src/``, and prints ``<seed> <cycle> <sha256>`` per cycle.  With
+``--decisions`` it prints ``<seed> <cycle> <decisions>`` instead, the
+outcomes of the cycle without the bits of its numbers (see
+:func:`decisions`), which checks a change that moves rounding but should
+not move an outcome.  The
 ``demos`` workload runs each ``demos/*.py`` with this checkout's ``src/``
 first on ``PYTHONPATH`` and prints ``<demo> <sha256 of its stdout>``; it
 takes no seeds and fails when a demo does.  ``all`` runs ``wide``, ``desk``
@@ -56,7 +61,36 @@ def _demos(prefix: str = "") -> int:
     return 0
 
 
-def _cycles(name: str, seeds, prefix: str = "") -> None:
+def _pair(cert: dict) -> str:
+    p, q = cert["selected"]
+    return f"({p},{q})"
+
+
+def decisions(name: str, work, evidence) -> str:
+    """The outcomes of one cycle as one line.
+
+    - ``wide``: the build's index pair, fit degree and pass verdict, or the
+      type of its refusal;
+    - ``desk``: the ``build`` exit code and its pair, then the ``greedy``
+      exit code and the pair of each certified step (``-`` for none);
+    - ``table``: the sha256 of the fingerprint, since it runs no fit.
+    """
+    if name == "wide":
+        if "refusal" in evidence:
+            return f"refused={type(evidence['refusal']).__name__}"
+        cert = evidence["cert"]
+        return f"pair={_pair(cert.to_json())} fit={cert.fit_degree} passed={cert.passed}"
+    if name == "desk":
+        words = []
+        for kind in ("build", "greedy"):
+            code, _, _, record = evidence[kind]
+            pairs = [_pair(cert) for cert in (record or {}).get("certificates", [])]
+            words.append(f"{kind}={code} pairs={','.join(pairs) or '-'}")
+        return " ".join(words)
+    return hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+
+
+def _cycles(name: str, seeds, prefix: str = "", outcomes: bool = False) -> None:
     import workloads
 
     for seed in seeds:
@@ -64,24 +98,30 @@ def _cycles(name: str, seeds, prefix: str = "") -> None:
             work = workloads.WORKLOADS[name](seed, workdir)
             for i in range(work.pass_length):
                 _, evidence = work.run_cycle(i)
-                digest = hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
-                print(f"{prefix}{seed} {i} {digest}", flush=True)
+                if outcomes:
+                    line = decisions(name, work, evidence)
+                else:
+                    line = hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+                print(f"{prefix}{seed} {i} {line}", flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "demos", "all"])
     parser.add_argument("--seeds", type=_seeds, help="one seed N or a range A-B")
+    parser.add_argument(
+        "--decisions", action="store_true", help="print each cycle's outcomes, not its digest"
+    )
     args = parser.parse_args(argv)
     if args.workload == "demos":
         return _demos()
     if args.seeds is None:
         parser.error(f"--seeds is required for the {args.workload} workload")
     if args.workload != "all":
-        _cycles(args.workload, args.seeds)
+        _cycles(args.workload, args.seeds, outcomes=args.decisions)
         return 0
     for name in WORKLOADS:
-        _cycles(name, args.seeds, f"{name} ")
+        _cycles(name, args.seeds, f"{name} ", args.decisions)
     return _demos("demos ")
 
 
