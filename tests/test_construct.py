@@ -262,10 +262,20 @@ def desk_glued_points():
     return np.concatenate([discretize(spec).points for spec in (SEGMENT_K, DISK_L, DISK_J)])
 
 
-class TestArnoldiLadder:
-    def wide_points(self):
-        return TestFitRamp().wide_points()[0]
+def wide_points():
+    """The 1152 glued points and the target of a 1024-center build."""
+    k = discretize(SEGMENT_K).points
+    lj = np.concatenate(
+        [
+            discretize(CompactSpec([FilledDisk(0.0, 0.4)], 1024)).points,
+            discretize(DISK_J).points,
+        ]
+    )
+    values = np.concatenate([0.5 - 0.25j * k + (0.3 + 0.1j) * k**2, 1.0 / (2.2j - lj)])
+    return np.concatenate([k, lj]), values
 
+
+class TestArnoldiLadder:
     @pytest.mark.parametrize(
         "case, degree",
         [("desk", 48), ("weighted circle", 48), ("wide", 30)],
@@ -277,7 +287,7 @@ class TestArnoldiLadder:
             z = discretize(CIRCLE_K).points
             weight = z**15
         else:
-            z, weight = self.wide_points(), None
+            z, weight = wide_points()[0], None
         q, c = _ArnoldiLadder(z, weight).basis(degree)
         assert q.shape == (degree + 1, len(z)) and q.flags.c_contiguous
         gram = np.conj(q) @ q.T / len(z)
@@ -303,8 +313,8 @@ class TestArnoldiLadder:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fits_are_the_least_squares_solutions(self, seed, weighted):
-        # random values, so every degree has a residual: the projection is
-        # lstsq on the same weighted system, in the basis and in monomials
+        # random values, so every degree leaves a residual: the projection's
+        # coefficients are those of lstsq on the same weighted system
         rng = np.random.default_rng(seed)
         z = discretize(CIRCLE_K).points if weighted else desk_glued_points()
         weight = z**15 if weighted else np.ones(len(z))
@@ -319,23 +329,12 @@ class TestArnoldiLadder:
 
 
 class TestFitRamp:
-    def wide_points(self):
-        """The glued grid and target of a 1024-center build."""
-        k = discretize(SEGMENT_K).points
-        lj = np.concatenate(
-            [
-                discretize(CompactSpec([FilledDisk(0.0, 0.4)], 1024)).points,
-                discretize(DISK_J).points,
-            ]
-        )
-        values = np.concatenate([0.5 - 0.25j * k + (0.3 + 0.1j) * k**2, 1.0 / (2.2j - lj)])
-        return np.concatenate([k, lj]), values
-
     @pytest.mark.parametrize("weighted", [False, True])
     def test_ramp_fits_are_bitwise_the_fresh_ladder_fits(self, weighted):
-        z, values = self.wide_points()
+        z, values = wide_points()
         weight = z**3 if weighted else None
-        ramp = list(_fit_ramp(_ArnoldiLadder(z, weight), values, range(25), math.inf, lambda fit: 0.0))
+        ladder = _ArnoldiLadder(z, weight)
+        ramp = list(_fit_ramp(ladder, values, range(25), math.inf, lambda fit: 0.0))
         assert [degree for degree, _, _ in ramp] == list(range(25))
         for degree, fit, _ in ramp:
             fresh = _fit_on_points(_ArnoldiLadder(z, weight), values, degree)
@@ -356,7 +355,7 @@ class TestFitRamp:
             list(_fit_ramp(_ArnoldiLadder(z), values, range(3), math.inf, lambda fit: 0.0))
 
     def test_ramp_yields_the_fits_below_the_target(self):
-        z, values = self.wide_points()
+        z, values = wide_points()
         residuals = []
 
         def residual(fit):
@@ -371,7 +370,7 @@ class TestFitRamp:
         assert [(degree, r) for degree, _, r in ramp] == cleared
 
     def test_ramp_without_a_clearing_fit_raises(self):
-        z, values = self.wide_points()
+        z, values = wide_points()
         residuals = []
 
         def residual(fit):
@@ -395,7 +394,7 @@ class TestFitRamp:
         assert info.value.degree == 22
 
     def test_ramp_that_fits_nothing_names_degree_minus_one(self):
-        z, values = self.wide_points()
+        z, values = wide_points()
         with pytest.raises(FitFailedError) as info:
             next(_fit_ramp(_ArnoldiLadder(z), values, range(len(z), len(z) + 3), 1.0, lambda fit: 0.0))
         assert (info.value.degree, info.value.best_residual) == (-1, math.inf)

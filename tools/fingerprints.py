@@ -61,8 +61,12 @@ def _demos(prefix: str = "") -> int:
     return 0
 
 
-def _pair(cert: dict) -> str:
-    p, q = cert["selected"]
+def _digest(work, evidence) -> str:
+    return hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+
+
+def _pair(selected) -> str:
+    p, q = selected
     return f"({p},{q})"
 
 
@@ -79,15 +83,15 @@ def decisions(name: str, work, evidence) -> str:
         if "refusal" in evidence:
             return f"refused={type(evidence['refusal']).__name__}"
         cert = evidence["cert"]
-        return f"pair={_pair(cert.to_json())} fit={cert.fit_degree} passed={cert.passed}"
+        return f"pair={_pair(cert.selected)} fit={cert.fit_degree} passed={cert.passed}"
     if name == "desk":
         words = []
         for kind in ("build", "greedy"):
             code, _, _, record = evidence[kind]
-            pairs = [_pair(cert) for cert in (record or {}).get("certificates", [])]
+            pairs = [_pair(cert["selected"]) for cert in (record or {}).get("certificates", [])]
             words.append(f"{kind}={code} pairs={','.join(pairs) or '-'}")
         return " ".join(words)
-    return hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+    return _digest(work, evidence)
 
 
 def _cycles(name: str, seeds, prefix: str = "", outcomes: bool = False) -> None:
@@ -98,10 +102,7 @@ def _cycles(name: str, seeds, prefix: str = "", outcomes: bool = False) -> None:
             work = workloads.WORKLOADS[name](seed, workdir)
             for i in range(work.pass_length):
                 _, evidence = work.run_cycle(i)
-                if outcomes:
-                    line = decisions(name, work, evidence)
-                else:
-                    line = hashlib.sha256(work.fingerprint(evidence).encode()).hexdigest()
+                line = decisions(name, work, evidence) if outcomes else _digest(work, evidence)
                 print(f"{prefix}{seed} {i} {line}", flush=True)
 
 
