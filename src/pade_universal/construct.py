@@ -250,11 +250,14 @@ class _ArnoldiLadder:
     column ``k + 1`` is ``z * q_k`` after two classical Gram-Schmidt passes
     against columns ``0..k`` (twice is enough: Giraud, Langou & Rozložník,
     2005), each mirrored on the monomial images.  So the columns, the rows
-    of one ``(columns, points)`` array ``q``, are orthonormal under ``<a, b>
+    of one ``(capacity, points)`` array ``q``, are orthonormal under ``<a, b>
     = sum(conj(a) * b) / m``, and column ``j`` is ``weight * poly(c[:, j])``
     on the points for one upper-triangular ``c``.  Column ``k + 1`` depends
     only on the points, the weight and columns ``0..k``, so a fit ramp grows
-    one ladder instead of rebuilding it at every degree.
+    one ladder instead of rebuilding it at every degree.  ``q`` and ``c``
+    keep spare rows beyond the ``columns`` held and grow in place: a degree
+    beyond the capacity at least doubles it, and each new column is written
+    straight into its row of ``q`` and its column of ``c``.
     """
 
     def __init__(self, z: np.ndarray, weight: np.ndarray | None = None):
@@ -263,32 +266,40 @@ class _ArnoldiLadder:
         rms = float(np.linalg.norm(self.weight)) / math.sqrt(len(z))
         self.q = (self.weight / rms)[None, :]
         self.c = np.array([[1.0 / rms]], dtype=complex)
+        self.columns = 1
         self.z_scale = max(1.0, float(np.max(np.abs(z))))
 
     def basis(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
-        """Columns ``0..degree`` (as rows) and their images ``c``, grown as needed."""
-        have, m = len(self.q), len(self.z)
-        if degree >= have:
-            q = np.empty((degree + 1, m), dtype=complex)
-            c = np.zeros((degree + 1, degree + 1), dtype=complex)
-            q[:have], c[:have, :have] = self.q, self.c
-            for k in range(have - 1, degree):
-                v = self.z * q[k]
-                image = np.concatenate([[0j], c[: k + 1, k]])
-                for _ in range(2):
-                    h = np.conj(q[: k + 1] @ np.conj(v)) / m
-                    v -= h @ q[: k + 1]
-                    image[: k + 1] -= c[: k + 1, : k + 1] @ h
-                h_next = float(np.linalg.norm(v) / math.sqrt(m))
-                if h_next <= 1e-13 * self.z_scale:
-                    raise IllConditionedError(
-                        f"orthogonal basis collapsed at degree {k + 1}; the grid "
-                        f"cannot support this fit degree"
-                    )
-                q[k + 1] = v / h_next
-                c[: k + 2, k + 1] = image / h_next
+        """Views of columns ``0..degree`` (as rows) and their images ``c``,
+        grown as needed; a collapse keeps the columns below it."""
+        have, m = self.columns, len(self.z)
+        if degree >= len(self.q):
+            capacity = max(degree + 1, 2 * len(self.q))
+            q = np.empty((capacity, m), dtype=complex)
+            c = np.zeros((capacity, capacity), dtype=complex)
+            q[:have], c[:have, :have] = self.q[:have], self.c[:have, :have]
             self.q, self.c = q, c
-        return self.q[: degree + 1], self.c[: degree + 1, : degree + 1]
+        q, c = self.q, self.c
+        for k in range(have - 1, degree):
+            v = np.multiply(self.z, q[k], out=q[k + 1])
+            image = c[: k + 2, k + 1]
+            image[0] = 0
+            image[1:] = c[: k + 1, k]
+            for _ in range(2):
+                h = np.conj(q[: k + 1] @ np.conj(v)) / m
+                v -= h @ q[: k + 1]
+                image[: k + 1] -= c[: k + 1, : k + 1] @ h
+            h_next = float(np.linalg.norm(v) / math.sqrt(m))
+            if h_next <= 1e-13 * self.z_scale:
+                image[:] = 0
+                raise IllConditionedError(
+                    f"orthogonal basis collapsed at degree {k + 1}; the grid "
+                    f"cannot support this fit degree"
+                )
+            np.divide(v, h_next, out=v)
+            np.divide(image, h_next, out=image)
+            self.columns = k + 2
+        return q[: degree + 1], c[: degree + 1, : degree + 1]
 
 
 def _fit_on_points(ladder: _ArnoldiLadder, values: np.ndarray, degree: int) -> Polynomial:
@@ -301,7 +312,7 @@ def _fit_on_points(ladder: _ArnoldiLadder, values: np.ndarray, degree: int) -> P
         raise ValueError(f"{m} sample points cannot determine degree {degree}")
     q, c = ladder.basis(degree)
     solution = np.conj(q @ np.conj(ladder.weight * values)) / m
-    return Polynomial(c @ solution, 0.0)
+    return Polynomial._of_kernel(c @ solution, 0j)
 
 
 def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual):

@@ -41,10 +41,13 @@ class PadeNotExistError(PadeUniversalError):
 
 
 class HankelOverflowError(PadeUniversalError):
-    """The threshold ``tau_det * scale**q`` of a Hankel cell leaves the float range."""
+    """The threshold ``tau_det * scale**q`` or the determinant of a Hankel cell
+    leaves the float range."""
 
-    def __init__(self, p, q, scale):
-        super().__init__(f"Hankel threshold of the ({p},{q}) cell overflows: scale {scale:.3e}")
+    def __init__(self, p, q, scale, determinant=False):
+        what = "determinant" if determinant else "threshold"
+        verdict = "is not finite" if determinant else "overflows"
+        super().__init__(f"Hankel {what} of the ({p},{q}) cell {verdict}: scale {scale:.3e}")
         self.p = p
         self.q = q
         self.scale = scale

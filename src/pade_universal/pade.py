@@ -21,6 +21,7 @@ and builds the numerator only up to degree ``p``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -209,7 +210,9 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
     coefficients, so its scale reads those.  The threshold power and the
     magnitude use the libm routines of Python's scalar arithmetic (numpy's
     vectorized ones round differently), so a row matches the scalar test
-    bit for bit.
+    bit for bit.  A threshold or a determinant beyond the float range raises
+    :class:`HankelOverflowError` naming its cell: the largest scale of an
+    overflowing threshold, else the first non-finite determinant.
     """
     rows = np.shape(p) + coeffs.shape[:-1]
     if q == 0:
@@ -228,8 +231,13 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
         cell_p = int(p[np.unravel_index(np.argmax(scales), scales.shape)[0]]) if np.ndim(p) else p
         raise HankelOverflowError(cell_p, q, float(scales.max())) from None
     thresholds = np.array(thresholds).reshape(scales.shape)
-    nonvanishing = np.hypot(values.real, values.imag) > thresholds
-    return values, scales, thresholds, nonvanishing
+    magnitudes = np.hypot(values.real, values.imag)
+    finite = np.isfinite(magnitudes)
+    if not finite.all():  # a determinant beyond the float range: name its first cell
+        cell = np.unravel_index(np.argmin(finite), finite.shape)
+        cell_p = int(p[cell[0]]) if np.ndim(p) else p
+        raise HankelOverflowError(cell_p, q, float(scales[cell]), determinant=True)
+    return values, scales, thresholds, magnitudes > thresholds
 
 
 def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
@@ -243,7 +251,10 @@ def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
         threshold = tol.tau_det * scale**q
     except OverflowError:
         raise HankelOverflowError(p, q, scale) from None
-    return window, value, scale, threshold, bool(np.hypot(value.real, value.imag) > threshold)
+    magnitude = np.hypot(value.real, value.imag)
+    if not magnitude < math.inf:  # NaN fails the comparison too
+        raise HankelOverflowError(p, q, scale, determinant=True)
+    return window, value, scale, threshold, bool(magnitude > threshold)
 
 
 def hankel_determinant(
@@ -256,7 +267,8 @@ def hankel_determinant(
     is ``a_{p-q+i+j-1}``.  Nonvanishing is judged against the scale-aware
     threshold ``tau_det * scale**q`` with ``scale`` the largest entry
     magnitude, since the determinant is homogeneous of degree ``q`` in the
-    window coefficients.
+    window coefficients.  A threshold or a determinant beyond the float range
+    raises :class:`HankelOverflowError`.
     """
     _require_truncation(f, p, q)
     if q == 0:

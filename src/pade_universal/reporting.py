@@ -38,7 +38,9 @@ def emit_pade_table(
     one stacked :func:`hankel_test` over every ``p``, whose cells are
     bitwise those of :func:`hankel_determinant`.  A table that outruns the
     series raises before anything is emitted, with the error of its first
-    such cell in p-major order, which lies on ``p + q = len(f)``.
+    such cell in p-major order, which lies on ``p + q = len(f)``; so does a
+    table with a cell beyond the float range, naming a cell of the first
+    q-column that has one.
     """
     rows = ["p,q,det_re,det_im,abs_det,exists\n"]
     if p_max < 0 or q_max < 0:

@@ -103,6 +103,8 @@ def float_from_json(value) -> float:
 
 def int_from_json(value) -> int:
     """Parse an integer field: an integer or an integral float, in the int64 range."""
+    if type(value) is int and -(2**63) < value < 2**63:  # the common case, without the ABC check
+        return value
     whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not whole or abs(int(value)) >= 2**63:
         raise ValueError(f"expected an integer in the int64 range, got {value!r:.40}")

@@ -35,6 +35,12 @@ def random_coefficients(rng: np.random.Generator, n: int, bound: float = 2.0):
     return list(radius * np.exp(1j * angle))
 
 
+def overflowing_determinants() -> np.ndarray:
+    """30 coefficients of modulus 1e28 and seeded phases: every ``(p, 11)``
+    Hankel determinant with ``p >= 1`` overflows under a finite threshold."""
+    return 1e28 * np.exp(1j * np.random.default_rng(0).uniform(0, 2 * np.pi, 30))
+
+
 class PerCenter(Polynomial):
     """A polynomial whose degree reads as its stored length less one.
 

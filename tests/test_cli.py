@@ -12,6 +12,8 @@ from pade_universal.pade import hankel_determinant
 from pade_universal.reporting import load_run
 from pade_universal.series import FormalPowerSeries
 
+from conftest import overflowing_determinants
+
 EXP_COEFFS = [[1 / math.factorial(k), 0.0] for k in range(8)]
 GEOM_COEFFS = [[1.0, 0.0]] * 8
 
@@ -169,6 +171,17 @@ class TestPadeCommand:
         diag = json.loads(err)
         assert diag["error"] == "numeric" and "(5,11) cell overflows" in diag["message"]
 
+    def test_determinant_overflow_exits_three(self, capsys):
+        # the (11, 11) threshold is finite, its determinant is not: exit 3,
+        # where the command printed a non-JSON -Infinity
+        coeffs = json.dumps([[c.real, c.imag] for c in overflowing_determinants()])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "11", "--q", "11")
+        assert (code, out) == (3, "")
+        diag = json.loads(err)
+        assert diag["error"] == "numeric"
+        assert "determinant of the (11,11) cell is not finite" in diag["message"]
+
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "pade", "--p", "1", "--q", "1")
         assert code == 1
@@ -214,6 +227,21 @@ class TestTableCommand:
         assert (code, out) == (3, "") and not out_path.exists()
         diag = json.loads(err)
         assert diag["error"] == "numeric" and "(0,11) cell overflows" in diag["message"]
+
+    def test_determinant_overflow_exits_three(self, capsys, tmp_path):
+        # the q = 11 column overflows from p = 1 on, where the table wrote
+        # rows like 1,11,inf,-inf,inf,true; nothing is written
+        coeffs = json.dumps([[c.real, c.imag] for c in overflowing_determinants()])
+        out_path = tmp_path / "table.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run(
+                capsys, "table", "--coeffs", coeffs, "--p-max", "12", "--q-max", "11",
+                "--out", str(out_path),
+            )
+        assert (code, out) == (3, "") and not out_path.exists()
+        diag = json.loads(err)
+        assert diag["error"] == "numeric"
+        assert "determinant of the (1,11) cell is not finite" in diag["message"]
 
 
 class TestBuildCommand:

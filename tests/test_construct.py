@@ -328,6 +328,54 @@ class TestArnoldiLadder:
             assert np.max(np.abs(fit.coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+    @pytest.mark.parametrize("case", ["weighted circle", "desk"])
+    def test_growth_patterns_give_the_same_bits(self, case):
+        # degree by degree, the even degrees of a build ramp, or one call:
+        # each column is computed by the same operations in the same order
+        if case == "desk":
+            z, weight = desk_glued_points(), None
+        else:
+            z = discretize(CIRCLE_K).points
+            weight = z**15
+        bases = []
+        for pattern in (range(49), range(2, 49, 2), [48]):
+            ladder = _ArnoldiLadder(z, weight)
+            for degree in pattern:
+                q, c = ladder.basis(degree)
+            assert q.base is ladder.q and c.base is ladder.c
+            bases.append((q.tobytes(), c.copy().tobytes()))
+        assert bases[0] == bases[1] == bases[2]
+
+    def test_a_ramp_reallocates_logarithmically(self):
+        # the buffers are kept alive, so identity counts each allocation once
+        ladder = _ArnoldiLadder(desk_glued_points())
+        buffers = [(ladder.q, ladder.c)]
+        for degree in range(49):
+            ladder.basis(degree)
+            if ladder.q is not buffers[-1][0]:
+                buffers.append((ladder.q, ladder.c))
+            assert ladder.c is buffers[-1][1]
+        assert 1 <= len(buffers) - 1 <= math.ceil(math.log2(49)) + 1
+        assert ladder.columns == 49 and len(ladder.q) >= 49
+
+    def test_collapse_keeps_the_good_columns(self):
+        # one call grows columns 1 and 2, then collapses at 3
+        z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
+        q, c = _ArnoldiLadder(z).basis(2)
+        good = (q.tobytes(), c.copy().tobytes())
+        ladder = _ArnoldiLadder(z)
+        with pytest.raises(IllConditionedError, match="collapsed at degree 3"):
+            ladder.basis(6)
+        assert ladder.columns == 3
+        # no partial image column is left behind
+        assert not ladder.c[:, 3:].any()
+        q, c = ladder.basis(2)
+        assert (q.tobytes(), c.copy().tobytes()) == good
+        with pytest.raises(IllConditionedError, match="collapsed at degree 3"):
+            ladder.basis(3)
+        assert ladder.columns == 3
+
+
 class TestFitRamp:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_ramp_fits_are_bitwise_the_fresh_ladder_fits(self, weighted):

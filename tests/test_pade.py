@@ -36,7 +36,7 @@ from pade_universal.series import (
     taylor_partial_sum,
 )
 
-from conftest import make_exact_rational, random_coefficients
+from conftest import make_exact_rational, overflowing_determinants, random_coefficients
 
 
 def exp_series(n=16):
@@ -125,6 +125,42 @@ class TestHankel:
             hankel_test(np.stack([coeffs, coeffs]), 5, 11)
         assert (info.value.p, info.value.q) == (5, 11)
         assert hankel_test(coeffs, np.arange(9), 10)[2].max() == DEFAULT_TOL.tau_det * 1e30**10
+
+    def test_determinant_beyond_the_float_range_is_a_typed_error(self):
+        # |a_k| = 1e28: the q = 11 threshold is about 1e298, finite, but the
+        # determinants of the windows of p >= 1 overflow; the p = 0 window,
+        # whose leading entries are zeros, stays just below the float maximum
+        f = FormalPowerSeries(overflowing_determinants())
+        message = r"determinant of the \(11,11\) cell is not finite"
+        for cell in (hankel_determinant, pade_approximant):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(HankelOverflowError, match=message) as info:
+                    cell(f, 11, 11)
+            assert (info.value.p, info.value.q) == (11, 11)
+            assert info.value.scale == float(np.abs(f.coeffs[1:22]).max())
+        report = hankel_determinant(f, 0, 11)
+        assert math.isfinite(abs(report.value)) and report.threshold < 1e299
+
+    def test_stacked_determinant_overflow_names_the_first_cell(self):
+        coeffs = overflowing_determinants()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(HankelOverflowError, match=r"\(1,11\) cell is not finite") as info:
+                hankel_test(coeffs, np.arange(13), 11)
+        assert (info.value.p, info.value.q) == (1, 11)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(HankelOverflowError, match=r"\(11,11\) cell is not finite"):
+                hankel_test(np.stack([np.ones(30, dtype=complex), coeffs]), 11, 11)
+
+    def test_nan_determinant_is_not_finite(self, monkeypatch):
+        # no float window reaches a NaN determinant within the threshold's
+        # range, so the determinant is replaced: NaN fails like an overflow
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(np.linalg, "det", lambda a: np.full(np.shape(a)[:-2], nan)[()])
+        f = geometric_series()
+        with pytest.raises(HankelOverflowError, match=r"\(2,2\) cell is not finite"):
+            hankel_determinant(f, 2, 2)
+        with pytest.raises(HankelOverflowError, match=r"\(0,2\) cell is not finite"):
+            hankel_test(f.coeffs, np.arange(3), 2)
 
 
 def fancy_index_windows(coeffs, p, q):

@@ -238,6 +238,22 @@ class TestIntFromJson:
         with pytest.raises(ValueError):
             int_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (True, None), (False, None), (2**63 - 1, 2**63 - 1), (-(2**63 - 1), -(2**63 - 1)),
+            (2**63, None), (-(2**63), None), (3.0, 3), (3.5, None),
+        ],
+    )
+    def test_exact_ints_and_their_neighbours(self, payload, expected):
+        # the exact-int shortcut ends at the int64 bounds and skips bools
+        if expected is None:
+            with pytest.raises(ValueError, match="int64 range"):
+                int_from_json(payload)
+        else:
+            value = int_from_json(payload)
+            assert type(value) is int and value == expected
+
 
 class TestPairToComplex:
     @pytest.mark.parametrize(
