@@ -11,7 +11,8 @@ stamped in the record.
 Exit codes: 0 success, 1 usage/validation, 2 approximant does not exist,
 3 numeric failure, 4 fit ramp failed, 5 index sequence exhausted,
 6 no admissible perturbation.  Every failure also writes a JSON diagnostic
-to stderr.
+to stderr, one line.  Records and the ``pade``, ``verify`` and ``family``
+reports are strict JSON, written by :func:`.reporting.dumps_canonical`.
 """
 
 from __future__ import annotations
@@ -141,19 +142,27 @@ def _add_series_arguments(parser) -> None:
     parser.add_argument("--tau-det", type=float, dest="tau_det", help="Hankel threshold base override")
 
 
+#: ``pade`` and ``table`` run with numpy's overflow and invalid-value warnings
+#: off, so standard error holds only the JSON diagnostic: a determinant or a
+#: numerator beyond the float range is refused by a check on its result.
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def _cmd_pade(args) -> int:
     f = _load_series(args)
     tol = _tolerances(args)
     r = pade_approximant(f, args.p, args.q, tol)
     residual = order_condition_residual(f, r)
-    print(json.dumps({
+    sys.stdout.write(dumps_canonical({
         "rational": r.to_json(),
         "order_condition_residual": residual,
         "hankel": hankel_determinant(f, args.p, args.q, tol).to_json(),
-    }, sort_keys=True, indent=2))
+    }))
     return EXIT_OK
 
 
+@_QUIET_OVERFLOW
 def _cmd_table(args) -> int:
     f = _load_series(args)
     csv = emit_pade_table(f, args.p_max, args.q_max, _tolerances(args))
@@ -249,12 +258,12 @@ def _cmd_verify(args) -> int:
     max_dev = max(deviations.values()) if deviations else 0.0
     same_d = cert.perturbation == stored.perturbation
     match = not missing and max_dev <= VERIFY_TOLERANCE and same_d
-    print(json.dumps({
+    sys.stdout.write(dumps_canonical({
         "match": match,
         "max_deviation": max_dev,
         "passed": cert.passed,
         "certificate": cert.to_json(),
-    }, sort_keys=True, indent=2))
+    }))
     if not match:
         deviating = {
             key: {"stored": stored.achieved[key], "remeasured": cert.achieved[key]}
@@ -286,7 +295,7 @@ def _cmd_family(args) -> int:
         spec = exhausting_family(domain, args.index, args.mode, args.samples)
     else:
         spec = outer_family(domain, args.index, args.mode, args.samples)
-    print(json.dumps(spec.to_json(), sort_keys=True, indent=2))
+    sys.stdout.write(dumps_canonical(spec.to_json()))
     return EXIT_OK
 
 

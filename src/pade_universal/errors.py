@@ -41,16 +41,19 @@ class PadeNotExistError(PadeUniversalError):
 
 
 class HankelOverflowError(PadeUniversalError):
-    """The threshold ``tau_det * scale**q`` or the determinant of a Hankel cell
-    leaves the float range."""
+    """A value of the ``(p, q)`` cell leaves the float range; ``part`` names
+    it: the Hankel ``"threshold"`` ``tau_det * scale**q``, the Hankel
+    ``"determinant"``, or a coefficient of the Pade ``"approximant"``'s
+    numerator or denominator, with all inputs finite."""
 
-    def __init__(self, p, q, scale, determinant=False):
-        what = "determinant" if determinant else "threshold"
-        verdict = "is not finite" if determinant else "overflows"
-        super().__init__(f"Hankel {what} of the ({p},{q}) cell {verdict}: scale {scale:.3e}")
+    def __init__(self, p, q, scale, part="threshold"):
+        what = "Pade approximant" if part == "approximant" else f"Hankel {part}"
+        verdict = "overflows" if part == "threshold" else "is not finite"
+        super().__init__(f"{what} of the ({p},{q}) cell {verdict}: scale {scale:.3e}")
         self.p = p
         self.q = q
         self.scale = scale
+        self.part = part
 
 
 class DegenerateDenominatorError(PadeUniversalError):

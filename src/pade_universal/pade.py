@@ -236,7 +236,7 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
     if not finite.all():  # a determinant beyond the float range: name its first cell
         cell = np.unravel_index(np.argmin(finite), finite.shape)
         cell_p = int(p[cell[0]]) if np.ndim(p) else p
-        raise HankelOverflowError(cell_p, q, float(scales[cell]), determinant=True)
+        raise HankelOverflowError(cell_p, q, float(scales[cell]), part="determinant")
     return values, scales, thresholds, magnitudes > thresholds
 
 
@@ -253,7 +253,7 @@ def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
         raise HankelOverflowError(p, q, scale) from None
     magnitude = np.hypot(value.real, value.imag)
     if not magnitude < math.inf:  # NaN fails the comparison too
-        raise HankelOverflowError(p, q, scale, determinant=True)
+        raise HankelOverflowError(p, q, scale, part="determinant")
     return window, value, scale, threshold, bool(magnitude > threshold)
 
 
@@ -314,6 +314,8 @@ def pade_approximant(
     degree ``p``, so ``q = 0`` gives the partial sum over the constant
     denominator.  Common roots of the returned pair are asserted against,
     not cancelled, so a construction bug cannot hide behind a GCD step.
+    A numerator or denominator coefficient beyond the float range raises
+    :class:`HankelOverflowError` naming the cell.
     """
     _require_truncation(f, p, q)
     coeffs = f.coeffs[: p + q + 1]
@@ -327,9 +329,12 @@ def pade_approximant(
         except np.linalg.LinAlgError as exc:
             raise _singular(p, q) from exc
     a = poly_mul(coeffs[: p + 1], b, p + 1)
-    return RationalFunction(
-        Polynomial._of_kernel(a, f.center), Polynomial._of_kernel(b, f.center), p, q
-    )
+    try:
+        numerator = Polynomial._of_kernel(a, f.center)
+        denominator = Polynomial._of_kernel(b, f.center)
+    except ValueError:  # the solve or B * S_p overflowed, so q >= 1 and scale is set
+        raise HankelOverflowError(p, q, scale, part="approximant") from None
+    return RationalFunction(numerator, denominator, p, q)
 
 
 def _quotient_taylor(numer: list[complex], denom: list[complex], n: int) -> list[complex]:

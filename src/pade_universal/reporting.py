@@ -3,7 +3,9 @@
 Records serialize to a versioned JSON schema; complex numbers are always
 ``[re, im]`` arrays, CSV flattens them to two columns with 17 significant
 digits so numeric values re-parse exactly.  Unknown top-level fields found
-in a record survive a load/save cycle untouched.
+in a record survive a load/save cycle untouched.  Records and the CLI's
+JSON reports are written by :func:`dumps_canonical`; :func:`load_run`
+reads any layout of the same JSON.
 """
 
 from __future__ import annotations
@@ -115,10 +117,24 @@ class RunRecord:
         return record
 
 
+_FIELD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def dumps_canonical(obj: dict) -> str:
-    """Deterministic, strict JSON text: sorted keys, fixed separators, LF
-    newline; a NaN or an infinity raises ``ValueError`` (RFC 8259 has none)."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic, strict JSON text of a JSON object, the one writer of
+    every record and every CLI report.
+
+    One top-level field per line, in sorted key order, so a file diffs field
+    by field; each field's value is one line of compact JSON with sorted
+    keys, written by the C encoder (an ``indent`` would fall back to the
+    pure-Python one).  LF line ends, a final newline.  A NaN or an infinity
+    raises ``ValueError`` (RFC 8259 has none).  The text parses to the same
+    object as an indented dump of ``obj``.
+    """
+    body = ",\n".join(
+        f"{json.dumps(key)}: {_FIELD_ENCODER.encode(obj[key])}" for key in sorted(obj)
+    )
+    return "{\n" + body + "\n}\n" if body else "{}\n"
 
 
 def save_run(record: RunRecord, path) -> None:

@@ -9,7 +9,7 @@ import pytest
 from pade_universal import cli, construct, errors
 from pade_universal.errors import ScheduleStepError
 from pade_universal.pade import hankel_determinant
-from pade_universal.reporting import load_run
+from pade_universal.reporting import dumps_canonical, load_run
 from pade_universal.series import FormalPowerSeries
 
 from conftest import overflowing_determinants
@@ -100,6 +100,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_json_line(err: str) -> dict:
+    """The diagnostic of a standard error that holds it alone: one JSON line,
+    with no numpy warning before it."""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    return json.loads(err)
+
+
+def strict(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def strict_report(out: str) -> dict:
+    """A report as the one writer prints it: strict JSON, one sorted top-level
+    field per line."""
+    payload = json.loads(out, parse_constant=strict)
+    assert out == dumps_canonical(payload)
+    return payload
+
+
 #: The integer fields of a build scenario, by their path in it.
 BUILD_INT_FIELDS = {
     "s": ("requirement", "s"),
@@ -126,7 +145,8 @@ class TestPadeCommand:
     def test_exponential_one_one(self, capsys):
         code, out, _ = run(capsys, "pade", "--coeffs", json.dumps(EXP_COEFFS), "--p", "1", "--q", "1")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_report(out)
+        assert sorted(payload) == ["hankel", "order_condition_residual", "rational"]
         assert payload["order_condition_residual"] < 1e-10
         a = payload["rational"]["A"]
         b = payload["rational"]["B"]
@@ -175,12 +195,23 @@ class TestPadeCommand:
         # the (11, 11) threshold is finite, its determinant is not: exit 3,
         # where the command printed a non-JSON -Infinity
         coeffs = json.dumps([[c.real, c.imag] for c in overflowing_determinants()])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "11", "--q", "11")
+        code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "11", "--q", "11")
         assert (code, out) == (3, "")
-        diag = json.loads(err)
+        diag = one_json_line(err)
         assert diag["error"] == "numeric"
         assert "determinant of the (11,11) cell is not finite" in diag["message"]
+
+    def test_numerator_overflow_exits_three(self, capsys):
+        # every input is finite, B = [1, -1e160], and a_0 b_1 leaves the float
+        # range: a numeric failure naming the cell, where it read as a
+        # validation error "coefficients must be finite" after a numpy warning
+        coeffs = "[[1e160,0],[1e-160,0],[1,0],[0,0]]"
+        code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "1", "--q", "1")
+        assert (code, out) == (3, "")
+        assert one_json_line(err) == {
+            "error": "numeric",
+            "message": "Pade approximant of the (1,1) cell is not finite: scale 1.000e-160",
+        }
 
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "pade", "--p", "1", "--q", "1")
@@ -233,13 +264,12 @@ class TestTableCommand:
         # rows like 1,11,inf,-inf,inf,true; nothing is written
         coeffs = json.dumps([[c.real, c.imag] for c in overflowing_determinants()])
         out_path = tmp_path / "table.csv"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out, err = run(
-                capsys, "table", "--coeffs", coeffs, "--p-max", "12", "--q-max", "11",
-                "--out", str(out_path),
-            )
+        code, out, err = run(
+            capsys, "table", "--coeffs", coeffs, "--p-max", "12", "--q-max", "11",
+            "--out", str(out_path),
+        )
         assert (code, out) == (3, "") and not out_path.exists()
-        diag = json.loads(err)
+        diag = one_json_line(err)
         assert diag["error"] == "numeric"
         assert "determinant of the (1,11) cell is not finite" in diag["message"]
 
@@ -402,10 +432,6 @@ class TestBuildCommand:
         path.write_text(json.dumps(scenario))
         out = tmp_path / "run.json"
         assert run(capsys, "build", "--scenario", str(path), "--out", str(out))[0] == 0
-
-        def strict(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
         cert = json.loads(out.read_text(), parse_constant=strict)["certificates"][0]
         d = complex(*cert["perturbation"])
         assert cert["passed"] and cert["selected"] == [300, 5] and abs(d) > 1e64
@@ -413,7 +439,7 @@ class TestBuildCommand:
         assert cert["diagnostics"]["hankel_min_log10"] == 5 * math.log10(abs(d))
         assert load_run(out).certificates[0].hankel_min == math.inf
         code, verify_out, _ = run(capsys, "verify", "--run", str(out))
-        payload = json.loads(verify_out, parse_constant=strict)
+        payload = strict_report(verify_out)
         assert (code, payload["match"]) == (0, True)
         assert payload["certificate"]["hankel_min"] is None
 
@@ -891,7 +917,7 @@ class TestFamilyCommand:
             "--radius", "1", "--mode", "interior", "--index", "2",
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_report(out)
         assert payload["primitives"] == [
             {"kind": "filled_disk", "center": [0.0, 0.0], "radius": 0.5}
         ]

@@ -4,12 +4,15 @@ One ``table`` seed runs twice in fresh interpreters: each run prints one
 ``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
 print the same lines.  ``--workload all`` prints the lines of each workload
 and of the demos behind the workload's name.  ``--decisions`` prints one
-line of outcomes per cycle, and the ``table`` digest as before.  Nothing is
-written under ``perfbench/``.
+line of outcomes per cycle, and the ``table`` digest as before.  A ``desk``
+digest compares parsed standard outputs, so a re-indented ``verify`` report
+keeps it.  Nothing is written under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import re
 import subprocess
@@ -87,3 +90,30 @@ def test_decisions_print_one_outcome_line_per_cycle(monkeypatch):
     assert "build=4 pairs=-" in " ".join(lines)
     table = fingerprints("--decisions", "--workload", "table", "--seeds", "101")
     assert table == fingerprints("--workload", "table", "--seeds", "101")
+
+
+def test_desk_digest_ignores_the_layout_of_the_verify_report(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # undone after the test
+    import fingerprints  # puts src/ and perfbench/ first on the path
+    import workloads
+
+    work = workloads.WORKLOADS["desk"](101, str(tmp_path))
+    _, evidence = work.run_cycle(0)
+    code, out, err = evidence["verify"]
+    report = json.loads(out)
+
+    def with_verify(text):
+        return {**evidence, "verify": (code, text, err)}
+
+    def digest(cycle):
+        return fingerprints.digest("desk", work, cycle)
+
+    reindented = with_verify(json.dumps(report, indent=2) + "\n")
+    assert work.fingerprint(reindented) != work.fingerprint(evidence)
+    assert digest(reindented) == digest(evidence)
+    # a value of the report still counts, to the bit
+    report["max_deviation"] = math.nextafter(report["max_deviation"], 1.0)
+    assert digest(with_verify(json.dumps(report, indent=2))) != digest(evidence)

@@ -113,6 +113,7 @@ class TestHankel:
             with pytest.raises(HankelOverflowError, match=r"\(5,11\) cell") as info:
                 cell(f, 5, 11)
             assert (info.value.p, info.value.q, info.value.scale) == (5, 11, 1e30)
+            assert info.value.part == "threshold"
         assert hankel_determinant(f, 5, 10).threshold == DEFAULT_TOL.tau_det * 1e30**10
 
     def test_stacked_threshold_overflow_names_a_cell(self):
@@ -136,7 +137,7 @@ class TestHankel:
             with pytest.warns(RuntimeWarning, match="overflow"):
                 with pytest.raises(HankelOverflowError, match=message) as info:
                     cell(f, 11, 11)
-            assert (info.value.p, info.value.q) == (11, 11)
+            assert (info.value.p, info.value.q, info.value.part) == (11, 11, "determinant")
             assert info.value.scale == float(np.abs(f.coeffs[1:22]).max())
         report = hankel_determinant(f, 0, 11)
         assert math.isfinite(abs(report.value)) and report.threshold < 1e299
@@ -150,6 +151,25 @@ class TestHankel:
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(HankelOverflowError, match=r"\(11,11\) cell is not finite"):
                 hankel_test(np.stack([np.ones(30, dtype=complex), coeffs]), 11, 11)
+
+    @pytest.mark.parametrize("coeffs, p, q, scale", [
+        # B = [1, -1e160] is finite, a_0 b_1 of the numerator is not
+        ([1e160, 1e-160, 1, 0], 1, 1, 1e-160),
+        # b_1 = -a_1 / a_0 leaves the float range in the solve itself
+        ([1e-200, 1e200], 0, 1, 1e-200),
+    ], ids=["numerator", "denominator"])
+    def test_approximant_beyond_the_float_range_is_a_typed_error(self, coeffs, p, q, scale):
+        # every coefficient is finite and the Hankel test passes: a numeric
+        # failure naming the cell, not the ValueError of a malformed input
+        f = FormalPowerSeries(coeffs)
+        assert hankel_determinant(f, p, q).nonvanishing
+        message = rf"\({p},{q}\) cell is not finite"
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(HankelOverflowError, match=message) as info:
+                pade_approximant(f, p, q)
+        assert (info.value.p, info.value.q, info.value.scale) == (p, q, scale)
+        assert info.value.part == "approximant"
+        assert str(info.value).startswith("Pade approximant of the")
 
     def test_nan_determinant_is_not_finite(self, monkeypatch):
         # no float window reaches a NaN determinant within the threshold's

@@ -1,7 +1,9 @@
 import cmath
 import json
 import math
+import os
 import random
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -23,6 +25,8 @@ from pade_universal.pade import hankel_determinant
 from pade_universal.series import DEFAULT_TOL, FormalPowerSeries, ToleranceConfig
 
 from conftest import make_exact_rational, random_coefficients
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def parse_table(csv: str):
@@ -254,3 +258,74 @@ class TestPersistence:
             )
             save_run(record, path)
             assert load_run(path) == record
+
+
+def indented(obj: dict) -> str:
+    """The layout records had before :func:`dumps_canonical` wrote one field per line."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def random_record(rng, i=0) -> dict:
+    return RunRecord(
+        scenario={"case": i, "values": [float(rng.uniform()) for _ in range(3)]},
+        certificates=[random_certificate(rng) for _ in range(int(rng.integers(1, 4)))],
+        environment=environment_stamp(),
+        tables={"t": f"a,b\n{i},1\n"},
+        artifacts={"universal_poly": {"center": [0.0, 0.0], "coeffs": [[1.0, -0.5]]}},
+        extras={"note": "ünïcode \"quoted\"\n"},
+    ).to_json()
+
+
+@pytest.fixture
+def desk_records(monkeypatch, tmp_path):
+    """The ``build`` and ``greedy`` records of cycle 0 of the ``desk``
+    benchmark at seed 101, as the CLI wrote them."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no __pycache__ there
+    import workloads
+
+    _, evidence = workloads.WORKLOADS["desk"](101, str(tmp_path)).run_cycle(0)
+    records = [evidence["build"][3], evidence["greedy"][3]]
+    assert all(record is not None for record in records)
+    return records
+
+
+class TestCanonicalWriter:
+    def test_desk_and_random_records_parse_as_the_indented_layout(self, rng, desk_records):
+        for obj in desk_records + [random_record(rng, i) for i in range(20)]:
+            text = dumps_canonical(obj)
+            assert json.loads(text) == json.loads(indented(obj))
+            assert len(text) < len(indented(obj))
+
+    def test_one_line_per_top_level_field(self, rng, desk_records):
+        for obj in desk_records + [random_record(rng)]:
+            text = dumps_canonical(obj)
+            lines = text.split("\n")
+            assert text.endswith("}\n") and lines[-1] == ""
+            assert lines[0] == "{" and lines[-2] == "}"
+            body = lines[1:-2]
+            assert all(line.endswith(",") for line in body[:-1])
+            parsed = json.loads(indented(obj))
+            assert [json.loads("{" + line.rstrip(",") + "}") for line in body] == [
+                {key: parsed[key]} for key in sorted(obj)
+            ]
+        assert dumps_canonical({}) == "{}\n"
+
+    def test_nested_keys_are_sorted(self):
+        text = dumps_canonical({"b": {"z": 1, "a": [{"y": 2, "x": 3}]}, "a": 0})
+        assert text == '{\n"a": 0,\n"b": {"a": [{"x": 3, "y": 2}], "z": 1}\n}\n'
+
+    def test_load_run_reads_the_old_and_the_new_layout(self, rng, tmp_path):
+        obj = random_record(rng)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(indented(obj), encoding="utf-8")
+        save_run(RunRecord.from_json(obj), new)
+        assert new.read_text(encoding="utf-8") == dumps_canonical(obj)
+        assert load_run(old) == load_run(new) == RunRecord.from_json(obj)
+
+    def test_desk_records_load_the_same_in_both_layouts(self, desk_records, tmp_path):
+        for obj in desk_records:
+            old, new = tmp_path / "old.json", tmp_path / "new.json"
+            old.write_text(indented(obj), encoding="utf-8")
+            new.write_text(dumps_canonical(obj), encoding="utf-8")
+            assert load_run(old) == load_run(new)
