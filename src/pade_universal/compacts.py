@@ -208,14 +208,14 @@ def _sample(p: Primitive, n: int) -> np.ndarray:
         m = max(2, int(round(math.sqrt(n / 2.0))))
         weights = m * (m + 1) // 2
         budget = n - 1
-        counts = [max(1, (budget * j) // weights) for j in range(1, m + 1)]
-        # hand any remainder to the boundary ring
-        counts[-1] += budget - sum(counts)
-        rings = [
-            _ring(p.center, p.radius * j / m, _equal_angles(cnt))
-            for j, cnt in enumerate(counts, start=1)
-        ]
-        return np.concatenate([[p.center], *rings])
+        counts = np.maximum(1, (budget * np.arange(1, m + 1)) // weights)
+        counts[-1] += budget - counts.sum()  # hand any remainder to the boundary ring
+        # per point: its ring j, that ring's count and its index k on it, so one
+        # _ring samples every ring, each angle as _equal_angles(cnt) computes it
+        j, cnt = np.repeat(np.arange(1, m + 1), counts), np.repeat(counts, counts)
+        k = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rings = _ring(p.center, p.radius * j / m, 0.0 + TWO_PI * k / cnt)
+        return np.concatenate([[p.center], rings])
     if isinstance(p, AnnulusSector):
         m_r = max(2, int(round(math.sqrt(n / 4.0))) + 1)
         per_ring = max(4, n // m_r)

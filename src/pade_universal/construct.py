@@ -185,23 +185,26 @@ class TargetFunction:
 
     def derivative(self, order: int) -> "TargetFunction | None":
         """Derivative as a new target, or ``None`` when not differentiable."""
-        if order == 0:
-            return self
+        return self.derivatives(order)[order]
+
+    def derivatives(self, levels: int) -> "list[TargetFunction | None]":
+        """``[self, self', ..., self^(levels)]`` (``None`` past level 0 for a table):
+        one chain of derivatives, or one numerator recurrence and a running ``B^(l+1)``."""
+        out: list[TargetFunction | None] = [self]
         if self.kind == "poly":
-            return TargetFunction(kind="poly", numer=self.numer.derivative(order))
-        if self.kind == "rational":
-            den = self.denom.coeffs
-            num = derivative_numerators(self.numer.coeffs, den, order)[-1]
-            den_power = den
-            for _ in range(order):
-                den_power = poly_mul(den_power, den)
-            center = self.numer.center
-            return TargetFunction(
-                kind="rational",
-                numer=Polynomial(num, center),
-                denom=Polynomial(den_power, center),
-            )
-        return None
+            c = self.numer.coeffs
+            for _ in range(levels):
+                c = differentiate(c)
+                out.append(TargetFunction("poly", Polynomial._of_kernel(c, self.numer.center)))
+        elif self.kind == "rational":
+            den = power = self.denom.coeffs
+            for num in derivative_numerators(self.numer.coeffs, den, levels)[1:]:
+                power = poly_mul(power, den)
+                pair = [Polynomial._of_kernel(a, self.numer.center) for a in (num, power)]
+                out.append(TargetFunction("rational", *pair))
+        else:
+            out += [None] * levels
+        return out
 
     def to_json(self) -> dict:
         if self.kind == "poly":
@@ -464,6 +467,18 @@ class Certificate:
         )
 
 
+def _level_values(u: Polynomial, z: np.ndarray, levels: int) -> np.ndarray:
+    """Row ``l``: ``u^(l)`` at ``z``, bitwise ``u.derivative(l).eval(z)``, by one Horner
+    over ``u, u', ...`` zero-padded on top (a padded step resets the value to +0)."""
+    rows = np.zeros((levels + 1, len(u.coeffs)), dtype=complex)
+    rows[0] = c = u.coeffs
+    for row in rows[1:]:
+        c = differentiate(c)
+        row[: len(c)] = c
+    # a contiguous copy per row: an in-place multiply by a broadcast view takes twice as long
+    return horner(rows, np.repeat((z - u.center)[None], levels + 1, axis=0))
+
+
 class _Measurement:
     """Every certified sup of one requirement, prepared once per requirement.
 
@@ -473,8 +488,8 @@ class _Measurement:
     approximants as ``achieved[pade_label]``, and at derivative levels
     ``l >= 1`` as the diagnostics ``{name}_taylor_d{l}`` and
     ``{name}_pade_d{l}`` (where the target has that derivative).  Each target
-    and its derivatives are evaluated here, once; a call measures one
-    polynomial.
+    is differentiated for all levels at once and evaluated here, once; a call
+    measures one polynomial, evaluating it at every level by one Horner.
 
     A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
     ``requested``: it passes when :attr:`Certificate.sup_ok` holds and the
@@ -488,9 +503,9 @@ class _Measurement:
     ``a_p(ζ) = u_p``, so at every center the Hankel window is
     anti-triangular with determinant ``±u_p^q != 0``, and ``S_p(u, ζ) = u``
     and ``[u; p/q]_ζ = u`` (Baker & Graves-Morris, *Pade Approximants*,
-    ch. 1).  The call then evaluates ``u^(l)`` once on K and J and records
-    those values as both the Taylor and the Pade row: every ``id_*`` sup is
-    exactly 0 and no center is recentered, tested or solved for.
+    ch. 1).  The call then measures ``u^(l)`` against the targets once for
+    both the Taylor and the Pade row: every ``id_*`` sup is exactly 0 and no
+    center is recentered, tested or solved for.
 
     Every other ``u`` is measured center by center under the Hankel
     threshold of ``tol``; the first center whose Hankel test fails raises
@@ -519,18 +534,17 @@ class _Measurement:
             self.parts.append((slice(start, start + len(points)), *labels))
             start += len(points)
         # per level: the target derivative on each compact (None where it has none)
-        self.target_vals = []
-        for l in range(levels + 1):
-            derived = [(target.derivative(l), points) for points, target, *_ in compacts]
-            self.target_vals.append(
-                [None if t is None else np.asarray(t.evaluate(z)) for t, z in derived]
-            )
+        derived = [(target.derivatives(levels), points) for points, target, *_ in compacts]
+        self.target_vals = [
+            [None if t[l] is None else np.asarray(t[l].evaluate(z)) for t, z in derived]
+            for l in range(levels + 1)
+        ]
 
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int
     ) -> Certificate:
         zkj, levels = self.points, self.levels
-        u_vals = [u.derivative(l).eval(zkj) for l in range(levels + 1)]
+        u_vals = _level_values(u, zkj, levels)
         sups: dict[str, float] = {}
         for _, taylor, pade, _ in self.parts:
             sups.update({taylor: 0.0, pade: 0.0})
@@ -554,10 +568,16 @@ class _Measurement:
             raise ValueError("length must not truncate stored coefficients")
         diagnostics: dict = {}
         if u.array_degree() == p:
-            # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u
+            # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u, one row
             for l, values in enumerate(u_vals):
-                record("taylor", l, values[None])
-                record("pade", l, values[None])
+                devs = [(labels, max(0.0, float(np.max(np.abs(values[cols] - t)))))
+                        for (cols, *labels), t in zip(self.parts, self.target_vals[l])
+                        if t is not None]
+                if l == 0:
+                    sups.update({label: dev for labels, dev in devs for label in labels[:2]})
+                else:
+                    diag_targets.update({f"{name}_{kind}_d{l}": dev
+                                         for kind in ("taylor", "pade") for (*_, name), dev in devs})
             with np.errstate(over="ignore", under="ignore"):
                 hankel_min = float(np.abs(coeffs[p]) ** q)
             if math.isinf(hankel_min):

@@ -119,15 +119,12 @@ class RationalFunction:
         """Evaluate ``A(z)/B(z)``; raises near the poles."""
         return self.numer.eval(z) / _off_poles(self.denom.eval(z), z)
 
-    def __call__(self, z):
-        return self.eval(z)
-
     def common_zero(self):
         """Search for a shared zero by testing A at B's numerical roots.
 
         Returns the offending root, or ``None`` when numerator and
-        denominator are coprime as far as sampling can tell.  Coprimality is
-        asserted, never enforced by cancellation.
+        denominator are coprime as far as sampling can tell.  The tests
+        assert coprimality through it; nothing enforces it by cancellation.
         """
         deg = self.denom.degree()
         if deg in (0, float("-inf")):
@@ -312,8 +309,8 @@ def pade_approximant(
     singular.  One window serves the test and the solve of
     :func:`pade_denominators`' system; the numerator is ``B * S_p`` up to
     degree ``p``, so ``q = 0`` gives the partial sum over the constant
-    denominator.  Common roots of the returned pair are asserted against,
-    not cancelled, so a construction bug cannot hide behind a GCD step.
+    denominator.  Common roots are not cancelled, so a construction bug cannot
+    hide behind a GCD step; only the tests check coprimality (``common_zero``).
     A numerator or denominator coefficient beyond the float range raises
     :class:`HankelOverflowError` naming the cell.
     """
@@ -388,8 +385,9 @@ def order_condition_decidability(
 
 
 def _pad(c: np.ndarray, length: int) -> np.ndarray:
-    widths = [(0, 0)] * (c.ndim - 1) + [(0, length - c.shape[-1])]
-    return np.pad(c, widths)
+    out = np.zeros(c.shape[:-1] + (length,), dtype=c.dtype)
+    out[..., : c.shape[-1]] = c
+    return out
 
 
 def derivative_numerators(numer: np.ndarray, denom: np.ndarray, order: int) -> list[np.ndarray]:

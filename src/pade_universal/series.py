@@ -207,9 +207,6 @@ class Polynomial(_CoefficientRow):
         """Highest index with an exactly nonzero stored coefficient."""
         return self.degree(0.0)
 
-    def __call__(self, z):
-        return self.eval(z)
-
     def eval(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
         values = horner(self.coeffs, np.atleast_1d(np.asarray(z) - self.center))

@@ -225,7 +225,7 @@ PRIMITIVES = [
 class TestArrayParity:
     """The array sampler and membership test against their scalar forms."""
 
-    @pytest.mark.parametrize("n", [8, 9, 64, 65, 1024])
+    @pytest.mark.parametrize("n", [*range(8, 66), 1024, 4096])
     def test_discretize_is_byte_equal_to_the_scalar_samplers(self, n):
         for spec in [CompactSpec([p], n) for p in PRIMITIVES] + [CompactSpec(PRIMITIVES, n)]:
             points = discretize(spec).points
