@@ -45,6 +45,7 @@ from .errors import (
     HankelOverflowError,
     IllConditionedError,
     IndexExhaustedError,
+    NonFiniteSupError,
     OriginInKError,
     PadeNotExistError,
     PadeUniversalError,
@@ -360,7 +361,8 @@ _FAILURES = (
     (IndexExhaustedError, EXIT_INDEX, "index-exhausted"),
     (PerturbationFailedError, EXIT_PERTURBATION, "perturbation-failed"),
     ((DegenerateDenominatorError, PoleProximityError, IllConditionedError, HankelOverflowError,
-      TruncationExceededError, OriginInKError, np.linalg.LinAlgError), EXIT_NUMERIC, "numeric"),
+      TruncationExceededError, OriginInKError, NonFiniteSupError, np.linalg.LinAlgError),
+     EXIT_NUMERIC, "numeric"),
     (SchemaError, EXIT_USAGE, "schema"),
     ((ValueError, KeyError, OSError, PadeUniversalError), EXIT_USAGE, "validation"),
 )

@@ -27,12 +27,12 @@ when it is refused; no builder tries a second fit.  The judge is a
 :class:`_Measurement`, the sup over the product grid L x (K u J) at every
 derivative level, prepared once per requirement (its targets evaluated
 once); it returns the :class:`Certificate`, so the pass rule lives in one
-place.  A ``u`` of degree exactly ``p`` is decided by the identity; any
-other ``u`` is measured center by center, in blocks, with the array
-kernels of :mod:`.series` and :mod:`.pade` (stacked recentering, Hankel
-test, denominator solve and Horner evaluation).  Builds and
-``verify_construction`` measure K and J on the grid of L; a prefix
-extension is its one-center case, L = {0} and K alone at level 0.
+place, and takes every sup through one fold, which raises
+:class:`NonFiniteSupError` for a sup that is ``inf`` or NaN.  A ``u`` of
+degree exactly ``p`` is the fold's one-row case, by the identity; any other
+``u`` is measured center by center, in blocks, with the array kernels of
+:mod:`.series` and :mod:`.pade`.  Builds and ``verify_construction`` measure
+K and J on the grid of L; a prefix extension is the one-center case L = {0}.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     FitFailedError,
     IllConditionedError,
     IndexExhaustedError,
+    NonFiniteSupError,
     OriginInKError,
     PadeNotExistError,
     PerturbationFailedError,
@@ -182,10 +183,6 @@ class TargetFunction:
                 out[start : start + block] = vals[nearest]
             return complex(out[0]) if np.ndim(z) == 0 else out
         raise ValueError(f"unknown target kind {self.kind!r}")
-
-    def derivative(self, order: int) -> "TargetFunction | None":
-        """Derivative as a new target, or ``None`` when not differentiable."""
-        return self.derivatives(order)[order]
 
     def derivatives(self, levels: int) -> "list[TargetFunction | None]":
         """``[self, self', ..., self^(levels)]`` (``None`` past level 0 for a table):
@@ -467,16 +464,23 @@ class Certificate:
         )
 
 
-def _level_values(u: Polynomial, z: np.ndarray, levels: int) -> np.ndarray:
-    """Row ``l``: ``u^(l)`` at ``z``, bitwise ``u.derivative(l).eval(z)``, by one Horner
-    over ``u, u', ...`` zero-padded on top (a padded step resets the value to +0)."""
-    rows = np.zeros((levels + 1, len(u.coeffs)), dtype=complex)
-    rows[0] = c = u.coeffs
-    for row in rows[1:]:
+def _level_values(rows: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
+    """Level ``l``: bitwise ``horner(differentiate^l(rows), w)``, by one Horner over the
+    rows and their derivatives zero-padded on top (a padded step resets the value to +0)."""
+    stack = np.zeros((levels + 1,) + rows.shape, dtype=complex)
+    stack[0] = c = rows
+    for level in stack[1:]:
         c = differentiate(c)
-        row[: len(c)] = c
-    # a contiguous copy per row: an in-place multiply by a broadcast view takes twice as long
-    return horner(rows, np.repeat((z - u.center)[None], levels + 1, axis=0))
+        level[..., : c.shape[-1]] = c
+    # a contiguous copy per level: an in-place multiply by a broadcast view takes twice as long
+    return horner(stack, np.repeat(w[None], levels + 1, axis=0))
+
+
+def _sup(deviation: np.ndarray, compact: str, level: int) -> float:
+    """``max |deviation|``; raises :class:`NonFiniteSupError` unless it is finite."""
+    if (sup := float(np.max(np.abs(deviation)))) < math.inf:  # NaN fails it too
+        return sup
+    raise NonFiniteSupError(f"the sup on {compact} at derivative level {level} is {sup}")
 
 
 class _Measurement:
@@ -489,7 +493,9 @@ class _Measurement:
     ``l >= 1`` as the diagnostics ``{name}_taylor_d{l}`` and
     ``{name}_pade_d{l}`` (where the target has that derivative).  Each target
     is differentiated for all levels at once and evaluated here, once; a call
-    measures one polynomial, evaluating it at every level by one Horner.
+    measures one polynomial, evaluating it at every level by one Horner.  One
+    fold takes every sup and refuses one that is ``inf`` or NaN, so a call
+    runs with numpy's overflow and invalid-value warnings off.
 
     A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
     ``requested``: it passes when :attr:`Certificate.sup_ok` holds and the
@@ -503,21 +509,21 @@ class _Measurement:
     ``a_p(ζ) = u_p``, so at every center the Hankel window is
     anti-triangular with determinant ``±u_p^q != 0``, and ``S_p(u, ζ) = u``
     and ``[u; p/q]_ζ = u`` (Baker & Graves-Morris, *Pade Approximants*,
-    ch. 1).  The call then measures ``u^(l)`` against the targets once for
-    both the Taylor and the Pade row: every ``id_*`` sup is exactly 0 and no
-    center is recentered, tested or solved for.
+    ch. 1).  The call then folds the one row ``u^(l)`` per level for both
+    kinds at once: every ``id_*`` sup is exactly 0 and no center is
+    recentered, tested or solved for.
 
     Every other ``u`` is measured center by center under the Hankel
     threshold of ``tol``; the first center whose Hankel test fails raises
     :class:`PadeNotExistError`.  The centers are measured in blocks of
     ``_BLOCK_PAIRS // points``, each block in array passes: one stacked
     Horner shift recenters ``u``, one stacked determinant tests the Hankel
-    windows, one stacked solve builds the denominators, and one Horner per
-    derivative level evaluates the Taylor partial sums and the approximants
-    on the points of every compact.
-    Running maxima carry the sups across blocks.  Errors are those of the
-    center-by-center order: the first failing center, and at it the first
-    point in compact order.
+    windows, one stacked solve builds the denominators, and one Horner for
+    every level of the Taylor sums and one per level of the approximants
+    evaluate them on the points of every compact.  Running maxima carry the
+    sups across blocks.  Errors are those of the center-by-center order (the
+    first failing center, and at it the first point in compact order); a
+    non-finite sup raises as its block is folded.
     """
 
     def __init__(
@@ -528,11 +534,11 @@ class _Measurement:
         self.tol = tol
         self.requested = requested
         self.points = np.concatenate([points for points, *_ in compacts])
-        self.parts = []  # (columns of the compact in points, taylor label, pade label, name)
-        start = 0
-        for points, _, *labels in compacts:
-            self.parts.append((slice(start, start + len(points)), *labels))
-            start += len(points)
+        self.union = " u ".join(name for *_, name in compacts)
+        self.parts, start = [], 0  # (columns of the compact in points, label by kind, name)
+        for points, _, taylor, pade, name in compacts:
+            cols, start = slice(start, start + len(points)), start + len(points)
+            self.parts.append((cols, {"taylor": taylor, "pade": pade}, name))
         # per level: the target derivative on each compact (None where it has none)
         derived = [(target.derivatives(levels), points) for points, target, *_ in compacts]
         self.target_vals = [
@@ -540,55 +546,45 @@ class _Measurement:
             for l in range(levels + 1)
         ]
 
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int
     ) -> Certificate:
-        zkj, levels = self.points, self.levels
-        u_vals = _level_values(u, zkj, levels)
-        sups: dict[str, float] = {}
-        for _, taylor, pade, _ in self.parts:
-            sups.update({taylor: 0.0, pade: 0.0})
-        sups.update({f"id_taylor_l{l}": 0.0 for l in range(levels + 1)})
-        sups.update({f"id_pade_l{l}": 0.0 for l in range(levels + 1)})
-        diag_targets: dict[str, float] = {}
+        u_vals = _level_values(u.coeffs, self.points - u.center, self.levels)
+        sups = {label: 0.0 for _, labels, _ in self.parts for label in labels.values()}
+        for kind in ("taylor", "pade"):
+            sups.update({f"id_{kind}_l{l}": 0.0 for l in range(self.levels + 1)})
+        diagnostics: dict = {}
 
-        def bump(table: dict, key: str, deviation: np.ndarray) -> None:
-            table[key] = max(table.get(key, 0.0), float(np.max(np.abs(deviation))))
+        def fold(kinds, level: int, values: np.ndarray) -> None:
+            # each compact's max |values - T^(level)|, taken once, into each kind's running sup
+            table = sups if level == 0 else diagnostics
+            for (cols, labels, name), target in zip(self.parts, self.target_vals[level]):
+                if target is not None:
+                    deviation = _sup(values[..., cols] - target, name, level)
+                    for kind in kinds:
+                        key = labels[kind] if level == 0 else f"{name}_{kind}_d{level}"
+                        table[key] = max(table.get(key, 0.0), deviation)
 
         def record(kind: str, level: int, values: np.ndarray) -> None:
-            bump(sups, f"id_{kind}_l{level}", values - u_vals[level])
-            for (cols, taylor, pade, name), target in zip(self.parts, self.target_vals[level]):
-                if level == 0:
-                    bump(sups, taylor if kind == "taylor" else pade, values[:, cols] - target)
-                elif target is not None:
-                    bump(diag_targets, f"{name}_{kind}_d{level}", values[:, cols] - target)
+            key = f"id_{kind}_l{level}"
+            sups[key] = max(sups[key], _sup(values - u_vals[level], self.union, level))
+            fold((kind,), level, values)
 
-        coeffs = u.coeffs
-        if len(coeffs) > p + q + 1:
+        if len(u.coeffs) > p + q + 1:
             raise ValueError("length must not truncate stored coefficients")
-        diagnostics: dict = {}
         if u.array_degree() == p:
             # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u, one row
             for l, values in enumerate(u_vals):
-                devs = [(labels, max(0.0, float(np.max(np.abs(values[cols] - t)))))
-                        for (cols, *labels), t in zip(self.parts, self.target_vals[l])
-                        if t is not None]
-                if l == 0:
-                    sups.update({label: dev for labels, dev in devs for label in labels[:2]})
-                else:
-                    diag_targets.update({f"{name}_{kind}_d{l}": dev
-                                         for kind in ("taylor", "pade") for (*_, name), dev in devs})
-            with np.errstate(over="ignore", under="ignore"):
-                hankel_min = float(np.abs(coeffs[p]) ** q)
+                fold(("taylor", "pade"), l, values)
+            hankel_min = float(np.abs(u.coeffs[p]) ** q)
             if math.isinf(hankel_min):
-                diagnostics["hankel_min_log10"] = q * math.log10(abs(coeffs[p]))
+                diagnostics["hankel_min_log10"] = q * math.log10(abs(u.coeffs[p]))
             diagnostics["by_identity"] = True
         else:
             hankel_min, diagnostics["hankel_tau_max"] = self._per_center(u, p, q, record)
 
-        diagnostics = {**diag_targets, **diagnostics}
-        for l in range(levels + 1):
-            diagnostics[f"sup_u_d{l}"] = float(np.max(np.abs(u_vals[l])))
+        diagnostics.update({f"sup_u_d{l}": _sup(v, self.union, l) for l, v in enumerate(u_vals)})
 
         cert = Certificate(
             (p, q), perturbation, fit_degree, sups, self.requested, hankel_min, False, diagnostics
@@ -612,11 +608,8 @@ class _Measurement:
             hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
             hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
             w = zkj - zeta[:, None]
-
-            partial = series[:, : p + 1]
-            for l in range(levels + 1):
-                record("taylor", l, horner(partial, w))
-                partial = differentiate(partial)
+            for l, partial in enumerate(_level_values(series[:, : p + 1], w, levels)):
+                record("taylor", l, partial)
 
             failed = np.flatnonzero(~exists)
             # Pade rows only before the first failure: only these can raise before it
@@ -693,9 +686,9 @@ def _certify(
     the float range ``d`` reads 0 and the pair is refused unmeasured.
     Otherwise the trial is measured once, as ``measurement(u, ...)`` with
     ``diagnostics`` (the builder's fit residual) added to its certificate,
-    and refused if that certificate fails or the Hankel test fails at a
-    center.  With ``d_override`` the pair is measured at that value, and a
-    certificate that does not pass is returned; ``d = 0`` never passes.
+    and refused if its certificate fails, or a sup is not finite or a
+    center fails the Hankel test.  With ``d_override`` the pair is measured at
+    that value, and a failing certificate is returned; ``d = 0`` never passes.
     """
     p, q = select_index(f_seq, len(fit.coeffs) - 1)
     d = d_override
@@ -710,7 +703,7 @@ def _certify(
     u = fit.plus_monomial(d, p)
     try:
         cert = measurement(u, p, q, d, fit_degree)
-    except PadeNotExistError:
+    except (PadeNotExistError, NonFiniteSupError):
         raise PerturbationFailedError(p, q, d, 1) from None
     cert.diagnostics.update(diagnostics)
     if not (cert.passed or d_override is not None):

@@ -142,6 +142,10 @@ class PerturbationFailedError(PadeUniversalError):
         self.attempts = attempts
 
 
+class NonFiniteSupError(PadeUniversalError):
+    """A measured sup is ``inf`` or NaN, so no certificate can state it."""
+
+
 class OriginInKError(PadeUniversalError):
     """The compact set for a prefix extension contains (or touches) 0."""
 

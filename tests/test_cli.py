@@ -523,6 +523,24 @@ class TestBuildCommand:
         payload = json.loads(verify_out)
         assert code == 0 and payload["match"] is True and payload["max_deviation"] == 0.0
 
+    def test_verify_of_a_non_finite_sup_exits_three(self, capsys, tmp_path):
+        # u = 2.4e127 z^600 overflows on K = [2, 3], and inf * 0 in Horner
+        # gives NaN: the re-measurement refuses the sup, where it once
+        # recorded 0.0 and then failed to write the NaN of sup_u_d0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        record["artifacts"]["universal_poly"]["coeffs"] = [[0.0, 0.0]] * 600 + [[2.4e127, 0.0]]
+        record["certificates"][0]["selected"] = [600, 1]
+        out.write_text(json.dumps(record))
+        code, verify_out, err = run(capsys, "verify", "--run", str(out))
+        assert (code, verify_out) == (3, "")
+        assert one_json_line(err) == {
+            "error": "numeric", "message": "the sup on K at derivative level 0 is nan"
+        }
+
     def test_verify_of_a_vanishing_window_exits_two(self, capsys, tmp_path):
         # u_p = 0 in the record: u falls below degree p, so its (23, 2)
         # windows vanish and the re-measurement refuses the first center
@@ -543,11 +561,18 @@ class TestBuildCommand:
         assert diag["hankel"]["nonvanishing"] is False
         assert diag["hankel"]["center"] == [0.0, 0.0]
 
-    def test_hankel_refusal_of_the_trial_exits_six(self, capsys, tmp_path, monkeypatch):
-        # a trial whose Hankel test fails at a center is refused like one
-        # that fails a sup: exit 6 and the record, not exit 2
+    @pytest.mark.parametrize("refusal", [
+        lambda: errors.PadeNotExistError(hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2)),
+        lambda: errors.NonFiniteSupError("the sup on K at derivative level 0 is nan"),
+    ], ids=["hankel", "non-finite"])
+    def test_refused_measurement_of_the_trial_exits_six(
+        self, capsys, tmp_path, monkeypatch, refusal
+    ):
+        # a trial whose Hankel test fails at a center, or whose sup is not
+        # finite, is refused like one that fails a sup: exit 6 and the
+        # record, not exit 2 or 3
         def refuse(measurement, *args):
-            raise errors.PadeNotExistError(hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2))
+            raise refusal()
 
         monkeypatch.setattr(construct._Measurement, "__call__", refuse)
         scenario = tmp_path / "scenario.json"
@@ -691,6 +716,7 @@ FAILURE_ROWS = [
     (errors.IllConditionedError, 3, "numeric"),
     (errors.PerturbationFailedError, 6, "perturbation-failed"),
     (errors.OriginInKError, 3, "numeric"),
+    (errors.NonFiniteSupError, 3, "numeric"),
     (errors.SchemaError, 1, "schema"),
     (ValueError, 1, "validation"),
     (KeyError, 1, "validation"),

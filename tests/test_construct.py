@@ -204,7 +204,7 @@ class TestTargets:
         assert scalar.value.magnitude == array.value.magnitude
 
     def test_rational_derivative_descriptor(self):
-        d1 = F_ON_L.derivative(1)  # derivative of 1/(2-z) is 1/(2-z)^2
+        d1 = F_ON_L.derivatives(1)[1]  # derivative of 1/(2-z) is 1/(2-z)^2
         for z in (0.0, 0.5, 0.3j):
             assert abs(d1.evaluate(z) - 1.0 / (2.0 - z) ** 2) <= 1e-12
 

@@ -4,7 +4,9 @@ One ``table`` seed runs twice in fresh interpreters: each run prints one
 ``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
 print the same lines.  ``--workload all`` prints the lines of each workload
 and of the demos behind the workload's name.  ``--decisions`` prints one
-line of outcomes per cycle, and the ``table`` digest as before.  A ``desk``
+line of outcomes per cycle, and the ``table`` digest as before.  ``general``
+prints one stable digest per ``wide`` cycle, of its per-center
+re-measurement, not the ``wide`` digest.  A ``desk``
 digest compares parsed standard outputs, so a re-indented ``verify`` report
 keeps it.  Nothing is written under ``perfbench/``.
 """
@@ -41,6 +43,20 @@ def test_one_table_seed_prints_one_stable_digest_per_cycle(monkeypatch):
     for i, line in enumerate(first):
         assert re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", line)
     assert fingerprints("--workload", "table", "--seeds", "101") == first
+
+
+def test_general_prints_one_stable_digest_per_wide_cycle(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    first = fingerprints("--workload", "general", "--seeds", "101")
+    assert len(first) == workloads.WORKLOADS["wide"].pass_length
+    for i, line in enumerate(first):
+        assert re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", line)
+    assert fingerprints("--workload", "general", "--seeds", "101") == first
+    wide = fingerprints("--workload", "wide", "--seeds", "101")
+    assert not {line.split()[2] for line in first} & {line.split()[2] for line in wide}
 
 
 def test_reversed_seed_range_is_an_error():

@@ -2,10 +2,12 @@
 
 A measurement differentiates its targets for all derivative levels at once
 (:meth:`TargetFunction.derivatives`), evaluates ``u`` and its derivatives by
-one Horner over zero-padded rows (``construct._level_values``), and on the
-identity path measures each deviation from a target once for both the
+one Horner over zero-padded rows (``construct._level_values``, also for
+stacked rows with their own offsets, as the per-center Taylor sums), and on
+the identity path measures each deviation from a target once for both the
 Taylor and the Pade label.  Each is checked here bit for bit against the
-per-level code it replaced, kept below as the reference.
+per-level code it replaced, kept below as the reference.  A sup that is not
+finite is refused with :class:`NonFiniteSupError`.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from pade_universal.construct import (
     build_universal_polynomial,
     verify_construction,
 )
+from pade_universal.errors import NonFiniteSupError
 from pade_universal.pade import derivative_numerators
-from pade_universal.series import DEFAULT_TOL, Polynomial, differentiate, poly_mul
+from pade_universal.series import DEFAULT_TOL, Polynomial, differentiate, horner, poly_mul
 
 from conftest import random_coefficients
 
 
 def reference_derivative(target: TargetFunction, order: int):
-    """``TargetFunction.derivative`` as it was, one level per call."""
+    """The target derivative as it was taken before ``derivatives``, one level per call."""
     if order == 0:
         return target
     if target.kind == "poly":
@@ -96,7 +99,7 @@ class TestTargetDerivatives:
             assert len(levels) == 5 and levels[0] is target
             for l, derived in enumerate(levels):
                 assert same_target(derived, reference_derivative(target, l)), (target.kind, l)
-                assert same_target(target.derivative(l), derived)
+                assert same_target(target.derivatives(l)[l], derived)
 
     def test_table_targets_have_no_derivatives(self):
         table = random_targets(0)[-1]
@@ -134,10 +137,31 @@ class TestLevelHorner:
                 c[-2] = complex(c[-2].real, 0.0)  # real-only
             u = Polynomial(c, center)
             for levels in (0, 1, 2, length + 1):
-                rows = _level_values(u, z, levels)
+                rows = _level_values(u.coeffs, z - u.center, levels)
                 assert rows.shape == (levels + 1, len(z))
                 for l in range(levels + 1):
                     assert rows[l].tobytes() == u.derivative(l).eval(z).tobytes(), (length, l)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_stacked_rows_are_each_levels_own_horner(self, seed):
+        # several coefficient rows, each with its own row of offsets, as the
+        # per-center Taylor sums are evaluated
+        rng = np.random.default_rng(seed)
+        w = np.array(random_coefficients(rng, 5 * 24, bound=1.5)).reshape(5, 24)
+        w[:, :3] = [0.0, -0.0, complex(0.0, -0.0)]  # points at the center, signed zeros
+        w[1] = w[1].real  # real offsets
+        for length in (1, 2, 5, 12):
+            rows = np.array(random_coefficients(rng, 5 * length)).reshape(5, length)
+            rows[rng.uniform(size=rows.shape) < 0.3] = 0.0  # exact zeros
+            rows[:, 0] = -0.0
+            rows[2] = rows[2].real  # a real-only row
+            for levels in (0, 1, 2, length + 1):
+                values = _level_values(rows, w, levels)
+                assert values.shape == (levels + 1, 5, 24)
+                derived = rows
+                for l in range(levels + 1):
+                    assert values[l].tobytes() == horner(derived, w).tobytes(), (length, l)
+                    derived = differentiate(derived)
 
 
 def requirement(levels: int) -> RequirementSpec:
@@ -191,3 +215,24 @@ def test_identity_measures_each_deviation_once_for_both_labels(levels):
             for name in ("K", "J"):
                 assert c.diagnostics[f"{name}_taylor_d{l}"] == c.diagnostics[f"{name}_pade_d{l}"]
     assert again.achieved == cert.achieved
+
+
+def test_a_non_finite_sup_is_refused_not_recorded_as_zero():
+    # u = 2.4e127 z^600 overflows on K = [2, 3], and inf * 0 in Horner gives
+    # NaN; max(0.0, nan) is 0.0, so this u once passed with achieved["2"] = 0.0
+    req = RequirementSpec(
+        K=CompactSpec([Segment(2.0, 3.0)], 16),
+        target_on_K=TargetFunction.poly([0.0]),
+        L=CompactSpec([FilledDisk(0.0, 0.4)], 8),
+        s=50,
+        J=CompactSpec([FilledDisk(0.0, 0.6)], 16),
+    )
+    u = Polynomial([0.0] * 600 + [2.4e127])
+    with pytest.raises(NonFiniteSupError, match="the sup on K at derivative level 0 is nan"):
+        verify_construction(u, req, (600, 1), TargetFunction.poly([0.0]), perturbation=1.0)
+    # off the identity path too, stored to degree 601: the first sup folded
+    # there is the id_taylor_l0 sup over every point
+    with pytest.raises(NonFiniteSupError, match="the sup on K u J at derivative level 0 is nan"):
+        verify_construction(
+            Polynomial([0.0] * 600 + [2.4e127, 0.0]), req, (601, 0), TargetFunction.poly([0.0]),
+        )

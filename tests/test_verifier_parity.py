@@ -86,7 +86,7 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     hk_levels = []
     fj_levels = []
     for l in range(1, levels + 1):
-        tk, tj = target_k.derivative(l), target_j.derivative(l)
+        tk, tj = target_k.derivatives(l)[l], target_j.derivatives(l)[l]
         hk_levels.append(None if tk is None else np.asarray(tk.evaluate(zk)))
         fj_levels.append(None if tj is None else np.asarray(tj.evaluate(zj)))
 

@@ -6,6 +6,7 @@ Usage, from the root of a checkout:
     python3 tools/fingerprints.py --workload demos
     python3 tools/fingerprints.py --workload all --seeds 101-105
     python3 tools/fingerprints.py --decisions --workload wide --seeds 101-110
+    python3 tools/fingerprints.py --workload general --seeds 101-110
 
 Runs every cycle of one pass of the workload for each seed, with the
 workloads of this checkout's ``perfbench/workloads.py`` and the program of
@@ -21,6 +22,14 @@ and ``table`` for the seeds, then the demos, and puts the workload's name in
 front of each line.  Running it in two checkouts and diffing the outputs
 checks that a change keeps every output bit-identical.  BLAS runs on one
 thread, as in the benchmark.
+
+The ``general`` workload, which ``all`` leaves out, reaches the per-center
+measurement that no benchmark workload or demo runs: for each ``wide`` cycle
+it re-measures the built ``u``, of degree ``p``, with ``verify_construction``
+at ``(p - 1, 1)``, so every center of L is recentered, tested and solved for
+at derivative levels 2, and prints ``<seed> <cycle> <sha256>`` of that
+certificate's JSON, or of the ``repr`` of the error it raises (of the
+build's refusal when there is no ``u``).
 
 A ``desk`` cycle is hashed with each standard output that parses as JSON
 (the ``verify`` report) re-dumped compactly with sorted keys, and its
@@ -116,21 +125,46 @@ def decisions(name: str, work, evidence) -> str:
     return digest(name, work, evidence)
 
 
+def general_digest(work, i: int) -> str:
+    """The sha256 of cycle ``i``'s built ``u`` re-measured at ``(p - 1, 1)``:
+    of its certificate's JSON, or of the ``repr`` of the error raised."""
+    from pade_universal import construct
+    from pade_universal.errors import PadeUniversalError
+
+    _, evidence = work.run_cycle(i)
+    if "refusal" in evidence:
+        text = repr(evidence["refusal"])
+    else:
+        inner, req = work.inputs[i]
+        p, _ = evidence["cert"].selected
+        try:
+            cert = construct.verify_construction(evidence["u"], req, (p - 1, 1), inner)
+            text = json.dumps(cert.to_json(), sort_keys=True)
+        except PadeUniversalError as exc:
+            text = repr(exc)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _cycles(name: str, seeds, prefix: str = "", outcomes: bool = False) -> None:
     import workloads
 
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
-            work = workloads.WORKLOADS[name](seed, workdir)
+            work = workloads.WORKLOADS["wide" if name == "general" else name](seed, workdir)
             for i in range(work.pass_length):
-                _, evidence = work.run_cycle(i)
-                line = decisions(name, work, evidence) if outcomes else digest(name, work, evidence)
+                if name == "general":
+                    line = general_digest(work, i)
+                else:
+                    _, evidence = work.run_cycle(i)
+                    line = (decisions if outcomes else digest)(name, work, evidence)
                 print(f"{prefix}{seed} {i} {line}", flush=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "demos", "all"])
+    parser.add_argument(
+        "--workload", required=True, choices=[*WORKLOADS, "general", "demos", "all"]
+    )
     parser.add_argument("--seeds", type=_seeds, help="one seed N or a range A-B")
     parser.add_argument(
         "--decisions", action="store_true", help="print each cycle's outcomes, not its digest"
