@@ -155,10 +155,13 @@ def _cmd_pade(args) -> int:
     tol = _tolerances(args)
     r = pade_approximant(f, args.p, args.q, tol)
     residual = order_condition_residual(f, r)
+    report = hankel_determinant(f, args.p, args.q, tol)
+    if not np.isfinite(residual):  # A/B's expansion left the float range
+        raise HankelOverflowError(args.p, args.q, report.scale, part="residual")
     sys.stdout.write(dumps_canonical({
         "rational": r.to_json(),
         "order_condition_residual": residual,
-        "hankel": hankel_determinant(f, args.p, args.q, tol).to_json(),
+        "hankel": report.to_json(),
     }))
     return EXIT_OK
 

@@ -43,11 +43,13 @@ class PadeNotExistError(PadeUniversalError):
 class HankelOverflowError(PadeUniversalError):
     """A value of the ``(p, q)`` cell leaves the float range; ``part`` names
     it: the Hankel ``"threshold"`` ``tau_det * scale**q``, the Hankel
-    ``"determinant"``, or a coefficient of the Pade ``"approximant"``'s
-    numerator or denominator, with all inputs finite."""
+    ``"determinant"``, a coefficient of the Pade ``"approximant"``'s
+    numerator or denominator, or the order-condition ``"residual"``, with
+    all inputs finite."""
 
     def __init__(self, p, q, scale, part="threshold"):
-        what = "Pade approximant" if part == "approximant" else f"Hankel {part}"
+        names = {"approximant": "Pade approximant", "residual": "order-condition residual"}
+        what = names.get(part, f"Hankel {part}")
         verdict = "overflows" if part == "threshold" else "is not finite"
         super().__init__(f"{what} of the ({p},{q}) cell {verdict}: scale {scale:.3e}")
         self.p = p

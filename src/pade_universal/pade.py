@@ -172,7 +172,7 @@ def _hankel_windows(coeffs: np.ndarray, p, q: int) -> np.ndarray:
     window reaches a negative index, not a copy.
     Reversing the columns gives the Toeplitz denominator system.
     """
-    ranged = np.ndim(p) != 0
+    ranged = not isinstance(p, (int, np.integer))
     if ranged:
         ps = np.asarray(p)
         steps = np.diff(ps)
@@ -240,18 +240,20 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
 def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
     """``(window, value, scale, threshold, nonvanishing)`` of one row at one
     ``(p, q)``, ``q >= 1``, the last four bitwise :func:`hankel_test`'s; the
-    scale reads ``a_{p-q+1} .. a_{p+q-1}``, the window's first row and last column."""
+    scale reads ``a_{p-q+1} .. a_{p+q-1}``, the window's first row and last
+    column, and ``abs`` of numpy's complex scalar is the libm ``hypot`` of
+    ``np.hypot`` (a Python complex would raise where its modulus overflows)."""
     window = _hankel_windows(coeffs, p, q)
-    scale = float(np.abs(coeffs[max(0, p - q + 1) : p + q]).max())
+    scale = float(np.maximum.reduce(np.abs(coeffs[max(0, p - q + 1) : p + q])))
     value = np.linalg.det(window)
     try:
         threshold = tol.tau_det * scale**q
     except OverflowError:
         raise HankelOverflowError(p, q, scale) from None
-    magnitude = np.hypot(value.real, value.imag)
+    magnitude = abs(value)
     if not magnitude < math.inf:  # NaN fails the comparison too
         raise HankelOverflowError(p, q, scale, part="determinant")
-    return window, value, scale, threshold, bool(magnitude > threshold)
+    return window, complex(value), scale, threshold, bool(magnitude > threshold)
 
 
 def hankel_determinant(
@@ -271,7 +273,7 @@ def hankel_determinant(
     if q == 0:
         return HankelReport(1 + 0j, p, q, f.center, True, float(tol.tau_det), 1.0)
     _, value, scale, threshold, exists = _cell_test(f.coeffs, p, q, tol)
-    return HankelReport(complex(value), p, q, f.center, exists, threshold, scale)
+    return HankelReport(value, p, q, f.center, exists, threshold, scale)
 
 
 def _singular(p: int, q: int) -> DegenerateDenominatorError:
@@ -316,11 +318,12 @@ def pade_approximant(
     """
     _require_truncation(f, p, q)
     coeffs = f.coeffs[: p + q + 1]
-    b = np.ones(q + 1, dtype=complex)
+    b = np.empty(q + 1, dtype=complex)
+    b[0] = 1
     if q:
         window, det, scale, tau, exists = _cell_test(coeffs, p, q, tol)
         if not exists:
-            raise PadeNotExistError(HankelReport(complex(det), p, q, f.center, False, tau, scale))
+            raise PadeNotExistError(HankelReport(det, p, q, f.center, False, tau, scale))
         try:
             b[1:] = np.linalg.solve(window[:, ::-1], -coeffs[p + 1 :])
         except np.linalg.LinAlgError as exc:
@@ -331,19 +334,21 @@ def pade_approximant(
         denominator = Polynomial._of_kernel(b, f.center)
     except ValueError:  # the solve or B * S_p overflowed, so q >= 1 and scale is set
         raise HankelOverflowError(p, q, scale, part="approximant") from None
-    return RationalFunction(numerator, denominator, p, q)
+    r = object.__new__(RationalFunction)  # what __post_init__ checks holds by construction
+    vars(r).update(numer=numerator, denom=denominator, p=p, q=q)
+    return r
 
 
 def _quotient_taylor(numer: list[complex], denom: list[complex], n: int) -> list[complex]:
     """The first ``n`` Taylor coefficients of ``A/B`` at its center, by the
     convolution recurrence ``b_k = (A_k - sum_{i=1..min(k,q)} B_i b_{k-i}) / B_0``."""
     b0, *b_tail = denom
-    taylor: list[complex] = []
+    recent: list[complex] = []  # b_{k-1}, b_{k-2}, ..., b_0
     for acc in (numer + [0j] * n)[:n]:
-        for b_i, t in zip(b_tail, reversed(taylor)):  # B_i b_{k-i}, i = 1, 2, ...
+        for b_i, t in zip(b_tail, recent):  # B_i b_{k-i}, i = 1, 2, ...
             acc -= b_i * t
-        taylor.append(acc / b0)
-    return taylor
+        recent.insert(0, acc / b0)
+    return recent[::-1]
 
 
 def order_condition_residual(f: FormalPowerSeries, r: RationalFunction) -> float:

@@ -11,6 +11,7 @@ reads any layout of the same JSON.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -44,22 +45,24 @@ def emit_pade_table(
     table with a cell beyond the float range, naming a cell of the first
     q-column that has one.
     """
-    rows = ["p,q,det_re,det_im,abs_det,exists\n"]
+    header = "p,q,det_re,det_im,abs_det,exists\n"
     if p_max < 0 or q_max < 0:
-        return rows[0]
+        return header
     if p_max + q_max >= len(f):
         raise TruncationExceededError(len(f), len(f))
     ps = np.arange(p_max + 1)
-    columns = []
-    for q in range(q_max + 1):
-        values, _, _, nonvanishing = hankel_test(f.coeffs, ps, q, tol)
-        columns.append((values.tolist(), ["true" if v else "false" for v in nonvanishing.tolist()]))
-    for p in range(p_max + 1):
-        for q, (values, exists) in enumerate(columns):
-            value = values[p]
-            cell = (p, q, value.real, value.imag, abs(value), exists[p])
-            rows.append("%d,%d,%.17g,%.17g,%.17g,%s\n" % cell)
-    return "".join(rows)
+    columns = [hankel_test(f.coeffs, ps, q, tol) for q in range(q_max + 1)]
+    values = np.array([column[0] for column in columns]).T  # p-major
+    exists = np.array([column[3] for column in columns]).T.ravel().tolist()
+    cells = zip(
+        np.repeat(ps, q_max + 1).tolist(),
+        list(range(q_max + 1)) * (p_max + 1),
+        values.real.ravel().tolist(),
+        values.imag.ravel().tolist(),
+        np.hypot(values.real, values.imag).ravel().tolist(),  # abs of each complex
+        map(("false", "true").__getitem__, exists),
+    )
+    return header + ("%d,%d,%.17g,%.17g,%.17g,%s\n" * values.size) % tuple(chain.from_iterable(cells))
 
 
 def environment_stamp() -> dict:

@@ -311,15 +311,17 @@ def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def poly_mul(a: np.ndarray, b: np.ndarray, length: int | None = None) -> np.ndarray:
     """Coefficients of ``a * b`` along the last axis, stacked over the rest; only the
-    first ``length`` if given, each summed in the order of the whole product."""
+    first ``length`` (at most ``m + n - 1``) if given, each summed in the order of the
+    whole product, ``c_k = ((0 + a_k b_0) + a_{k-1} b_1) + ...``: one reduction down a
+    zero block whose row ``i + 1`` holds ``a * b_i`` from column ``i``.  The zeros it
+    adds change no bit, as a sum begun at ``+0.0`` is never ``-0.0``."""
     m, n = a.shape[-1], b.shape[-1]
     length = m + n - 1 if length is None else length
     terms = a[..., None, :] * b[..., :, None]  # row i: a * b_i
-    out = np.zeros(terms.shape[:-2] + (length,), dtype=complex)
-    for i in range(min(n, length)):
-        acc = out[..., i : i + m]
-        acc += terms[..., i, : length - i]
-    return out
+    skew = np.zeros(terms.shape[:-2] + (n + 1, m + n), dtype=complex)
+    *lead, row, s = skew.strides
+    np.ndarray(terms.shape, complex, skew, row, (*lead, row + s, s))[...] = terms
+    return np.add.reduce(skew[..., :length], axis=-2)
 
 
 def differentiate(c: np.ndarray) -> np.ndarray:

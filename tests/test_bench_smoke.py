@@ -63,3 +63,24 @@ def test_first_cycle_oracle_agrees_at_every_center(name, expected, workloads, tm
         exact = exact_hankel_determinant([QComplex.of(c.real, c.imag) for c in row], p, q)
         agree += pade_side == (not exact.is_zero())
     assert [agree, compared] == expected
+
+
+def test_tracer_spans_one_table_cycle(workloads, tmp_path):
+    """The tracer finds the names it wraps in the Padé layer: a rename, or a
+    signature that moves ``q`` from the third positional argument that
+    ``_approx_label`` reads, fails here and not as a silently empty span."""
+    import tracer
+
+    work = workloads.WORKLOADS["table"](101, str(tmp_path))
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        work.run_cycle(0)
+    finally:
+        spans.remove()
+    approx = {label: rec[0] for label, rec in spans.stats.items() if label.startswith("pade.approx.")}
+    assert sorted(approx) == ["pade.approx.large_q", "pade.approx.small_q"]
+    assert sum(approx.values()) == work.sweep_p * work.sweep_q == 240
+    assert spans.stats["pade.residual"][0] > 0
+    assert spans.stats["reporting.table"][0] == 1
+    assert not hasattr(workloads.pade.pade_approximant, "__wrapped__")

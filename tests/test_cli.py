@@ -8,7 +8,7 @@ import pytest
 
 from pade_universal import cli, construct, errors
 from pade_universal.errors import ScheduleStepError
-from pade_universal.pade import hankel_determinant
+from pade_universal.pade import hankel_determinant, order_condition_residual, pade_approximant
 from pade_universal.reporting import dumps_canonical, load_run
 from pade_universal.series import FormalPowerSeries
 
@@ -211,6 +211,21 @@ class TestPadeCommand:
         assert one_json_line(err) == {
             "error": "numeric",
             "message": "Pade approximant of the (1,1) cell is not finite: scale 1.000e-160",
+        }
+
+    def test_residual_overflow_exits_three(self, capsys):
+        # the approximant is finite, but the Taylor expansion of A/B leaves the
+        # float range (k = 3 reads -inf + nan i): a numeric failure naming the
+        # cell, where the JSON writer's "Out of range float values" exited 1
+        coeffs = "[[1e4,0],[1e22,0],[1e-191,0],[1e57,0]]"
+        f = FormalPowerSeries([1e4, 1e22, 1e-191, 1e57])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert order_condition_residual(f, pade_approximant(f, 2, 1)) == math.inf
+        code, out, err = run(capsys, "pade", "--coeffs", coeffs, "--p", "2", "--q", "1")
+        assert (code, out) == (3, "")
+        assert one_json_line(err) == {
+            "error": "numeric",
+            "message": "order-condition residual of the (2,1) cell is not finite: scale 1.000e-191",
         }
 
     def test_usage_error_exits_one(self, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,11 @@ from pade_universal.errors import (
     PoleProximityError,
     TruncationExceededError,
 )
+from pade_universal import pade
 from pade_universal.exact import QComplex, exact_hankel_determinant, exact_rational_taylor
 from pade_universal.pade import (
     RationalFunction,
+    _quotient_taylor,
     _cell_test,
     _hankel_windows,
     hankel_determinant,
@@ -388,6 +391,30 @@ class TestOnePadeRoute:
         with pytest.raises(DegenerateDenominatorError, match=r"at \(p, q\) = \(2, 3\)"):
             pade_approximant(f, 2, 3)
 
+    @pytest.mark.parametrize("q", [0, 1, 6, 11])
+    def test_one_cell_is_one_det_and_one_solve(self, monkeypatch, q):
+        """Deterministic op counts of one existing cell: one ``det`` and one
+        ``solve`` (none at q = 0), no validated ``Polynomial`` construction and
+        no stacked or reported Hankel test."""
+        f = table_families(np.random.default_rng(29))["random"]
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in ((np.linalg, "det"), (np.linalg, "solve"), (Polynomial, "__init__"),
+                            (pade, "hankel_test"), (pade, "hankel_determinant")):
+            counted(owner, name)
+        r = pade_approximant(f, 12, q)
+        assert (r.p, r.q) == (12, q)
+        assert calls == (Counter(det=1, solve=1) if q else Counter())
+
 
 class TestRationalFunctionJson:
     @pytest.mark.parametrize("value", [1e400, 10**400, 2.7], ids=["1e400", "10**400", "2.7"])
@@ -400,7 +427,67 @@ class TestRationalFunctionJson:
             RationalFunction.from_json(obj)
 
 
+def loop_quotient_taylor(numer, denom, n):
+    """The recurrence of :func:`_quotient_taylor` as one loop that subtracts
+    ``B_i b_{k-i}`` while it reads the expansion backwards: the oracle that
+    pins every bit of the production recurrence."""
+    b0, *b_tail = denom
+    taylor = []
+    for acc in (numer + [0j] * n)[:n]:
+        for b_i, t in zip(b_tail, reversed(taylor)):
+            acc -= b_i * t
+        taylor.append(acc / b0)
+    return taylor
+
+
+def loop_residual(f, r):
+    n = r.p + r.q + 1
+    taylor = loop_quotient_taylor(r.numer.coeffs.tolist(), r.denom.coeffs.tolist(), n)
+    return max(abs(a - t) for a, t in zip(f.coeffs[:n].tolist(), taylor))
+
+
+def complex_bits(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
 class TestOrderCondition:
+    def test_residual_is_the_loop_oracle_on_the_table_families(self, rng):
+        cells = 0
+        for name, f in table_families(rng).items():
+            for p in range(20):
+                for q in range(12):
+                    try:
+                        r = pade_approximant(f, p, q)
+                    except PadeNotExistError:
+                        continue
+                    assert order_condition_residual(f, r).hex() == loop_residual(f, r).hex(), (name, p, q)
+                    cells += 1
+        assert cells > 4 * 20 * 12 // 2
+
+    def test_quotient_expansion_keeps_exact_and_signed_zeros(self):
+        # exact zeros, signed zeros in either part, and a denominator with
+        # zero and negative-zero entries: every bit of every coefficient
+        zeros = [1.0, -0.0, 0j, complex(-0.0, 0.5), 0.25, complex(0.0, -0.0),
+                 complex(-0.0, -0.0), -1.0, 0j, 0.5j, -0.0, 2.0]
+        f = FormalPowerSeries(zeros)
+        denoms = ([1.0], [1.0, -0.0], [1.0, 0j, complex(-0.0, -0.0)], [1.0, -0.5, 0j, 0.25j])
+        for denom in denoms:
+            for p in range(len(zeros) - len(denom) + 1):
+                numer = zeros[: p + 1]
+                n = p + len(denom)
+                expected = loop_quotient_taylor([complex(c) for c in numer], [complex(c) for c in denom], n)
+                got = _quotient_taylor([complex(c) for c in numer], [complex(c) for c in denom], n)
+                assert complex_bits(got) == complex_bits(expected), (denom, p)
+                r = RationalFunction(Polynomial(numer), Polynomial(denom), p, len(denom) - 1)
+                assert order_condition_residual(f, r).hex() == loop_residual(f, r).hex()
+        for p in range(6):
+            for q in range(6):
+                try:
+                    r = pade_approximant(f, p, q)
+                except (PadeNotExistError, DegenerateDenominatorError):
+                    continue
+                assert order_condition_residual(f, r).hex() == loop_residual(f, r).hex(), (p, q)
+
     def test_constructed_approximant_satisfies_order(self):
         f = exp_series()
         r = pade_approximant(f, 2, 2)

@@ -309,6 +309,31 @@ class TestPolyMul:
                 cut = poly_mul(a, b, length)
                 assert cut.view(np.int64).tolist() == whole[:, :length].copy().view(np.int64).tolist()
 
+    def test_each_coefficient_is_summed_in_order_from_zero(self, rng):
+        """``c_k = ((0 + a_k b_0) + a_{k-1} b_1) + ...`` bit for bit, on one row
+        and on stacks, with signed zeros and moduli over sixteen decades."""
+
+        def draw(shape):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x *= 10.0 ** rng.integers(-8, 9, shape)
+            x[rng.random(shape) < 0.15] = -0.0
+            x[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+            return x
+
+        for trial in range(150):
+            m, n = (int(k) for k in rng.integers(1, 14, 2))
+            lead = [(), (3,), (2, 2)][trial % 3]
+            a, b = draw(lead + (m,)), draw(lead + (n,))
+            terms = a[..., None, :] * b[..., :, None]
+            expected = np.zeros(lead + (m + n - 1,), dtype=complex)
+            for row in np.ndindex(*lead):
+                for k in range(m + n - 1):
+                    acc = 0j
+                    for i in range(max(0, k - m + 1), min(n, k + 1)):
+                        acc += complex(terms[row + (i, k - i)])
+                    expected[row + (k,)] = acc
+            assert poly_mul(a, b).view(np.int64).tolist() == expected.view(np.int64).tolist()
+
     def test_product_values(self):
         a, b = np.array([1.0, 2.0 + 0j]), np.array([3.0, 0j, -1.0])
         assert poly_mul(a, b).tolist() == [3.0, 6.0, -1.0, -2.0]
