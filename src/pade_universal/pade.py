@@ -15,8 +15,8 @@ verifier can treat many centers in one pass.  ``hankel_test`` also takes a
 range of ``p`` for one ``q``, so a membership table tests a whole q-column
 of one series at once.  ``hankel_determinant`` and ``pade_approximant``
 test one window with the operations of a stacked row, so a cell is bitwise
-that row; ``pade_approximant`` shares the window with the denominator solve
-and builds the numerator only up to degree ``p``.
+that row; a ``pade_approximant`` cell is one ``det`` and one ``solve`` on that
+window, a numerator up to degree ``p`` and two finiteness checks.
 """
 
 from __future__ import annotations
@@ -239,12 +239,11 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
 
 def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
     """``(window, value, scale, threshold, nonvanishing)`` of one row at one
-    ``(p, q)``, ``q >= 1``, the last four bitwise :func:`hankel_test`'s; the
-    scale reads ``a_{p-q+1} .. a_{p+q-1}``, the window's first row and last
-    column, and ``abs`` of numpy's complex scalar is the libm ``hypot`` of
-    ``np.hypot`` (a Python complex would raise where its modulus overflows)."""
+    ``(p, q)``, ``q >= 1``, the last four bitwise :func:`hankel_test`'s; the scale
+    reads the window's first row and last column, and ``abs`` of numpy's complex
+    scalar is ``np.hypot``'s libm ``hypot`` (a Python complex's raises on overflow)."""
     window = _hankel_windows(coeffs, p, q)
-    scale = float(np.maximum.reduce(np.abs(coeffs[max(0, p - q + 1) : p + q])))
+    scale = float(np.abs(coeffs[max(0, p - q + 1) : p + q]).max())
     value = np.linalg.det(window)
     try:
         threshold = tol.tau_det * scale**q
