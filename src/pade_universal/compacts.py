@@ -32,6 +32,9 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_SAMPLES = 64
 
+#: Slack of :func:`spec_region_contains`: a point this close to a region lies in it.
+REGION_PAD = 1e-9
+
 
 @dataclass(frozen=True)
 class FilledDisk:
@@ -436,36 +439,37 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def spec_region_contains(spec: CompactSpec, z, pad: float = 1e-9) -> np.ndarray:
+def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
     """Whether each point of ``z`` lies in the region described by ``spec``.
 
-    Membership is primitive-wise with a ``pad`` slack; used by overlap and
-    monotonicity checks, not by numerical kernels.  Angles of partial
+    Membership is primitive-wise with a ``REGION_PAD`` slack; used by
+    overlap and monotonicity checks, not by numerical kernels.  Angles of partial
     annulus sectors come from ``np.arctan2``, which may differ from
     ``math.atan2`` in the last place: only a point within an ulp of
-    ``theta +- pad`` can tell.
+    ``theta +- REGION_PAD`` can tell.
     """
     z = np.asarray(z, dtype=complex)
     inside = np.zeros(z.shape, dtype=bool)
     for p in spec.primitives:
         if isinstance(p, FilledDisk):
-            inside |= _abs(z - p.center) <= p.radius + pad
+            inside |= _abs(z - p.center) <= p.radius + REGION_PAD
         elif isinstance(p, Circle):
-            inside |= np.abs(_abs(z - p.center) - p.radius) <= pad
+            inside |= np.abs(_abs(z - p.center) - p.radius) <= REGION_PAD
         elif isinstance(p, Segment):
             d = p.b - p.a
             t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2 if abs(d) else 0.0
-            inside |= _abs(z - (p.a + np.clip(t, 0.0, 1.0) * d)) <= pad
+            inside |= _abs(z - (p.a + np.clip(t, 0.0, 1.0) * d)) <= REGION_PAD
         elif isinstance(p, AnnulusSector):
             w = z - p.center
             r = _abs(w)
-            ring = (p.r_in - pad <= r) & (r <= p.r_out + pad)
+            ring = (p.r_in - REGION_PAD <= r) & (r <= p.r_out + REGION_PAD)
             if (p.theta_b - p.theta_a) < TWO_PI - 1e-12:
                 ang = np.arctan2(w.imag, w.real)
                 ang = np.stack([ang - TWO_PI, ang, ang + TWO_PI])
-                ring &= ((p.theta_a - pad <= ang) & (ang <= p.theta_b + pad)).any(axis=0)
+                arc = (p.theta_a - REGION_PAD <= ang) & (ang <= p.theta_b + REGION_PAD)
+                ring &= arc.any(axis=0)
             inside |= ring
         elif isinstance(p, PointSet):
             for w in p.points:
-                inside |= _abs(z - w) <= pad
+                inside |= _abs(z - w) <= REGION_PAD
     return inside

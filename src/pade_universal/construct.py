@@ -11,28 +11,29 @@ is what makes one polynomial satisfy all the sup bounds simultaneously.
 The measurement decides such a ``u`` by that identity; every other claimed
 bound is measured on grids; each is recorded in a :class:`Certificate`.
 
+Every build prepares its measurement, takes one fit and makes one trial.
 Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
-points, orthonormal in the fit's weighted inner product and grown by the
-columns each new degree needs, so each degree's least-squares fit is one
-projection onto its columns; each builder chooses its degrees, weight and
-residual, and the ramp yields the fits that clear half the requested bound
-or raises :class:`FitFailedError` when none does.
+points, allocated once, orthonormal in the fit's weighted inner product, so
+each degree's least-squares fit is one projection onto its columns; each
+builder chooses its degrees, weight and residual, and the ramp returns the
+first fit that clears half the requested bound or raises
+:class:`FitFailedError` when none does.
 
-One certificate path follows the fit: each builder takes the first fit of
-its ramp and hands it to ``_certify``, the only code that builds a trial
-``u = fit + d z^p`` and judges it.  It takes the first index pair above the
-fit and the one ``d`` that spends half the headroom the fit leaves on K and
-J, measures that trial once, and raises :class:`PerturbationFailedError`
-when it is refused; no builder tries a second fit.  The judge is a
-:class:`_Measurement`, the sup over the product grid L x (K u J) at every
-derivative level, prepared once per requirement (its targets evaluated
-once); it returns the :class:`Certificate`, so the pass rule lives in one
-place, and takes every sup through one fold, which raises
-:class:`NonFiniteSupError` for a sup that is ``inf`` or NaN.  A ``u`` of
-degree exactly ``p`` is the fold's one-row case, by the identity; any other
-``u`` is measured center by center, in blocks, with the array kernels of
-:mod:`.series` and :mod:`.pade`.  Builds and ``verify_construction`` measure
-K and J on the grid of L; a prefix extension is the one-center case L = {0}.
+One certificate path follows the fit: each builder hands its fit to
+``_certify``, the only code that builds a trial ``u = fit + d z^p`` and
+judges it.  It takes the first index pair above the fit and the one ``d``
+that spends half the headroom the fit leaves on K and J, measures that trial
+once, and raises :class:`PerturbationFailedError` when it is refused; no
+builder tries a second fit.  The judge is a :class:`_Measurement`, the sup
+over the product grid L x (K u J) at every derivative level, prepared once
+per requirement (its targets evaluated once, for the fit too); it returns
+the :class:`Certificate`, so the pass rule lives in one place, and takes
+every sup through one fold, which raises :class:`NonFiniteSupError` for a
+sup that is ``inf`` or NaN.  A ``u`` of degree exactly ``p`` is the fold's
+one-row case, by the identity; any other ``u`` is measured center by center,
+in blocks, with the array kernels of :mod:`.series` and :mod:`.pade`.
+Builds and ``verify_construction`` measure K and J on the grid of L; a
+prefix extension is the one-center case L = {0}.
 """
 
 from __future__ import annotations
@@ -250,22 +251,24 @@ class _ArnoldiLadder:
     column ``k + 1`` is ``z * q_k`` after two classical Gram-Schmidt passes
     against columns ``0..k`` (twice is enough: Giraud, Langou & Rozložník,
     2005), each mirrored on the monomial images.  So the columns, the rows
-    of one ``(capacity, points)`` array ``q``, are orthonormal under ``<a, b>
+    of one ``(rows, points)`` array ``q``, are orthonormal under ``<a, b>
     = sum(conj(a) * b) / m``, and column ``j`` is ``weight * poly(c[:, j])``
     on the points for one upper-triangular ``c``.  Column ``k + 1`` depends
     only on the points, the weight and columns ``0..k``, so a fit ramp grows
-    one ladder instead of rebuilding it at every degree.  ``q`` and ``c``
-    keep spare rows beyond the ``columns`` held and grow in place: a degree
-    beyond the capacity at least doubles it, and each new column is written
-    straight into its row of ``q`` and its column of ``c``.
+    one ladder instead of rebuilding it at every degree.  ``q`` and ``c`` are
+    allocated once, with a row for every degree up to ``RAMP_CAP`` that the
+    points can determine, and each new column is written straight into its
+    row of ``q`` and its column of ``c``.
     """
 
     def __init__(self, z: np.ndarray, weight: np.ndarray | None = None):
         self.z = z
         self.weight = np.ones(len(z), dtype=complex) if weight is None else weight
         rms = float(np.linalg.norm(self.weight)) / math.sqrt(len(z))
-        self.q = (self.weight / rms)[None, :]
-        self.c = np.array([[1.0 / rms]], dtype=complex)
+        rows = min(RAMP_CAP + 1, len(z))
+        self.q = np.empty((rows, len(z)), dtype=complex)
+        self.c = np.zeros((rows, rows), dtype=complex)
+        self.q[0], self.c[0, 0] = self.weight / rms, 1.0 / rms
         self.columns = 1
         self.z_scale = max(1.0, float(np.max(np.abs(z))))
 
@@ -273,12 +276,6 @@ class _ArnoldiLadder:
         """Views of columns ``0..degree`` (as rows) and their images ``c``,
         grown as needed; a collapse keeps the columns below it."""
         have, m = self.columns, len(self.z)
-        if degree >= len(self.q):
-            capacity = max(degree + 1, 2 * len(self.q))
-            q = np.empty((capacity, m), dtype=complex)
-            c = np.zeros((capacity, capacity), dtype=complex)
-            q[:have], c[:have, :have] = self.q[:have], self.c[:have, :have]
-            self.q, self.c = q, c
         q, c = self.q, self.c
         for k in range(have - 1, degree):
             v = np.multiply(self.z, q[k], out=q[k + 1])
@@ -305,29 +302,26 @@ class _ArnoldiLadder:
 def _fit_on_points(ladder: _ArnoldiLadder, values: np.ndarray, degree: int) -> Polynomial:
     """Monomial-coefficient least-squares fit on the ladder's points, in its
     weighted norm: one projection onto the orthonormal columns."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    m = len(ladder.z)
-    if m < degree + 1:
-        raise ValueError(f"{m} sample points cannot determine degree {degree}")
+    if not 0 <= degree < len(ladder.q):
+        raise ValueError(f"degree {degree} is outside the ladder's 0..{len(ladder.q) - 1}")
     q, c = ladder.basis(degree)
-    solution = np.conj(q @ np.conj(ladder.weight * values)) / m
+    solution = np.conj(q @ np.conj(ladder.weight * values)) / len(ladder.z)
     return Polynomial._of_kernel(c @ solution, 0j)
 
 
 def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual):
-    """Yield ``(degree, fit, residual(fit))`` for each of ``degrees`` whose
-    fit, from ``ladder`` (grown as needed), has ``residual(fit) < target``.
+    """``(degree, fit, residual(fit))`` of the first of ``degrees`` whose fit,
+    from ``ladder`` (grown as needed), has ``residual(fit) < target``.
 
-    The ramp ends before a degree the points cannot determine and at the
-    first degree the ladder cannot support, and raises :class:`FitFailedError`
-    with the best residual and the last degree fitted if no fit cleared ``target``.
+    The ramp ends before a degree the ladder does not hold and at the first
+    degree it cannot support, and raises :class:`FitFailedError` with the
+    best residual and the last degree fitted if no fit cleared ``target``.
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
     best, fitted = math.inf, -1
     for degree in degrees:
-        if degree + 1 > len(ladder.z):
+        if degree >= len(ladder.q):
             break
         try:
             fit = _fit_on_points(ladder, values, degree)
@@ -335,11 +329,10 @@ def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual):
             break
         fitted = degree
         r = residual(fit)
-        best = min(best, r)
         if r < target:
-            yield degree, fit, r
-    if best >= target:
-        raise FitFailedError(target, best, fitted)
+            return degree, fit, r
+        best = min(best, r)
+    raise FitFailedError(target, best, fitted)
 
 
 @dataclass(frozen=True)
@@ -517,7 +510,8 @@ class _Measurement:
     threshold of ``tol``; the first center whose Hankel test fails raises
     :class:`PadeNotExistError`.  The centers are measured in blocks of
     ``_BLOCK_PAIRS // points``, each block in array passes: one stacked
-    Horner shift recenters ``u``, one stacked determinant tests the Hankel
+    Horner shift recenters the whole ``u`` and keeps each row's first
+    ``p + q + 1`` coefficients, one stacked determinant tests the Hankel
     windows, one stacked solve builds the denominators, and one Horner for
     every level of the Taylor sums and one per level of the approximants
     evaluate them on the points of every compact.  Running maxima carry the
@@ -571,8 +565,6 @@ class _Measurement:
             sups[key] = max(sups[key], _sup(values - u_vals[level], self.union, level))
             fold((kind,), level, values)
 
-        if len(u.coeffs) > p + q + 1:
-            raise ValueError("length must not truncate stored coefficients")
         if u.array_degree() == p:
             # degree exactly p: at every center S_p(u, ζ) = [u; p/q]_ζ = u, one row
             for l, values in enumerate(u_vals):
@@ -602,8 +594,9 @@ class _Measurement:
         hankel_tau_max = 0.0
         for start in range(0, len(self.centers), block):
             zeta = self.centers[start : start + block]
+            rows = recentered_coefficients(u.coeffs, u.center, zeta)[:, : p + q + 1]
             series = np.zeros((len(zeta), p + q + 1), dtype=complex)
-            series[:, : len(u.coeffs)] = recentered_coefficients(u.coeffs, u.center, zeta)
+            series[:, : rows.shape[1]] = rows
             values, scales, thresholds, exists = hankel_test(series, p, q, tol)
             hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
             hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
@@ -671,7 +664,7 @@ def verify_construction(
 
 def _certify(
     fit: Polynomial, f_seq: IndexSequence, measurement: _Measurement,
-    fit_degree: int, diagnostics: dict, d_override=None,
+    fit_degree: int, fit_residual: float, d_override=None,
 ) -> tuple[Polynomial, Certificate]:
     """``u = fit + d z^p`` and its passing certificate, at the first index
     pair ``(p, q)`` with ``p`` above every stored coefficient of ``fit``;
@@ -685,7 +678,7 @@ def _certify(
     gated sup near ``(1/s + r) / 2``.  ``R^p`` is a float64 power: beyond
     the float range ``d`` reads 0 and the pair is refused unmeasured.
     Otherwise the trial is measured once, as ``measurement(u, ...)`` with
-    ``diagnostics`` (the builder's fit residual) added to its certificate,
+    the builder's ``fit_residual`` added to its certificate's diagnostics,
     and refused if its certificate fails, or a sup is not finite or a
     center fails the Hankel test.  With ``d_override`` the pair is measured at
     that value, and a failing certificate is returned; ``d = 0`` never passes.
@@ -705,7 +698,7 @@ def _certify(
         cert = measurement(u, p, q, d, fit_degree)
     except (PadeNotExistError, NonFiniteSupError):
         raise PerturbationFailedError(p, q, d, 1) from None
-    cert.diagnostics.update(diagnostics)
+    cert.diagnostics["fit_residual"] = fit_residual
     if not (cert.passed or d_override is not None):
         raise PerturbationFailedError(p, q, d, 1)
     return u, cert
@@ -719,10 +712,11 @@ def build_universal_polynomial(
 ) -> tuple[Polynomial, Certificate]:
     """Construct ``u = P + d z^p`` certified against one requirement.
 
-    Fits the glued target (outer target on K, inner target on L and J) with
-    a degree ramp, takes the first fit that clears half the requested bound
-    and hands it to ``_certify``, which returns the certified ``u`` or
-    raises the refusal of its one trial.  ``d_override`` replaces the chosen
+    Prepares the measurement, whose target values on K and J the fit reuses,
+    fits the glued target (outer target on K, inner target on L and J) with
+    a degree ramp, and hands its first fit that clears half the requested
+    bound to ``_certify``, which returns the certified ``u`` or raises the
+    refusal of its one trial.  ``d_override`` replaces the chosen
     perturbation and returns the certificate for that exact value (possibly
     failing; a zero perturbation never passes).
     """
@@ -734,15 +728,15 @@ def build_universal_polynomial(
         if overlap or spec_region_contains(spec, grid_k.points).any():
             raise ValueError(f"K and {name} overlap; the gluing step needs disjoint compacts")
 
-    pieces = ((grid_k, req.target_on_K), (grid_l, f_on_L), (grid_j, f_on_L))
-    z = np.concatenate([grid.points for grid, _ in pieces])
-    values = np.concatenate([np.asarray(t.evaluate(grid.points)) for grid, t in pieces])
-    degree, fit, residual = next(_fit_ramp(
+    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, DEFAULT_TOL)
+    k_vals, j_vals = measurement.target_vals[0]
+    z = np.concatenate([grid_k.points, grid_l.points, grid_j.points])
+    values = np.concatenate([k_vals, np.asarray(f_on_L.evaluate(grid_l.points)), j_vals])
+    degree, fit, residual = _fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
-    ))
-    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, DEFAULT_TOL)
-    return _certify(fit, f_seq, measurement, degree, {"fit_residual": residual}, d_override)
+    )
+    return _certify(fit, f_seq, measurement, degree, residual, d_override)
 
 
 @dataclass(frozen=True)
@@ -781,8 +775,8 @@ def extend_prefix(
     With ``n0`` the last prefix index, the extension has the shape
     ``h = prefix_poly + t(z) z^(n0+1) + d z^(p_k)``: the correction ``t`` is
     fitted against ``(psi - prefix_poly)/z^(n0+1)`` on K (which requires
-    ``0`` off K) and taken from the first fit of its ramp that clears half
-    the bound, and the fitted ``prefix_poly + t(z) z^(n0+1)`` goes through
+    ``0`` off K) and is the first fit of its ramp that clears half the
+    bound, and the fitted ``prefix_poly + t(z) z^(n0+1)`` goes through
     the same ``_certify`` as a build's fit: the first pair ``(p_k, q_k)``
     with ``p_k`` above every occupied degree, and ``d != 0`` from the
     headroom the fit leaves on K.  A refused trial is raised as
@@ -819,16 +813,16 @@ def extend_prefix(
 
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
-    fit_degree, correction, residual = next(_fit_ramp(
+    fit_degree, correction, residual = _fit_ramp(
         _ArnoldiLadder(z, shifted), divided, range(RAMP_CAP + 1), requested / 2.0,
         lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
-    ))
+    )
 
     # the correction up to its last nonzero term; "+ 0.0" writes its exact
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
-    u, cert = _certify(fitted, f_seq, measurement, fit_degree, {"fit_residual": residual})
+    u, cert = _certify(fitted, f_seq, measurement, fit_degree, residual)
     # every term _certify adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs

@@ -12,6 +12,7 @@ from pade_universal.compacts import (
     FilledDisk,
     Grid,
     PointSet,
+    REGION_PAD,
     Segment,
     discretize,
     exhausting_family,
@@ -165,36 +166,36 @@ def scalar_discretize(spec: CompactSpec) -> np.ndarray:
     return np.array(pts, dtype=complex)
 
 
-def scalar_contains(spec: CompactSpec, z: complex, pad: float = 1e-9) -> bool:
+def scalar_contains(spec: CompactSpec, z: complex) -> bool:
     """The one-point membership test the array test replaced."""
     for p in spec.primitives:
         if isinstance(p, FilledDisk):
-            if abs(z - p.center) <= p.radius + pad:
+            if abs(z - p.center) <= p.radius + REGION_PAD:
                 return True
         elif isinstance(p, Circle):
-            if abs(abs(z - p.center) - p.radius) <= pad:
+            if abs(abs(z - p.center) - p.radius) <= REGION_PAD:
                 return True
         elif isinstance(p, Segment):
             d = p.b - p.a
             if abs(d) == 0:
-                if abs(z - p.a) <= pad:
+                if abs(z - p.a) <= REGION_PAD:
                     return True
                 continue
             t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2
             t = min(1.0, max(0.0, t))
-            if abs(z - (p.a + t * d)) <= pad:
+            if abs(z - (p.a + t * d)) <= REGION_PAD:
                 return True
         elif isinstance(p, AnnulusSector):
             w = z - p.center
             r = abs(w)
-            if p.r_in - pad <= r <= p.r_out + pad:
+            if p.r_in - REGION_PAD <= r <= p.r_out + REGION_PAD:
                 if (p.theta_b - p.theta_a) >= 2.0 * math.pi - 1e-12:
                     return True
                 ang = math.atan2(w.imag, w.real)
                 for shift in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
-                    if p.theta_a - pad <= ang + shift <= p.theta_b + pad:
+                    if p.theta_a - REGION_PAD <= ang + shift <= p.theta_b + REGION_PAD:
                         return True
-        elif any(abs(z - w) <= pad for w in p.points):
+        elif any(abs(z - w) <= REGION_PAD for w in p.points):
             return True
     return False
 
@@ -240,7 +241,7 @@ class TestArrayParity:
             points[0] = 0.0
 
     def test_contains_matches_the_scalar_test_pointwise(self, rng):
-        pad = 1e-9
+        pad = REGION_PAD
         edges = [0.4 + pad, 1.0 + pad, 1.0 - pad, 2.5 + pad, 1.5 + pad, 0.5 - pad, pad]
         edges = [x for e in edges for x in (e, np.nextafter(e, 0.0), np.nextafter(e, 9.0))]
         z = np.concatenate([
@@ -251,9 +252,9 @@ class TestArrayParity:
             np.outer(np.exp(2j * math.pi * np.arange(128) / 128), edges).ravel(),
         ])
         for spec in [CompactSpec([p], 8) for p in PRIMITIVES] + [CompactSpec(PRIMITIVES, 8)]:
-            inside = spec_region_contains(spec, z, pad)
+            inside = spec_region_contains(spec, z)
             assert inside.dtype == bool and inside.shape == z.shape
-            assert inside.tolist() == [scalar_contains(spec, complex(w), pad) for w in z], spec
+            assert inside.tolist() == [scalar_contains(spec, complex(w)) for w in z], spec
         # the edges straddle the slack: |z| = 0.4 + pad is in, one ulp out is not
         disk = CompactSpec([FilledDisk(0.0, 0.4)], 8)
         assert spec_region_contains(disk, edges[:3]).tolist() == [True, True, False]
@@ -346,7 +347,7 @@ class TestFamilies:
                         continue
                     if previous is not None:
                         for z in discretize(previous).points:
-                            assert spec_region_contains(spec, z, pad=1e-9), (domain.kind, mode, k, z)
+                            assert spec_region_contains(spec, z), (domain.kind, mode, k, z)
                     previous = spec
 
     def test_outer_presets(self):
@@ -370,7 +371,7 @@ class TestFamilies:
                 spec = outer_family(UNIT_DISK, m, mode, samples=16)
                 if previous is not None:
                     for z in discretize(previous).points:
-                        assert spec_region_contains(spec, z, pad=1e-9)
+                        assert spec_region_contains(spec, z)
                 previous = spec
 
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from pade_universal.construct import (
     Certificate,
     ExtensionRequirement,
     IndexSequence,
+    RAMP_CAP,
     RequirementSpec,
     TargetFunction,
     _ArnoldiLadder,
@@ -346,17 +347,24 @@ class TestArnoldiLadder:
             bases.append((q.tobytes(), c.copy().tobytes()))
         assert bases[0] == bases[1] == bases[2]
 
-    def test_a_ramp_reallocates_logarithmically(self):
-        # the buffers are kept alive, so identity counts each allocation once
+    def test_a_ramp_allocates_once(self):
+        # one (RAMP_CAP + 1)-row allocation serves a ramp to the cap
         ladder = _ArnoldiLadder(desk_glued_points())
-        buffers = [(ladder.q, ladder.c)]
-        for degree in range(49):
-            ladder.basis(degree)
-            if ladder.q is not buffers[-1][0]:
-                buffers.append((ladder.q, ladder.c))
-            assert ladder.c is buffers[-1][1]
-        assert 1 <= len(buffers) - 1 <= math.ceil(math.log2(49)) + 1
-        assert ladder.columns == 49 and len(ladder.q) >= 49
+        q, c = ladder.q, ladder.c
+        assert q.shape == (RAMP_CAP + 1, 144) and c.shape == (RAMP_CAP + 1, RAMP_CAP + 1)
+        for degree in range(RAMP_CAP + 1):
+            _fit_on_points(ladder, desk_glued_points(), degree)
+            assert ladder.q is q and ladder.c is c
+        assert ladder.columns == RAMP_CAP + 1
+        # twelve points hold degrees 0..11 only
+        assert len(_ArnoldiLadder(np.arange(12, dtype=complex)).q) == 12
+
+    @pytest.mark.parametrize("degree", [-1, RAMP_CAP + 1])
+    def test_fit_refuses_a_degree_the_ladder_does_not_hold(self, degree):
+        ladder = _ArnoldiLadder(desk_glued_points())
+        with pytest.raises(ValueError, match=f"degree {degree} is outside"):
+            _fit_on_points(ladder, desk_glued_points(), degree)
+        assert ladder.columns == 1
 
     def test_collapse_keeps_the_good_columns(self):
         # one call grows columns 1 and 2, then collapses at 3
@@ -377,21 +385,37 @@ class TestArnoldiLadder:
 
 
 class TestFitRamp:
+    @staticmethod
+    def recorded(z, values, clears_at=None):
+        """A residual that records each fit and its sup residual, and reads 0
+        (clearing any positive target) from the ``clears_at``-th fit on."""
+        fits, residuals = [], []
+
+        def residual(fit):
+            fits.append(fit)
+            residuals.append(float(np.max(np.abs(fit.eval(z) - values))))
+            return 0.0 if len(fits) == clears_at else residuals[-1]
+
+        return fits, residuals, residual
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_ramp_fits_are_bitwise_the_fresh_ladder_fits(self, weighted):
         z, values = wide_points()
         weight = z**3 if weighted else None
-        ladder = _ArnoldiLadder(z, weight)
-        ramp = list(_fit_ramp(ladder, values, range(25), math.inf, lambda fit: 0.0))
-        assert [degree for degree, _, _ in ramp] == list(range(25))
-        for degree, fit, _ in ramp:
+        fits, _, residual = self.recorded(z, values, clears_at=25)
+        degree, fit, r = _fit_ramp(_ArnoldiLadder(z, weight), values, range(25), 1e-12, residual)
+        assert (degree, fit, r) == (24, fits[-1], 0.0) and len(fits) == 25
+        for degree, fit in enumerate(fits):
             fresh = _fit_on_points(_ArnoldiLadder(z, weight), values, degree)
             assert np.array_equal(fit.coeffs, fresh.coeffs)
 
     def test_ramp_stops_where_a_fresh_ladder_collapses(self):
         z = np.array([1.0, 2.0, 3.0] * 4, dtype=complex)
-        ramp = list(_fit_ramp(_ArnoldiLadder(z), z * z, range(10), math.inf, lambda fit: 0.0))
-        assert [degree for degree, _, _ in ramp] == [0, 1, 2]
+        fits, _, residual = self.recorded(z, z * z)
+        with pytest.raises(FitFailedError) as info:
+            _fit_ramp(_ArnoldiLadder(z), z * z, range(10), 0.0, residual)
+        assert [len(fit.coeffs) - 1 for fit in fits] == [0, 1, 2]
+        assert info.value.degree == 2
         with pytest.raises(IllConditionedError, match="collapsed at degree 3"):
             _fit_on_points(_ArnoldiLadder(z), z * z, 3)
 
@@ -400,33 +424,23 @@ class TestFitRamp:
         values = np.ones(len(z), dtype=complex)
         values[5] = complex("nan")
         with pytest.raises(ValueError, match="finite"):
-            list(_fit_ramp(_ArnoldiLadder(z), values, range(3), math.inf, lambda fit: 0.0))
+            _fit_ramp(_ArnoldiLadder(z), values, range(3), math.inf, lambda fit: 0.0)
 
-    def test_ramp_yields_the_fits_below_the_target(self):
+    def test_ramp_returns_the_first_fit_below_the_target(self):
         z, values = wide_points()
-        residuals = []
-
-        def residual(fit):
-            residuals.append(float(np.max(np.abs(fit.eval(z) - values))))
-            return residuals[-1]
-
-        target = 1e-3
-        ramp = list(_fit_ramp(_ArnoldiLadder(z), values, range(25), target, residual))
-        assert len(residuals) == 25
-        cleared = [(k, r) for k, r in enumerate(residuals) if r < target]
-        assert 0 < len(cleared) < 25
-        assert [(degree, r) for degree, _, r in ramp] == cleared
+        fits, residuals, residual = self.recorded(z, values)
+        target = 1e-2
+        degree, fit, r = _fit_ramp(_ArnoldiLadder(z), values, range(25), target, residual)
+        # the ramp stops at its first clearing degree, which is not its last
+        assert 0 < degree < 24 and len(fits) == degree + 1
+        assert (fit, r) == (fits[-1], residuals[-1]) and r < target
+        assert min(residuals[:-1]) >= target
 
     def test_ramp_without_a_clearing_fit_raises(self):
         z, values = wide_points()
-        residuals = []
-
-        def residual(fit):
-            residuals.append(float(np.max(np.abs(fit.eval(z) - values))))
-            return residuals[-1]
-
+        _, residuals, residual = self.recorded(z, values)
         with pytest.raises(FitFailedError) as info:
-            next(_fit_ramp(_ArnoldiLadder(z), values, range(6), 1e-12, residual))
+            _fit_ramp(_ArnoldiLadder(z), values, range(6), 1e-12, residual)
         assert len(residuals) == 6
         assert (info.value.target, info.value.best_residual) == (1e-12, min(residuals))
         assert info.value.degree == 5
@@ -444,7 +458,7 @@ class TestFitRamp:
     def test_ramp_that_fits_nothing_names_degree_minus_one(self):
         z, values = wide_points()
         with pytest.raises(FitFailedError) as info:
-            next(_fit_ramp(_ArnoldiLadder(z), values, range(len(z), len(z) + 3), 1.0, lambda fit: 0.0))
+            _fit_ramp(_ArnoldiLadder(z), values, range(len(z), len(z) + 3), 1.0, lambda fit: 0.0)
         assert (info.value.degree, info.value.best_residual) == (-1, math.inf)
 
     def count_fits(self, monkeypatch):
@@ -610,7 +624,7 @@ class TestVerify:
 
     def test_trailing_zeros_keep_the_identity(self):
         # the degree decides, not the stored length: u padded by exact zeros
-        # (-0.0 among them) up to p + q + 1 coefficients is measured as u
+        # (-0.0 among them) up to p + q + 1 coefficients, or beyond, is measured as u
         req = desk_requirement(levels=1)
         u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)
         p, q = cert.selected
@@ -622,8 +636,8 @@ class TestVerify:
         assert again == verify_construction(u, req, cert.selected, F_ON_L,
                                             fit_degree=cert.fit_degree)
         padded = Polynomial(np.append(u.coeffs, [0j] * (q + 1)), u.center)
-        with pytest.raises(ValueError, match="truncate"):
-            verify_construction(padded, req, cert.selected, F_ON_L)
+        assert verify_construction(padded, req, cert.selected, F_ON_L,
+                                   fit_degree=cert.fit_degree) == again
 
     def test_level_zero_entries_match_plain(self):
         req = desk_requirement(levels=2)

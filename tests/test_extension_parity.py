@@ -110,7 +110,7 @@ class Spy:
     polynomial the shared measurement was handed.  ``measures`` holds per
     step a ``measure(d, p, q)`` that measures one more trial the way that
     step's ``_certify`` does, rebuilt from the ``(fit, measurement,
-    fit_degree, diagnostics)`` it received, and records it with the step."""
+    fit_degree, fit_residual)`` it received, and records it with the step."""
 
     def __init__(self, monkeypatch):
         self.steps: list[list] = []
@@ -123,19 +123,19 @@ class Spy:
             self._active.append((cert, u.coeffs.tolist()))
             return cert
 
-        def spied_certify(fit, f_seq, measurement, fit_degree, diagnostics, *args):
+        def spied_certify(fit, f_seq, measurement, fit_degree, fit_residual, *args):
             calls = []
             self.steps.append(calls)
 
             def measure(d, p, q):
                 self._active = calls
                 cert = measurement(fit.plus_monomial(d, p), p, q, d, fit_degree)
-                cert.diagnostics.update(diagnostics)
+                cert.diagnostics["fit_residual"] = fit_residual
                 return cert
 
             self.measures.append(measure)
             self._active = calls
-            return certify(fit, f_seq, measurement, fit_degree, diagnostics, *args)
+            return certify(fit, f_seq, measurement, fit_degree, fit_residual, *args)
 
         monkeypatch.setattr(construct._Measurement, "__call__", spied_call)
         monkeypatch.setattr(construct, "_certify", spied_certify)
@@ -347,10 +347,11 @@ class TestTargetEvaluations:
             req, inner, IndexSequence([(k, 1 + k % 2) for k in range(61)])
         )
         assert cert.passed
-        # the fit: K, L and J; the measurement: K and J, and their derivatives
-        assert sum(t is outer for t in seen) == 2
-        assert sum(t is inner for t in seen) == 3
-        assert len(seen) == 7
+        # the measurement: K and J, and their derivatives; the fit reads K and
+        # J from it and evaluates L alone
+        assert sum(t is outer for t in seen) == 1
+        assert sum(t is inner for t in seen) == 2
+        assert len(seen) == 5
 
     def test_extension(self, monkeypatch):
         psi = TargetFunction.rational([1.5], [0.0, 1.0])
