@@ -84,3 +84,21 @@ def test_tracer_spans_one_table_cycle(workloads, tmp_path):
     assert spans.stats["pade.residual"][0] > 0
     assert spans.stats["reporting.table"][0] == 1
     assert not hasattr(workloads.pade.pade_approximant, "__wrapped__")
+
+
+def test_tracer_spans_one_desk_cycle(workloads, tmp_path):
+    """The tracer finds the construct and compacts names it wraps: it skips a
+    missing name silently, so a rename would otherwise read as a zero count."""
+    import tracer
+
+    work = workloads.WORKLOADS["desk"](101, str(tmp_path))
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        work.run_cycle(0)
+    finally:
+        spans.remove()
+    for label in ("construct.fit.points", "construct.build", "construct.verify",
+                  "construct.extend", "compacts.contains"):
+        assert spans.stats.get(label, [0])[0] > 0, label
+    assert not hasattr(workloads.construct.build_universal_polynomial, "__wrapped__")

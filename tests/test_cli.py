@@ -94,6 +94,22 @@ def one_step_scenario(command, K, psi):
     return {"prefix": [[0, 0]], "schedule": [step], "F": F}
 
 
+def raising(refusal):
+    """A stand-in for ``_Measurement.__call__`` that raises ``refusal``."""
+    def measure(measurement, *args):
+        raise refusal
+
+    return measure
+
+
+def failing_sup(measurement, u, p, q, perturbation, fit_degree):
+    """A stand-in for ``_Measurement.__call__`` whose certificate fails its sup on K."""
+    achieved = {"2": 2.0 * measurement.requested}
+    return construct.Certificate(
+        (p, q), perturbation, fit_degree, achieved, measurement.requested, 1.0, False
+    )
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -435,6 +451,23 @@ class TestBuildCommand:
             code, _, err = run(capsys, "verify", "--run", str(out))
             assert (code, json.loads(err)["error"]) == (expected, label)
 
+    @pytest.mark.parametrize("pairs", [2, 5])
+    def test_verify_of_many_trailing_zeros_keeps_the_identity(self, capsys, tmp_path, pairs):
+        # the build certifies at (13, 1) with 14 coefficients: zeros appended
+        # beyond p + q + 1 = 15 leave u of degree 13, verified by identity
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        assert record["certificates"][0]["selected"] == [13, 1]
+        record["artifacts"]["universal_poly"]["coeffs"] += [[0.0, 0.0]] * pairs
+        out.write_text(json.dumps(record))
+        code, verify_out, _ = run(capsys, "verify", "--run", str(out))
+        payload = json.loads(verify_out)
+        assert (code, payload["match"]) == (0, True)
+        assert payload["certificate"]["diagnostics"]["by_identity"] is True
+
     def test_overflowing_hankel_min_is_written_as_strict_json(self, capsys, tmp_path):
         # K inside the unit disk and p = 300: d = 2.0e64, and |d|^5 overflows
         scenario = build_scenario()
@@ -576,20 +609,18 @@ class TestBuildCommand:
         assert diag["hankel"]["nonvanishing"] is False
         assert diag["hankel"]["center"] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("refusal", [
-        lambda: errors.PadeNotExistError(hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2)),
-        lambda: errors.NonFiniteSupError("the sup on K at derivative level 0 is nan"),
-    ], ids=["hankel", "non-finite"])
+    @pytest.mark.parametrize("measure", [
+        raising(errors.PadeNotExistError(hankel_determinant(FormalPowerSeries([1.0] * 8), 1, 2))),
+        raising(errors.NonFiniteSupError("the sup on K at derivative level 0 is nan")),
+        failing_sup,
+    ], ids=["hankel", "non-finite", "failing-sup"])
     def test_refused_measurement_of_the_trial_exits_six(
-        self, capsys, tmp_path, monkeypatch, refusal
+        self, capsys, tmp_path, monkeypatch, measure
     ):
         # a trial whose Hankel test fails at a center, or whose sup is not
-        # finite, is refused like one that fails a sup: exit 6 and the
-        # record, not exit 2 or 3
-        def refuse(measurement, *args):
-            raise refusal()
-
-        monkeypatch.setattr(construct._Measurement, "__call__", refuse)
+        # finite, is refused like one whose certificate fails a sup: exit 6
+        # and the record, not exit 2 or 3
+        monkeypatch.setattr(construct._Measurement, "__call__", measure)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(build_scenario()))
         out = tmp_path / "run.json"

@@ -349,11 +349,12 @@ class TestArnoldiLadder:
 
     def test_a_ramp_allocates_once(self):
         # one (RAMP_CAP + 1)-row allocation serves a ramp to the cap
-        ladder = _ArnoldiLadder(desk_glued_points())
+        z = desk_glued_points()
+        ladder = _ArnoldiLadder(z)
         q, c = ladder.q, ladder.c
         assert q.shape == (RAMP_CAP + 1, 144) and c.shape == (RAMP_CAP + 1, RAMP_CAP + 1)
         for degree in range(RAMP_CAP + 1):
-            _fit_on_points(ladder, desk_glued_points(), degree)
+            _fit_on_points(ladder, z, degree)
             assert ladder.q is q and ladder.c is c
         assert ladder.columns == RAMP_CAP + 1
         # twelve points hold degrees 0..11 only

@@ -19,6 +19,7 @@ identity itself is checked against the exact oracle (``test_identity.py``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -30,6 +31,7 @@ from pade_universal.compacts import (
     AnnulusSector,
     CompactSpec,
     FilledDisk,
+    PointSet,
     Segment,
     discretize,
 )
@@ -102,7 +104,8 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
 
     approximants = []
     for zeta in grid_l.points:
-        series = u.recenter(zeta).to_series(p + q + 1)
+        # the whole u recentered, then its first p + q + 1 coefficients
+        series = Polynomial(u.recenter(zeta).coeffs[: p + q + 1], zeta).to_series(p + q + 1)
         report = hankel_determinant(series, p, q, tol)
         hankel_min = min(hankel_min, abs(report.value))
         hankel_tau_max = max(hankel_tau_max, report.threshold)
@@ -222,8 +225,9 @@ def assert_parity(u, pq, req, f_on_l):
 
     if approximants:
         centers = np.array([zeta for zeta, _ in approximants], dtype=complex)
+        rows = recentered_coefficients(u.coeffs, u.center, centers)[:, : p + q + 1]
         series = np.zeros((len(centers), p + q + 1), dtype=complex)
-        series[:, : len(u.coeffs)] = recentered_coefficients(u.coeffs, u.center, centers)
+        series[:, : rows.shape[1]] = rows
         denom = pade_denominators(series, p, q)
         numer = poly_mul(series[:, : p + 1], denom)[:, : p + 1]
         for row, (_, r) in enumerate(approximants):
@@ -382,6 +386,17 @@ class TestParity:
         coeffs = random_coefficients(np.random.default_rng(seed), 9, bound=0.5)
         u = Polynomial(coeffs[:7] + [0.01 * c for c in coeffs[7:]])
         assert_parity(u, (6, 2), desk_requirement(1), F_ON_L)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_polynomial_longer_than_its_window(self, seed):
+        # degree p + q + 2, so no identity: at each center the approximant
+        # reads the first p + q + 1 coefficients of the whole u recentered there
+        coeffs = random_coefficients(np.random.default_rng(seed), 11, bound=0.5)
+        u = Polynomial(coeffs[:7] + [0.01 * c for c in coeffs[7:]])
+        centers = CompactSpec([PointSet([0.0, 0.2 - 0.1j, -0.3j, 0.35])], 8)
+        req = dataclasses.replace(desk_requirement(1), L=centers)
+        assert len(u.coeffs) > 6 + 2 + 1 and len(discretize(centers).points) == 4
+        assert_parity(u, (6, 2), req, F_ON_L)
 
     def test_wide_geometry(self):
         # padded, u's tiny top coefficient fails the float Hankel test at
