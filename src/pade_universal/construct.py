@@ -274,19 +274,21 @@ class _ArnoldiLadder:
 
     def basis(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of columns ``0..degree`` (as rows) and their images ``c``,
-        grown as needed; a collapse keeps the columns below it."""
+        grown as needed; a collapse keeps the columns below it.  A column's
+        norm is ``np.linalg.norm``'s own complex formula, without its wrapper."""
         have, m = self.columns, len(self.z)
-        q, c = self.q, self.c
+        q, c, root_m = self.q, self.c, math.sqrt(m)
         for k in range(have - 1, degree):
             v = np.multiply(self.z, q[k], out=q[k + 1])
-            image = c[: k + 2, k + 1]
+            rows, images, image = q[: k + 1], c[: k + 1, : k + 1], c[: k + 2, k + 1]
             image[0] = 0
             image[1:] = c[: k + 1, k]
             for _ in range(2):
-                h = np.conj(q[: k + 1] @ np.conj(v)) / m
-                v -= h @ q[: k + 1]
-                image[: k + 1] -= c[: k + 1, : k + 1] @ h
-            h_next = float(np.linalg.norm(v) / math.sqrt(m))
+                h = np.conj(rows @ np.conj(v)) / m
+                v -= h @ rows
+                image[: k + 1] -= images @ h
+            re, im = v.real, v.imag
+            h_next = math.sqrt(re.dot(re) + im.dot(im)) / root_m
             if h_next <= 1e-13 * self.z_scale:
                 image[:] = 0
                 raise IllConditionedError(
@@ -299,13 +301,14 @@ class _ArnoldiLadder:
         return q[: degree + 1], c[: degree + 1, : degree + 1]
 
 
-def _fit_on_points(ladder: _ArnoldiLadder, values: np.ndarray, degree: int) -> Polynomial:
-    """Monomial-coefficient least-squares fit on the ladder's points, in its
-    weighted norm: one projection onto the orthonormal columns."""
+def _fit_on_points(ladder: _ArnoldiLadder, operand: np.ndarray, degree: int) -> Polynomial:
+    """Monomial-coefficient least-squares fit about 0 on the ladder's points,
+    in its weighted norm: one projection onto the orthonormal columns, of the
+    values given as their projection operand ``np.conj(ladder.weight * values)``."""
     if not 0 <= degree < len(ladder.q):
         raise ValueError(f"degree {degree} is outside the ladder's 0..{len(ladder.q) - 1}")
     q, c = ladder.basis(degree)
-    solution = np.conj(q @ np.conj(ladder.weight * values)) / len(ladder.z)
+    solution = np.conj(q @ operand) / len(ladder.z)
     return Polynomial._of_kernel(c @ solution, 0j)
 
 
@@ -319,12 +322,13 @@ def _fit_ramp(ladder, values: np.ndarray, degrees, target: float, residual):
     """
     if not np.isfinite(values).all():
         raise ValueError("target values must be finite")
+    operand = np.conj(ladder.weight * values)
     best, fitted = math.inf, -1
     for degree in degrees:
         if degree >= len(ladder.q):
             break
         try:
-            fit = _fit_on_points(ladder, values, degree)
+            fit = _fit_on_points(ladder, operand, degree)
         except IllConditionedError:
             break
         fitted = degree
@@ -436,11 +440,13 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        """Read a certificate; ``selected`` must be two nonnegative integers
-        and ``achieved`` an object of finite numbers."""
+        """Read a certificate; ``selected`` must be two nonnegative integers,
+        ``achieved`` an object of finite numbers, and ``requested`` and
+        ``hankel_min`` finite numbers (a ``null`` ``hankel_min`` reads as ``inf``)."""
         if not isinstance(obj["passed"], bool):
             raise ValueError(f"expected a boolean 'passed', got {obj['passed']!r:.40}")
         selected, achieved = tuple(int_from_json(k) for k in obj["selected"]), obj["achieved"]
+        hankel_min = obj["hankel_min"]
         if len(selected) != 2 or min(selected) < 0:
             raise ValueError(f"expected 'selected' as [p, q] >= 0, got {obj['selected']!r:.40}")
         if not isinstance(achieved, dict):
@@ -450,8 +456,8 @@ class Certificate:
             perturbation=pair_to_complex(obj["perturbation"]),
             fit_degree=int_from_json(obj["fit_degree"]),
             achieved={k: float_from_json(v) for k, v in achieved.items()},
-            requested=float(obj["requested"]),
-            hankel_min=math.inf if obj["hankel_min"] is None else float(obj["hankel_min"]),
+            requested=float_from_json(obj["requested"]),
+            hankel_min=math.inf if hankel_min is None else float_from_json(hankel_min),
             passed=obj["passed"],
             diagnostics=dict(obj.get("diagnostics", {})),
         )
@@ -471,7 +477,7 @@ def _level_values(rows: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
 
 def _sup(deviation: np.ndarray, compact: str, level: int) -> float:
     """``max |deviation|``; raises :class:`NonFiniteSupError` unless it is finite."""
-    if (sup := float(np.max(np.abs(deviation)))) < math.inf:  # NaN fails it too
+    if (sup := float(np.abs(deviation).max())) < math.inf:  # NaN fails it too
         return sup
     raise NonFiniteSupError(f"the sup on {compact} at derivative level {level} is {sup}")
 
@@ -734,7 +740,7 @@ def build_universal_polynomial(
     values = np.concatenate([k_vals, np.asarray(f_on_L.evaluate(grid_l.points)), j_vals])
     degree, fit, residual = _fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
-        lambda fit: float(np.max(np.abs(fit.eval(z) - values))),
+        lambda fit: float(np.abs(horner(fit.coeffs, z) - values).max()),
     )
     return _certify(fit, f_seq, measurement, degree, residual, d_override)
 
@@ -809,13 +815,14 @@ def extend_prefix(
     base = Polynomial(prefix, 0.0)
     base_vals = base.eval(z)
     shifted = z ** (n0 + 1)
-    divided = (psi_vals - base_vals) / shifted
+    gap = psi_vals - base_vals
+    divided = gap / shifted
 
     # weight by z^(n0+1): the quantity that must shrink is the composite
     # |psi - prefix - t z^(n0+1)|, not the divided residual
     fit_degree, correction, residual = _fit_ramp(
         _ArnoldiLadder(z, shifted), divided, range(RAMP_CAP + 1), requested / 2.0,
-        lambda t_poly: float(np.max(np.abs(psi_vals - base_vals - t_poly.eval(z) * shifted))),
+        lambda t_poly: float(np.abs(gap - horner(t_poly.coeffs, z) * shifted).max()),
     )
 
     # the correction up to its last nonzero term; "+ 0.0" writes its exact

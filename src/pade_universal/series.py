@@ -79,15 +79,18 @@ def _fraction_float(value) -> float:
 
 
 def pair_to_complex(pair) -> complex:
-    """Parse ``[re, im]`` (or a bare real) back into a complex number."""
-    if isinstance(pair, (int, float)):
+    """Parse ``[re, im]`` (or a bare real) back into a complex number; a
+    boolean is not a number here, as in :func:`float_from_json`."""
+    if isinstance(pair, (int, float)) and not isinstance(pair, bool):
         return _require_finite(complex(pair), "value")
     if isinstance(pair, str):
         # exact-mode payload: fraction string such as "3/2"
         return complex(_fraction_float(pair), 0.0)
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         re, im = pair
-        if isinstance(re, str) or isinstance(im, str):
+        if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise ValueError(f"expected numbers in [re, im], got {pair!r:.40}")
             return complex(_fraction_float(re), _fraction_float(im))
         return _require_finite(complex(float(re), float(im)), "value")
     raise ValueError(f"expected [re, im], got {pair!r}")
@@ -301,8 +304,14 @@ def recentered_coefficients(
 
 
 def horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row ``r`` of ``coeffs`` evaluated at row ``r`` of the offsets ``w``."""
+    """Row ``r`` of ``coeffs`` evaluated at row ``r`` of the offsets ``w``; one
+    row adds each coefficient as a Python scalar, which rounds as its array does."""
     acc = np.zeros_like(w, dtype=complex)
+    if coeffs.ndim == 1:
+        for a in coeffs[::-1].tolist():
+            acc *= w
+            acc += a
+        return acc
     for k in range(coeffs.shape[-1] - 1, -1, -1):
         acc *= w
         acc += coeffs[..., k, None]

@@ -917,6 +917,8 @@ MALFORMED_RECORD = {
     "achieved-nan": (("certificates", 0, "achieved", "2"), "NaN"),
     "selected-short": (("certificates", 0, "selected"), "[5]"),
     "selected-negative": (("certificates", 0, "selected"), "[-5, 10]"),
+    "requested-string": (("certificates", 0, "requested"), '"0.5"'),
+    "hankel-min-boolean": (("certificates", 0, "hankel_min"), "true"),
     "universal-poly-list": (("artifacts", "universal_poly"), "[]"),
 }
 
@@ -927,6 +929,8 @@ MALFORMED_SCENARIO = {
     "target-number": (("requirement", "target"), "5"),
     "F-number": (("F",), "5"),
     "coeffs-nested": (("f_on_L", "numer"), "[[1, [2]]]"),
+    # JSON booleans are not numbers: [[true, false]] read as 1 + 0j and certified
+    "coeffs-boolean": (("f_on_L", "numer"), "[[true, false]]"),
 }
 
 

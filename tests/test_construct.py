@@ -210,12 +210,17 @@ class TestTargets:
             assert abs(d1.evaluate(z) - 1.0 / (2.0 - z) ** 2) <= 1e-12
 
 
+def fit_of(ladder, values, degree):
+    """``_fit_on_points`` of ``values``, given as their projection operand."""
+    return _fit_on_points(ladder, np.conj(ladder.weight * values), degree)
+
+
 def ladder_fit(pieces, degree):
     """One fit of ``degree`` on the joint grid of ``(grid, values)`` pieces,
     with the sup residual on each piece."""
     z = np.concatenate([grid.points for grid, _ in pieces])
     values = np.concatenate([np.asarray(v, dtype=complex) for _, v in pieces])
-    fit = _fit_on_points(_ArnoldiLadder(z), values, degree)
+    fit = fit_of(_ArnoldiLadder(z), values, degree)
     residuals = [
         float(np.max(np.abs(fit.eval(grid.points) - np.asarray(v, dtype=complex))))
         for grid, v in pieces
@@ -276,19 +281,70 @@ def wide_points():
     return np.concatenate([k, lj]), values
 
 
+def reference_ladder(z, weight, degree):
+    """The ladder grown to ``degree`` as it was written before its kernels were
+    trimmed: ``np.linalg.norm`` and fresh ``np.conj`` temporaries, views taken
+    at every pass.  Returns ``(q, c, collapse degree or None)``."""
+    m = len(z)
+    weight = np.ones(m, dtype=complex) if weight is None else weight
+    rms = float(np.linalg.norm(weight)) / math.sqrt(m)
+    rows = min(RAMP_CAP + 1, m)
+    q, c = np.empty((rows, m), dtype=complex), np.zeros((rows, rows), dtype=complex)
+    q[0], c[0, 0] = weight / rms, 1.0 / rms
+    z_scale = max(1.0, float(np.max(np.abs(z))))
+    for k in range(degree):
+        v = np.multiply(z, q[k], out=q[k + 1])
+        image = c[: k + 2, k + 1]
+        image[0] = 0
+        image[1:] = c[: k + 1, k]
+        for _ in range(2):
+            h = np.conj(q[: k + 1] @ np.conj(v)) / m
+            v -= h @ q[: k + 1]
+            image[: k + 1] -= c[: k + 1, : k + 1] @ h
+        h_next = float(np.linalg.norm(v) / math.sqrt(m))
+        if h_next <= 1e-13 * z_scale:
+            image[:] = 0
+            return q[: k + 1], c, k + 1
+        np.divide(v, h_next, out=v)
+        np.divide(image, h_next, out=image)
+    return q[: degree + 1], c, None
+
+
+def ladder_points(case):
+    """The points and weight of a named ladder case."""
+    if case == "desk":
+        return desk_glued_points(), None
+    if case == "weighted circle":
+        z = discretize(CIRCLE_K).points
+        return z, z**15
+    if case == "wide":
+        return wide_points()[0], None
+    return np.array([1.0, 2.0, 3.0] * 4, dtype=complex), None  # collapses at degree 3
+
+
 class TestArnoldiLadder:
+    @pytest.mark.parametrize("case", ["desk", "wide", "weighted circle", "collapsing"])
+    def test_columns_are_bitwise_the_reference_ladder(self, case):
+        z, weight = ladder_points(case)
+        degree = min(RAMP_CAP, len(z) - 1)
+        q_ref, c_ref, collapse = reference_ladder(z, weight, degree)
+        ladder = _ArnoldiLadder(z, weight)
+        try:
+            ladder.basis(degree)
+            collapsed = None
+        except IllConditionedError:
+            collapsed = ladder.columns  # columns 0..k were kept; k + 1 collapsed
+        assert collapsed == collapse == (3 if case == "collapsing" else None)
+        assert ladder.columns == len(q_ref)
+        assert ladder.q[: ladder.columns].tobytes() == q_ref.tobytes()
+        assert ladder.c.tobytes() == c_ref.tobytes()
+
     @pytest.mark.parametrize(
         "case, degree",
         [("desk", 48), ("weighted circle", 48), ("wide", 30)],
     )
     def test_columns_are_orthonormal_in_the_weighted_product(self, case, degree):
-        if case == "desk":
-            z, weight = desk_glued_points(), None
-        elif case == "weighted circle":
-            z = discretize(CIRCLE_K).points
-            weight = z**15
-        else:
-            z, weight = wide_points()[0], None
+        z, weight = ladder_points(case)
         q, c = _ArnoldiLadder(z, weight).basis(degree)
         assert q.shape == (degree + 1, len(z)) and q.flags.c_contiguous
         gram = np.conj(q) @ q.T / len(z)
@@ -322,7 +378,7 @@ class TestArnoldiLadder:
         values = rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))
         ladder = _ArnoldiLadder(z, weight if weighted else None)
         for degree in (0, 3, 10, 20):
-            fit = _fit_on_points(ladder, values, degree)
+            fit = fit_of(ladder, values, degree)
             q, c = ladder.basis(degree)
             solution, *_ = np.linalg.lstsq(q.T, weight * values, rcond=None)
             expected = c @ solution
@@ -333,11 +389,7 @@ class TestArnoldiLadder:
     def test_growth_patterns_give_the_same_bits(self, case):
         # degree by degree, the even degrees of a build ramp, or one call:
         # each column is computed by the same operations in the same order
-        if case == "desk":
-            z, weight = desk_glued_points(), None
-        else:
-            z = discretize(CIRCLE_K).points
-            weight = z**15
+        z, weight = ladder_points(case)
         bases = []
         for pattern in (range(49), range(2, 49, 2), [48]):
             ladder = _ArnoldiLadder(z, weight)
@@ -354,7 +406,7 @@ class TestArnoldiLadder:
         q, c = ladder.q, ladder.c
         assert q.shape == (RAMP_CAP + 1, 144) and c.shape == (RAMP_CAP + 1, RAMP_CAP + 1)
         for degree in range(RAMP_CAP + 1):
-            _fit_on_points(ladder, z, degree)
+            fit_of(ladder, z, degree)
             assert ladder.q is q and ladder.c is c
         assert ladder.columns == RAMP_CAP + 1
         # twelve points hold degrees 0..11 only
@@ -364,7 +416,7 @@ class TestArnoldiLadder:
     def test_fit_refuses_a_degree_the_ladder_does_not_hold(self, degree):
         ladder = _ArnoldiLadder(desk_glued_points())
         with pytest.raises(ValueError, match=f"degree {degree} is outside"):
-            _fit_on_points(ladder, desk_glued_points(), degree)
+            fit_of(ladder, desk_glued_points(), degree)
         assert ladder.columns == 1
 
     def test_collapse_keeps_the_good_columns(self):
@@ -407,7 +459,7 @@ class TestFitRamp:
         degree, fit, r = _fit_ramp(_ArnoldiLadder(z, weight), values, range(25), 1e-12, residual)
         assert (degree, fit, r) == (24, fits[-1], 0.0) and len(fits) == 25
         for degree, fit in enumerate(fits):
-            fresh = _fit_on_points(_ArnoldiLadder(z, weight), values, degree)
+            fresh = fit_of(_ArnoldiLadder(z, weight), values, degree)
             assert np.array_equal(fit.coeffs, fresh.coeffs)
 
     def test_ramp_stops_where_a_fresh_ladder_collapses(self):
@@ -418,7 +470,7 @@ class TestFitRamp:
         assert [len(fit.coeffs) - 1 for fit in fits] == [0, 1, 2]
         assert info.value.degree == 2
         with pytest.raises(IllConditionedError, match="collapsed at degree 3"):
-            _fit_on_points(_ArnoldiLadder(z), z * z, 3)
+            fit_of(_ArnoldiLadder(z), z * z, 3)
 
     def test_non_finite_values_rejected(self):
         z = discretize(SEGMENT_K).points
@@ -463,21 +515,30 @@ class TestFitRamp:
         assert (info.value.degree, info.value.best_residual) == (-1, math.inf)
 
     def count_fits(self, monkeypatch):
-        """Count ``_fit_on_points`` calls and ``np.linalg.norm`` calls: a
-        ladder takes one norm for its start vector and one per new column."""
-        counts = {"fits": 0, "norms": 0}
-        fit, norm = construct._fit_on_points, np.linalg.norm
+        """Count ``_fit_on_points`` calls and the ladder columns built: a
+        ladder builds its start column when it is made, and each later
+        column in the ``basis`` call that grows it."""
+        counts = {"fits": 0, "columns": 0}
+        fit, init, basis = construct._fit_on_points, _ArnoldiLadder.__init__, _ArnoldiLadder.basis
 
         def counted_fit(*args, **kwargs):
             counts["fits"] += 1
             return fit(*args, **kwargs)
 
-        def counted_norm(*args, **kwargs):
-            counts["norms"] += 1
-            return norm(*args, **kwargs)
+        def counted_init(ladder, *args, **kwargs):
+            init(ladder, *args, **kwargs)
+            counts["columns"] += ladder.columns
+
+        def counted_basis(ladder, degree):
+            have = ladder.columns
+            try:
+                return basis(ladder, degree)
+            finally:
+                counts["columns"] += ladder.columns - have
 
         monkeypatch.setattr(construct, "_fit_on_points", counted_fit)
-        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        monkeypatch.setattr(_ArnoldiLadder, "__init__", counted_init)
+        monkeypatch.setattr(_ArnoldiLadder, "basis", counted_basis)
         return counts
 
     def test_build_builds_each_column_once(self, monkeypatch):
@@ -487,7 +548,7 @@ class TestFitRamp:
         assert degree >= 4
         # degrees 2, 4, ..., degree on one ladder of columns 0..degree
         assert counts["fits"] == degree // 2
-        assert counts["norms"] == 1 + degree
+        assert counts["columns"] == 1 + degree
 
     def test_extend_builds_each_column_once(self, monkeypatch):
         counts = self.count_fits(monkeypatch)
@@ -495,7 +556,7 @@ class TestFitRamp:
         degree = cert.fit_degree
         assert degree >= 2
         assert counts["fits"] == degree + 1
-        assert counts["norms"] == 1 + degree
+        assert counts["columns"] == 1 + degree
 
     def schedule_on_one_compact(self):
         quadratic = TargetFunction.poly([1.0, 0.0, 0.5])
@@ -510,7 +571,7 @@ class TestFitRamp:
         assert counts["fits"] == sum(cert.fit_degree + 1 for cert in certs)
         # each step weights its fit by z^(n0+1) of its own prefix, so each
         # step grows one ladder of its own
-        assert counts["norms"] == sum(1 + cert.fit_degree for cert in certs)
+        assert counts["columns"] == sum(1 + cert.fit_degree for cert in certs)
 
     def test_schedule_equals_its_steps_alone(self):
         schedule = self.schedule_on_one_compact()

@@ -2,13 +2,13 @@
 
 One ``table`` seed runs twice in fresh interpreters: each run prints one
 ``<seed> <cycle> <sha256>`` line per cycle of the pass, and the two runs
-print the same lines.  ``--workload all`` prints the lines of each workload
-and of the demos behind the workload's name.  ``--decisions`` prints one
-line of outcomes per cycle, and the ``table`` digest as before.  ``general``
-prints one stable digest per ``wide`` cycle, of its per-center
-re-measurement, not the ``wide`` digest.  A ``desk``
-digest compares parsed standard outputs, so a re-indented ``verify`` report
-keeps it.  Nothing is written under ``perfbench/``.
+print the same lines.  ``--workload all`` prints the lines of each workload,
+``general`` after ``table``, and of the demos behind the workload's name.
+``--decisions`` prints one line of outcomes per cycle, and the ``table`` and
+``general`` digests as before.  ``general`` prints one stable digest per
+``wide`` cycle, of its per-center re-measurement, not the ``wide`` digest.
+A ``desk`` digest compares parsed standard outputs, so a re-indented
+``verify`` report keeps it.  Nothing is written under ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -77,13 +77,15 @@ def test_all_prefixes_each_workload_and_the_demos(monkeypatch):
     lines = fingerprints("--workload", "all", "--seeds", "101")
     names = [line.split(" ", 1)[0] for line in lines]
     runs = {name: workloads.WORKLOADS[name].pass_length for name in ("wide", "desk", "table")}
+    runs["general"] = runs["wide"]  # one per wide cycle
     demos = fingerprints("--workload", "demos")
     assert names == [n for n, k in runs.items() for _ in range(k)] + ["demos"] * len(demos)
     for name in runs:
         body = [line.split(" ", 1)[1] for line in lines if line.startswith(name + " ")]
         assert all(re.fullmatch(rf"101 {i} [0-9a-f]{{64}}", b) for i, b in enumerate(body))
-    table = [line.split(" ", 1)[1] for line in lines if line.startswith("table ")]
-    assert table == fingerprints("--workload", "table", "--seeds", "101")
+    for name in ("table", "general"):
+        body = [line.split(" ", 1)[1] for line in lines if line.startswith(name + " ")]
+        assert body == fingerprints("--workload", name, "--seeds", "101")
     assert [line.split(" ", 1)[1] for line in lines if line.startswith("demos ")] == demos
 
 
@@ -104,8 +106,9 @@ def test_decisions_print_one_outcome_line_per_cycle(monkeypatch):
             assert re.fullmatch(rf"101 {i} {shape}", line), line
     # the desk pass holds its s = 10^4 builds, which end in exit 4
     assert "build=4 pairs=-" in " ".join(lines)
-    table = fingerprints("--decisions", "--workload", "table", "--seeds", "101")
-    assert table == fingerprints("--workload", "table", "--seeds", "101")
+    for name in ("table", "general"):
+        digests = fingerprints("--decisions", "--workload", name, "--seeds", "101")
+        assert digests == fingerprints("--workload", name, "--seeds", "101")
 
 
 def test_desk_digest_ignores_the_layout_of_the_verify_report(monkeypatch, tmp_path):

@@ -210,6 +210,19 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_run(path)
 
+    @pytest.mark.parametrize(
+        "field, value", [("requested", "0.5"), ("hankel_min", True), ("hankel_min", "1e-3")]
+    )
+    def test_certificate_numbers_are_json_numbers(self, rng, tmp_path, field, value):
+        # a string or a boolean does not load as the number it spells
+        path = tmp_path / "run.json"
+        save_run(RunRecord({}, [random_certificate(rng)], environment_stamp()), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["certificates"][0][field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match="expected a finite number"):
+            load_run(path)
+
     def test_unknown_fields_preserved(self, tmp_path):
         payload = {
             "schema": SCHEMA,

@@ -12,6 +12,7 @@ from pade_universal.series import (
     ToleranceConfig,
     coefficient_metric,
     disagreement_metric,
+    horner,
     int_from_json,
     pair_to_complex,
     poly_mul,
@@ -107,6 +108,35 @@ class TestEvalAndDerivative:
 
     def test_derivative_of_constant(self):
         assert Polynomial([5.0]).derivative(1).coeffs == (0j,)
+
+
+class TestHorner:
+    """A one-row ``horner`` adds each coefficient as a Python scalar, a stack
+    adds a column of its rows: the same float operations in the same order,
+    so the one-row call reads the bits of its row of the stack.  Only calls
+    of the same shape are compared: a slice of a longer Horner need not
+    read the bits of the Horner of the slice."""
+
+    #: signed zeros, written over the first entries of each array
+    ZEROS = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j])
+
+    def signed(self, rng, n):
+        values = np.array(random_coefficients(rng, n))
+        head = min(n, len(self.ZEROS))
+        values[:head] = self.ZEROS[:head]
+        return rng.permutation(values)
+
+    @pytest.mark.parametrize("points", [1, 63, 64, 65, 144, 1152])
+    @pytest.mark.parametrize("length", [1, 9, 24])
+    @pytest.mark.parametrize("trailing", [0, 2])
+    def test_one_row_is_its_row_of_a_stack(self, rng, points, length, trailing):
+        row, other = (
+            np.concatenate([self.signed(rng, length), self.ZEROS[3 - trailing : 3]])
+            for _ in range(2)
+        )
+        w, w_other = self.signed(rng, points), self.signed(rng, points)
+        stacked = horner(np.stack([other, row]), np.stack([w_other, w]))
+        assert horner(row, w).tobytes() == stacked[1].tobytes()
 
 
 class TestMetrics:
@@ -277,6 +307,14 @@ class TestPairToComplex:
     )
     def test_rejects_other_shapes(self, payload):
         with pytest.raises(ValueError, match="expected \\[re, im\\]"):
+            pair_to_complex(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [True, [True, 0.0], [0.0, False], [False, "1/2"]],
+    )
+    def test_rejects_booleans(self, payload):
+        # JSON true is not the number 1, as in float_from_json and int_from_json
+        with pytest.raises(ValueError, match="expected"):
             pair_to_complex(payload)
 
     @pytest.mark.parametrize(

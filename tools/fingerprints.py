@@ -17,19 +17,19 @@ outcomes of the cycle without the bits of its numbers (see
 not move an outcome.  The
 ``demos`` workload runs each ``demos/*.py`` with this checkout's ``src/``
 first on ``PYTHONPATH`` and prints ``<demo> <sha256 of its stdout>``; it
-takes no seeds and fails when a demo does.  ``all`` runs ``wide``, ``desk``
-and ``table`` for the seeds, then the demos, and puts the workload's name in
-front of each line.  Running it in two checkouts and diffing the outputs
-checks that a change keeps every output bit-identical.  BLAS runs on one
-thread, as in the benchmark.
+takes no seeds and fails when a demo does.  ``all`` runs ``wide``, ``desk``,
+``table`` and ``general`` for the seeds, then the demos, and puts the
+workload's name in front of each line.  Running it in two checkouts and
+diffing the outputs checks that a change keeps every output bit-identical.
+BLAS runs on one thread, as in the benchmark.
 
-The ``general`` workload, which ``all`` leaves out, reaches the per-center
-measurement that no benchmark workload or demo runs: for each ``wide`` cycle
-it re-measures the built ``u``, of degree ``p``, with ``verify_construction``
-at ``(p - 1, 1)``, so every center of L is recentered, tested and solved for
-at derivative levels 2, and prints ``<seed> <cycle> <sha256>`` of that
-certificate's JSON, or of the ``repr`` of the error it raises (of the
-build's refusal when there is no ``u``).
+The ``general`` workload reaches the per-center measurement that no
+benchmark workload or demo runs: for each ``wide`` cycle it re-measures the
+built ``u``, of degree ``p``, with ``verify_construction`` at ``(p - 1, 1)``,
+so every center of L is recentered, tested and solved for at derivative
+levels 2, and prints ``<seed> <cycle> <sha256>`` of that certificate's JSON,
+or of the ``repr`` of the error it raises (of the build's refusal when there
+is no ``u``); it prints that digest under ``--decisions`` too.
 
 A ``desk`` cycle is hashed with each standard output that parses as JSON
 (the ``verify`` report) re-dumped compactly with sorted keys, and its
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     if args.workload != "all":
         _cycles(args.workload, args.seeds, outcomes=args.decisions)
         return 0
-    for name in WORKLOADS:
+    for name in (*WORKLOADS, "general"):
         _cycles(name, args.seeds, f"{name} ", args.decisions)
     return _demos("demos ")
 
