@@ -740,7 +740,7 @@ def build_universal_polynomial(
     values = np.concatenate([k_vals, np.asarray(f_on_L.evaluate(grid_l.points)), j_vals])
     degree, fit, residual = _fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
-        lambda fit: float(np.abs(horner(fit.coeffs, z) - values).max()),
+        lambda fit: float(np.abs(fit.eval(z) - values).max()),
     )
     return _certify(fit, f_seq, measurement, degree, residual, d_override)
 
@@ -822,7 +822,7 @@ def extend_prefix(
     # |psi - prefix - t z^(n0+1)|, not the divided residual
     fit_degree, correction, residual = _fit_ramp(
         _ArnoldiLadder(z, shifted), divided, range(RAMP_CAP + 1), requested / 2.0,
-        lambda t_poly: float(np.abs(gap - horner(t_poly.coeffs, z) * shifted).max()),
+        lambda t_poly: float(np.abs(gap - t_poly.eval(z) * shifted).max()),
     )
 
     # the correction up to its last nonzero term; "+ 0.0" writes its exact

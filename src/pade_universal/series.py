@@ -88,9 +88,9 @@ def pair_to_complex(pair) -> complex:
         return complex(_fraction_float(pair), 0.0)
     if isinstance(pair, (list, tuple)) and len(pair) == 2:
         re, im = pair
-        if isinstance(re, (str, bool)) or isinstance(im, (str, bool)):
-            if isinstance(re, bool) or isinstance(im, bool):
-                raise ValueError(f"expected numbers in [re, im], got {pair!r:.40}")
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise ValueError(f"expected numbers in [re, im], got {pair!r:.40}")
+        if isinstance(re, str) or isinstance(im, str):
             return complex(_fraction_float(re), _fraction_float(im))
         return _require_finite(complex(float(re), float(im)), "value")
     raise ValueError(f"expected [re, im], got {pair!r}")
