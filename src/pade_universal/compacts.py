@@ -26,7 +26,7 @@ from .errors import (
     EmptySpecError,
     UnsupportedDomainError,
 )
-from .series import _require_finite, complex_to_pair, int_from_json, pair_to_complex
+from .series import _require_finite, complex_to_pair, float_from_json, int_from_json, pair_to_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,18 +164,18 @@ def _primitive_to_json(p: Primitive) -> dict:
 def _primitive_from_json(obj: dict) -> Primitive:
     kind = obj.get("kind")
     if kind == "filled_disk":
-        return FilledDisk(pair_to_complex(obj["center"]), float(obj["radius"]))
+        return FilledDisk(pair_to_complex(obj["center"]), float_from_json(obj["radius"]))
     if kind == "circle":
-        return Circle(pair_to_complex(obj["center"]), float(obj["radius"]))
+        return Circle(pair_to_complex(obj["center"]), float_from_json(obj["radius"]))
     if kind == "segment":
         return Segment(pair_to_complex(obj["a"]), pair_to_complex(obj["b"]))
     if kind == "annulus_sector":
         return AnnulusSector(
             pair_to_complex(obj["center"]),
-            float(obj["r_in"]),
-            float(obj["r_out"]),
-            float(obj["theta_a"]),
-            float(obj["theta_b"]),
+            float_from_json(obj["r_in"]),
+            float_from_json(obj["r_out"]),
+            float_from_json(obj["theta_a"]),
+            float_from_json(obj["theta_b"]),
         )
     if kind == "point_set":
         return PointSet([pair_to_complex(z) for z in obj["points"]])
@@ -313,12 +313,14 @@ class DomainSpec:
     def from_json(cls, obj: dict) -> "DomainSpec":
         kind = obj["kind"]
         if kind in {"disk", "disk_complement"}:
-            return cls(kind=kind, center=pair_to_complex(obj["center"]), radius=float(obj["radius"]))
+            center, radius = pair_to_complex(obj["center"]), float_from_json(obj["radius"])
+            return cls(kind=kind, center=center, radius=radius)
         if kind == "half_plane":
-            return cls(kind=kind, normal=pair_to_complex(obj["normal"]), offset=float(obj["offset"]))
+            normal, offset = pair_to_complex(obj["normal"]), float_from_json(obj["offset"])
+            return cls(kind=kind, normal=normal, offset=offset)
         if kind == "disk_union":
             disks = tuple(
-                (pair_to_complex(d["center"]), float(d["radius"])) for d in obj["disks"]
+                (pair_to_complex(d["center"]), float_from_json(d["radius"])) for d in obj["disks"]
             )
             return cls(kind=kind, disks=disks)
         raise UnsupportedDomainError(f"unknown domain kind {kind!r}")

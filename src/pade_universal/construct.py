@@ -12,12 +12,12 @@ The measurement decides such a ``u`` by that identity; every other claimed
 bound is measured on grids; each is recorded in a :class:`Certificate`.
 
 Every build prepares its measurement, takes one fit and makes one trial.
-Both builders fit through ``_fit_ramp``: one Arnoldi ladder on the fit
-points, allocated once, orthonormal in the fit's weighted inner product, so
-each degree's least-squares fit is one projection onto its columns; each
-builder chooses its degrees, weight and residual, and the ramp returns the
-first fit that clears half the requested bound or raises
-:class:`FitFailedError` when none does.
+Both builders fit through ``_fit_ramp`` on the points their certificates
+measure, never on the centers: one Arnoldi ladder, allocated once,
+orthonormal in the fit's weighted inner product, so each degree's
+least-squares fit is one projection onto its columns; each builder chooses
+its degrees, weight and residual, and the ramp returns the first fit that
+clears half the requested bound or raises :class:`FitFailedError` if none.
 
 One certificate path follows the fit: each builder hands its fit to
 ``_certify``, the only code that builds a trial ``u = fit + d z^p`` and
@@ -661,10 +661,11 @@ def verify_construction(
     selected degree, which is the perturbation the builders install there.
     """
     p, q = pq
-    grids = discretize(req.L), discretize(req.K), discretize(req.inner_compact())
+    grid_l = discretize(req.L)
+    grid_j = grid_l if req.J is None else discretize(req.J)
     if perturbation is None:
         perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
-    measurement = _requirement_measurement(req, f_on_L, *grids, tol)
+    measurement = _requirement_measurement(req, f_on_L, grid_l, discretize(req.K), grid_j, tol)
     return measurement(u, p, q, perturbation, fit_degree)
 
 
@@ -718,26 +719,25 @@ def build_universal_polynomial(
 ) -> tuple[Polynomial, Certificate]:
     """Construct ``u = P + d z^p`` certified against one requirement.
 
-    Prepares the measurement, whose target values on K and J the fit reuses,
-    fits the glued target (outer target on K, inner target on L and J) with
-    a degree ramp, and hands its first fit that clears half the requested
-    bound to ``_certify``, which returns the certified ``u`` or raises the
-    refusal of its one trial.  ``d_override`` replaces the chosen
-    perturbation and returns the certificate for that exact value (possibly
-    failing; a zero perturbation never passes).
+    Prepares the measurement and fits the glued target on its points, K then
+    J (no sup reads ``u`` on the centers of L, where it is its own
+    approximant), with a degree ramp; its first fit that clears half the
+    requested bound goes to ``_certify``, which returns the certified ``u``
+    or raises the refusal of its one trial.  ``d_override`` replaces the
+    chosen perturbation and returns the certificate for that exact value
+    (possibly failing; a zero perturbation never passes).
     """
-    grid_k = discretize(req.K)
-    grid_l = discretize(req.L)
-    grid_j = discretize(req.inner_compact())
-    for name, spec, grid in (("L", req.L, grid_l), ("J", req.inner_compact(), grid_j)):
+    grid_k, grid_l = discretize(req.K), discretize(req.L)
+    grid_j = grid_l if req.J is None else discretize(req.J)
+    for name, spec, grid in (("L", req.L, grid_l), ("J", req.J, grid_j)):
+        if spec is None:
+            continue  # J is L, checked already
         overlap = spec_region_contains(req.K, grid.points).any()
         if overlap or spec_region_contains(spec, grid_k.points).any():
             raise ValueError(f"K and {name} overlap; the gluing step needs disjoint compacts")
 
     measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, DEFAULT_TOL)
-    k_vals, j_vals = measurement.target_vals[0]
-    z = np.concatenate([grid_k.points, grid_l.points, grid_j.points])
-    values = np.concatenate([k_vals, np.asarray(f_on_L.evaluate(grid_l.points)), j_vals])
+    z, values = measurement.points, np.concatenate(measurement.target_vals[0])
     degree, fit, residual = _fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.abs(fit.eval(z) - values).max()),

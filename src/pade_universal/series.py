@@ -70,29 +70,25 @@ def coeffs_from_json(pairs) -> list[complex]:
     return [pair_to_complex(c) for c in pairs]
 
 
-def _fraction_float(value) -> float:
-    """``float(Fraction(value))``; a value beyond the float range is a ``ValueError``."""
-    try:
-        return float(Fraction(value))
-    except OverflowError:
-        raise ValueError(f"value must be finite, got {value!r}") from None
-
-
 def pair_to_complex(pair) -> complex:
     """Parse ``[re, im]`` (or a bare real) back into a complex number; a
-    boolean is not a number here, as in :func:`float_from_json`."""
-    if isinstance(pair, (int, float)) and not isinstance(pair, bool):
-        return _require_finite(complex(pair), "value")
-    if isinstance(pair, str):
-        # exact-mode payload: fraction string such as "3/2"
-        return complex(_fraction_float(pair), 0.0)
-    if isinstance(pair, (list, tuple)) and len(pair) == 2:
-        re, im = pair
-        if isinstance(re, bool) or isinstance(im, bool):
-            raise ValueError(f"expected numbers in [re, im], got {pair!r:.40}")
-        if isinstance(re, str) or isinstance(im, str):
-            return complex(_fraction_float(re), _fraction_float(im))
-        return _require_finite(complex(float(re), float(im)), "value")
+    boolean is not a number here, and a value beyond the float range (an
+    integer or a fraction string) is a ``ValueError``, as in :func:`float_from_json`."""
+    try:
+        if isinstance(pair, (int, float)) and not isinstance(pair, bool):
+            return _require_finite(complex(pair), "value")
+        if isinstance(pair, str):
+            # exact-mode payload: fraction string such as "3/2"
+            return complex(float(Fraction(pair)), 0.0)
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            re, im = pair
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise ValueError(f"expected numbers in [re, im], got {pair!r:.40}")
+            if isinstance(re, str) or isinstance(im, str):
+                return complex(float(Fraction(re)), float(Fraction(im)))
+            return _require_finite(complex(float(re), float(im)), "value")
+    except OverflowError:
+        raise ValueError(f"value must be finite, got {pair!r:.40}") from None
     raise ValueError(f"expected [re, im], got {pair!r}")
 
 

@@ -14,13 +14,15 @@ against the same exact determinants here.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
 import pytest
 
 from pade_universal.compacts import discretize
-from pade_universal.construct import Certificate
+from pade_universal.construct import Certificate, build_universal_polynomial, verify_construction
+from pade_universal.errors import FitFailedError
 from pade_universal.exact import QComplex, exact_hankel_determinant
 from pade_universal.series import Polynomial
 
@@ -63,6 +65,31 @@ def test_first_cycle_oracle_agrees_at_every_center(name, expected, workloads, tm
         exact = exact_hankel_determinant([QComplex.of(c.real, c.imag) for c in row], p, q)
         agree += pade_side == (not exact.is_zero())
     assert [agree, compared] == expected
+
+
+def test_frozen_pools_keep_their_verdicts(workloads):
+    """Every target of the frozen pools of ``inputs.json`` (read, not
+    rewritten) still does what the pool was screened for: each ``wide``
+    target certifies at 1024 centers and re-verifies bit for bit, and each
+    ``desk_refusal`` target ends in ``FitFailedError`` at s = 10^4."""
+    with open(workloads.INPUTS, "r", encoding="utf-8") as handle:
+        pools = json.load(handle)
+    wide, desk = workloads.Wide, workloads.Desk
+    assert (len(pools["wide"]), len(pools["desk_refusal"])) == (32, 16)
+    for entry in pools["wide"]:
+        inner, outer = workloads.targets(entry)
+        req = workloads.requirement(outer, wide.centers, wide.s, wide.levels)
+        u, cert = build_universal_polynomial(req, inner, workloads.BUILD_F)
+        verified = verify_construction(
+            u, req, cert.selected, inner,
+            perturbation=cert.perturbation, fit_degree=cert.fit_degree,
+        )
+        assert cert.passed and verified.passed and verified.achieved == cert.achieved
+    for entry in pools["desk_refusal"]:
+        inner, outer = workloads.targets(entry)
+        req = workloads.requirement(outer, desk.centers, desk.refusal_s, 0)
+        with pytest.raises(FitFailedError):
+            build_universal_polynomial(req, inner, workloads.BUILD_F)
 
 
 def test_tracer_spans_one_table_cycle(workloads, tmp_path):

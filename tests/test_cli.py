@@ -931,6 +931,13 @@ MALFORMED_SCENARIO = {
     "coeffs-nested": (("f_on_L", "numer"), "[[1, [2]]]"),
     # JSON booleans are not numbers: [[true, false]] read as 1 + 0j and certified
     "coeffs-boolean": (("f_on_L", "numer"), "[[true, false]]"),
+    # a 401-digit integer raised OverflowError, a traceback with no diagnostic
+    "coeffs-huge-integer": (("f_on_L", "numer"), f"[[{10**400}, 0]]"),
+    "coeffs-huge-bare-integer": (("f_on_L", "numer"), f"[{10**400}]"),
+    # a radius read by float(): true read as 1.0 and "0.5" as 0.5
+    "radius-boolean": (("requirement", "L", "primitives", 0, "radius"), "true"),
+    "radius-string": (("requirement", "L", "primitives", 0, "radius"), '"0.5"'),
+    "radius-huge-integer": (("requirement", "J", "primitives", 0, "radius"), str(10**400)),
 }
 
 

@@ -101,10 +101,10 @@ class TestDiscretize:
             (lambda: AnnulusSector(0.0, 1.0, 2.0, math.nan, 1.0), "angles must be finite"),
             (lambda: AnnulusSector(0.0, 1.0, 2.0, 0.0, math.inf), "angles must be finite"),
             (lambda: CompactSpec.from_json({"kind": "circle", "center": [0, 0], "radius": "inf"}),
-             "radius must be nonnegative and finite"),
+             "expected a finite number"),
             (lambda: DomainSpec(kind="disk", radius=math.nan), "radius must be positive"),
             (lambda: DomainSpec.from_json({"kind": "disk_complement", "center": [0, 0],
-                                           "radius": "inf"}), "radius must be positive"),
+                                           "radius": "inf"}), "expected a finite number"),
             (lambda: DomainSpec(kind="half_plane", normal=1.0, offset=math.nan), "offset finite"),
             (lambda: DomainSpec(kind="disk_union", disks=((0.0, 1.0), (3.0, math.inf))),
              "disk radii must be positive and finite"),
@@ -446,6 +446,37 @@ class TestJson:
         spec = CompactSpec.from_json({"kind": "segment", "a": [2, 0], "b": [3, 0], "samples": 16})
         assert spec.primitives == (Segment(2.0, 3.0),)
         assert spec.samples_per_primitive == 16
+
+    @pytest.mark.parametrize(
+        "value", [True, "0.5", 10**400], ids=["boolean", "string", "huge-integer"]
+    )
+    @pytest.mark.parametrize(
+        "read, obj, field",
+        [
+            (CompactSpec.from_json, {"kind": "filled_disk", "center": [0, 0], "radius": 1}, "radius"),
+            (CompactSpec.from_json, {"kind": "circle", "center": [0, 0], "radius": 1}, "radius"),
+            *[
+                (CompactSpec.from_json, {"kind": "annulus_sector", "center": [0, 0], "r_in": 1,
+                                         "r_out": 2, "theta_a": 0, "theta_b": 1}, field)
+                for field in ("r_in", "r_out", "theta_a", "theta_b")
+            ],
+            (DomainSpec.from_json, {"kind": "disk", "center": [0, 0], "radius": 1}, "radius"),
+            (DomainSpec.from_json, {"kind": "disk_complement", "center": [0, 0], "radius": 1},
+             "radius"),
+            (DomainSpec.from_json, {"kind": "half_plane", "normal": [1, 0], "offset": 0}, "offset"),
+        ],
+    )
+    def test_real_fields_are_json_numbers(self, read, obj, field, value):
+        # float() read true as 1.0 and "0.5" as 0.5, and raised OverflowError
+        read(obj)
+        with pytest.raises(ValueError, match="expected a finite number"):
+            read({**obj, field: value})
+
+    @pytest.mark.parametrize("value", [True, "0.5", 10**400], ids=["boolean", "string", "huge"])
+    def test_disk_union_radius_is_a_json_number(self, value):
+        disks = [{"center": [0, 0], "radius": 1}, {"center": [1, 0], "radius": value}]
+        with pytest.raises(ValueError, match="expected a finite number"):
+            DomainSpec.from_json({"kind": "disk_union", "disks": disks})
 
     def test_domain_round_trip(self):
         for domain in (

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import types
 
@@ -264,12 +265,13 @@ class TestPolyFit:
 
 
 def desk_glued_points():
-    """The 144 glued points of a desk build: K, then L, then J."""
+    """The 144 points of the desk geometry: K, then L, then J."""
     return np.concatenate([discretize(spec).points for spec in (SEGMENT_K, DISK_L, DISK_J)])
 
 
 def wide_points():
-    """The 1152 glued points and the target of a 1024-center build."""
+    """The 1152 points of the wide geometry, K, then L at 1024 centers, then
+    J, and a glued target on them: a large point set for the ladder."""
     k = discretize(SEGMENT_K).points
     lj = np.concatenate(
         [
@@ -499,14 +501,15 @@ class TestFitRamp:
         assert info.value.degree == 5
 
     def test_refusal_names_the_last_degree_fitted(self):
-        # 24 glued points: the ramp 2, 4, ... ends after degree 22, not at RAMP_CAP
+        # the fit's 16 points, K and J (not the centers of L): the ramp 2, 4, ...
+        # ends after degree 14, not at RAMP_CAP
         req = RequirementSpec(
             K=CompactSpec([Segment(2.0, 3.0)], 8), target_on_K=TargetFunction.poly([0.0, 0.0, 1.0]),
             L=CompactSpec([FilledDisk(0.0, 0.4)], 8), s=10**8, J=CompactSpec([Circle(0.0, 0.6)], 8),
         )
-        with pytest.raises(FitFailedError, match="reached degree 22 ") as info:
+        with pytest.raises(FitFailedError, match="reached degree 14 ") as info:
             build_universal_polynomial(req, F_ON_L, F_DEFAULT)
-        assert info.value.degree == 22
+        assert info.value.degree == 14
 
     def test_ramp_that_fits_nothing_names_degree_minus_one(self):
         z, values = wide_points()
@@ -605,6 +608,17 @@ class TestBuilder:
         p, _ = cert.selected
         sup_k = 3.0**p
         assert cert.achieved["3"] <= abs(cert.perturbation) * sup_k + 1e-9
+
+    def test_build_is_independent_of_the_centers(self):
+        # the fit is on K and J, the points the certificate measures; L holds
+        # only the centers, so u and its certificate are the same at 16 and
+        # at 1024 of them
+        (u, cert), (wide_u, wide_cert) = (
+            build_universal_polynomial(wide_requirement(n), WIDE_F_ON_L, F_WIDE)
+            for n in (16, 1024)
+        )
+        assert (wide_u.center, wide_u.coeffs.tobytes()) == (u.center, u.coeffs.tobytes())
+        assert json.dumps(wide_cert.to_json()) == json.dumps(cert.to_json())
 
     def test_zero_perturbation_never_passes(self):
         # d = 0 leaves u below degree p: its Hankel test fails and the trial is refused

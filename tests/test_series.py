@@ -332,6 +332,14 @@ class TestPairToComplex:
         with pytest.raises(ValueError, match="must be finite"):
             pair_to_complex(payload)
 
+    @pytest.mark.parametrize(
+        "payload", [[10**400, 0], [0, -(10**400)], 10**400], ids=["real", "imag", "bare"]
+    )
+    def test_rejects_integers_beyond_the_float_range(self, payload):
+        # float() and complex() raise OverflowError here, which no caller maps
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_to_complex(payload)
+
 
 class TestPolyMul:
     def test_truncated_product_is_the_product_prefix(self, rng):
