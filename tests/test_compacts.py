@@ -453,17 +453,20 @@ class TestJson:
     @pytest.mark.parametrize(
         "read, obj, field",
         [
-            (CompactSpec.from_json, {"kind": "filled_disk", "center": [0, 0], "radius": 1}, "radius"),
-            (CompactSpec.from_json, {"kind": "circle", "center": [0, 0], "radius": 1}, "radius"),
-            *[
-                (CompactSpec.from_json, {"kind": "annulus_sector", "center": [0, 0], "r_in": 1,
-                                         "r_out": 2, "theta_a": 0, "theta_b": 1}, field)
-                for field in ("r_in", "r_out", "theta_a", "theta_b")
-            ],
-            (DomainSpec.from_json, {"kind": "disk", "center": [0, 0], "radius": 1}, "radius"),
-            (DomainSpec.from_json, {"kind": "disk_complement", "center": [0, 0], "radius": 1},
-             "radius"),
-            (DomainSpec.from_json, {"kind": "half_plane", "normal": [1, 0], "offset": 0}, "offset"),
+            pytest.param(CompactSpec.from_json, {"kind": kind, "center": [0, 0], "radius": 1},
+                         "radius", id=kind)
+            for kind in ("filled_disk", "circle")
+        ] + [
+            pytest.param(CompactSpec.from_json, {"kind": "annulus_sector", "center": [0, 0],
+                         "r_in": 1, "r_out": 2, "theta_a": 0, "theta_b": 1}, field, id=field)
+            for field in ("r_in", "r_out", "theta_a", "theta_b")
+        ] + [
+            pytest.param(DomainSpec.from_json, {"kind": kind, "center": [0, 0], "radius": 1},
+                         "radius", id=kind)
+            for kind in ("disk", "disk_complement")
+        ] + [
+            pytest.param(DomainSpec.from_json, {"kind": "half_plane", "normal": [1, 0],
+                         "offset": 0}, "offset", id="half_plane"),
         ],
     )
     def test_real_fields_are_json_numbers(self, read, obj, field, value):
