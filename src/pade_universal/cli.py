@@ -247,7 +247,10 @@ def _cmd_verify(args) -> int:
         u = Polynomial.from_json(record.artifacts["universal_poly"])
         # re-measured under the stamped tau_det; retired keys such as tau_zero are ignored
         stamped = record.environment.get("tolerances", {})
-        tol = ToleranceConfig(**{k: v for k, v in stamped.items() if k in known})
+        try:
+            tol = ToleranceConfig(**{k: v for k, v in stamped.items() if k in known})
+        except ValueError as exc:  # a stamped tau_det that is no finite positive number
+            raise SchemaError(f"malformed tolerances: {exc}") from exc
     stored = record.certificates[0]
     # the perturbation is re-read from the polynomial, not copied from the record
     cert = verify_construction(

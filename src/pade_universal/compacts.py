@@ -327,7 +327,8 @@ class DomainSpec:
 
 
 def _inscribed_half_plane_disk(u: complex, bound: float, k: float) -> FilledDisk:
-    """Largest disk inside ``{Re(conj(u) z) <= bound} ∩ {|z| <= k}``."""
+    """Largest disk inside ``{Re(conj(u) z) <= bound} ∩ {|z| <= k}``; raises
+    :class:`EmptyResultError` unless its radius is positive."""
     if bound <= -k:
         raise EmptyResultError("half-plane slab does not meet the radius-k ball")
     rho = min((bound + k) / 2.0, k)
@@ -364,8 +365,6 @@ def exhausting_family(
 
     if domain.kind == "half_plane":
         disk = _inscribed_half_plane_disk(domain.unit_normal(), domain.offset - shrink, float(k))
-        if disk.radius <= 0:
-            raise EmptyResultError(f"family member {k} is empty for this half-plane")
         return CompactSpec([disk], samples)
 
     if domain.kind == "disk_complement":
@@ -377,17 +376,14 @@ def exhausting_family(
             [AnnulusSector(domain.center, inner, outer, 0.0, TWO_PI)], samples
         )
 
-    if domain.kind == "disk_union":
-        disks = []
-        for c, r in domain.disks:
-            radius = min(r - shrink if mode == "interior" else r, k - abs(c))
-            if radius > 0:
-                disks.append(FilledDisk(c, radius))
-        if not disks:
-            raise EmptyResultError(f"family member {k} is empty for this union")
-        return CompactSpec(disks, samples)
-
-    raise UnsupportedDomainError(f"unsupported domain kind {domain.kind!r}")
+    disks = []  # a disk_union, the one kind left
+    for c, r in domain.disks:
+        radius = min(r - shrink if mode == "interior" else r, k - abs(c))
+        if radius > 0:
+            disks.append(FilledDisk(c, radius))
+    if not disks:
+        raise EmptyResultError(f"family member {k} is empty for this union")
+    return CompactSpec(disks, samples)
 
 
 def outer_family(
@@ -427,12 +423,9 @@ def outer_family(
             )
         return CompactSpec([FilledDisk(domain.center, radius)], samples)
 
-    if domain.kind == "disk_union":
-        reach = max(c.real + r for c, r in domain.disks)
-        start = complex(reach + gap, 0.0)
-        return CompactSpec([Segment(start, start + m)], samples)
-
-    raise UnsupportedDomainError(f"unsupported domain kind {domain.kind!r}")
+    reach = max(c.real + r for c, r in domain.disks)  # a disk_union, the one kind left
+    start = complex(reach + gap, 0.0)
+    return CompactSpec([Segment(start, start + m)], samples)
 
 
 def _abs(z: np.ndarray) -> np.ndarray:

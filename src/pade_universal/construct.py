@@ -38,6 +38,7 @@ prefix extension is the one-center case L = {0}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -127,7 +128,7 @@ def select_index(f_seq: IndexSequence, min_degree) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Grid-evaluable target: polynomial, rational or pointwise table."""
+    """Target on a grid, at every derivative level: polynomial, rational or table."""
 
     kind: str
     numer: Polynomial | None = None
@@ -161,48 +162,46 @@ class TargetFunction:
         return cls(kind="table", points=pts, values=vals)
 
     def evaluate(self, z):
-        if self.kind == "poly":
-            return self.numer.eval(z)
-        if self.kind == "rational":
-            # scaled threshold: unlike a Pade denominator (b_0 = 1), a
-            # target's denominator carries no normalization
-            scale = float(np.max(np.abs(self.denom.coeffs)))
-            return self.numer.eval(z) / _off_poles(self.denom.eval(z), z, scale)
+        """``T(z)`` at a point or an array of points: level 0 of :meth:`level_values`."""
+        values = self.level_values(np.atleast_1d(np.asarray(z, dtype=complex)), 0)[0]
+        return complex(values[0]) if np.ndim(z) == 0 else values
+
+    @np.errstate(over="ignore", under="ignore", invalid="ignore")
+    def level_values(self, z: np.ndarray, levels: int) -> "list[np.ndarray | None]":
+        """``[T(z), T'(z), ..., T^(levels)(z)]`` at the points ``z``, ``None`` past level 0
+        for a table.  A polynomial's levels are one :func:`_level_values`; a rational's
+        level ``l`` is ``P_l / B^(l+1)``, under a pole guard scaled by the largest
+        coefficient of ``B^(l+1)`` (unlike a Pade denominator it has no ``b_0 = 1``).
+        A coefficient row beyond the float range is refused first, as by :class:`Polynomial`."""
         if self.kind == "table":
-            zz = np.atleast_1d(np.asarray(z, dtype=complex))
-            pts = np.array(self.points, dtype=complex)
-            vals = np.array(self.values, dtype=complex)
-            out = np.empty(zz.shape, dtype=complex)
+            pts, vals = np.array(self.points, dtype=complex), np.array(self.values, dtype=complex)
+            out = np.empty(z.shape, dtype=complex)
             block = max(1, _BLOCK_PAIRS // max(1, len(pts)))
-            for start in range(0, len(zz), block):
-                dist = np.abs(zz[start : start + block, None] - pts)
+            for start in range(0, len(z), block):
+                dist = np.abs(z[start : start + block, None] - pts)
                 nearest = np.argmin(dist, axis=1)
                 far = dist[np.arange(len(dist)), nearest] > 1e-9
                 if far.any():
-                    point = zz[start + int(np.argmax(far))]
-                    raise ValueError(f"table target has no value at z = {point}")
+                    raise ValueError(f"table target has no value at z = {z[start + far.argmax()]}")
                 out[start : start + block] = vals[nearest]
-            return complex(out[0]) if np.ndim(z) == 0 else out
-        raise ValueError(f"unknown target kind {self.kind!r}")
-
-    def derivatives(self, levels: int) -> "list[TargetFunction | None]":
-        """``[self, self', ..., self^(levels)]`` (``None`` past level 0 for a table):
-        one chain of derivatives, or one numerator recurrence and a running ``B^(l+1)``."""
-        out: list[TargetFunction | None] = [self]
+            return [out] + [None] * levels
         if self.kind == "poly":
-            c = self.numer.coeffs
-            for _ in range(levels):
-                c = differentiate(c)
-                out.append(TargetFunction("poly", Polynomial._of_kernel(c, self.numer.center)))
+            rows = _level_rows(self.numer.coeffs, levels)
         elif self.kind == "rational":
-            den = power = self.denom.coeffs
-            for num in derivative_numerators(self.numer.coeffs, den, levels)[1:]:
-                power = poly_mul(power, den)
-                pair = [Polynomial._of_kernel(a, self.numer.center) for a in (num, power)]
-                out.append(TargetFunction("rational", *pair))
+            den = self.denom.coeffs
+            rows = derivative_numerators(self.numer.coeffs, den, levels)
+            rows += itertools.accumulate([den] * (levels + 1), poly_mul)  # B^(l+1)
         else:
-            out += [None] * levels
-        return out
+            raise ValueError(f"unknown target kind {self.kind!r}")
+        if not np.isfinite(np.concatenate(rows, axis=None)).all():
+            raise ValueError("coefficients must be finite")
+        w = z - self.numer.center
+        if self.kind == "poly":
+            return list(_level_values(rows, w))
+        return [
+            horner(a, w) / _off_poles(horner(b, w), z, float(np.max(np.abs(b))))
+            for a, b in zip(rows[: levels + 1], rows[levels + 1 :])
+        ]
 
     def to_json(self) -> dict:
         if self.kind == "poly":
@@ -463,16 +462,21 @@ class Certificate:
         )
 
 
-def _level_values(rows: np.ndarray, w: np.ndarray, levels: int) -> np.ndarray:
-    """Level ``l``: bitwise ``horner(differentiate^l(rows), w)``, by one Horner over the
-    rows and their derivatives zero-padded on top (a padded step resets the value to +0)."""
+def _level_rows(rows: np.ndarray, levels: int) -> np.ndarray:
+    """``rows`` and their derivatives up to ``levels``, stacked and zero-padded on top."""
     stack = np.zeros((levels + 1,) + rows.shape, dtype=complex)
     stack[0] = c = rows
     for level in stack[1:]:
         c = differentiate(c)
         level[..., : c.shape[-1]] = c
+    return stack
+
+
+def _level_values(stack: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Level ``l``: bitwise ``horner(differentiate^l(rows), w)``, by one Horner over the
+    :func:`_level_rows` stack of ``rows`` (a padded step resets the value to +0)."""
     # a contiguous copy per level: an in-place multiply by a broadcast view takes twice as long
-    return horner(stack, np.repeat(w[None], levels + 1, axis=0))
+    return horner(stack, np.repeat(w[None], len(stack), axis=0))
 
 
 def _sup(deviation: np.ndarray, compact: str, level: int) -> float:
@@ -490,11 +494,11 @@ class _Measurement:
     ``target`` is reported as ``achieved[taylor_label]``, that of the
     approximants as ``achieved[pade_label]``, and at derivative levels
     ``l >= 1`` as the diagnostics ``{name}_taylor_d{l}`` and
-    ``{name}_pade_d{l}`` (where the target has that derivative).  Each target
-    is differentiated for all levels at once and evaluated here, once; a call
-    measures one polynomial, evaluating it at every level by one Horner.  One
-    fold takes every sup and refuses one that is ``inf`` or NaN, so a call
-    runs with numpy's overflow and invalid-value warnings off.
+    ``{name}_pade_d{l}`` (where the target has that derivative).  Each target's
+    levels are taken here, once, by one :meth:`TargetFunction.level_values` per
+    compact; a call measures one polynomial at every level by one Horner.  One
+    fold takes every sup and refuses one that is ``inf`` or NaN, so both run
+    with numpy's overflow and invalid-value warnings off.
 
     A call returns the :class:`Certificate` of ``u`` at ``(p, q)`` against
     ``requested``: it passes when :attr:`Certificate.sup_ok` holds and the
@@ -539,18 +543,14 @@ class _Measurement:
         for points, _, taylor, pade, name in compacts:
             cols, start = slice(start, start + len(points)), start + len(points)
             self.parts.append((cols, {"taylor": taylor, "pade": pade}, name))
-        # per level: the target derivative on each compact (None where it has none)
-        derived = [(target.derivatives(levels), points) for points, target, *_ in compacts]
-        self.target_vals = [
-            [None if t[l] is None else np.asarray(t[l].evaluate(z)) for t, z in derived]
-            for l in range(levels + 1)
-        ]
+        # per level: the target's values on each compact (None where it has no derivative)
+        self.target_vals = list(zip(*(t.level_values(z, levels) for z, t, *_ in compacts)))
 
     @np.errstate(over="ignore", under="ignore", invalid="ignore")
     def __call__(
         self, u: Polynomial, p: int, q: int, perturbation: complex, fit_degree: int
     ) -> Certificate:
-        u_vals = _level_values(u.coeffs, self.points - u.center, self.levels)
+        u_vals = _level_values(_level_rows(u.coeffs, self.levels), self.points - u.center)
         sups = {label: 0.0 for _, labels, _ in self.parts for label in labels.values()}
         for kind in ("taylor", "pade"):
             sups.update({f"id_{kind}_l{l}": 0.0 for l in range(self.levels + 1)})
@@ -607,7 +607,7 @@ class _Measurement:
             hankel_min = min(hankel_min, float(np.min(np.hypot(values.real, values.imag))))
             hankel_tau_max = max(hankel_tau_max, float(np.max(thresholds)))
             w = zkj - zeta[:, None]
-            for l, partial in enumerate(_level_values(series[:, : p + 1], w, levels)):
+            for l, partial in enumerate(_level_values(_level_rows(series[:, : p + 1], levels), w)):
                 record("taylor", l, partial)
 
             failed = np.flatnonzero(~exists)

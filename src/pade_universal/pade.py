@@ -224,9 +224,11 @@ def hankel_test(coeffs: np.ndarray, p, q: int, tol: ToleranceConfig = DEFAULT_TO
     values = np.linalg.det(windows)
     try:
         thresholds = [tol.tau_det * s**q for s in scales.ravel().tolist()]
-    except OverflowError:  # the power of the largest scale overflows: name its cell
+    except OverflowError:
+        thresholds = [math.inf]
+    if max(thresholds) == math.inf:  # the power or the product: name the largest scale's cell
         cell_p = int(p[np.unravel_index(np.argmax(scales), scales.shape)[0]]) if np.ndim(p) else p
-        raise HankelOverflowError(cell_p, q, float(scales.max())) from None
+        raise HankelOverflowError(cell_p, q, float(scales.max()))
     thresholds = np.array(thresholds).reshape(scales.shape)
     magnitudes = np.hypot(values.real, values.imag)
     finite = np.isfinite(magnitudes)
@@ -248,7 +250,9 @@ def _cell_test(coeffs: np.ndarray, p: int, q: int, tol: ToleranceConfig):
     try:
         threshold = tol.tau_det * scale**q
     except OverflowError:
-        raise HankelOverflowError(p, q, scale) from None
+        threshold = math.inf
+    if threshold == math.inf:  # the power or the product
+        raise HankelOverflowError(p, q, scale)
     magnitude = abs(value)
     if not magnitude < math.inf:  # NaN fails the comparison too
         raise HankelOverflowError(p, q, scale, part="determinant")

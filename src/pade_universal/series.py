@@ -120,15 +120,16 @@ class ToleranceConfig:
     """The Hankel threshold of the float existence test.
 
     tau_det
-        Base of the Hankel nonvanishing threshold; the applied threshold is
-        ``tau_det * scale**q`` where ``scale`` is the largest entry magnitude
-        of the Hankel window.  User-overridable.
+        Base of the Hankel nonvanishing threshold, a finite positive number
+        (not a boolean); the applied threshold is ``tau_det * scale**q``
+        where ``scale`` is the largest entry magnitude of the Hankel window.
+        User-overridable.
     """
 
     tau_det: float = 1e-10
 
     def __post_init__(self):
-        if not self.tau_det > 0:
+        if not float_from_json(self.tau_det) > 0:
             raise ValueError("tau_det must be strictly positive")
 
 

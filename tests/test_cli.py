@@ -207,6 +207,27 @@ class TestPadeCommand:
         diag = json.loads(err)
         assert diag["error"] == "numeric" and "(5,11) cell overflows" in diag["message"]
 
+    def test_threshold_product_overflow_exits_three(self, capsys):
+        # 1e10 * (1e150)^2 is inf without an OverflowError: exit 3, where the
+        # command exited 2 with a non-JSON "threshold": Infinity
+        coeffs = json.dumps([[1e150, 0]] * 4)
+        code, out, err = run(
+            capsys, "pade", "--coeffs", coeffs, "--p", "1", "--q", "2", "--tau-det", "1e10"
+        )
+        assert (code, out) == (3, "")
+        assert one_json_line(err) == {
+            "error": "numeric",
+            "message": "Hankel threshold of the (1,2) cell overflows: scale 1.000e+150",
+        }
+
+    @pytest.mark.parametrize("tau_det", ["inf", "nan", "0"])
+    def test_tau_det_must_be_finite_and_positive(self, capsys, tau_det):
+        argv = ("--coeffs", json.dumps(EXP_COEFFS), "--tau-det", tau_det)
+        for command in (("pade", "--p", "1", "--q", "1"), ("table", "--p-max", "1", "--q-max", "1")):
+            code, out, err = run(capsys, *command, *argv)
+            assert (code, out) == (1, "")
+            assert one_json_line(err)["error"] == "validation"
+
     def test_determinant_overflow_exits_three(self, capsys):
         # the (11, 11) threshold is finite, its determinant is not: exit 3,
         # where the command printed a non-JSON -Infinity
@@ -255,6 +276,24 @@ class TestPadeCommand:
 
 
 class TestTableCommand:
+    def test_series_inline_and_from_a_file(self, capsys, tmp_path):
+        # --coeffs/--center, an inline --series object and a --series file
+        # give the same bytes, for pade and for table
+        coeffs, center = [[1 / (k + 1), 0.5 * k] for k in range(8)], [0.25, -0.5]
+        series = json.dumps({"center": center, "coeffs": coeffs})
+        path = tmp_path / "series.json"
+        path.write_text(series)
+        sources = (
+            ("--coeffs", json.dumps(coeffs), "--center", json.dumps(center)),
+            ("--series", series),
+            ("--series", str(path)),
+        )
+        for command in (("pade", "--p", "2", "--q", "2"), ("table", "--p-max", "3", "--q-max", "3")):
+            outputs = {run(capsys, *command, *source) for source in sources}
+            assert len(outputs) == 1
+            ((code, out, err),) = outputs
+            assert (code, err) == (0, "") and out
+
     def test_table_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"
         code, _, _ = run(
@@ -289,6 +328,18 @@ class TestTableCommand:
         assert (code, out) == (3, "") and not out_path.exists()
         diag = json.loads(err)
         assert diag["error"] == "numeric" and "(0,11) cell overflows" in diag["message"]
+
+    def test_threshold_product_overflow_exits_three(self, capsys):
+        # the (0, 2) cell, |D| = 1e300, read "false" against an infinite threshold
+        coeffs = json.dumps([[1e150, 0]] * 4)
+        argv = ("table", "--coeffs", coeffs, "--p-max", "1", "--q-max", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "0,2,-9.9999999999997626e+299,0,9.9999999999997626e+299,true" in out
+        code, out, err = run(capsys, *argv, "--tau-det", "1e10")
+        assert (code, out) == (3, "")
+        assert one_json_line(err)["message"] == (
+            "Hankel threshold of the (0,2) cell overflows: scale 1.000e+150"
+        )
 
     def test_determinant_overflow_exits_three(self, capsys, tmp_path):
         # the q = 11 column overflows from p = 1 on, where the table wrote
@@ -503,6 +554,38 @@ class TestBuildCommand:
         code, _, err = run(capsys, "verify", "--run", str(out))
         assert code == 1
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("tau_det", [True, 0.0])
+    def test_verify_refuses_a_stamped_tau_det_that_is_no_positive_number(
+        self, capsys, tmp_path, tau_det
+    ):
+        # a stamped true once re-verified under the threshold base 1.0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(build_scenario()))
+        out = tmp_path / "run.json"
+        assert run(capsys, "build", "--scenario", str(scenario), "--out", str(out))[0] == 0
+        record = json.loads(out.read_text())
+        record["environment"]["tolerances"]["tau_det"] = tau_det
+        out.write_text(json.dumps(record))
+        code, _, err = run(capsys, "verify", "--run", str(out))
+        assert code == 1
+        assert one_json_line(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("f_on_l", [
+        {"kind": "rational", "numer": [[1e200, 0]], "denom": [[1e200, 0], [-5e199, 0]]},
+        {"kind": "poly", "coeffs": [[1, 0], [0, 0], [1e308, 0]]},
+    ], ids=["rational", "poly"])
+    def test_a_target_level_beyond_the_float_range_writes_one_line(self, capsys, tmp_path, f_on_l):
+        # level 1 of each leaves the float range (B^2, or 2e308 z); the set-up
+        # wrote numpy RuntimeWarnings before the diagnostic
+        scenario = build_scenario()
+        scenario["requirement"]["derivative_levels"] = 2
+        scenario["f_on_L"] = f_on_l
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, "build", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert one_json_line(err) == {"error": "validation", "message": "coefficients must be finite"}
 
     def test_verify_takes_no_tolerance_option(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"

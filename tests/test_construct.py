@@ -206,9 +206,9 @@ class TestTargets:
         assert scalar.value.magnitude == array.value.magnitude
 
     def test_rational_derivative_descriptor(self):
-        d1 = F_ON_L.derivatives(1)[1]  # derivative of 1/(2-z) is 1/(2-z)^2
-        for z in (0.0, 0.5, 0.3j):
-            assert abs(d1.evaluate(z) - 1.0 / (2.0 - z) ** 2) <= 1e-12
+        z = np.array([0.0, 0.5, 0.3j])
+        d1 = F_ON_L.level_values(z, 1)[1]  # derivative of 1/(2-z) is 1/(2-z)^2
+        assert np.abs(d1 - 1.0 / (2.0 - z) ** 2).max() <= 1e-12
 
 
 def fit_of(ladder, values, degree):
@@ -599,6 +599,27 @@ class TestBuilder:
         p, q = cert.selected
         assert u.array_degree() == p
         assert abs(u.coeffs[p] - cert.perturbation) == 0.0
+
+    def test_j_absent_is_l(self, monkeypatch):
+        # with no J the inner target is measured on the grid of L, which is
+        # discretized once per build and once per verification
+        req = dataclasses.replace(desk_requirement(levels=1), J=None)
+        grids = []
+
+        def counted(spec):
+            grids.append(spec)
+            return discretize(spec)
+
+        monkeypatch.setattr(construct, "discretize", counted)
+        u, cert = build_universal_polynomial(req, F_ON_L, F_DEFAULT)
+        assert cert.passed and cert.diagnostics["by_identity"] is True
+        assert grids == [req.K, req.L]
+        again = verify_construction(u, req, cert.selected, F_ON_L)
+        assert grids[2:] == [req.L, req.K]
+        assert [(k, v.hex()) for k, v in again.achieved.items()] == [
+            (k, v.hex()) for k, v in cert.achieved.items()
+        ]
+        assert {"4", "5", "J_taylor_d1"} <= set(cert.achieved) | set(cert.diagnostics)
 
     def test_exact_gluing_of_shared_polynomial(self):
         cubic = TargetFunction.poly([0.5, 0.0, -1.0, 0.25])

@@ -325,13 +325,13 @@ class TestTargetEvaluations:
     @staticmethod
     def count(monkeypatch) -> list:
         seen = []
-        evaluate = TargetFunction.evaluate
+        level_values = TargetFunction.level_values
 
         def counted(self, *args, **kwargs):
             seen.append(self)
-            return evaluate(self, *args, **kwargs)
+            return level_values(self, *args, **kwargs)
 
-        monkeypatch.setattr(TargetFunction, "evaluate", counted)
+        monkeypatch.setattr(TargetFunction, "level_values", counted)
         return seen
 
     def test_build(self, monkeypatch):
@@ -347,11 +347,11 @@ class TestTargetEvaluations:
             req, inner, IndexSequence([(k, 1 + k % 2) for k in range(61)])
         )
         assert cert.passed
-        # the measurement: K and J, and their derivatives; the fit reads its
-        # values on K and J from it and evaluates nothing on L
+        # the measurement: K and J, every level in one call each; the fit reads
+        # its values on K and J from it and evaluates nothing on L
         assert sum(t is outer for t in seen) == 1
         assert sum(t is inner for t in seen) == 1
-        assert len(seen) == 4
+        assert len(seen) == 2
 
     def test_extension(self, monkeypatch):
         psi = TargetFunction.rational([1.5], [0.0, 1.0])

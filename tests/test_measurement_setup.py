@@ -1,13 +1,16 @@
 """The measurement's set-up and identity measurement, one pass each.
 
-A measurement differentiates its targets for all derivative levels at once
-(:meth:`TargetFunction.derivatives`), evaluates ``u`` and its derivatives by
-one Horner over zero-padded rows (``construct._level_values``, also for
-stacked rows with their own offsets, as the per-center Taylor sums), and on
-the identity path measures each deviation from a target once for both the
-Taylor and the Pade label.  Each is checked here bit for bit against the
-per-level code it replaced, kept below as the reference.  A sup that is not
-finite is refused with :class:`NonFiniteSupError`.
+A measurement takes each target's values at every derivative level in one
+call (:meth:`TargetFunction.level_values`), evaluates ``u`` and its
+derivatives by one Horner over zero-padded rows (``construct._level_values``
+of a ``construct._level_rows`` stack, also for stacked rows with their own
+offsets, as the per-center Taylor sums), which is also how a polynomial
+target's levels are evaluated, and on the identity path measures each
+deviation from a target once for both the Taylor and the Pade label.  Each
+is checked here bit for bit against the per-level code it replaced, kept
+below as the reference.  A target whose coefficient row at some level leaves
+the float range is refused with the ``ValueError`` of :class:`Polynomial`,
+and a sup that is not finite with :class:`NonFiniteSupError`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pade_universal.construct import (
     IndexSequence,
     RequirementSpec,
     TargetFunction,
+    _level_rows,
     _level_values,
     _requirement_measurement,
     build_universal_polynomial,
@@ -34,7 +38,7 @@ from conftest import random_coefficients
 
 
 def reference_derivative(target: TargetFunction, order: int):
-    """The target derivative as it was taken before ``derivatives``, one level per call."""
+    """The target derivative as it was taken before ``level_values``, one level per call."""
     if order == 0:
         return target
     if target.kind == "poly":
@@ -68,15 +72,15 @@ def reference_numerators(numer: np.ndarray, denom: np.ndarray, order: int) -> li
     return out
 
 
-def same_target(a: TargetFunction | None, b: TargetFunction | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    parts = [(a.numer, b.numer), (a.denom, b.denom)]
-    return (a.kind, a.points, a.values) == (b.kind, b.points, b.values) and all(
-        (x is None and y is None)
-        or (x.center == y.center and x.coeffs.tobytes() == y.coeffs.tobytes())
-        for x, y in parts
-    )
+def reference_values(target: TargetFunction, z: np.ndarray, order: int):
+    """The values of :func:`reference_derivative` at ``z``, each part evaluated by
+    ``Polynomial.eval``, the one-row Horner, or ``None`` where it has none."""
+    derived = reference_derivative(target, order)
+    if derived is None:
+        return None
+    if derived.kind == "poly":
+        return derived.numer.eval(z)
+    return derived.numer.eval(z) / derived.denom.eval(z)
 
 
 def random_targets(seed: int) -> list[TargetFunction]:
@@ -94,16 +98,40 @@ def random_targets(seed: int) -> list[TargetFunction]:
 class TestTargetDerivatives:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_levels_match_the_per_level_code(self, seed):
-        for target in random_targets(seed):
-            levels = target.derivatives(4)
-            assert len(levels) == 5 and levels[0] is target
-            for l, derived in enumerate(levels):
-                assert same_target(derived, reference_derivative(target, l)), (target.kind, l)
-                assert same_target(target.derivatives(l)[l], derived)
+        rng = np.random.default_rng(seed)
+        z = np.array(random_coefficients(rng, 24, bound=1.2))
+        for target in random_targets(seed)[:-1]:
+            levels = target.level_values(z, 4)
+            assert len(levels) == 5
+            for l, values in enumerate(levels):
+                expected = reference_values(target, z, l)
+                assert values.tobytes() == expected.tobytes(), (target.kind, l)
+                assert target.level_values(z, l)[l].tobytes() == values.tobytes()
 
     def test_table_targets_have_no_derivatives(self):
         table = random_targets(0)[-1]
-        assert table.derivatives(2) == [table, None, None]
+        z = np.array([1j, 0.5, 0.5 + 1e-12j])
+        values, *higher = table.level_values(z, 2)
+        assert values.tobytes() == np.array([-2.0 + 0.5j, 1.0, 1.0]).tobytes()
+        assert higher == [None, None]
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            TargetFunction.poly([1.0, 0.0, 1e308]),  # level 1: 2e308
+            TargetFunction.rational([1e200], [1e200, -5e199]),  # B^2: 1e400
+        ],
+        ids=["poly", "rational"],
+    )
+    def test_a_level_beyond_the_float_range_is_refused(self, target):
+        z = np.array([0.1, 0.3j])
+        assert np.isfinite(target.level_values(z, 0)[0]).all()
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            target.level_values(z, 2)  # and no numpy warning, which the suite makes an error
+        # the measurement's set-up refuses it, and writes no numpy warning
+        req = requirement(2)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            _requirement_measurement(req, target, *grids(req), DEFAULT_TOL)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_numerators_match_the_padded_reference(self, seed):
@@ -137,7 +165,7 @@ class TestLevelHorner:
                 c[-2] = complex(c[-2].real, 0.0)  # real-only
             u = Polynomial(c, center)
             for levels in (0, 1, 2, length + 1):
-                rows = _level_values(u.coeffs, z - u.center, levels)
+                rows = _level_values(_level_rows(u.coeffs, levels), z - u.center)
                 assert rows.shape == (levels + 1, len(z))
                 for l in range(levels + 1):
                     assert rows[l].tobytes() == u.derivative(l).eval(z).tobytes(), (length, l)
@@ -156,7 +184,7 @@ class TestLevelHorner:
             rows[:, 0] = -0.0
             rows[2] = rows[2].real  # a real-only row
             for levels in (0, 1, 2, length + 1):
-                values = _level_values(rows, w, levels)
+                values = _level_values(_level_rows(rows, levels), w)
                 assert values.shape == (levels + 1, 5, 24)
                 derived = rows
                 for l in range(levels + 1):

@@ -35,6 +35,7 @@ from pade_universal.series import (
     DEFAULT_TOL,
     FormalPowerSeries,
     Polynomial,
+    ToleranceConfig,
     poly_mul,
     taylor_partial_sum,
 )
@@ -118,6 +119,27 @@ class TestHankel:
             assert (info.value.p, info.value.q, info.value.scale) == (5, 11, 1e30)
             assert info.value.part == "threshold"
         assert hankel_determinant(f, 5, 10).threshold == DEFAULT_TOL.tau_det * 1e30**10
+
+    def test_threshold_whose_product_overflows_is_a_typed_error(self):
+        # scale**q = 1e300 is finite and raises nothing, but tau_det * 1e300 is
+        # inf: a cell once decided against that threshold, and |D| = 1e300 read
+        # as "not exists"
+        f = FormalPowerSeries([1e150] * 4)
+        tol = ToleranceConfig(tau_det=1e10)
+        message = r"Hankel threshold of the \(1,2\) cell overflows"
+        for cell in (hankel_determinant, pade_approximant):
+            with pytest.raises(HankelOverflowError, match=message) as info:
+                cell(f, 1, 2, tol)
+            assert (info.value.p, info.value.q, info.value.scale) == (1, 2, 1e150)
+            assert info.value.part == "threshold"
+        with pytest.raises(HankelOverflowError, match=r"\(0,2\) cell overflows") as info:
+            hankel_test(f.coeffs, np.arange(2), 2, tol)
+        assert info.value.part == "threshold"
+        with pytest.raises(HankelOverflowError, match=r"\(1,2\) cell overflows"):
+            hankel_test(np.stack([f.coeffs, f.coeffs]), 1, 2, tol)
+        # under the default base every threshold is finite and (0, 2) exists
+        assert hankel_determinant(f, 0, 2).nonvanishing
+        assert hankel_test(f.coeffs, np.arange(2), 2)[2].max() == DEFAULT_TOL.tau_det * 1e150**2
 
     def test_stacked_threshold_overflow_names_a_cell(self):
         # one huge coefficient a_10: every q = 11 window of p <= 8 holds it

@@ -187,6 +187,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ToleranceConfig(tau_det=-1e-10)
 
+    @pytest.mark.parametrize(
+        "tau_det", [math.inf, math.nan, True, "1e-3", 10**400],
+        ids=["inf", "nan", "true", "string", "10**400"],
+    )
+    def test_tau_det_is_a_finite_number_not_a_boolean(self, tau_det):
+        # inf decided every cell with q >= 1 "not exists"; True read as 1.0
+        with pytest.raises(ValueError, match="expected a finite number"):
+            ToleranceConfig(tau_det=tau_det)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             FormalPowerSeries([float("nan")])

@@ -2,7 +2,8 @@
 
 ``oracle_measure`` is that loop, built from the public scalar API only
 (``recenter``, ``hankel_determinant``, ``pade_approximant``,
-``rational_derivative``).  Against it the array path must reach the same
+``rational_derivative``), with each target derivative taken one level per
+call (``test_measurement_setup.reference_derivative``).  Against it the array path must reach the same
 decisions and raise the same errors; every Taylor-side quantity must be
 exactly equal; approximant coefficients must agree to 1e-13 normwise; and
 the Pade-side sups may move only within the a-priori Horner rounding bound
@@ -66,6 +67,7 @@ from pade_universal.series import (
 
 from conftest import PerCenter, random_coefficients
 from test_identity import assert_build_holds_exactly, assert_exact_hankel
+from test_measurement_setup import reference_derivative
 
 EPS = float(np.finfo(float).eps)
 SEGMENT_K = CompactSpec([Segment(2.0, 3.0)], 64)
@@ -88,7 +90,7 @@ def oracle_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels, 
     hk_levels = []
     fj_levels = []
     for l in range(1, levels + 1):
-        tk, tj = target_k.derivatives(l)[l], target_j.derivatives(l)[l]
+        tk, tj = reference_derivative(target_k, l), reference_derivative(target_j, l)
         hk_levels.append(None if tk is None else np.asarray(tk.evaluate(zk)))
         fj_levels.append(None if tj is None else np.asarray(tj.evaluate(zj)))
 
