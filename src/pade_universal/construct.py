@@ -26,12 +26,12 @@ that spends half the headroom the fit leaves on K and J, measures that trial
 once, and raises :class:`PerturbationFailedError` when it is refused; no
 builder tries a second fit.  The judge is a :class:`_Measurement`, the sup
 over the product grid L x (K u J) at every derivative level, prepared once
-per requirement (its targets evaluated once, for the fit too); it returns
-the :class:`Certificate`, so the pass rule lives in one place, and takes
-every sup through one fold, which raises :class:`NonFiniteSupError` for a
-sup that is ``inf`` or NaN.  A ``u`` of degree exactly ``p`` is the fold's
-one-row case, by the identity; any other ``u`` is measured center by center,
-in blocks, with the array kernels of :mod:`.series` and :mod:`.pade`.
+per requirement (each target at every level once, also for the fit); it
+returns the :class:`Certificate`, so the pass rule lives in one place, and
+takes every sup through one fold, which raises :class:`NonFiniteSupError`
+for a sup that is ``inf`` or NaN.  A ``u`` of degree exactly ``p`` is the
+fold's one-row case, by the identity; any other ``u`` is measured center by
+center, in blocks, with the array kernels of :mod:`.series` and :mod:`.pade`.
 Builds and ``verify_construction`` measure K and J on the grid of L; a
 prefix extension is the one-center case L = {0}.
 """

@@ -30,7 +30,7 @@ from pade_universal.construct import (
     build_universal_polynomial,
     verify_construction,
 )
-from pade_universal.errors import NonFiniteSupError
+from pade_universal.errors import NonFiniteSupError, PoleProximityError
 from pade_universal.pade import derivative_numerators
 from pade_universal.series import DEFAULT_TOL, Polynomial, differentiate, horner, poly_mul
 
@@ -114,6 +114,16 @@ class TestTargetDerivatives:
         values, *higher = table.level_values(z, 2)
         assert values.tobytes() == np.array([-2.0 + 0.5j, 1.0, 1.0]).tobytes()
         assert higher == [None, None]
+
+    def test_each_level_has_the_pole_guard_of_its_own_denominator(self):
+        # near the pole of 1e6 / (2e6 - 1e6 z), |B| = 0.1 clears the guard of B
+        # (1e-12 * 2e6), but |B^2| = 0.01 does not clear that of B^2 (1e-12 * 4e12)
+        target = TargetFunction.rational([1e6], [2e6, -1e6])
+        z = np.array([0.5, 2.0 - 1e-7])
+        assert np.isfinite(target.level_values(z, 0)[0]).all()
+        with pytest.raises(PoleProximityError) as info:
+            target.level_values(z, 1)
+        assert info.value.point == z[1] and 0.005 < info.value.magnitude < 0.02
 
     @pytest.mark.parametrize(
         "target",
