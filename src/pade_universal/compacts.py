@@ -5,8 +5,9 @@ circles, segments, annulus sectors, explicit point sets) and realized as
 finite grids by a deterministic sampler.  There is one point-set
 representation: a :class:`Grid` holds its points as one read-only
 complex128 array, sampled per primitive in array form (equal angles, equal
-spacing, rings and polar meshes), and the membership and distance tests
-take arrays of points and answer in one array pass.  Sups over compacts
+spacing, rings and polar meshes), and the domain distance takes arrays of
+points and answers in one array pass.  Whether two compacts meet is decided
+in closed form from their primitives, with no grid.  Sups over compacts
 are taken as maxima over the grids, by the verifier of :mod:`.construct`;
 tolerance budgets elsewhere include a refinement margin for this
 discretization.  Connected complements are guaranteed by the curated
@@ -15,6 +16,7 @@ catalog, not verified topologically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +34,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_SAMPLES = 64
 
-#: Slack of :func:`spec_region_contains`: a point this close to a region lies in it.
+#: Slack of :func:`compacts_meet`: compacts this close to each other meet.
 REGION_PAD = 1e-9
 
 
@@ -111,6 +113,8 @@ class CompactSpec:
         object.__setattr__(self, "samples_per_primitive", int_from_json(samples_per_primitive))
         if self.samples_per_primitive < 8:
             raise ValueError("samples_per_primitive must be at least 8")
+        if not self.primitives:
+            raise EmptySpecError("compact spec has no primitives")
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +226,7 @@ def _sample(p: Primitive, n: int) -> np.ndarray:
     if isinstance(p, AnnulusSector):
         m_r = max(2, int(round(math.sqrt(n / 4.0))) + 1)
         per_ring = max(4, n // m_r)
-        if (p.theta_b - p.theta_a) >= TWO_PI - 1e-12:
+        if _sector_angles(p) is None:
             angles = _equal_angles(per_ring, p.theta_a)
         else:
             angles = _spaced(p.theta_a, p.theta_b, per_ring)
@@ -239,8 +243,6 @@ def discretize(spec: CompactSpec) -> Grid:
     filled disks by concentric rings plus center, annulus sectors by a
     polar mesh.  No randomness anywhere, so grids are reproducible.
     """
-    if not spec.primitives:
-        raise EmptySpecError("compact spec has no primitives")
     n = spec.samples_per_primitive
     points = np.concatenate([_sample(p, n) for p in spec.primitives], dtype=complex)
     points.flags.writeable = False
@@ -434,37 +436,179 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
-    """Whether each point of ``z`` lies in the region described by ``spec``.
+def _in_angles(w: complex, theta_a: float, theta_b: float) -> bool:
+    """Whether the angle of ``w`` lies in ``[theta_a, theta_b]``, with the
+    ``REGION_PAD`` slack, read as ``atan2`` gives it or wrapped by ``+-2 pi``."""
+    ang = math.atan2(w.imag, w.real)
+    return any(
+        theta_a - REGION_PAD <= ang + shift <= theta_b + REGION_PAD
+        for shift in (-TWO_PI, 0.0, TWO_PI)
+    )
 
-    Membership is primitive-wise with a ``REGION_PAD`` slack; used by
-    overlap and monotonicity checks, not by numerical kernels.  Angles of partial
-    annulus sectors come from ``np.arctan2``, which may differ from
-    ``math.atan2`` in the last place: only a point within an ulp of
-    ``theta +- REGION_PAD`` can tell.
-    """
-    z = np.asarray(z, dtype=complex)
-    inside = np.zeros(z.shape, dtype=bool)
-    for p in spec.primitives:
-        if isinstance(p, FilledDisk):
-            inside |= _abs(z - p.center) <= p.radius + REGION_PAD
-        elif isinstance(p, Circle):
-            inside |= np.abs(_abs(z - p.center) - p.radius) <= REGION_PAD
-        elif isinstance(p, Segment):
-            d = p.b - p.a
-            t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2 if abs(d) else 0.0
-            inside |= _abs(z - (p.a + np.clip(t, 0.0, 1.0) * d)) <= REGION_PAD
-        elif isinstance(p, AnnulusSector):
-            w = z - p.center
-            r = _abs(w)
-            ring = (p.r_in - REGION_PAD <= r) & (r <= p.r_out + REGION_PAD)
-            if (p.theta_b - p.theta_a) < TWO_PI - 1e-12:
-                ang = np.arctan2(w.imag, w.real)
-                ang = np.stack([ang - TWO_PI, ang, ang + TWO_PI])
-                arc = (p.theta_a - REGION_PAD <= ang) & (ang <= p.theta_b + REGION_PAD)
-                ring &= arc.any(axis=0)
-            inside |= ring
-        elif isinstance(p, PointSet):
-            for w in p.points:
-                inside |= _abs(z - w) <= REGION_PAD
-    return inside
+
+def _sector_angles(p: AnnulusSector):
+    """``(theta_a, theta_b)`` of a partial sector, ``None`` of a full one."""
+    return None if (p.theta_b - p.theta_a) >= TWO_PI - 1e-12 else (p.theta_a, p.theta_b)
+
+
+def _on_arc(w: complex, angles) -> bool:
+    """Whether ``w``, taken from the arc's center, points into the arc (``angles`` is
+    ``None`` for a full circle)."""
+    return angles is None or _in_angles(w, *angles)
+
+
+def _arc_ends(c: complex, r: float, angles) -> tuple[complex, ...]:
+    return () if angles is None else tuple(c + r * cmath.exp(1j * t) for t in angles)
+
+
+def _point_segment(z: complex, a: complex, b: complex) -> float:
+    """Distance from ``z`` to the segment ``[a, b]``: the clamped projection."""
+    d = b - a
+    t = ((z - a) * d.conjugate()).real / abs(d) ** 2
+    return abs(z - (a + min(1.0, max(0.0, t)) * d))
+
+
+def _point_arc(z: complex, c: complex, r: float, angles) -> float:
+    """Distance from ``z`` to an arc: the radial gap where ``z`` points into the
+    arc, else the nearer end."""
+    if _on_arc(z - c, angles):
+        return abs(abs(z - c) - r)
+    return min(abs(z - e) for e in _arc_ends(c, r, angles))
+
+
+def _cross(u: complex, v: complex) -> float:
+    return u.real * v.imag - u.imag * v.real
+
+
+def _segment_segment(a: complex, b: complex, c: complex, d: complex) -> float:
+    """0 where the segments cross, else the nearest of their four ends to the other."""
+    ab, cd = b - a, d - c
+    if _cross(ab, c - a) * _cross(ab, d - a) < 0 and _cross(cd, a - c) * _cross(cd, b - c) < 0:
+        return 0.0
+    return min(
+        _point_segment(a, c, d), _point_segment(b, c, d),
+        _point_segment(c, a, b), _point_segment(d, a, b),
+    )
+
+
+def _segment_arc(a: complex, b: complex, c: complex, r: float, angles) -> float:
+    """0 where the segment meets the arc's circle inside the arc; else the least of
+    its ends to the arc, the arc's ends to it, and the foot of the perpendicular
+    from ``c`` on it (where the two can be closest inside both) to the arc."""
+    d, w = b - a, a - c
+    norm, half = abs(d) ** 2, (w * d.conjugate()).real
+    disc = half * half - norm * (abs(w) ** 2 - r * r)  # |w + t d| = r as a quadratic in t
+    if disc >= 0:
+        for t in ((-half - math.sqrt(disc)) / norm, (-half + math.sqrt(disc)) / norm):
+            if 0.0 <= t <= 1.0 and _on_arc(w + t * d, angles):
+                return 0.0
+    near = [_point_arc(a, c, r, angles), _point_arc(b, c, r, angles)]
+    near += [_point_segment(e, a, b) for e in _arc_ends(c, r, angles)]
+    if 0.0 <= (foot := -half / norm) <= 1.0:
+        near.append(_point_arc(a + foot * d, c, r, angles))
+    return min(near)
+
+
+def _arc_arc(c1: complex, r1: float, angles1, c2: complex, r2: float, angles2) -> float:
+    """0 at a crossing of the circles inside both arcs; else the least of each
+    arc's ends and of its points on the line of centers to the other arc.
+    Concentric arcs are ``|r1 - r2|`` apart where their angles overlap."""
+    ends = [(e, c2, r2, angles2) for e in _arc_ends(c1, r1, angles1)]
+    ends += [(e, c1, r1, angles1) for e in _arc_ends(c2, r2, angles2)]
+    dist = abs(c2 - c1)
+    if dist == 0:
+        if angles1 is None or angles2 is None or any(_on_arc(e - c, a) for e, c, _, a in ends):
+            return abs(r1 - r2)
+        return min(_point_arc(*end) for end in ends)
+    u = (c2 - c1) / dist
+    if abs(r1 - r2) <= dist <= r1 + r2:
+        along = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
+        height = math.sqrt(max(0.0, r1 * r1 - along * along))
+        for x in (c1 + u * complex(along, height), c1 + u * complex(along, -height)):
+            if _on_arc(x - c1, angles1) and _on_arc(x - c2, angles2):
+                return 0.0
+    for c, r, angles, other in ((c1, r1, angles1, (c2, r2, angles2)),
+                                (c2, r2, angles2, (c1, r1, angles1))):
+        ends += [(x, *other) for x in (c + r * u, c - r * u) if _on_arc(x - c, angles)]
+    return min(_point_arc(*end) for end in ends)
+
+
+def _segment(a: complex, b: complex) -> tuple:
+    return ("segment", a, b) if abs(b - a) ** 2 > 0 else ("point", a)  # no division by 0
+
+
+def _arc(c: complex, r: float, angles) -> tuple:
+    return ("arc", c, r, angles) if r > 0 else ("point", c)
+
+
+def _pieces(p: Primitive) -> list[tuple]:
+    """The boundary of a primitive as connected pieces: ``("point", z)``,
+    ``("segment", a, b)`` or ``("arc", c, r, angles)``, with ``angles`` ``None``
+    for a full circle; a piece of length 0 is a point."""
+    if isinstance(p, PointSet):
+        return [("point", z) for z in p.points]
+    if isinstance(p, Segment):
+        return [_segment(p.a, p.b)]
+    if isinstance(p, (Circle, FilledDisk)):
+        return [_arc(p.center, p.radius, None)]
+    angles = _sector_angles(p)  # an annulus sector: two arcs, and two radial segments if partial
+    pieces = [_arc(p.center, p.r_out, angles), _arc(p.center, p.r_in, angles)]
+    for ray in () if angles is None else (cmath.exp(1j * t) for t in angles):
+        pieces.append(_segment(p.center + p.r_in * ray, p.center + p.r_out * ray))
+    return pieces
+
+
+def _distance(x: tuple, y: tuple) -> float:
+    """Distance between two pieces, from its critical points."""
+    if x[0] > y[0]:
+        x, y = y, x  # kinds in the order arc, point, segment
+    kinds = (x[0], y[0])
+    if kinds == ("point", "point"):
+        return abs(x[1] - y[1])
+    if kinds == ("point", "segment"):
+        return _point_segment(x[1], *y[1:])
+    if kinds == ("segment", "segment"):
+        return _segment_segment(*x[1:], *y[1:])
+    if kinds == ("arc", "point"):
+        return _point_arc(y[1], *x[1:])
+    if kinds == ("arc", "segment"):
+        return _segment_arc(*y[1:], *x[1:])
+    return _arc_arc(*x[1:], *y[1:])
+
+
+def _a_point(piece: tuple) -> complex:
+    if piece[0] == "arc":
+        _, c, r, angles = piece
+        return c + r if angles is None else _arc_ends(c, r, angles)[0]
+    return piece[1]
+
+
+def _in_solid(p: Primitive, z: complex) -> bool:
+    """Whether ``z`` lies in the filled region of a filled disk or an annulus
+    sector, with the ``REGION_PAD`` slack (never, for a curve or a point set)."""
+    if isinstance(p, FilledDisk):
+        return abs(z - p.center) <= p.radius + REGION_PAD
+    if isinstance(p, AnnulusSector):
+        w = z - p.center
+        return p.r_in - REGION_PAD <= abs(w) <= p.r_out + REGION_PAD and _on_arc(w, _sector_angles(p))
+    return False
+
+
+def _primitives_meet(p: Primitive, q: Primitive) -> bool:
+    pieces_p, pieces_q = _pieces(p), _pieces(q)
+    if any(_distance(x, y) <= REGION_PAD for x in pieces_p for y in pieces_q):
+        return True
+    # the boundaries are apart, so each connected piece lies wholly inside the
+    # other's filled region or wholly outside it: one point of it decides
+    return any(_in_solid(q, _a_point(x)) for x in pieces_p) or any(
+        _in_solid(p, _a_point(y)) for y in pieces_q
+    )
+
+
+def compacts_meet(a: CompactSpec, b: CompactSpec) -> bool:
+    """Whether two compacts come within ``REGION_PAD`` of each other, decided in
+    closed form from their primitives: two primitives meet when a piece of the
+    boundary of one (:func:`_pieces`) comes that close to a piece of the other's,
+    or when a point of one lies in the other's filled region.  Partial annulus
+    sectors read angles with the ``+-2 pi`` wraps of :func:`_in_angles`."""
+    return any(_primitives_meet(p, q) for p in a.primitives for q in b.primitives)

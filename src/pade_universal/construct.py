@@ -32,12 +32,13 @@ takes every sup through one fold, which raises :class:`NonFiniteSupError`
 for a sup that is ``inf`` or NaN.  A ``u`` of degree exactly ``p`` is the
 fold's one-row case, by the identity; any other ``u`` is measured center by
 center, in blocks, with the array kernels of :mod:`.series` and :mod:`.pade`.
-Builds and ``verify_construction`` measure K and J on the grid of L; a
-prefix extension is the one-center case L = {0}.
+Builds and ``verify_construction`` measure K and J, and grid L only when
+a center is read; a prefix extension is the one-center case L = {0}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compacts import CompactSpec, Grid, discretize, spec_region_contains
+from .compacts import CompactSpec, compacts_meet, discretize
 from .errors import (
     FitFailedError,
     IllConditionedError,
@@ -159,6 +160,8 @@ class TargetFunction:
         vals = tuple(_require_finite(v, "table value") for v in values)
         if len(pts) != len(vals):
             raise ValueError("table points and values must have equal lengths")
+        if not pts:
+            raise ValueError("a table target needs at least one point")
         return cls(kind="table", points=pts, values=vals)
 
     def evaluate(self, z):
@@ -514,11 +517,12 @@ class _Measurement:
     and ``[u; p/q]_ζ = u`` (Baker & Graves-Morris, *Pade Approximants*,
     ch. 1).  The call then folds the one row ``u^(l)`` per level for both
     kinds at once: every ``id_*`` sup is exactly 0 and no center is
-    recentered, tested or solved for.
+    recentered, tested or solved for, so the centers are never made.
 
     Every other ``u`` is measured center by center under the Hankel
-    threshold of ``tol``; the first center whose Hankel test fails raises
-    :class:`PadeNotExistError`.  The centers are measured in blocks of
+    threshold of ``tol``, at the points ``centers()`` returns, called once,
+    when a center is first read; the first center whose Hankel test fails
+    raises :class:`PadeNotExistError`.  The centers are measured in blocks of
     ``_BLOCK_PAIRS // points``, each block in array passes: one stacked
     Horner shift recenters the whole ``u`` and keeps each row's first
     ``p + q + 1`` coefficients, one stacked determinant tests the Hankel
@@ -530,10 +534,8 @@ class _Measurement:
     non-finite sup raises as its block is folded.
     """
 
-    def __init__(
-        self, centers: np.ndarray, compacts, levels: int, tol: ToleranceConfig, requested: float
-    ):
-        self.centers = centers
+    def __init__(self, centers, compacts, levels: int, tol: ToleranceConfig, requested: float):
+        self._centers = centers
         self.levels = levels
         self.tol = tol
         self.requested = requested
@@ -590,6 +592,11 @@ class _Measurement:
         cert.passed = bool(cert.sup_ok and perturbation != 0)
         return cert
 
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        """The grid of centers, made when the per-center path first reads it."""
+        return self._centers()
+
     def _per_center(self, u: Polynomial, p: int, q: int, record):
         """Record the Taylor and Pade rows of every center through
         ``record(kind, level, values)``, up to the first center whose Hankel
@@ -631,15 +638,18 @@ class _Measurement:
 
 
 def _requirement_measurement(
-    req: RequirementSpec, f_on_L: TargetFunction, grid_l: Grid, grid_k: Grid, grid_j: Grid,
-    tol: ToleranceConfig,
+    req: RequirementSpec, f_on_L: TargetFunction, tol: ToleranceConfig
 ) -> _Measurement:
-    """The measurement of a build: K against its target, J against ``f_on_L``."""
+    """The measurement of a build: K against its target, J against ``f_on_L``.
+    K and J are gridded here, L only when a center is read; with J absent J is
+    L, and its one grid serves as the centers too."""
+    grid_k, grid_j = discretize(req.K), discretize(req.inner_compact())
     compacts = [
         (grid_k.points, req.target_on_K, "2", "3", "K"),
         (grid_j.points, f_on_L, "4", "5", "J"),
     ]
-    return _Measurement(grid_l.points, compacts, req.derivative_levels, tol, req.requested)
+    centers = (lambda: grid_j.points) if req.J is None else (lambda: discretize(req.L).points)
+    return _Measurement(centers, compacts, req.derivative_levels, tol, req.requested)
 
 
 def verify_construction(
@@ -661,17 +671,14 @@ def verify_construction(
     selected degree, which is the perturbation the builders install there.
     """
     p, q = pq
-    grid_l = discretize(req.L)
-    grid_j = grid_l if req.J is None else discretize(req.J)
     if perturbation is None:
         perturbation = complex(u.coeffs[p]) if len(u.coeffs) > p else 0j
-    measurement = _requirement_measurement(req, f_on_L, grid_l, discretize(req.K), grid_j, tol)
-    return measurement(u, p, q, perturbation, fit_degree)
+    return _requirement_measurement(req, f_on_L, tol)(u, p, q, perturbation, fit_degree)
 
 
 def _certify(
     fit: Polynomial, f_seq: IndexSequence, measurement: _Measurement,
-    fit_degree: int, fit_residual: float, d_override=None,
+    fit_degree: int, fit_residual: float, sup_error: float, d_override=None,
 ) -> tuple[Polynomial, Certificate]:
     """``u = fit + d z^p`` and its passing certificate, at the first index
     pair ``(p, q)`` with ``p`` above every stored coefficient of ``fit``;
@@ -680,7 +687,8 @@ def _certify(
     The one place a trial is built and judged.  ``u`` has degree exactly
     ``p``, so the Hankel conclusion and ``S_p(u, ζ) = [u; p/q]_ζ = u`` hold
     at every center, and on K and J ``|u - T| <= r + |d| R^p``, with ``r``
-    the fit's sup error against the targets and ``R = max |z - c|``.  So
+    the fit's ``sup_error`` against the targets on the measurement's points
+    and ``R = max |z - c|``.  So
     ``d = (1/s - r) / (2 R^p)`` spends half the headroom and keeps every
     gated sup near ``(1/s + r) / 2``.  ``R^p`` is a float64 power: beyond
     the float range ``d`` reads 0 and the pair is refused unmeasured.
@@ -693,11 +701,9 @@ def _certify(
     p, q = select_index(f_seq, len(fit.coeffs) - 1)
     d = d_override
     if d is None:
-        targets = np.concatenate(measurement.target_vals[0])
-        r = float(np.max(np.abs(fit.eval(measurement.points) - targets)))
         radius = np.max(np.abs(measurement.points - fit.center))
         with np.errstate(over="ignore", divide="ignore"):  # R^p = inf reads as d = 0
-            d = float((measurement.requested - r) / 2.0 / radius**p)
+            d = float((measurement.requested - sup_error) / 2.0 / radius**p)
         if not 0.0 < d < math.inf:
             raise PerturbationFailedError(p, q, d, 0)
     u = fit.plus_monomial(d, p)
@@ -727,22 +733,18 @@ def build_universal_polynomial(
     chosen perturbation and returns the certificate for that exact value
     (possibly failing; a zero perturbation never passes).
     """
-    grid_k, grid_l = discretize(req.K), discretize(req.L)
-    grid_j = grid_l if req.J is None else discretize(req.J)
-    for name, spec, grid in (("L", req.L, grid_l), ("J", req.J, grid_j)):
-        if spec is None:
-            continue  # J is L, checked already
-        overlap = spec_region_contains(req.K, grid.points).any()
-        if overlap or spec_region_contains(spec, grid_k.points).any():
+    for name, spec in (("L", req.L), ("J", req.J)):
+        if spec is not None and compacts_meet(req.K, spec):  # no J: J is L, checked already
             raise ValueError(f"K and {name} overlap; the gluing step needs disjoint compacts")
 
-    measurement = _requirement_measurement(req, f_on_L, grid_l, grid_k, grid_j, DEFAULT_TOL)
+    measurement = _requirement_measurement(req, f_on_L, DEFAULT_TOL)
     z, values = measurement.points, np.concatenate(measurement.target_vals[0])
     degree, fit, residual = _fit_ramp(
         _ArnoldiLadder(z), values, range(2, RAMP_CAP + 1, 2), req.requested / 2.0,
         lambda fit: float(np.abs(fit.eval(z) - values).max()),
     )
-    return _certify(fit, f_seq, measurement, degree, residual, d_override)
+    # the ramp's residual is the fit's sup error on the measurement's points
+    return _certify(fit, f_seq, measurement, degree, residual, residual, d_override)
 
 
 @dataclass(frozen=True)
@@ -808,7 +810,7 @@ def extend_prefix(
     # and the labels reversed ("3" is the Taylor sup, "2" the Pade sup)
     requested = 1.0 / s
     measurement = _Measurement(
-        np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, DEFAULT_TOL, requested
+        lambda: np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0, DEFAULT_TOL, requested
     )
     (psi_vals,) = measurement.target_vals[0]
     n0 = len(prefix) - 1
@@ -829,7 +831,8 @@ def extend_prefix(
     # zeros as +0.0, so no -0.0 reaches the records
     tail = np.trim_zeros(correction.coeffs, "b") + 0.0
     fitted = Polynomial(np.concatenate([base.coeffs, tail]), 0.0)
-    u, cert = _certify(fitted, f_seq, measurement, fit_degree, residual)
+    sup_error = float(np.max(np.abs(fitted.eval(z) - psi_vals)))
+    u, cert = _certify(fitted, f_seq, measurement, fit_degree, residual, sup_error)
     # every term _certify adds sits above n0: the prefix is checked once, on u
     padded = np.zeros_like(u.coeffs)
     padded[: n0 + 1] = base.coeffs

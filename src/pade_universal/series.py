@@ -129,8 +129,12 @@ class ToleranceConfig:
     tau_det: float = 1e-10
 
     def __post_init__(self):
-        if not float_from_json(self.tau_det) > 0:
-            raise ValueError("tau_det must be strictly positive")
+        try:
+            positive = float_from_json(self.tau_det) > 0
+        except ValueError:
+            positive = False
+        if not positive:
+            raise ValueError(f"tau_det must be a finite positive number, got {self.tau_det!r:.40}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -45,6 +45,20 @@ def test_first_cycle_passes_its_check(name, workloads, tmp_path):
     assert work.check(0, evidence) == []
 
 
+@pytest.mark.parametrize("seed", range(101, 111))
+@pytest.mark.parametrize("name", ["wide", "desk", "table"])
+def test_every_input_of_the_paired_runs_passes_its_check(name, seed, workloads, tmp_path):
+    """One whole pass at each seed the paired runs use (101-110): the set-up,
+    every cycle and its check.  An exception here is the one that would end
+    a benchmark run with exit 1; a problem, the one that would read it as
+    incorrect; an ``error`` outcome, a failed operation."""
+    work = workloads.WORKLOADS[name](seed, str(tmp_path))
+    for i in range(work.pass_length):
+        requests, evidence = work.run_cycle(i)
+        assert work.check(i, evidence) == [], (seed, i)
+        assert [r.kind for r in requests if r.outcome == "error"] == [], (seed, i)
+
+
 @pytest.mark.parametrize("name, expected", [("wide", [1024, 1024]), ("desk", [16, 16])])
 def test_first_cycle_oracle_agrees_at_every_center(name, expected, workloads, tmp_path):
     work = workloads.WORKLOADS[name](101, str(tmp_path))
@@ -115,7 +129,9 @@ def test_tracer_spans_one_table_cycle(workloads, tmp_path):
 
 def test_tracer_spans_one_desk_cycle(workloads, tmp_path):
     """The tracer finds the construct and compacts names it wraps: it skips a
-    missing name silently, so a rename would otherwise read as a zero count."""
+    missing name silently, so a rename would otherwise read as a zero count.
+    (Its ``compacts.contains`` span wraps a membership test the program no
+    longer calls: overlaps are decided by ``compacts_meet``, with no grid.)"""
     import tracer
 
     work = workloads.WORKLOADS["desk"](101, str(tmp_path))
@@ -126,6 +142,6 @@ def test_tracer_spans_one_desk_cycle(workloads, tmp_path):
     finally:
         spans.remove()
     for label in ("construct.fit.points", "construct.build", "construct.verify",
-                  "construct.extend", "compacts.contains"):
+                  "construct.extend", "compacts.discretize"):
         assert spans.stats.get(label, [0])[0] > 0, label
     assert not hasattr(workloads.construct.build_universal_polynomial, "__wrapped__")

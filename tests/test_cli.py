@@ -220,13 +220,17 @@ class TestPadeCommand:
             "message": "Hankel threshold of the (1,2) cell overflows: scale 1.000e+150",
         }
 
-    @pytest.mark.parametrize("tau_det", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("tau_det", ["inf", "nan", "0", "-1e-10"])
     def test_tau_det_must_be_finite_and_positive(self, capsys, tau_det):
-        argv = ("--coeffs", json.dumps(EXP_COEFFS), "--tau-det", tau_det)
+        # one argument, as "--tau-det -1e-10" reads -1e-10 as an option
+        argv = ("--coeffs", json.dumps(EXP_COEFFS), f"--tau-det={tau_det}")
         for command in (("pade", "--p", "1", "--q", "1"), ("table", "--p-max", "1", "--q-max", "1")):
             code, out, err = run(capsys, *command, *argv)
             assert (code, out) == (1, "")
-            assert one_json_line(err)["error"] == "validation"
+            assert one_json_line(err) == {
+                "error": "validation",
+                "message": f"tau_det must be a finite positive number, got {float(tau_det)!r}",
+            }
 
     def test_determinant_overflow_exits_three(self, capsys):
         # the (11, 11) threshold is finite, its determinant is not: exit 3,
@@ -569,7 +573,11 @@ class TestBuildCommand:
         out.write_text(json.dumps(record))
         code, _, err = run(capsys, "verify", "--run", str(out))
         assert code == 1
-        assert one_json_line(err)["error"] == "schema"
+        assert one_json_line(err) == {
+            "error": "schema",
+            "message": f"malformed tolerances: tau_det must be a finite positive number, "
+                       f"got {tau_det!r}",
+        }
 
     @pytest.mark.parametrize("f_on_l", [
         {"kind": "rational", "numer": [[1e200, 0]], "denom": [[1e200, 0], [-5e199, 0]]},
@@ -735,6 +743,32 @@ class TestBuildCommand:
         code, _, err = run(capsys, "build", "--scenario", str(scenario))
         assert code == 1
         assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("name", ["L", "J"])
+    def test_crossing_compacts_exit_one(self, capsys, tmp_path, name):
+        # K crosses L (or J) at 2, between the grid points of both
+        scenario_data = build_scenario()
+        requirement = scenario_data["requirement"]
+        requirement["K"] = {"primitives": [{"kind": "segment", "a": [2, -0.5], "b": [2, 0.5]}]}
+        requirement[name] = {"primitives": [{"kind": "segment", "a": [1.5, 0], "b": [2.5, 0]}]}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        code, out, err = run(capsys, "build", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        diag = one_json_line(err)
+        assert diag["error"] == "validation"
+        assert diag["message"].startswith(f"K and {name} overlap")
+
+    def test_empty_table_target_is_refused(self, capsys, tmp_path):
+        scenario_data = build_scenario()
+        scenario_data["f_on_L"] = {"kind": "table", "points": [], "values": []}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_data))
+        code, out, err = run(capsys, "build", "--scenario", str(scenario))
+        assert (code, out) == (1, "")
+        assert one_json_line(err) == {
+            "error": "validation", "message": "a table target needs at least one point",
+        }
 
     def test_determinism_modulo_timestamp(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -14,10 +14,10 @@ from pade_universal.compacts import (
     PointSet,
     REGION_PAD,
     Segment,
+    compacts_meet,
     discretize,
     exhausting_family,
     outer_family,
-    spec_region_contains,
 )
 from pade_universal.errors import EmptyResultError, EmptySpecError
 from pade_universal.series import Polynomial
@@ -166,6 +166,47 @@ def scalar_discretize(spec: CompactSpec) -> np.ndarray:
     return np.array(pts, dtype=complex)
 
 
+def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
+    """Whether each point of ``z`` lies in the region described by ``spec``: the
+    test oracle of the monotone families and of :func:`compacts_meet`.
+
+    Membership is primitive-wise with a ``REGION_PAD`` slack.  Magnitudes are
+    ``np.hypot(re, im)``, which rounds as Python's ``abs`` of a complex does.
+    Angles of partial annulus sectors come from ``np.arctan2``, which may
+    differ from ``math.atan2`` in the last place: only a point within an ulp
+    of ``theta +- REGION_PAD`` can tell.
+    """
+    z = np.asarray(z, dtype=complex)
+    inside = np.zeros(z.shape, dtype=bool)
+    for p in spec.primitives:
+        if isinstance(p, FilledDisk):
+            inside |= np.hypot(*parts(z - p.center)) <= p.radius + REGION_PAD
+        elif isinstance(p, Circle):
+            inside |= np.abs(np.hypot(*parts(z - p.center)) - p.radius) <= REGION_PAD
+        elif isinstance(p, Segment):
+            d = p.b - p.a
+            t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2 if abs(d) else 0.0
+            inside |= np.hypot(*parts(z - (p.a + np.clip(t, 0.0, 1.0) * d))) <= REGION_PAD
+        elif isinstance(p, AnnulusSector):
+            w = z - p.center
+            r = np.hypot(*parts(w))
+            ring = (p.r_in - REGION_PAD <= r) & (r <= p.r_out + REGION_PAD)
+            if (p.theta_b - p.theta_a) < 2.0 * math.pi - 1e-12:
+                ang = np.arctan2(w.imag, w.real)
+                ang = np.stack([ang - 2.0 * math.pi, ang, ang + 2.0 * math.pi])
+                arc = (p.theta_a - REGION_PAD <= ang) & (ang <= p.theta_b + REGION_PAD)
+                ring &= arc.any(axis=0)
+            inside |= ring
+        elif isinstance(p, PointSet):
+            for w in p.points:
+                inside |= np.hypot(*parts(z - w)) <= REGION_PAD
+    return inside
+
+
+def parts(z):
+    return z.real, z.imag
+
+
 def scalar_contains(spec: CompactSpec, z: complex) -> bool:
     """The one-point membership test the array test replaced."""
     for p in spec.primitives:
@@ -258,6 +299,194 @@ class TestArrayParity:
         # the edges straddle the slack: |z| = 0.4 + pad is in, one ulp out is not
         disk = CompactSpec([FilledDisk(0.0, 0.4)], 8)
         assert spec_region_contains(disk, edges[:3]).tolist() == [True, True, False]
+
+
+PI = math.pi
+GAP = 1e-8  # ten times REGION_PAD: primitives this far apart do not meet
+DISK = FilledDisk(0.0, 1.0)
+RING = AnnulusSector(0.0, 1.0, 2.0, 0.0, 2.0 * PI)  # a full annulus, its hole |z| < 1
+# the upper half of that annulus, and a wedge about the positive real axis
+# whose inner radius is 0 (its inner arc is a point)
+UPPER = AnnulusSector(0.0, 1.0, 2.0, 0.0, PI)
+WEDGE = AnnulusSector(0.0, 0.0, 1.0, -PI / 4, PI / 4)
+
+#: (a, b, meet): hand-made touching, crossing, nested and apart cases for
+#: each pair of primitive kinds.
+MEET_CASES = [
+    # point set
+    (PointSet([1.0]), PointSet([2.0, 1.0]), True),
+    (PointSet([1.0]), PointSet([1.0 + 0.5 * REGION_PAD]), True),
+    (PointSet([1.0]), PointSet([1.0 + GAP]), False),
+    (PointSet([0.5]), Segment(0.0, 1.0), True),
+    (PointSet([1.0 + GAP]), Segment(0.0, 1.0), False),
+    (PointSet([0.5 + GAP * 1j]), Segment(0.0, 1.0), False),
+    (PointSet([1j]), Circle(0.0, 1.0), True),
+    (PointSet([0.0]), Circle(0.0, 1.0), False),
+    (PointSet([0.0]), DISK, True),
+    (PointSet([-1.0]), DISK, True),
+    (PointSet([(1.0 + GAP) * 1j]), DISK, False),
+    (PointSet([1.5j]), UPPER, True),
+    (PointSet([-1.5j]), UPPER, False),
+    (PointSet([0.5]), RING, False),
+    (PointSet([0.0]), WEDGE, True),
+    (PointSet([0.5j]), WEDGE, False),
+    # segment
+    (Segment(-1.0, 1.0), Segment(-1j, 1j), True),
+    (Segment(-1.0, 1.0), Segment(0.0, 1j), True),
+    (Segment(0.0, 2.0), Segment(1.0, 3.0), True),
+    (Segment(0.0, 1.0), Segment(GAP * 1j, 1.0 + GAP * 1j), False),
+    (Segment(0.0, 1.0), Segment(1.0 + GAP, 2.0), False),
+    (Segment(2 - 0.5j, 2 + 0.5j), Segment(1.5, 2.5), True),
+    (Segment(-2.0, 2.0), Circle(0.0, 1.0), True),
+    (Segment(-0.5, 0.5), Circle(0.0, 1.0), False),
+    (Segment(-1 + 1j, 1 + 1j), Circle(0.0, 1.0), True),
+    (Segment(-1 + (1 + GAP) * 1j, 1 + (1 + GAP) * 1j), Circle(0.0, 1.0), False),
+    (Segment(-0.5, 0.5), DISK, True),
+    (Segment(0.5, 3.0), DISK, True),
+    (Segment(-1 + 1j, 1 + 1j), DISK, True),
+    (Segment(1.0 + GAP, 3.0), DISK, False),
+    (Segment(-0.5, 0.5), RING, False),
+    (Segment(-0.5, 3.0), RING, True),
+    (Segment(-1.5 + 0.1j, 1.5 + 0.1j), UPPER, True),
+    (Segment(-1.5 - GAP * 1j, 1.5 - GAP * 1j), UPPER, False),
+    (Segment(1.2 + 0.5j, -1.2 + 0.5j), UPPER, True),
+    (Segment(0.2j, 0.9j), WEDGE, False),
+    (Segment(0.1, 0.2), WEDGE, True),
+    # circle
+    (Circle(0.0, 1.0), Circle(1.0, 1.0), True),
+    (Circle(0.0, 1.0), Circle(2.0, 1.0), True),
+    (Circle(0.0, 1.0), Circle(2.0 + GAP, 1.0), False),
+    (Circle(0.0, 1.0), Circle(0.0, 1.5), False),
+    (Circle(0.0, 1.0), Circle(0.1, 0.5), False),
+    (Circle(0.0, 1.0), Circle(0.0, 1.0), True),
+    (Circle(0.0, 0.5), DISK, True),
+    (Circle(0.0, 2.0), FilledDisk(0.0, 1.0), False),
+    (Circle(1.0, 0.5), DISK, True),
+    (Circle(0.0, 0.5), RING, False),
+    (Circle(0.0, 1.5), RING, True),
+    (Circle(-1.5j, 0.4), UPPER, False),
+    (Circle(1.5j, 0.4), UPPER, True),
+    (Circle(0.0, 1.5), UPPER, True),
+    (Circle(2.5j, 0.5), UPPER, True),
+    (Circle(2.5j, 0.5 - GAP), UPPER, False),
+    (Circle(0.0, 0.5), WEDGE, True),
+    # filled disk
+    (DISK, FilledDisk(1.5, 1.0), True),
+    (DISK, FilledDisk(0.2, 0.1), True),
+    (DISK, FilledDisk(2.0, 1.0), True),
+    (DISK, FilledDisk(2.0 + GAP, 1.0), False),
+    (FilledDisk(0.0, 0.5), RING, False),
+    (FilledDisk(0.0, 3.0), RING, True),
+    (FilledDisk(-1.5j, 0.4), UPPER, False),
+    (FilledDisk(1.5j, 0.1), UPPER, True),
+    (FilledDisk(0.5j, 0.2), WEDGE, False),
+    (FilledDisk(0.5, 0.1), WEDGE, True),
+    # annulus sectors
+    (UPPER, AnnulusSector(0.0, 1.0, 2.0, PI + 0.1, 2 * PI - 0.1), False),
+    (UPPER, AnnulusSector(0.0, 1.0, 2.0, PI / 2, 3 * PI / 2), True),
+    (UPPER, AnnulusSector(0.0, 2.0, 3.0, 0.5, 1.0), True),
+    (UPPER, AnnulusSector(0.0, 1.2, 1.8, 0.5, 1.0), True),
+    (UPPER, AnnulusSector(0.0, 0.2, 0.8, 0.5, 1.0), False),
+    (RING, AnnulusSector(0.0, 0.0, 0.9, 0.0, 2 * PI), False),
+    (RING, AnnulusSector(0.0, 2.0 + GAP, 3.0, 0.0, 2 * PI), False),
+    (RING, AnnulusSector(0.0, 2.0, 3.0, 0.0, 2 * PI), True),
+    (WEDGE, AnnulusSector(0.0, 0.0, 1.0, PI / 2, PI), True),  # both hold 0
+    (WEDGE, AnnulusSector(0.0, 0.1, 1.0, PI / 2, PI), False),
+    (WEDGE, AnnulusSector(0.0, 0.0, 1.0, PI / 4, PI), True),
+    (WEDGE, AnnulusSector(3.0, 0.5, 1.0, 0.5 * PI, 1.5 * PI), False),
+    (WEDGE, AnnulusSector(1.5, 0.5, 1.0, 0.5 * PI, 1.5 * PI), True),
+]
+
+
+def boundary_samples(p, n: int) -> tuple[np.ndarray, float]:
+    """``n`` points on each boundary piece of a primitive, and the largest gap
+    between neighbours along a piece."""
+    def arc(c, r, a, b):
+        return c + r * np.exp(1j * np.linspace(a, b, n)), r * (b - a) / (n - 1)
+
+    def line(a, b):
+        return np.linspace(a, b, n), abs(b - a) / (n - 1)
+
+    if isinstance(p, PointSet):
+        return np.array(p.points, dtype=complex), 0.0
+    if isinstance(p, Segment):
+        pieces = [line(p.a, p.b)]
+    elif isinstance(p, (Circle, FilledDisk)):
+        pieces = [arc(p.center, p.radius, 0.0, 2 * PI)]
+    else:
+        a, b = p.theta_a, min(p.theta_b, p.theta_a + 2 * PI)
+        pieces = [arc(p.center, r, a, b) for r in (p.r_in, p.r_out)]
+        pieces += [line(p.center + p.r_in * np.exp(1j * t), p.center + p.r_out * np.exp(1j * t))
+                   for t in (a, b)]
+    return np.concatenate([z for z, _ in pieces]), max(h for _, h in pieces)
+
+
+def sampled_meet(a, b, n: int = 300):
+    """The dense-sampling reference: ``True`` when a sample of one boundary lies
+    within ``REGION_PAD`` of the other primitive (``spec_region_contains``) or of
+    a sample of its boundary, ``False`` when the samples stay apart by far more
+    than their spacing, and ``None`` where sampling cannot tell."""
+    (za, ha), (zb, hb) = boundary_samples(a, n), boundary_samples(b, n)
+    if spec_region_contains(CompactSpec([b]), za).any():
+        return True
+    if spec_region_contains(CompactSpec([a]), zb).any():
+        return True
+    gap = float(np.min(np.abs(za[:, None] - zb[None, :])))
+    if gap <= REGION_PAD:
+        return True
+    return False if gap > ha + hb + 1e-6 else None
+
+
+def random_primitive(rng):
+    center = complex(*rng.uniform(-1.5, 1.5, 2))
+    kind = rng.integers(6)
+    if kind == 0:
+        return PointSet([complex(*rng.uniform(-2, 2, 2)) for _ in range(rng.integers(1, 4))])
+    if kind == 1:
+        return Segment(center, center + complex(*rng.uniform(-1.5, 1.5, 2)))
+    if kind == 2:
+        return Circle(center, rng.uniform(0.1, 1.2))
+    if kind == 3:
+        return FilledDisk(center, rng.uniform(0.1, 1.2))
+    r_out = rng.uniform(0.2, 1.2)
+    r_in = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, r_out)
+    theta_a = rng.uniform(-PI, PI)
+    span = 2 * PI if kind == 4 else rng.uniform(0.3, 2 * PI - 0.3)
+    return AnnulusSector(center, r_in, r_out, theta_a, theta_a + span)
+
+
+class TestMeet:
+    """``compacts_meet`` decides in closed form what a sampled overlap check
+    could miss: two crossing curves share no sample."""
+
+    @pytest.mark.parametrize("a, b, meet", MEET_CASES)
+    def test_hand_made_cases(self, a, b, meet):
+        assert compacts_meet(CompactSpec([a]), CompactSpec([b])) is meet
+        assert compacts_meet(CompactSpec([b]), CompactSpec([a])) is meet
+        # a compact meets another when one of its primitives does
+        far = CompactSpec([PointSet([50.0]), a]), CompactSpec([b, PointSet([-50.0])])
+        assert compacts_meet(*far) is meet
+        if (decided := sampled_meet(a, b)) is not None:
+            assert decided is meet
+
+    def test_crossing_segments_share_no_sample(self):
+        k = CompactSpec([Segment(2 - 0.5j, 2 + 0.5j)], 64)
+        l = CompactSpec([Segment(1.5, 2.5)], 64)
+        for grid, other in ((discretize(k), l), (discretize(l), k)):
+            assert not spec_region_contains(other, grid.points).any()
+        assert compacts_meet(k, l)
+
+    def test_random_pairs_agree_with_dense_sampling(self):
+        rng = np.random.default_rng(37)
+        decided = []
+        for _ in range(200):
+            a, b = random_primitive(rng), random_primitive(rng)
+            reference = sampled_meet(a, b)
+            if reference is not None:
+                assert compacts_meet(CompactSpec([a]), CompactSpec([b])) is reference, (a, b)
+                decided.append(reference)
+        # the sample decides most pairs, and both ways
+        assert len(decided) > 150 and 30 < sum(decided) < len(decided) - 30
 
 
 def sup_norm(g, grid) -> float:

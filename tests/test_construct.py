@@ -602,7 +602,7 @@ class TestBuilder:
 
     def test_j_absent_is_l(self, monkeypatch):
         # with no J the inner target is measured on the grid of L, which is
-        # discretized once per build and once per verification
+        # discretized once per build and once per verification, each after K
         req = dataclasses.replace(desk_requirement(levels=1), J=None)
         grids = []
 
@@ -615,7 +615,7 @@ class TestBuilder:
         assert cert.passed and cert.diagnostics["by_identity"] is True
         assert grids == [req.K, req.L]
         again = verify_construction(u, req, cert.selected, F_ON_L)
-        assert grids[2:] == [req.L, req.K]
+        assert grids[2:] == [req.K, req.L]
         assert [(k, v.hex()) for k, v in again.achieved.items()] == [
             (k, v.hex()) for k, v in cert.achieved.items()
         ]
@@ -656,6 +656,18 @@ class TestBuilder:
         )
         with pytest.raises(ValueError):
             build_universal_polynomial(req, TargetFunction.poly([1.0]), F_DEFAULT)
+
+    @pytest.mark.parametrize("name", ["L", "J"])
+    def test_crossing_compacts_rejected(self, name):
+        # the segments cross at 2 and share no grid point, which a sampled
+        # check missed: crossing L certified, crossing J ended in FitFailedError
+        crossing = CompactSpec([Segment(1.5, 2.5)], 64)
+        req = dataclasses.replace(
+            desk_requirement(), K=CompactSpec([Segment(2 - 0.5j, 2 + 0.5j)], 64),
+            target_on_K=TargetFunction.poly([1.0]), **{name: crossing},
+        )
+        with pytest.raises(ValueError, match=f"^K and {name} overlap"):
+            build_universal_polynomial(req, TargetFunction.poly([0.0]), F_DEFAULT)
 
     def test_short_index_sequence_exhausts(self):
         with pytest.raises(IndexExhaustedError):

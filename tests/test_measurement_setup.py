@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from pade_universal import construct
-from pade_universal.compacts import CompactSpec, FilledDisk, Segment, discretize
+from pade_universal.compacts import CompactSpec, FilledDisk, Segment
 from pade_universal.construct import (
     IndexSequence,
     RequirementSpec,
@@ -141,7 +141,7 @@ class TestTargetDerivatives:
         # the measurement's set-up refuses it, and writes no numpy warning
         req = requirement(2)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
-            _requirement_measurement(req, target, *grids(req), DEFAULT_TOL)
+            _requirement_measurement(req, target, DEFAULT_TOL)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_numerators_match_the_padded_reference(self, seed):
@@ -216,10 +216,6 @@ def requirement(levels: int) -> RequirementSpec:
 F_ON_L = TargetFunction.rational([1.0], [2.0, -1.0])
 
 
-def grids(req: RequirementSpec):
-    return discretize(req.L), discretize(req.K), discretize(req.J)
-
-
 def test_preparation_runs_one_numerator_recurrence_per_rational_target(monkeypatch):
     calls = []
 
@@ -229,11 +225,11 @@ def test_preparation_runs_one_numerator_recurrence_per_rational_target(monkeypat
 
     monkeypatch.setattr(construct, "derivative_numerators", counted)
     req = requirement(2)
-    _requirement_measurement(req, F_ON_L, *grids(req), DEFAULT_TOL)
+    _requirement_measurement(req, F_ON_L, DEFAULT_TOL)
     assert calls == [2, 2]
     calls.clear()
     req = RequirementSpec(req.K, TargetFunction.poly([0.0, 0.0, 1.0]), req.L, req.s, 2, req.J)
-    _requirement_measurement(req, F_ON_L, *grids(req), DEFAULT_TOL)
+    _requirement_measurement(req, F_ON_L, DEFAULT_TOL)
     assert calls == [2]
 
 

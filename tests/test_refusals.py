@@ -98,6 +98,9 @@ REFUSALS = {
         lambda: TargetFunction.from_json({"kind": "table", "points": [[0, 0]], "values": []}),
         ValueError, "table points and values must have equal lengths",
     ),
+    "table-empty": (
+        lambda: TargetFunction.table([], []), ValueError, "^a table target needs at least one point$"
+    ),
     "union-no-disks": (
         family(json.dumps({"kind": "disk_union", "disks": []})),
         Exited, "^1 .*validation.*disk_union needs at least one disk",

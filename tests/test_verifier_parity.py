@@ -163,7 +163,7 @@ def blocked_measure(u, p, q, grid_l, grid_k, grid_j, target_k, target_j, levels,
         (grid_j.points, target_j, "4", "5", "J"),
     ]
     centers = np.array(grid_l.points, dtype=complex)
-    measurement = _Measurement(centers, compacts, levels, tol, requested)
+    measurement = _Measurement(lambda: centers, compacts, levels, tol, requested)
     cert = measurement(u, p, q, 1.0, 0)
     return {
         "achieved": cert.achieved,
@@ -498,7 +498,7 @@ class TestTaylorIsPade:
         u, cert = build_universal_polynomial(req, F_ON_L, f_seq)
         assert cert.passed and cert.selected == pq
         assert_build_holds_exactly(u, cert, req, F_ON_L)
-        measurement = _requirement_measurement(req, F_ON_L, *grids(req), DEFAULT_TOL)
+        measurement = _requirement_measurement(req, F_ON_L, DEFAULT_TOL)
         for d in (1e-6 * cert.perturbation, 1e3 * cert.perturbation):
             trial = Polynomial(np.append(u.coeffs[:-1], d))
             trial_cert = measurement(trial, *pq, d, 0)
@@ -632,3 +632,44 @@ def test_verify_op_counts_do_not_grow_with_centers(monkeypatch):
         seen.append(dict(counts))
     assert seen[0]["new"] == seen[1]["new"]
     assert seen[0]["recenter"] == seen[1]["recenter"] == 0
+
+
+class TestCentersOnlyWhereRead:
+    """L is gridded only when the per-center path reads a center."""
+
+    @pytest.fixture
+    def grids_made(self, monkeypatch):
+        made = []
+
+        def counted(spec):
+            made.append(spec)
+            return discretize(spec)
+
+        monkeypatch.setattr(construct, "discretize", counted)
+        return made
+
+    def test_build_and_its_verify_make_no_grid_of_l(self, grids_made):
+        req = desk_requirement(2)
+        u, cert = build_universal_polynomial(req, F_ON_L, F_WIDE)
+        assert cert.diagnostics["by_identity"] is True
+        assert grids_made == [req.K, req.J]
+        verify_construction(u, req, cert.selected, F_ON_L)
+        assert grids_made[2:] == [req.K, req.J]
+
+    def test_per_center_verify_grids_l_once_and_keeps_its_bits(self, grids_made):
+        req = desk_requirement(2)
+        u, cert = build_universal_polynomial(req, F_ON_L, F_DESK)
+        del grids_made[:]
+        p, q = cert.selected
+        lazy = verify_construction(padded(u), req, (p, q), F_ON_L, 1.0, 0)
+        assert grids_made == [req.K, req.J, req.L]
+        assert "by_identity" not in lazy.diagnostics
+        # the measurement handed L's grid up front, as before centers were lazy
+        eager = blocked_measure(
+            padded(u), p, q, *grids(req), req.target_on_K, F_ON_L, 2, DEFAULT_TOL,
+            requested=req.requested,
+        )
+        for table in ("achieved", "diagnostics"):
+            got = {k: v.hex() for k, v in getattr(lazy, table).items()}
+            assert got == {k: v.hex() for k, v in eager[table].items()}
+        assert (lazy.hankel_min, lazy.passed) == (eager["hankel_min"], eager["passed"])
