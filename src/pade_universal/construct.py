@@ -520,8 +520,8 @@ class _Measurement:
     recentered, tested or solved for, so the centers are never made.
 
     Every other ``u`` is measured center by center under the Hankel
-    threshold of ``tol``, at the points ``centers()`` returns, called once,
-    when a center is first read; the first center whose Hankel test fails
+    threshold of ``tol``, at the points ``make_centers()`` returns, called
+    once, when a center is first read; the first center whose Hankel test fails
     raises :class:`PadeNotExistError`.  The centers are measured in blocks of
     ``_BLOCK_PAIRS // points``, each block in array passes: one stacked
     Horner shift recenters the whole ``u`` and keeps each row's first
@@ -534,8 +534,10 @@ class _Measurement:
     non-finite sup raises as its block is folded.
     """
 
-    def __init__(self, centers, compacts, levels: int, tol: ToleranceConfig, requested: float):
-        self._centers = centers
+    def __init__(
+        self, make_centers, compacts, levels: int, tol: ToleranceConfig, requested: float
+    ):
+        self._make_centers = make_centers
         self.levels = levels
         self.tol = tol
         self.requested = requested
@@ -595,7 +597,7 @@ class _Measurement:
     @functools.cached_property
     def centers(self) -> np.ndarray:
         """The grid of centers, made when the per-center path first reads it."""
-        return self._centers()
+        return self._make_centers()
 
     def _per_center(self, u: Polynomial, p: int, q: int, record):
         """Record the Taylor and Pade rows of every center through
