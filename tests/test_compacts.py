@@ -14,6 +14,7 @@ from pade_universal.compacts import (
     PointSet,
     REGION_PAD,
     Segment,
+    _abs,
     compacts_meet,
     discretize,
     exhausting_family,
@@ -170,8 +171,8 @@ def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
     """Whether each point of ``z`` lies in the region described by ``spec``: the
     test oracle of the monotone families and of :func:`compacts_meet`.
 
-    Membership is primitive-wise with a ``REGION_PAD`` slack.  Magnitudes are
-    ``np.hypot(re, im)``, which rounds as Python's ``abs`` of a complex does.
+    Membership is primitive-wise with a ``REGION_PAD`` slack; magnitudes are
+    those of ``compacts._abs``, which rounds as Python's ``abs`` of a complex does.
     Angles of partial annulus sectors come from ``np.arctan2``, which may
     differ from ``math.atan2`` in the last place: only a point within an ulp
     of ``theta +- REGION_PAD`` can tell.
@@ -180,16 +181,16 @@ def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
     inside = np.zeros(z.shape, dtype=bool)
     for p in spec.primitives:
         if isinstance(p, FilledDisk):
-            inside |= np.hypot(*parts(z - p.center)) <= p.radius + REGION_PAD
+            inside |= _abs(z - p.center) <= p.radius + REGION_PAD
         elif isinstance(p, Circle):
-            inside |= np.abs(np.hypot(*parts(z - p.center)) - p.radius) <= REGION_PAD
+            inside |= np.abs(_abs(z - p.center) - p.radius) <= REGION_PAD
         elif isinstance(p, Segment):
             d = p.b - p.a
             t = ((z - p.a) * np.conj(d)).real / abs(d) ** 2 if abs(d) else 0.0
-            inside |= np.hypot(*parts(z - (p.a + np.clip(t, 0.0, 1.0) * d))) <= REGION_PAD
+            inside |= _abs(z - (p.a + np.clip(t, 0.0, 1.0) * d)) <= REGION_PAD
         elif isinstance(p, AnnulusSector):
             w = z - p.center
-            r = np.hypot(*parts(w))
+            r = _abs(w)
             ring = (p.r_in - REGION_PAD <= r) & (r <= p.r_out + REGION_PAD)
             if (p.theta_b - p.theta_a) < 2.0 * math.pi - 1e-12:
                 ang = np.arctan2(w.imag, w.real)
@@ -199,12 +200,8 @@ def spec_region_contains(spec: CompactSpec, z) -> np.ndarray:
             inside |= ring
         elif isinstance(p, PointSet):
             for w in p.points:
-                inside |= np.hypot(*parts(z - w)) <= REGION_PAD
+                inside |= _abs(z - w) <= REGION_PAD
     return inside
-
-
-def parts(z):
-    return z.real, z.imag
 
 
 def scalar_contains(spec: CompactSpec, z: complex) -> bool:

@@ -225,8 +225,8 @@ def test_float_hankel_failure_refuses_the_padded_trial(monkeypatch):
     assert {"2", "id_pade_l0"} <= set(tiny.achieved)
     trials = list(calls)
     z = discretize(CIRCLE_K).points
-    measurement = _Measurement(lambda: np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
-                               DEFAULT_TOL, 1e-3)
+    measurement = _Measurement(lambda: np.zeros(1, dtype=complex),
+                               [(z, psi, "3", "2", "K")], 0, DEFAULT_TOL, 1e-3)
     coeffs = calls[-1][1]
     with pytest.raises(PadeNotExistError) as refused:
         measurement(PerCenter(coeffs + [0j]), p, q, tiny.perturbation, 0)
@@ -309,8 +309,8 @@ def test_pole_next_to_k_raises_at_the_same_point():
     z = discretize(CIRCLE_K).points
     psi = TargetFunction.rational([1.0], [0.0, 1.0])
     coeffs = [0j, 0j, 0j, complex(z[5]), 1.0 + 0j]
-    measurement = _Measurement(lambda: np.zeros(1, dtype=complex), [(z, psi, "3", "2", "K")], 0,
-                               DEFAULT_TOL, 0.1)
+    measurement = _Measurement(lambda: np.zeros(1, dtype=complex),
+                               [(z, psi, "3", "2", "K")], 0, DEFAULT_TOL, 0.1)
     with pytest.raises(PoleProximityError) as old:
         oracle_extension_measure([0j], coeffs, 1.0, (3, 1), z, psi.evaluate(z), 0, 0.0, 0.1)
     with pytest.raises(PoleProximityError) as new:
